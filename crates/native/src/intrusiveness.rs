@@ -46,8 +46,6 @@ fn sweep(region: &TrackedRegion, passes: usize) {
 /// Measure tracked-vs-untracked wall time for a `pages`-page region
 /// swept `passes` times, sampling every `timeslice`.
 pub fn measure(pages: usize, passes: usize, timeslice: Duration) -> IntrusivenessResult {
-    use std::sync::atomic::Ordering;
-
     // Baseline: identical work on an untracked (plain RW) region.
     let base_region = TrackedRegion::new(pages);
     base_region.untrack();
@@ -58,13 +56,12 @@ pub fn measure(pages: usize, passes: usize, timeslice: Duration) -> Intrusivenes
 
     // Tracked: protection + handler + periodic re-protection.
     let region = Arc::new(TrackedRegion::new(pages));
-    let fault_before = crate::sigsegv::FAULT_COUNT.load(Ordering::Relaxed);
     let sampler = TimesliceSampler::start(region.clone(), timeslice);
     let t0 = Instant::now();
     sweep(&region, passes);
     let tracked = t0.elapsed();
     let _ = sampler.stop();
-    let faults = crate::sigsegv::FAULT_COUNT.load(Ordering::Relaxed) - fault_before;
+    let faults = region.faults();
     IntrusivenessResult { baseline, tracked, faults }
 }
 
@@ -84,15 +81,11 @@ mod tests {
     fn reprotection_forces_refaults() {
         // Deterministic version of "shorter timeslices fault more":
         // drive the alarm by hand between sweeps.
-        use std::sync::atomic::Ordering;
         let region = TrackedRegion::new(32);
-        let before = crate::sigsegv::FAULT_COUNT.load(Ordering::Relaxed);
         sweep(&region, 2); // 32 faults (second pass free)
-        let mid = crate::sigsegv::FAULT_COUNT.load(Ordering::Relaxed);
+        assert_eq!(region.faults(), 32);
         let _ = region.sample(); // the alarm re-protects
         sweep(&region, 2); // 32 fresh faults
-        let after = crate::sigsegv::FAULT_COUNT.load(Ordering::Relaxed);
-        assert_eq!(mid - before, 32);
-        assert_eq!(after - mid, 32, "re-protection must re-fault every page");
+        assert_eq!(region.faults(), 64, "re-protection must re-fault every page");
     }
 }

@@ -21,6 +21,9 @@ struct Slot {
     len: AtomicUsize,
     bitmap: AtomicUsize,
     page_size: AtomicUsize,
+    /// Faults the handler resolved for this registration (a statistic:
+    /// it publishes no other data, hence `Relaxed` throughout).
+    faults: AtomicU64,
 }
 
 #[allow(clippy::declare_interior_mutable_const)]
@@ -30,12 +33,10 @@ const EMPTY_SLOT: Slot = Slot {
     len: AtomicUsize::new(0),
     bitmap: AtomicUsize::new(0),
     page_size: AtomicUsize::new(0),
+    faults: AtomicU64::new(0),
 };
 
 static SLOTS: [Slot; MAX_REGIONS] = [EMPTY_SLOT; MAX_REGIONS];
-
-/// Total page faults taken by the handler (across all regions).
-pub static FAULT_COUNT: AtomicU64 = AtomicU64::new(0);
 
 static INSTALL: Once = Once::new();
 
@@ -79,6 +80,7 @@ pub unsafe fn register(
             slot.len.store(len, Ordering::Release);
             slot.bitmap.store(bitmap as usize, Ordering::Release);
             slot.page_size.store(page_size, Ordering::Release);
+            slot.faults.store(0, Ordering::Relaxed);
             return i;
         }
     }
@@ -92,6 +94,13 @@ pub fn unregister(slot: usize) {
     s.len.store(0, Ordering::Release);
     s.bitmap.store(0, Ordering::Release);
     s.active.store(false, Ordering::Release);
+}
+
+/// Page faults the handler has resolved for the region registered in
+/// `slot` (counted per registration, so concurrent regions never see
+/// each other's faults).
+pub fn faults(slot: usize) -> u64 {
+    SLOTS[slot].faults.load(Ordering::Relaxed)
 }
 
 /// The async-signal-safe fault handler.
@@ -125,7 +134,7 @@ unsafe extern "C" fn handler(
                 let bitmap = slot.bitmap.load(Ordering::Acquire) as *const AtomicU64;
                 let word = &*bitmap.add(page / 64);
                 word.fetch_or(1u64 << (page % 64), Ordering::AcqRel);
-                FAULT_COUNT.fetch_add(1, Ordering::Relaxed);
+                slot.faults.fetch_add(1, Ordering::Relaxed);
                 return;
             }
         }

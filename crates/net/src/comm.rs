@@ -8,8 +8,6 @@
 //! tracked receive path through a copy). Collectives rendezvous on the
 //! participants' clocks and add a binomial-tree cost model.
 
-use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::sync::Arc;
 use std::time::Duration;
@@ -18,6 +16,7 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use ickpt_sim::rendezvous::Combine;
 use ickpt_sim::{BandwidthDevice, Rendezvous, SimDuration, SimTime, WorkerGate};
 
+use crate::mailbox::{Mailbox, Msg};
 use crate::qsnet::NetConfig;
 
 /// How long a blocking `recv` waits on the real clock before reporting
@@ -48,14 +47,6 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
-
-#[derive(Debug)]
-struct Msg {
-    src: usize,
-    tag: u32,
-    bytes: u64,
-    arrival: SimTime,
-}
 
 /// Result of a completed receive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,7 +105,7 @@ impl CommWorld {
                 nic: self.config.build_nic(),
                 to_peers: senders.clone(),
                 inbox: rx.take().expect("each receiver taken once"),
-                pending: HashMap::new(),
+                pending: Mailbox::new(),
                 rendezvous: rendezvous.clone(),
                 gate: None,
                 bytes_sent: 0,
@@ -135,9 +126,8 @@ pub struct Endpoint {
     nic: BandwidthDevice,
     to_peers: Vec<Sender<Msg>>,
     inbox: Receiver<Msg>,
-    /// Out-of-order messages awaiting a matching recv, keyed by
-    /// (src, tag).
-    pending: HashMap<(usize, u32), VecDeque<Msg>>,
+    /// Out-of-order messages awaiting a matching recv.
+    pending: Mailbox,
     rendezvous: Arc<Rendezvous>,
     /// Execution-slot gate: released around every blocking wait so a
     /// capped thread pool can never deadlock on rendezvous peers.
@@ -218,10 +208,8 @@ impl Endpoint {
     }
 
     fn wait_for(&mut self, src: usize, tag: u32) -> Result<Msg, NetError> {
-        if let Some(q) = self.pending.get_mut(&(src, tag)) {
-            if let Some(m) = q.pop_front() {
-                return Ok(m);
-            }
+        if let Some(m) = self.pending.take(src, tag) {
+            return Ok(m);
         }
         loop {
             let msg = self
@@ -231,7 +219,7 @@ impl Endpoint {
             if msg.src == src && msg.tag == tag {
                 return Ok(msg);
             }
-            self.pending.entry((msg.src, msg.tag)).or_default().push_back(msg);
+            self.pending.push(msg);
         }
     }
 

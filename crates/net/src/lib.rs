@@ -8,6 +8,9 @@
 //!   `allreduce`). Ranks run on real threads; every operation advances
 //!   the caller's *virtual* clock analytically, so results are
 //!   independent of OS scheduling.
+//! * [`mailbox`] — the one message-matching rule ([`Mailbox`] over
+//!   [`Msg`]): first match in arrival order, i.e. FIFO per
+//!   `(src, tag)`. `Endpoint` and the cluster event engine both use it.
 //! * [`qsnet`] — the interconnect model. The paper calls out a QsNet
 //!   quirk (§4.2): the NIC writes received data directly into user
 //!   memory, which breaks `mprotect`-based tracking; the workaround is
@@ -22,7 +25,9 @@
 //! of (application, seed, configuration).
 
 pub mod comm;
+pub mod mailbox;
 pub mod qsnet;
 
 pub use comm::{CommWorld, Endpoint, NetError, RecvInfo};
+pub use mailbox::{Mailbox, Msg};
 pub use qsnet::NetConfig;

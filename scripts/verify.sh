@@ -112,6 +112,19 @@ bench_smoke() {
         target/release/repro --only "Figure 5 extended" >/tmp/ickpt_ext_w4.txt 2>/dev/null
     run diff /tmp/ickpt_ext_w1.txt /tmp/ickpt_ext_w4.txt
 
+    # A malformed ICKPT_SIM_WORKERS value must abort with exit status 2
+    # instead of silently running at host parallelism.
+    echo "==> repro with malformed ICKPT_SIM_WORKERS must exit 2"
+    set +e
+    ICKPT_BENCH_EXT_RANKS=64 ICKPT_SIM_WORKERS=lots \
+        target/release/repro --only "Figure 5 extended" >/dev/null 2>/dev/null
+    rc=$?
+    set -e
+    if [[ "$rc" -ne 2 ]]; then
+        echo "expected exit 2 for ICKPT_SIM_WORKERS=lots, got $rc" >&2
+        exit 1
+    fi
+
     # Multi-tenant service determinism: the shared-array experiment
     # fans its sweep cells over host threads, yet stdout must be
     # byte-identical at 1 and 4 threads (the service itself is one
@@ -209,6 +222,12 @@ bench_smoke() {
     # parity encode/reconstruct must be tier-independent too.
     echo "==> redundancy_smoke with ICKPT_KERNELS=scalar"
     run env ICKPT_KERNELS=scalar target/release/redundancy_smoke
+
+    # The driver's benchmark package builds against this workspace's
+    # public API: run its own tests (tiny `--quick` inputs, every
+    # workload and check end to end, ~3 s) so an API change that breaks
+    # the benchmark fails here rather than in the next driver run.
+    run cargo test --release --offline --manifest-path perf/Cargo.toml
 }
 
 if [[ "${1:-}" == "--bench-smoke" ]]; then

@@ -19,12 +19,16 @@
 //!    receiver queues and collective entries are folded, in the
 //!    deterministic `(time, seq)` order the wheel popped the batch.
 //!
-//! Per-`(src, tag)` message order equals sender program order, and all
-//! collective folds use the commutative/associative [`Combine`]
-//! operators, so the run is byte-identical to the threaded reference —
-//! the cost formulas themselves are shared with
-//! [`Endpoint`](ickpt_net::comm::Endpoint) through the pure
-//! [`NetConfig`] helpers.
+//! Each rank keeps delivered-but-unmatched sends in one flat
+//! [`Mailbox`]; a receive takes the first message from its
+//! `(src, tag)`. Per-`(src, tag)` message order therefore equals sender
+//! program order — the order of different pairs is never observed, a
+//! receive names its pair — and all collective folds use the
+//! commutative/associative [`Combine`] operators, so the run is
+//! byte-identical to the threaded reference: the matching rule is
+//! the very [`Mailbox`] [`Endpoint`](ickpt_net::comm::Endpoint) uses,
+//! and the cost formulas are shared through the pure [`NetConfig`]
+//! helpers.
 //!
 //! A blocked rank consumes no worker until the resolver wakes it:
 //! receive wakes on matching delivery, collectives wake when the last
@@ -33,7 +37,6 @@
 //! a second collective while any rank still blocks on the first), so a
 //! single round accumulator suffices.
 
-use std::collections::{HashMap, VecDeque};
 use std::sync::Mutex;
 
 use ickpt_apps::step::{AppModel, Step};
@@ -42,7 +45,7 @@ use ickpt_core::coordinator::VoteFlags;
 use ickpt_core::tracked_space::TrackedSpace;
 use ickpt_core::tracker::WriteTracker;
 use ickpt_mem::{pages_for_bytes, AddressSpace, DataLayout, PageRange, SparseSpace};
-use ickpt_net::{NetConfig, NetError};
+use ickpt_net::{Mailbox, Msg, NetConfig, NetError};
 use ickpt_obs::{Event, Lane, Recorder};
 use ickpt_sim::rendezvous::Combine;
 use ickpt_sim::{BandwidthDevice, EventWheel, SimDuration, SimTime};
@@ -54,30 +57,49 @@ use super::{
 
 /// Below this batch size the scoped-thread fan-out costs more than it
 /// saves; advance inline instead.
-const PAR_BATCH_MIN: usize = 64;
+///
+/// Measured break-even (2 vCPU, 2 workers, Sage scale 0.1, every
+/// round holding all ranks at ~1.1 µs per visit): a round's advance
+/// phase inline vs fanned out takes 48 vs 92 µs at 64 ranks, 218 vs
+/// 345 µs at 256, 475 vs 716 µs at 512; whole runs are a wash at
+/// 1024–2048 ranks (0.70–0.82 s vs 0.65–0.77 s at 2048) and 1.4×
+/// faster fanned out at 4096 (1.82–2.18 s vs 1.25–1.41 s). A
+/// fanned-out round pays ~260 µs of spawn, join and cold stacks, which
+/// it earns back from about 2000 visits up; a few hundred rounds per
+/// run bound that at ~0.1 s, so no persistent pool is kept.
+const PAR_BATCH_MIN: usize = 2048;
 
+/// The engine worker-count environment knob.
+const WORKERS_ENV: &str = "ICKPT_SIM_WORKERS";
+
+/// Parse an `ICKPT_SIM_WORKERS` value (`0` means 1, like an explicit
+/// `Some(0)`). Pure so strictness is unit-testable without spawning a
+/// process.
+fn parse_workers(raw: &str) -> Result<usize, String> {
+    match raw.trim().parse::<usize>() {
+        Ok(w) => Ok(w.max(1)),
+        Err(_) => Err(format!("{WORKERS_ENV}={raw:?} is invalid: expected a worker count")),
+    }
+}
+
+// The one sanctioned stderr write in this crate: a malformed env knob
+// must abort loudly before a run starts half-configured, exactly like
+// ICKPT_KERNELS and ICKPT_METRICS (exit status 2 with a message).
 /// Resolve the worker count: explicit config, then the
-/// `ICKPT_SIM_WORKERS` environment knob, then host parallelism.
+/// `ICKPT_SIM_WORKERS` environment knob (malformed exits 2), then host
+/// parallelism.
+#[allow(clippy::disallowed_macros)]
 pub(crate) fn resolve_workers(explicit: Option<usize>) -> usize {
     if let Some(w) = explicit {
         return w.max(1);
     }
-    if let Ok(s) = std::env::var("ICKPT_SIM_WORKERS") {
-        if let Ok(w) = s.trim().parse::<usize>() {
-            return w.max(1);
-        }
+    match std::env::var(WORKERS_ENV) {
+        Ok(raw) => parse_workers(&raw).unwrap_or_else(|e| {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }),
+        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
     }
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
-}
-
-/// An in-flight eager-send: the receiver charges the bounce-buffer
-/// copy from `arrival` exactly as [`NetConfig::recv_complete_time`]
-/// does on the threaded path.
-struct EngMsg {
-    src: usize,
-    tag: u32,
-    bytes: u64,
-    arrival: SimTime,
 }
 
 /// The collective a rank is blocked in, with the rank-local context
@@ -217,8 +239,9 @@ struct RankSm {
     step_idx: usize,
     version: u64,
     phase: PhaseState,
-    pending: HashMap<(usize, u32), VecDeque<EngMsg>>,
-    outbox: Vec<(usize, EngMsg)>,
+    /// Delivered sends no receive has matched yet.
+    pending: Mailbox,
+    outbox: Vec<(usize, Msg)>,
     bytes_received: u64,
     blocked: Blocked,
     completion: Option<RoundResult>,
@@ -252,7 +275,7 @@ impl RankSm {
             step_idx: 0,
             version: 0,
             phase: PhaseState::NeedInit,
-            pending: HashMap::new(),
+            pending: Mailbox::new(),
             outbox: Vec::new(),
             bytes_received: 0,
             blocked: Blocked::Running,
@@ -283,8 +306,7 @@ impl RankSm {
                     self.complete_coll(op, res, ctx)?;
                 }
                 Blocked::Recv { from, tag, into, version } => {
-                    let msg = self.pending.get_mut(&(from, tag)).and_then(|q| q.pop_front());
-                    let Some(msg) = msg else { return Ok(()) };
+                    let Some(msg) = self.pending.take(from, tag) else { return Ok(()) };
                     self.blocked = Blocked::Running;
                     self.complete_recv(msg, into, version, ctx)?;
                 }
@@ -390,8 +412,7 @@ impl RankSm {
             Step::Send { to, tag, bytes } => {
                 let handoff = ctx.net.send_handoff_time(self.clock, *bytes);
                 let arrival = self.nic.transfer(self.clock, *bytes);
-                self.outbox
-                    .push((*to, EngMsg { src: self.rank, tag: *tag, bytes: *bytes, arrival }));
+                self.outbox.push((*to, Msg { src: self.rank, tag: *tag, bytes: *bytes, arrival }));
                 self.clock = handoff;
             }
             Step::Recv { from, tag, into } => {
@@ -418,7 +439,7 @@ impl RankSm {
     /// the threaded runner's `Step::Recv` arm.
     fn complete_recv(
         &mut self,
-        msg: EngMsg,
+        msg: Msg,
         into: Option<PageRange>,
         version: u64,
         ctx: &EngineCtx<'_>,
@@ -621,7 +642,7 @@ where
                     d.blocked,
                     Blocked::Recv { from, tag, .. } if from == msg.src && tag == msg.tag
                 );
-                d.pending.entry((msg.src, msg.tag)).or_default().push_back(msg);
+                d.pending.push(msg);
                 if wanted && !d.in_wheel {
                     d.in_wheel = true;
                     wake.push((d.clock, dst));
@@ -728,6 +749,17 @@ mod tests {
     fn resolve_workers_explicit_wins() {
         assert_eq!(resolve_workers(Some(3)), 3);
         assert_eq!(resolve_workers(Some(0)), 1);
+    }
+
+    #[test]
+    fn workers_knob_parses_strictly() {
+        assert_eq!(parse_workers("4"), Ok(4));
+        assert_eq!(parse_workers(" 16\n"), Ok(16));
+        assert_eq!(parse_workers("0"), Ok(1), "0 clamps like an explicit Some(0)");
+        for bad in ["", "many", "-1", "2.5", "4 workers", "0x4"] {
+            let err = parse_workers(bad).expect_err(bad);
+            assert!(err.contains(WORKERS_ENV) && err.contains(bad), "{err}");
+        }
     }
 
     #[test]

@@ -8,16 +8,20 @@
 //! * The event-driven cluster engine produces byte-identical rank
 //!   reports to the legacy one-thread-per-rank reference, at any
 //!   worker count, across workloads with sends/receives, collectives
-//!   and wavefront dependencies.
+//!   and wavefront dependencies — including a script that parks a
+//!   dozen unmatched sends in every rank's mailbox.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use ickpt::apps::Workload;
+use ickpt::apps::codec::CodecError;
+use ickpt::apps::step::Phase;
+use ickpt::apps::{AccessPattern, AppModel, Step, WorkingSet, Workload};
 use ickpt::cluster::{
-    characterize, characterize_model_threaded, reduce_reports, CharacterizationConfig,
-    ClusterAggregate, RankReport, ReportDetail, RunReport,
+    characterize, characterize_model, characterize_model_threaded, reduce_reports,
+    CharacterizationConfig, ClusterAggregate, RankReport, ReportDetail, RunReport,
 };
+use ickpt::mem::{AddressSpace, LayoutBuilder, MemError, PageRange, PAGE_SIZE};
 use ickpt::sim::{EventWheel, SimDuration, SimTime, SplitMix64};
 
 // ---------------------------------------------------------------------
@@ -186,14 +190,127 @@ fn engine_is_byte_identical_to_threaded_reference() {
     }
 }
 
+/// Every iteration posts `BURST` sends to each ring neighbour, tags
+/// alternating, before its first receive, then receives tag 1 ahead
+/// of tag 0: each mailbox holds `2 * BURST` unmatched messages when
+/// matching starts, and most matches skip over earlier arrivals of
+/// another pair. Sizes differ per message, so a match that broke
+/// per-pair order would move clocks and byte counts.
+struct BurstExchange {
+    rank: usize,
+    nranks: usize,
+    heap: Option<PageRange>,
+    iter: u64,
+}
+
+const BURST: u64 = 6;
+
+impl AppModel for BurstExchange {
+    fn name(&self) -> String {
+        "burst-exchange".into()
+    }
+
+    fn init(&mut self, space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
+        let heap = space.heap_grow(64)?;
+        self.heap = Some(heap);
+        Ok(Phase::continuing(vec![sweep(heap, SimDuration::from_millis(10))]))
+    }
+
+    fn next_phase(&mut self, _space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
+        let heap = self.heap.expect("init first");
+        let right = (self.rank + 1) % self.nranks;
+        let left = (self.rank + self.nranks - 1) % self.nranks;
+        let mut steps = vec![sweep(PageRange::new(heap.start, 16), SimDuration::from_millis(50))];
+        for i in 0..BURST {
+            for to in [right, left] {
+                let bytes = 4096 * (1 + i) + 64 * self.rank as u64 + self.iter;
+                steps.push(Step::Send { to, tag: (i % 2) as u32, bytes });
+            }
+        }
+        let mut slot = 0;
+        for from in [left, right] {
+            for tag in [1, 0] {
+                for _ in 0..BURST / 2 {
+                    let into = Some(PageRange::new(heap.start + 16 + slot, 2));
+                    steps.push(Step::Recv { from, tag, into });
+                    slot += 2;
+                }
+            }
+        }
+        self.iter += 1;
+        Ok(Phase::ending(steps))
+    }
+
+    fn iterations_done(&self) -> u64 {
+        self.iter
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        self.iter.to_le_bytes().to_vec()
+    }
+
+    fn restore_state(&mut self, _state: &[u8]) -> Result<(), CodecError> {
+        unreachable!("characterization never restores")
+    }
+}
+
+fn sweep(pages: PageRange, duration: SimDuration) -> Step {
+    let pattern = AccessPattern::Sweep {
+        set: WorkingSet::new(vec![pages]),
+        total_pages: pages.len,
+        start_offset: 0,
+    };
+    Step::Compute { duration, pattern }
+}
+
+#[test]
+fn deep_mailboxes_stay_byte_identical_to_threaded_reference() {
+    let layout = LayoutBuilder::new()
+        .static_bytes(PAGE_SIZE)
+        .heap_capacity_bytes(64 * PAGE_SIZE)
+        .mmap_capacity_bytes(PAGE_SIZE)
+        .build();
+    let nranks = 5;
+    let build = |rank: usize| -> Box<dyn AppModel> {
+        Box::new(BurstExchange { rank, nranks, heap: None, iter: 0 })
+    };
+    let cfg = CharacterizationConfig {
+        nranks,
+        run_for: SimDuration::from_secs(3),
+        timeslice: SimDuration::from_millis(100),
+        track_iterations: true,
+        trace_ranks: nranks,
+        ..Default::default()
+    };
+    let reference = characterize_model_threaded(&cfg, layout, build);
+    assert!(reference.ranks[0].iterations >= 10, "the script must actually iterate");
+    assert!(reference.ranks.iter().all(|r| r.bytes_received > 0));
+    for workers in [1usize, 2, 8] {
+        let cfg = CharacterizationConfig { workers: Some(workers), ..cfg.clone() };
+        let event = characterize_model(&cfg, layout, build);
+        assert_reports_identical(&reference, &event, &format!("burst @ {workers} workers"));
+    }
+}
+
 #[test]
 fn engine_determinism_across_worker_counts_at_scale() {
-    // Big enough that batches exceed the parallel threshold and the
-    // wheel wraps; compare worker counts against each other.
-    let run = |workers: usize| small_characterization(96, ReportDetail::compact(), Some(workers));
+    // More ranks than the engine's fan-out threshold (2048), so every
+    // full round advances on scoped worker threads and the wheel
+    // wraps; compare worker counts against each other.
+    let run = |workers: usize| {
+        let cfg = CharacterizationConfig {
+            nranks: 2304,
+            scale: 0.02,
+            run_for: SimDuration::from_secs(10),
+            workers: Some(workers),
+            detail: ReportDetail::compact(),
+            ..Default::default()
+        };
+        characterize(Workload::Sage100, &cfg)
+    };
     let one = run(1);
-    for workers in [4usize, 8] {
-        assert_reports_identical(&one, &run(workers), &format!("96 ranks @ {workers} workers"));
+    for workers in [2usize, 8] {
+        assert_reports_identical(&one, &run(workers), &format!("2304 ranks @ {workers} workers"));
     }
 }
 
