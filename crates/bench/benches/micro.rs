@@ -157,8 +157,31 @@ fn bench_chunk_codec(c: &mut Criterion) {
     let encoded = chunk.encode();
     g.throughput(Throughput::Bytes(encoded.len() as u64));
     g.bench_function("encode_16mb", |b| b.iter(|| black_box(chunk.encode().len())));
+    // The commit path: a recycled buffer, CRC advanced block by block.
+    let mut reused = Vec::new();
+    g.bench_function("encode_into_16mb", |b| {
+        b.iter(|| {
+            chunk.encode_into(&mut reused);
+            black_box(reused.len())
+        })
+    });
     g.bench_function("decode_16mb", |b| {
         b.iter(|| black_box(Chunk::decode(&encoded).unwrap().payload_pages()))
+    });
+    g.finish();
+
+    // What a read-only consumer (restore, drain, parity) pays to fetch
+    // that chunk from a `MemStore`: an owned copy vs a shared buffer.
+    let store = MemStore::new();
+    let key = ChunkKey::new(0, 5);
+    store.put_chunk(key, &encoded).unwrap();
+    let mut g = c.benchmark_group("store");
+    g.throughput(Throughput::Bytes(encoded.len() as u64));
+    g.bench_function("memstore_read_vs_get/get_16mb", |b| {
+        b.iter(|| black_box(store.get_chunk(key).unwrap().len()))
+    });
+    g.bench_function("memstore_read_vs_get/read_16mb", |b| {
+        b.iter(|| black_box(store.read_chunk(key).unwrap().len()))
     });
     g.finish();
 }
@@ -505,7 +528,8 @@ fn bench_restore(c: &mut Criterion) {
     }
     // Every increment rewrites the same quarter of the heap, so the
     // live set (and therefore the planned restore's page reads) is
-    // identical for the 2- and 32-increment chains.
+    // identical for the 2-, 16- and 32-increment chains. Each row
+    // restores into one reused destination, as a rollback does.
     let window = {
         let heap = src.mapped_ranges()[1];
         PageRange::new(heap.start, heap.start + (pages / 4).max(1))
@@ -536,7 +560,7 @@ fn bench_restore(c: &mut Criterion) {
     let mut g = c.benchmark_group("restore");
     g.throughput(Throughput::Bytes(bytes));
     g.sample_size(20);
-    for increments in [2u64, 32] {
+    for increments in [2u64, 16, 32] {
         let store = build_chain(increments);
         for workers in [1usize, 8] {
             let id = if workers == 1 {

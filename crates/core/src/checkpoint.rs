@@ -37,6 +37,8 @@ use ickpt_sim::SimTime;
 use ickpt_storage::hash::{zero_block_hash, BLOCKS_PER_PAGE, BLOCK_SIZE};
 use ickpt_storage::{kernels, Chunk, ChunkKind, DeltaRecord, PageRecord, CHUNK_PAGE_SIZE};
 
+use crate::env;
+
 /// Whether a page's content is entirely zero (zero-page elision test).
 ///
 /// Routed through the dispatched kernel facade (`ickpt-storage::
@@ -109,25 +111,17 @@ impl CaptureConfig {
         Self { workers: workers.max(1), ..Self::default() }
     }
 
-    /// Workers from `ICKPT_CAPTURE_WORKERS`, else the machine's
-    /// available parallelism (capped at 8 — page copy saturates memory
-    /// bandwidth long before core count on wide machines). Dedup from
-    /// `ICKPT_DEDUP` (1/true enables) and the delta crossover from
-    /// `ICKPT_DELTA_BLOCKS`.
+    /// Workers from `ICKPT_CAPTURE_WORKERS` (0 means 1), else the
+    /// machine's available parallelism capped at 8. Dedup from
+    /// `ICKPT_DEDUP` (`1`/`true` or `0`/`false`) and the delta crossover
+    /// from `ICKPT_DELTA_BLOCKS`. A malformed value of any of the three
+    /// exits 2.
     pub fn from_env() -> Self {
-        let workers = std::env::var("ICKPT_CAPTURE_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
-            });
-        let dedup = std::env::var("ICKPT_DEDUP")
-            .map(|v| v == "1" || v.eq_ignore_ascii_case("true"))
-            .unwrap_or(false);
-        let delta_max_blocks = std::env::var("ICKPT_DELTA_BLOCKS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_DELTA_MAX_BLOCKS);
+        let workers = env::knob("ICKPT_CAPTURE_WORKERS", env::parse_count)
+            .unwrap_or_else(env::default_workers);
+        let dedup = env::knob("ICKPT_DEDUP", env::parse_flag).unwrap_or(false);
+        let delta_max_blocks =
+            env::knob("ICKPT_DELTA_BLOCKS", env::parse_count).unwrap_or(DEFAULT_DELTA_MAX_BLOCKS);
         Self { dedup, delta_max_blocks, ..Self::with_workers(workers) }
     }
 }

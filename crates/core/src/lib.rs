@@ -34,6 +34,7 @@
 
 pub mod checkpoint;
 pub mod coordinator;
+mod env;
 pub mod error;
 pub mod feasibility;
 pub mod interval;

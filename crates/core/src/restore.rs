@@ -11,29 +11,34 @@
 //!
 //! Two executions of that recovery exist:
 //!
-//! * [`restore_rank_sequential`] replays the chain base-to-newest so
-//!   later pages overwrite earlier ones — O(chain × pages) writes. It
-//!   is kept as the executable reference semantics the property suite
-//!   compares against.
+//! * [`restore_rank_sequential`] zeroes the restored mapping, then
+//!   replays the chain base-to-newest so later pages overwrite earlier
+//!   ones — O(chain × pages) writes. It is kept as the executable
+//!   reference semantics the property suite compares against.
 //! * [`restore_rank`] / [`restore_rank_with`] build a latest-wins
-//!   [`RestorePlan`] and touch each live page exactly once regardless
-//!   of chain length. The chain is walked via CRC-free header peeks
-//!   ([`ickpt_storage::peek_lineage`]), then every fetched chunk is
-//!   CRC-verified — in parallel across worker threads — before a single
-//!   page is applied, and plan execution fans page-span shards out over
-//!   the same scoped-thread machinery capture uses. The restored image
-//!   and digest are byte-identical to the sequential replay (see
+//!   [`RestorePlan`] and write each live page exactly once regardless
+//!   of chain length or of what the destination held before. The chain
+//!   is walked via CRC-free header peeks
+//!   ([`ickpt_storage::peek_lineage`]) over buffers the store shares
+//!   rather than copies out ([`StableStorage::read_chunk`]), then every
+//!   fetched chunk is CRC-verified — in parallel, in byte-balanced
+//!   groups — before a single page is applied. Plan execution fans
+//!   page-span shards out over the same scoped-thread machinery capture
+//!   uses, and the mapped pages no chunk stores are zeroed; no page is
+//!   zeroed first and overwritten after. The restored image and digest
+//!   are byte-identical to the sequential replay (see
 //!   `tests/restore_props.rs`).
 
 use ickpt_mem::{AddressSpace, BackedSpace, PageRange, PageSink};
 use ickpt_obs::{Event, Lane, Recorder};
 use ickpt_sim::SimTime;
 use ickpt_storage::{
-    peek_lineage, shard_segments, Chunk, ChunkKey, ChunkKind, ChunkView, DeltaBase, Manifest,
-    PlanSegment, RestorePlan, SegmentSource, StableStorage, StorageError, BLOCK_SIZE,
+    peek_lineage, shard_segments, Chunk, ChunkBuf, ChunkKey, ChunkKind, ChunkView, DeltaBase,
+    Manifest, PlanSegment, RestorePlan, SegmentSource, StableStorage, StorageError, BLOCK_SIZE,
     CHUNK_PAGE_SIZE,
 };
 
+use crate::env;
 use crate::error::CoreError;
 
 /// How a planned restore executes.
@@ -65,16 +70,12 @@ impl RestoreConfig {
         Self { workers: workers.max(1), ..Self::default() }
     }
 
-    /// Workers from `ICKPT_RESTORE_WORKERS`, else the machine's
-    /// available parallelism (capped at 8, matching capture — page
-    /// copy saturates memory bandwidth long before core count).
+    /// Workers from `ICKPT_RESTORE_WORKERS` (0 means 1; a malformed
+    /// value exits 2), else the machine's available parallelism capped
+    /// at 8, matching capture.
     pub fn from_env() -> Self {
-        let workers = std::env::var("ICKPT_RESTORE_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
-            });
+        let workers = env::knob("ICKPT_RESTORE_WORKERS", env::parse_count)
+            .unwrap_or_else(env::default_workers);
         Self::with_workers(workers)
     }
 }
@@ -147,16 +148,18 @@ pub fn latest_committed_generation(
 
 /// Fetch the encoded chunk chain for `rank` ending at `generation`,
 /// newest first, following parent links read from *unverified* header
-/// peeks. Returns the buffers plus the generation a `NotFound` stopped
-/// the walk at, if any. CRC verification is deferred to
-/// [`decode_chain`], so a corrupted chunk surfaces the same error the
+/// peeks. The buffers are the store's own where it shares them
+/// ([`StableStorage::read_chunk`]), so fetching copies nothing out of an
+/// in-memory store. Returns the buffers plus the generation a
+/// `NotFound` stopped the walk at, if any. CRC verification is deferred
+/// to [`decode_chain`], so a corrupted chunk surfaces the same error the
 /// sequential fetch-and-decode loop reports.
 fn fetch_chain(
     store: &dyn StableStorage,
     rank: u32,
     generation: u64,
-) -> Result<(Vec<Vec<u8>>, Option<u64>), CoreError> {
-    let mut bufs: Vec<Vec<u8>> = Vec::new();
+) -> Result<(Vec<ChunkBuf>, Option<u64>), CoreError> {
+    let mut bufs: Vec<ChunkBuf> = Vec::new();
     let mut seen = std::collections::BTreeSet::new();
     let mut gen = generation;
     loop {
@@ -165,7 +168,7 @@ fn fetch_chain(
             // not see; the verify pass settles which error to report.
             break;
         }
-        match store.get_chunk(ChunkKey::new(rank, gen)) {
+        match store.read_chunk(ChunkKey::new(rank, gen)) {
             Ok(data) => {
                 let lineage = peek_lineage(&data);
                 bufs.push(data);
@@ -189,34 +192,57 @@ fn fetch_chain(
     Ok((bufs, None))
 }
 
+/// Cut `bufs` into at most `workers` contiguous groups of about equal
+/// total bytes. A chain is one large base plus many small increments,
+/// so an equal *count* per worker would leave one worker most of the
+/// bytes.
+fn split_by_bytes(bufs: &[ChunkBuf], workers: usize) -> Vec<std::ops::Range<usize>> {
+    let total: usize = bufs.iter().map(|b| b.len()).sum();
+    let target = total.div_ceil(workers.max(1));
+    let mut groups = Vec::with_capacity(workers);
+    let (mut start, mut bytes) = (0, 0);
+    for (i, buf) in bufs.iter().enumerate() {
+        // Close the group before this buffer when that leaves it nearer
+        // the target than taking the buffer would.
+        if bytes > 0 && groups.len() + 1 < workers && bytes + buf.len() / 2 > target {
+            groups.push(start..i);
+            (start, bytes) = (i, 0);
+        }
+        bytes += buf.len();
+    }
+    groups.push(start..bufs.len());
+    groups
+}
+
 /// CRC-verify and decode every fetched buffer (`bufs` newest first),
-/// fanning the work across up to `workers` threads. Errors are
-/// reported in the order the sequential fetch-decode loop would hit
-/// them: newest to base, decode failure before rank check per chunk.
+/// fanning the work across up to `workers` threads in byte-balanced
+/// groups. Every buffer is verified whatever the others report; errors
+/// are then reported in the order the sequential fetch-decode loop
+/// would hit them: newest to base, decode failure before rank check per
+/// chunk.
 fn decode_chain<'a>(
-    bufs: &'a [Vec<u8>],
+    bufs: &'a [ChunkBuf],
     rank: u32,
     workers: usize,
 ) -> Result<Vec<ChunkView<'a>>, CoreError> {
-    let workers = workers.min(bufs.len()).max(1);
-    let decoded: Vec<Result<ChunkView<'a>, StorageError>> = if workers > 1 {
-        let mut slots: Vec<Option<Result<ChunkView<'a>, StorageError>>> = Vec::new();
-        slots.resize_with(bufs.len(), || None);
-        let chunk_len = bufs.len().div_ceil(workers);
-        std::thread::scope(|scope| {
-            for (bufs_part, slots_part) in bufs.chunks(chunk_len).zip(slots.chunks_mut(chunk_len)) {
-                scope.spawn(move || {
-                    for (buf, slot) in bufs_part.iter().zip(slots_part.iter_mut()) {
-                        *slot = Some(ChunkView::decode(buf));
-                    }
-                });
-            }
-        });
-        slots.into_iter().map(|s| s.expect("every slot filled")).collect()
-    } else {
-        bufs.iter().map(|b| ChunkView::decode(b)).collect()
+    let decode_all = |part: &'a [ChunkBuf]| -> Vec<Result<ChunkView<'a>, StorageError>> {
+        part.iter().map(|buf| ChunkView::decode(buf)).collect()
     };
-    let mut views = Vec::with_capacity(decoded.len());
+    let decoded = if workers > 1 && bufs.len() > 1 {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = split_by_bytes(bufs, workers)
+                .into_iter()
+                .map(|group| scope.spawn(move || decode_all(&bufs[group])))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("chunk verify worker panicked"))
+                .collect()
+        })
+    } else {
+        decode_all(bufs)
+    };
+    let mut views = Vec::with_capacity(bufs.len());
     for result in decoded {
         let view = result?;
         if view.rank != rank {
@@ -242,7 +268,10 @@ pub fn restore_rank(
 /// Plan-driven restore: fetch the chain via header peeks, CRC-verify
 /// every chunk (in parallel), build a latest-wins [`RestorePlan`] and
 /// execute it — each live page is read, decoded and written exactly
-/// once, no matter how long the chain is.
+/// once, no matter how long the chain is. Mapped pages no chunk of the
+/// chain stored (mapped after the base, never written) are zeroed;
+/// nothing is zeroed only to be overwritten, so `space` may hold any
+/// earlier image's bytes on entry.
 pub fn restore_rank_with(
     store: &dyn StableStorage,
     rank: u32,
@@ -279,6 +308,12 @@ pub fn restore_rank_with(
         let keep = |page: u64| space_ro.is_mapped(page);
         RestorePlan::build(&views, Some(&keep))
     };
+
+    // The planned pages are written below; the rest of the mapping must
+    // read as zeros, like the freshly mapped memory it was at capture.
+    space.zero_mapped_outside(
+        plan.segments.iter().map(|seg| PageRange::new(seg.start_page, seg.pages)),
+    );
 
     // Every planned page is mapped (the keep predicate) and segments
     // are disjoint, which is the writer's safety contract.
@@ -394,10 +429,12 @@ pub fn restore_rank_sequential(
     let app_state = newest.app_state.clone();
     let capture_time_ns = newest.capture_time_ns;
 
-    // Rebuild mapping state from the newest chunk.
+    // Rebuild mapping state from the newest chunk, every mapped page
+    // zero before the replay.
     let mmap_live: Vec<PageRange> =
         newest.mmap_blocks.iter().map(|&(s, l)| PageRange::new(s, l)).collect();
     space.restore_mapping_state(newest.heap_pages, &mmap_live)?;
+    space.zero_mapped_outside([]);
 
     // Apply base-to-newest; skip pages outside the final mapping.
     let mut pages_applied = 0u64;
@@ -590,6 +627,33 @@ mod tests {
             let report = restore_rank_with(&store, 0, 1, &mut fresh, &cfg).unwrap();
             assert_eq!(fresh.content_digest(), digest, "workers={workers}");
             assert_eq!(report.pages_applied, s.mapped_pages(), "workers={workers}");
+        }
+    }
+
+    #[test]
+    fn verify_groups_balance_bytes_not_chunk_counts() {
+        let bufs = |lens: &[usize]| -> Vec<ChunkBuf> {
+            lens.iter().map(|&n| ChunkBuf::from(vec![0u8; n])).collect()
+        };
+        // Newest first: sixteen small increments, then the large base.
+        let mut lens = vec![32usize; 16];
+        lens.push(240);
+        let chain = bufs(&lens);
+        assert_eq!(split_by_bytes(&chain, 2), vec![0..12, 12..17]);
+        assert_eq!(split_by_bytes(&chain, 1), vec![0..17]);
+        let eight = split_by_bytes(&chain, 8);
+        assert_eq!(eight.last(), Some(&(16..17)), "the base gets a worker to itself");
+        // A base dwarfing its increments is cut off from them.
+        assert_eq!(split_by_bytes(&bufs(&[4, 4, 4, 160]), 2), vec![0..3, 3..4]);
+        // Any split is a contiguous cover in at most `workers` groups.
+        for workers in 1..=10 {
+            for lens in [&lens[..], &[5], &[1, 1, 1], &[100, 1, 1, 1, 100], &[0, 0, 7]] {
+                let groups = split_by_bytes(&bufs(lens), workers);
+                assert!(groups.len() <= workers && groups.iter().all(|g| !g.is_empty()));
+                assert_eq!(groups.first().map(|g| g.start), Some(0));
+                assert_eq!(groups.last().map(|g| g.end), Some(lens.len()));
+                assert!(groups.windows(2).all(|w| w[0].end == w[1].start));
+            }
         }
     }
 

@@ -384,8 +384,11 @@ impl BackedSpace {
     }
 
     /// Rebuild mapping state from a checkpoint manifest: heap size plus
-    /// the exact set of live mmap blocks. Page contents are restored
-    /// separately through [`PageSink`].
+    /// the exact set of live mmap blocks. Page contents are *not*
+    /// touched: the mapped pages keep whatever bytes the arena held, and
+    /// the caller restores them — written through [`PageSink`] or
+    /// [`ParallelPageWriter`], zeroed by
+    /// [`BackedSpace::zero_mapped_outside`] — before anything reads them.
     pub fn restore_mapping_state(
         &mut self,
         heap_pages: u64,
@@ -393,16 +396,38 @@ impl BackedSpace {
     ) -> Result<(), MemError> {
         let layout = self.state.layout;
         self.state = MappingState::new(layout);
-        let heap = self.state.heap.grow(heap_pages)?;
-        self.zero_range(heap);
+        self.state.heap.grow(heap_pages)?;
         // Re-map every live block at its exact recorded position
         // (MAP_FIXED), reproducing the checkpointed layout holes and
         // all — Sage's churn leaves a fragmented arena.
         for want in mmap_live {
             self.state.mmap.map_fixed(*want)?;
-            self.zero_range(*want);
         }
         Ok(())
+    }
+
+    /// Zero every mapped page outside `covered`, a sequence of disjoint
+    /// page spans in ascending order (a restore plan's segments: the
+    /// pages about to be written anyway). One merge walk over the
+    /// mapped ranges; with nothing covered it zeroes the whole mapping.
+    pub fn zero_mapped_outside(&mut self, covered: impl IntoIterator<Item = PageRange>) {
+        let mut covered = covered.into_iter().peekable();
+        // Pages below this are covered or already zeroed; a covered
+        // span may run across two adjacent mapped ranges.
+        let mut done_to = 0;
+        for range in self.state.mapped_ranges() {
+            let mut cursor = range.start.max(done_to);
+            while let Some(span) = covered.next_if(|span| span.start < range.end()) {
+                if span.start > cursor {
+                    self.zero_range(PageRange::new(cursor, span.start - cursor));
+                }
+                cursor = cursor.max(span.end());
+            }
+            if cursor < range.end() {
+                self.zero_range(PageRange::new(cursor, range.end() - cursor));
+            }
+            done_to = cursor;
+        }
     }
 
     /// Direct read-only view of the whole arena (benchmarks only).
@@ -716,6 +741,51 @@ mod tests {
         fresh.restore_mapping_state(heap, &live).unwrap();
         assert_eq!(fresh.mapped_ranges(), b.mapped_ranges());
         assert!(fresh.is_mapped(m1.start));
+    }
+
+    #[test]
+    fn restore_mapping_state_leaves_bytes_and_zero_mapped_outside_fills_the_rest() {
+        // Pages 0..4 static, heap from 4, mmap from 20. Scribble all.
+        let mut b = BackedSpace::new(small_layout());
+        b.heap_grow(16).unwrap();
+        b.mmap(16).unwrap();
+        for p in 0..36 {
+            b.fill_page(p, 500 + p).unwrap();
+        }
+        let scribble = b.clone();
+        b.restore_mapping_state(8, &[PageRange::new(22, 3), PageRange::new(30, 2)]).unwrap();
+        assert_eq!(b.arena(), scribble.arena(), "remapping touches no page content");
+
+        // Covered spans: one across the static/heap seam (2..6), one
+        // inside the heap (9..10), the whole first mmap block, nothing
+        // of the second. Span 40.. lies beyond every mapped range.
+        let covered = [(2, 4), (9, 1), (22, 3), (40, 2)].map(|(s, l)| PageRange::new(s, l));
+        b.zero_mapped_outside(covered);
+        let zeroed = |p: u64| {
+            b.arena()[(p * PAGE_SIZE) as usize..][..PAGE_SIZE as usize].iter().all(|&x| x == 0)
+        };
+        let kept = |p: u64| {
+            let at = (p * PAGE_SIZE) as usize..((p + 1) * PAGE_SIZE) as usize;
+            b.arena()[at.clone()] == scribble.arena()[at]
+        };
+        for p in 0..36 {
+            let mapped = b.is_mapped(p);
+            let is_covered = covered.iter().any(|r| r.contains(p));
+            if mapped && !is_covered {
+                assert!(zeroed(p), "uncovered mapped page {p} must read as zeros");
+            } else {
+                assert!(kept(p), "page {p} (mapped {mapped}, covered {is_covered}) is not ours");
+            }
+        }
+        // Nothing covered: the whole mapping reads as zeros.
+        b.zero_mapped_outside([]);
+        assert_eq!(b.content_digest(), {
+            let mut fresh = BackedSpace::new(small_layout());
+            fresh
+                .restore_mapping_state(8, &[PageRange::new(22, 3), PageRange::new(30, 2)])
+                .unwrap();
+            fresh.content_digest()
+        });
     }
 
     #[test]

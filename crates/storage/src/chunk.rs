@@ -54,7 +54,7 @@
 
 use bytes::{Buf, BufMut};
 
-use crate::crc::{crc32, Crc32};
+use crate::crc::Crc32;
 use crate::hash::{BLOCKS_PER_PAGE, BLOCK_SIZE};
 use crate::store::StorageError;
 
@@ -64,6 +64,41 @@ const VERSION: u16 = 2;
 const HEADER_LEN: usize = 80;
 /// Page size must agree with `ickpt_mem::PAGE_SIZE`; the format pins it.
 pub const CHUNK_PAGE_SIZE: usize = 4096;
+/// Encode advances the chunk CRC every time this many bytes have been
+/// appended: small enough that the block is still in L2 when the CRC
+/// kernel reads it back, large enough to amortize the kernel's set-up.
+pub const CRC_BLOCK: usize = 128 * 1024;
+
+/// The encode sink: appends to the output buffer and checksums each
+/// [`CRC_BLOCK`] as soon as it is full, so the CRC reads bytes the copy
+/// just brought into cache instead of sweeping the finished buffer.
+struct SummedSink<'a> {
+    out: &'a mut Vec<u8>,
+    crc: Crc32,
+    /// Length of the prefix of `out` the CRC has consumed.
+    summed: usize,
+}
+
+impl SummedSink<'_> {
+    fn sum_pending(&mut self) {
+        self.crc.update(&self.out[self.summed..]);
+        self.summed = self.out.len();
+    }
+}
+
+impl BufMut for SummedSink<'_> {
+    fn put_slice(&mut self, mut src: &[u8]) {
+        while !src.is_empty() {
+            let room = CRC_BLOCK - (self.out.len() - self.summed);
+            let (head, rest) = src.split_at(room.min(src.len()));
+            self.out.extend_from_slice(head);
+            if head.len() == room {
+                self.sum_pending();
+            }
+            src = rest;
+        }
+    }
+}
 
 /// Whether a chunk is a base snapshot or a delta.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -207,10 +242,13 @@ impl Chunk {
     /// rank; with a recycled buffer the steady-state encode performs no
     /// heap allocation at all (the buffer grows to the largest chunk
     /// seen and stays there). The contents are identical to
-    /// [`Chunk::encode`].
+    /// [`Chunk::encode`]. The CRC is advanced block by block as the
+    /// bytes are appended ([`CRC_BLOCK`]), so encode sweeps the chunk
+    /// once, not once to copy and once more to checksum.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
         out.reserve(self.encoded_len());
+        let mut out = SummedSink { out, crc: Crc32::new(), summed: 0 };
         out.put_slice(MAGIC);
         out.put_u16_le(VERSION);
         out.put_u8(match self.kind {
@@ -259,8 +297,9 @@ impl Chunk {
             out.put_slice(&[0u8; 6]);
             out.put_slice(&delta.data);
         }
-        let crc = crc32(out);
-        out.put_u32_le(crc);
+        out.sum_pending();
+        let crc = out.crc.finalize();
+        out.out.put_u32_le(crc);
     }
 
     /// Decode and verify a chunk, copying page payloads into owned
@@ -648,6 +687,126 @@ mod tests {
             assert_eq!(buf, c.encode());
             assert_eq!(Chunk::decode(&buf).unwrap(), c);
         }
+    }
+
+    /// The format written the plain way — serialize everything, then
+    /// one CRC pass over the finished buffer. `encode_into` must produce
+    /// these bytes whatever its block structure.
+    fn serialize_then_crc(c: &Chunk) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.put_slice(MAGIC);
+        out.put_u16_le(VERSION);
+        out.put_u8(match c.kind {
+            ChunkKind::Full => 0,
+            ChunkKind::Incremental => 1,
+        });
+        out.put_u8(0);
+        out.put_u32_le(c.rank);
+        out.put_u32_le(0);
+        out.put_u64_le(c.generation);
+        out.put_u64_le(c.parent.unwrap_or(u64::MAX));
+        out.put_u64_le(c.capture_time_ns);
+        out.put_u64_le(c.heap_pages);
+        out.put_u32_le(c.mmap_blocks.len() as u32);
+        out.put_u32_le(c.records.len() as u32);
+        out.put_u32_le(c.app_state.len() as u32);
+        out.put_u32_le(c.zero_ranges.len() as u32);
+        out.put_u64_le(c.dropped_pages);
+        out.put_u32_le(c.delta_records.len() as u32);
+        out.put_u32_le(0);
+        for &(start, len) in c.mmap_blocks.iter().chain(&c.zero_ranges) {
+            out.put_u64_le(start);
+            out.put_u64_le(len);
+        }
+        out.put_slice(&c.app_state);
+        for rec in &c.records {
+            out.put_u64_le(rec.start_page);
+            out.put_u64_le(rec.page_count());
+            out.put_slice(&rec.data);
+        }
+        for delta in &c.delta_records {
+            out.put_u64_le(delta.page);
+            out.put_u16_le(delta.mask);
+            out.put_slice(&[0u8; 6]);
+            out.put_slice(&delta.data);
+        }
+        let crc = crate::crc::crc32(&out);
+        out.put_u32_le(crc);
+        out
+    }
+
+    #[test]
+    fn blockwise_crc_encode_equals_serialize_then_crc() {
+        let mut x = 0x1DC4_2004u64;
+        let mut bytes = |n: usize| -> Vec<u8> {
+            (0..n)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                    (x >> 56) as u8
+                })
+                .collect()
+        };
+        let block_pages = CRC_BLOCK / CHUNK_PAGE_SIZE;
+        let mut record = |start_page: u64, pages: usize| PageRecord {
+            start_page,
+            data: bytes(pages * CHUNK_PAGE_SIZE),
+        };
+        // Record sizes on both sides of the CRC block, alone and mixed.
+        let mut shapes: Vec<(&str, Vec<PageRecord>)> = vec![
+            ("no records", vec![]),
+            ("one page", vec![record(0, 1)]),
+            ("block minus a page", vec![record(0, block_pages - 1)]),
+            ("exactly a block", vec![record(0, block_pages)]),
+            ("block plus a page", vec![record(0, block_pages + 1)]),
+            ("several blocks", vec![record(0, 3 * block_pages + 7)]),
+            (
+                "mixed",
+                vec![
+                    record(0, 1),
+                    record(10, block_pages - 1),
+                    record(100, 2),
+                    record(200, 2 * block_pages),
+                    record(900, 1),
+                ],
+            ),
+        ];
+        let mut reused = vec![0xEEu8; 11];
+        for (name, records) in shapes.drain(..) {
+            let c = Chunk { records, ..sample_chunk(ChunkKind::Full) };
+            let want = serialize_then_crc(&c);
+            assert_eq!(c.encode(), want, "{name}");
+            c.encode_into(&mut reused);
+            assert_eq!(reused, want, "{name}: into a reused buffer");
+            assert_eq!(want.len(), c.encoded_len(), "{name}");
+            assert_eq!(Chunk::decode(&want).unwrap(), c, "{name}");
+        }
+        // Deltas only: thousands of small records crossing many blocks.
+        let deltas: Vec<DeltaRecord> = (0..2000u64)
+            .map(|p| {
+                let mask = (p as u16).wrapping_mul(0x9E37) | 1;
+                DeltaRecord { page: p, mask, data: bytes(mask.count_ones() as usize * BLOCK_SIZE) }
+            })
+            .collect();
+        let c = Chunk {
+            records: vec![],
+            delta_records: deltas,
+            ..sample_chunk(ChunkKind::Incremental)
+        };
+        assert!(c.encoded_len() > 4 * CRC_BLOCK);
+        assert_eq!(c.encode(), serialize_then_crc(&c), "deltas only");
+        // An app-state blob larger than a block sits before any record.
+        let c = Chunk { app_state: bytes(CRC_BLOCK + 123), ..sample_chunk(ChunkKind::Full) };
+        assert_eq!(c.encode(), serialize_then_crc(&c), "large app state");
+        // The empty chunk: header and CRC only.
+        let c = Chunk {
+            mmap_blocks: vec![],
+            zero_ranges: vec![],
+            records: vec![],
+            app_state: vec![],
+            ..sample_chunk(ChunkKind::Full)
+        };
+        assert_eq!(c.encode(), serialize_then_crc(&c), "empty chunk");
+        assert_eq!(c.encode().len(), HEADER_LEN + 4);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! is plenty for this purpose.
 //!
 //! The hot path is the capture pipeline: every checkpoint chunk is
-//! checksummed as it is encoded, so CRC throughput is directly on the
-//! paper's "available bandwidth" side of the feasibility ratio. The
+//! checksummed as it is encoded — `Chunk::encode_into` feeds a
+//! streaming [`Crc32`] one `CRC_BLOCK` at a time, right behind the copy
+//! — so CRC throughput is directly on the paper's "available
+//! bandwidth" side of the feasibility ratio. The
 //! implementation here processes eight bytes per step through eight
 //! 256-entry tables (Sarwate's slice-by-8), which retires one table
 //! lookup per input byte but only one load/XOR dependency chain per
@@ -80,10 +82,10 @@ pub(crate) fn update_slice8(mut state: u32, data: &[u8]) -> u32 {
 
 /// Streaming CRC-32 state.
 ///
-/// The capture pipeline checksums while it copies: feed page runs with
-/// [`Crc32::update`] as they are appended to the encode buffer, then
-/// seal the chunk with [`Crc32::finalize`]. Arbitrary split points
-/// produce the same checksum as a one-shot pass.
+/// The chunk encoder checksums while it copies: each block appended to
+/// the encode buffer goes through [`Crc32::update`] while it is still
+/// in cache, and [`Crc32::finalize`] seals the chunk. Arbitrary split
+/// points produce the same checksum as a one-shot pass.
 #[derive(Debug, Clone)]
 pub struct Crc32 {
     state: u32,

@@ -16,7 +16,7 @@
 //! zero content).
 
 use crate::chunk::{Chunk, ChunkKind, PageRecord, CHUNK_PAGE_SIZE};
-use crate::plan::{DeltaBase, RestorePlan, SegmentSource};
+use crate::plan::{DeltaBase, PlanSegment, RestorePlan, SegmentSource};
 use crate::store::{ChunkKey, StableStorage, StorageError};
 
 /// Merge an ordered checkpoint chain (base full chunk first, then each
@@ -40,55 +40,54 @@ pub fn merge_chain(chunks: &[Chunk], keep: Option<&dyn Fn(u64) -> bool>) -> Chun
     }
 
     // One planning walk assigns each live page to the newest record
-    // that contains it; executing the sorted segments copies each live
-    // page exactly once and emits maximal coalesced records.
+    // that contains it. A run of page-adjacent segments of one kind
+    // becomes one merged record (or zero range), sized once from the
+    // run's page count and filled segment by segment, so each live page
+    // is copied exactly once.
     let plan = RestorePlan::build(chunks, keep);
+    let is_zero = |seg: &PlanSegment| matches!(seg.source, SegmentSource::Zero);
     let mut records: Vec<PageRecord> = Vec::new();
     let mut zero_ranges: Vec<(u64, u64)> = Vec::new();
-    for seg in &plan.segments {
-        match seg.source {
-            SegmentSource::Zero => match zero_ranges.last_mut() {
-                Some(last) if last.0 + last.1 == seg.start_page => last.1 += seg.pages,
-                _ => zero_ranges.push((seg.start_page, seg.pages)),
-            },
-            SegmentSource::Record { rec, rec_page_offset } => {
-                let bytes = &chunks[seg.chunk].records[rec].data
-                    [rec_page_offset as usize * CHUNK_PAGE_SIZE..]
-                    [..seg.pages as usize * CHUNK_PAGE_SIZE];
-                match records.last_mut() {
-                    Some(last) if last.start_page + last.page_count() == seg.start_page => {
-                        last.data.extend_from_slice(bytes);
+    for run in plan
+        .segments
+        .chunk_by(|a, b| a.start_page + a.pages == b.start_page && is_zero(a) == is_zero(b))
+    {
+        let start_page = run[0].start_page;
+        let pages: u64 = run.iter().map(|seg| seg.pages).sum();
+        if is_zero(&run[0]) {
+            zero_ranges.push((start_page, pages));
+            continue;
+        }
+        let mut data = Vec::with_capacity(pages as usize * CHUNK_PAGE_SIZE);
+        for seg in run {
+            match seg.source {
+                SegmentSource::Zero => unreachable!("runs are of one kind"),
+                SegmentSource::Record { rec, rec_page_offset } => data.extend_from_slice(
+                    &chunks[seg.chunk].records[rec].data
+                        [rec_page_offset as usize * CHUNK_PAGE_SIZE..]
+                        [..seg.pages as usize * CHUNK_PAGE_SIZE],
+                ),
+                // A delta-encoded page is materialized whole into the
+                // merged base: unchanged blocks from its base page,
+                // changed blocks overlaid from the delta record. Merged
+                // chains therefore carry no delta records at all.
+                SegmentSource::Delta { rec, base } => {
+                    let mut page = [0u8; CHUNK_PAGE_SIZE];
+                    if let DeltaBase::Record { chunk, rec: brec, rec_page_offset } = base {
+                        page.copy_from_slice(
+                            &chunks[chunk].records[brec].data
+                                [rec_page_offset as usize * CHUNK_PAGE_SIZE..][..CHUNK_PAGE_SIZE],
+                        );
                     }
-                    _ => records
-                        .push(PageRecord { start_page: seg.start_page, data: bytes.to_vec() }),
-                }
-            }
-            // A delta-encoded page is materialized whole into the
-            // merged base: unchanged blocks from its base page,
-            // changed blocks overlaid from the delta record. Merged
-            // chains therefore carry no delta records at all.
-            SegmentSource::Delta { rec, base } => {
-                let mut page = [0u8; CHUNK_PAGE_SIZE];
-                if let DeltaBase::Record { chunk, rec: brec, rec_page_offset } = base {
-                    page.copy_from_slice(
-                        &chunks[chunk].records[brec].data
-                            [rec_page_offset as usize * CHUNK_PAGE_SIZE..][..CHUNK_PAGE_SIZE],
-                    );
-                }
-                for (block, bytes) in chunks[seg.chunk].delta_records[rec].blocks() {
-                    let off = block * crate::hash::BLOCK_SIZE;
-                    page[off..off + crate::hash::BLOCK_SIZE].copy_from_slice(bytes);
-                }
-                match records.last_mut() {
-                    Some(last) if last.start_page + last.page_count() == seg.start_page => {
-                        last.data.extend_from_slice(&page);
+                    for (block, bytes) in chunks[seg.chunk].delta_records[rec].blocks() {
+                        let off = block * crate::hash::BLOCK_SIZE;
+                        page[off..off + crate::hash::BLOCK_SIZE].copy_from_slice(bytes);
                     }
-                    _ => {
-                        records.push(PageRecord { start_page: seg.start_page, data: page.to_vec() })
-                    }
+                    data.extend_from_slice(&page);
                 }
             }
         }
+        records.push(PageRecord { start_page, data });
     }
 
     let newest = chunks.last().unwrap();
@@ -123,7 +122,7 @@ pub fn compact_rank_chain(
     assert!(!chain_gens.is_empty());
     let mut chunks = Vec::with_capacity(chain_gens.len());
     for &g in chain_gens {
-        let data = store.get_chunk(ChunkKey::new(rank, g))?;
+        let data = store.read_chunk(ChunkKey::new(rank, g))?;
         chunks.push(Chunk::decode(&data)?);
     }
     let merged = merge_chain(&chunks, keep);

@@ -61,5 +61,5 @@ pub use redundancy::{
     RecoverySource, RedundancyScheme, SchemeSpec, TierReader, TierTopology, TierUsage, TieredStore,
     XorParity, PARITY_RANK_BASE,
 };
-pub use store::{ChunkKey, FileStore, MemStore, StableStorage, StorageError};
+pub use store::{ChunkBuf, ChunkKey, FileStore, MemStore, StableStorage, StorageError};
 pub use throttle::{shared_device, SharedBandwidthDevice, ThrottledStore, TimedReads};

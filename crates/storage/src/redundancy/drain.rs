@@ -238,7 +238,7 @@ impl DrainQueue {
             // whole rather than written torn to the durable tier.
             let mut chunks = Vec::with_capacity(self.nranks);
             for (rank, local) in locals.iter().enumerate().take(self.nranks) {
-                match local.get_chunk(ChunkKey::new(rank as u32, gen)) {
+                match local.read_chunk(ChunkKey::new(rank as u32, gen)) {
                     Ok(data) => chunks.push(data),
                     Err(_) => {
                         chunks.clear();

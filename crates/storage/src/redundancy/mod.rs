@@ -55,7 +55,7 @@ pub use partner::Partner;
 pub use tiered::{RecoveryPlan, RecoverySource, TierReader, TierTopology, TierUsage, TieredStore};
 pub use xor::{xor_encode, xor_reconstruct, XorParity, PARITY_RANK_BASE};
 
-use crate::store::{ChunkKey, StableStorage, StorageError};
+use crate::store::{ChunkBuf, ChunkKey, StableStorage, StorageError};
 
 /// Which redundancy scheme protects the node-local tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -129,7 +129,7 @@ pub trait RedundancyScheme: Send + Sync {
         &self,
         locals: &LocalStores,
         key: ChunkKey,
-    ) -> Result<(Vec<u8>, u64), StorageError>;
+    ) -> Result<(ChunkBuf, u64), StorageError>;
 
     /// Chunk-key rank namespaces that may live in `holder`'s local
     /// store under this scheme (its own rank, ranks it holds partner
@@ -160,7 +160,7 @@ impl RedundancyScheme for NoRedundancy {
         &self,
         _locals: &LocalStores,
         key: ChunkKey,
-    ) -> Result<(Vec<u8>, u64), StorageError> {
+    ) -> Result<(ChunkBuf, u64), StorageError> {
         Err(StorageError::NotFound(key))
     }
 

@@ -9,7 +9,7 @@
 //! Copies are stored under the *owner's* rank in the partner's store,
 //! so they never collide with the partner's own chunks.
 
-use crate::store::{ChunkKey, StorageError};
+use crate::store::{ChunkBuf, ChunkKey, StorageError};
 
 use super::{LocalStores, RedundancyScheme, SchemeSpec};
 
@@ -56,8 +56,8 @@ impl RedundancyScheme for Partner {
         &self,
         locals: &LocalStores,
         key: ChunkKey,
-    ) -> Result<(Vec<u8>, u64), StorageError> {
-        let data = locals[self.partner_of(key.rank as usize)].get_chunk(key)?;
+    ) -> Result<(ChunkBuf, u64), StorageError> {
+        let data = locals[self.partner_of(key.rank as usize)].read_chunk(key)?;
         let pulled = data.len() as u64;
         Ok((data, pulled))
     }
@@ -92,7 +92,7 @@ mod tests {
         assert_eq!(stores[3].get_chunk(key).unwrap(), b"payload");
         assert!(stores[2].get_chunk(key).is_err(), "publish only writes the partner copy");
         let (data, pulled) = p.reconstruct(&stores, key).unwrap();
-        assert_eq!(data, b"payload");
+        assert_eq!(&*data, b"payload");
         assert_eq!(pulled, 7);
     }
 

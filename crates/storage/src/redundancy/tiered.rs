@@ -33,7 +33,7 @@ use ickpt_obs::{DeviceKind, Event, Lane, Recorder, RecoveryTier};
 use ickpt_sim::{BandwidthDevice, SimDuration, SimTime};
 
 use crate::chunk::{peek_lineage, ChunkKind};
-use crate::store::{ChunkKey, MemStore, StableStorage, StorageError};
+use crate::store::{ChunkBuf, ChunkKey, MemStore, StableStorage, StorageError};
 use crate::throttle::{shared_device, SharedBandwidthDevice};
 
 use super::{DrainQueue, DrainStats, DrainTopology, RedundancyScheme, SchemeSpec};
@@ -267,15 +267,15 @@ impl TierTopology {
     /// Fetch a chunk without charging any device (bookkeeping reads,
     /// e.g. the wasted-time accounting between attempts): local tier,
     /// then reconstruction, then the shared array.
-    pub fn fetch_chunk_untimed(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
+    pub fn fetch_chunk_untimed(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
         let rank = key.rank as usize;
-        if let Ok(data) = self.locals[rank].get_chunk(key) {
+        if let Ok(data) = self.locals[rank].read_chunk(key) {
             return Ok(data);
         }
         if let Ok((data, _)) = self.scheme.reconstruct(&self.locals, key) {
             return Ok(data);
         }
-        self.shared.get_chunk(key)
+        self.shared.read_chunk(key)
     }
 
     /// Whether the failed rank's whole chain ending at `generation`
@@ -570,8 +570,12 @@ impl StableStorage for TierReader {
     }
 
     fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
+        self.read_chunk(key).map(ChunkBuf::into_vec)
+    }
+
+    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
         let t = &*self.topo;
-        if let Ok(data) = t.locals[self.rank].get_chunk(key) {
+        if let Ok(data) = t.locals[self.rank].read_chunk(key) {
             self.charge(ServedBy::Local, data.len() as u64);
             return Ok(data);
         }
@@ -591,7 +595,7 @@ impl StableStorage for TierReader {
             t.locals[self.rank].put_chunk(key, &data)?;
             return Ok(data);
         }
-        let data = t.shared.get_chunk(key)?;
+        let data = t.shared.read_chunk(key)?;
         self.charge(ServedBy::Durable, data.len() as u64);
         Ok(data)
     }

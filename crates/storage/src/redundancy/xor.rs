@@ -34,7 +34,7 @@ use std::collections::HashMap;
 
 use crate::crc::{crc32, Crc32};
 use crate::kernels;
-use crate::store::{ChunkKey, StorageError};
+use crate::store::{ChunkBuf, ChunkKey, StorageError};
 
 use super::{LocalStores, RedundancyScheme, SchemeSpec};
 
@@ -170,7 +170,7 @@ pub fn xor_reconstruct(
 
 /// Per-(group, generation) accumulator for in-flight parity builds.
 struct GroupSlot {
-    deposits: Vec<Option<Vec<u8>>>,
+    deposits: Vec<Option<ChunkBuf>>,
 }
 
 /// See the module docs.
@@ -233,12 +233,17 @@ impl RedundancyScheme for XorParity {
     ) -> Result<u64, StorageError> {
         let group = self.group_of(rank);
         let members = self.members_of(group);
+        // `data` landed in the rank's own local store just before this
+        // call (the trait's contract): deposit that stored buffer, by
+        // reference where the store shares it, not another copy.
+        let deposit = locals[rank].read_chunk(key)?;
+        debug_assert_eq!(&*deposit, data, "publish follows the local put of the same bytes");
         let ready = {
             let mut slots = self.slots.lock();
             let slot = slots
                 .entry((group, key.generation))
                 .or_insert_with(|| GroupSlot { deposits: vec![None; members.len()] });
-            slot.deposits[rank - members.start] = Some(data.to_vec());
+            slot.deposits[rank - members.start] = Some(deposit);
             if slot.deposits.iter().all(Option::is_some) {
                 slots.remove(&(group, key.generation))
             } else {
@@ -266,25 +271,24 @@ impl RedundancyScheme for XorParity {
         &self,
         locals: &LocalStores,
         key: ChunkKey,
-    ) -> Result<(Vec<u8>, u64), StorageError> {
+    ) -> Result<(ChunkBuf, u64), StorageError> {
         let lost = key.rank as usize;
         let group = self.group_of(lost);
         let holder = self.holder_of(group);
-        let block = locals[holder].get_chunk(self.parity_key(group, key.generation))?;
+        let block = locals[holder].read_chunk(self.parity_key(group, key.generation))?;
         let mut pulled = block.len() as u64;
         let mut survivor_chunks = Vec::new();
         for r in self.members_of(group) {
             if r == lost {
                 continue;
             }
-            let data = locals[r].get_chunk(ChunkKey::new(r as u32, key.generation))?;
+            let data = locals[r].read_chunk(ChunkKey::new(r as u32, key.generation))?;
             pulled += data.len() as u64;
             survivor_chunks.push((r as u32, data));
         }
-        let refs: Vec<(u32, &[u8])> =
-            survivor_chunks.iter().map(|(r, d)| (*r, d.as_slice())).collect();
+        let refs: Vec<(u32, &[u8])> = survivor_chunks.iter().map(|(r, d)| (*r, &**d)).collect();
         let data = xor_reconstruct(&block, &refs, key.rank)?;
-        Ok((data, pulled))
+        Ok((data.into(), pulled))
     }
 
     fn held_ranks(&self, holder: usize) -> Vec<u32> {
@@ -362,7 +366,7 @@ mod tests {
         assert!(stores[2].get_chunk(x.parity_key(0, 7)).is_ok(), "parity on the holder");
         // Lose rank 1: rebuild from rank 0 + parity.
         let (data, pulled) = x.reconstruct(&stores, ChunkKey::new(1, 7)).unwrap();
-        assert_eq!(data, b"rank one, longer");
+        assert_eq!(&*data, b"rank one, longer");
         assert!(pulled > data.len() as u64, "pulls survivors and the parity block");
     }
 

@@ -11,7 +11,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io::{Read, Write};
+use std::ops::Deref;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// Key of a stored chunk: owning rank and checkpoint generation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -67,6 +69,35 @@ impl From<std::io::Error> for StorageError {
     }
 }
 
+/// An encoded chunk shared read-only by reference count: cloning it or
+/// handing it to another reader copies no bytes. Dereferences to the
+/// chunk's bytes.
+#[derive(Debug, Clone)]
+pub struct ChunkBuf(Arc<Vec<u8>>);
+
+impl ChunkBuf {
+    /// The bytes as an owned `Vec`: moved out when this is the only
+    /// reference, copied when the buffer is still shared.
+    pub fn into_vec(self) -> Vec<u8> {
+        Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.to_vec())
+    }
+}
+
+impl From<Vec<u8>> for ChunkBuf {
+    /// Wraps the `Vec` as it is; the bytes are not copied.
+    fn from(data: Vec<u8>) -> Self {
+        Self(Arc::new(data))
+    }
+}
+
+impl Deref for ChunkBuf {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.0
+    }
+}
+
 /// Stable storage for checkpoint chunks and manifests.
 ///
 /// Implementations must be safe to share across rank threads.
@@ -74,8 +105,17 @@ pub trait StableStorage: Send + Sync {
     /// Persist an encoded chunk (overwrites an existing key).
     fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError>;
 
-    /// Fetch an encoded chunk.
+    /// Fetch an encoded chunk as an owned copy.
     fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError>;
+
+    /// Fetch an encoded chunk for reading only. Same bytes, errors,
+    /// charges and events as [`StableStorage::get_chunk`]; a store that
+    /// holds its chunks in memory hands out a reference instead of a
+    /// copy. A later `put_chunk` of the same key replaces the stored
+    /// buffer and leaves the ones readers still hold untouched.
+    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
+        self.get_chunk(key).map(ChunkBuf::from)
+    }
 
     /// Delete a chunk (no-op if missing).
     fn delete_chunk(&self, key: ChunkKey) -> Result<(), StorageError>;
@@ -100,7 +140,7 @@ pub trait StableStorage: Send + Sync {
 /// server / diskless checkpointing).
 #[derive(Default)]
 pub struct MemStore {
-    chunks: RwLock<BTreeMap<ChunkKey, Vec<u8>>>,
+    chunks: RwLock<BTreeMap<ChunkKey, ChunkBuf>>,
     manifests: RwLock<BTreeMap<u64, Vec<u8>>>,
 }
 
@@ -119,11 +159,15 @@ impl MemStore {
 
 impl StableStorage for MemStore {
     fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
-        self.chunks.write().insert(key, data.to_vec());
+        self.chunks.write().insert(key, ChunkBuf::from(data.to_vec()));
         Ok(())
     }
 
     fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
+        self.read_chunk(key).map(ChunkBuf::into_vec)
+    }
+
+    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
         self.chunks.read().get(&key).cloned().ok_or(StorageError::NotFound(key))
     }
 

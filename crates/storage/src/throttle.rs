@@ -14,7 +14,7 @@ use ickpt_obs::{Event, Lane, Recorder};
 use ickpt_sim::{BandwidthDevice, SimTime, Transfer};
 use parking_lot::Mutex;
 
-use crate::store::{ChunkKey, StableStorage, StorageError};
+use crate::store::{ChunkBuf, ChunkKey, StableStorage, StorageError};
 
 /// A device handle that several `ThrottledStore`s can serialize on —
 /// the model of a *shared* storage path (one parallel-filesystem array
@@ -224,7 +224,11 @@ impl StableStorage for TimedReads<'_> {
     }
 
     fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
-        let data = self.store.inner.get_chunk(key)?;
+        self.read_chunk(key).map(ChunkBuf::into_vec)
+    }
+
+    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
+        let data = self.store.inner.read_chunk(key)?;
         let (now, t) = self.charge(data.len() as u64);
         self.store.obs.emit_span(
             self.store.rank_lane,

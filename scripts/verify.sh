@@ -125,6 +125,22 @@ bench_smoke() {
         exit 1
     fi
 
+    # The capture/restore config knobs are as strict: a malformed value
+    # must abort with exit status 2, not fall back to a default.
+    echo "==> repro with malformed capture/restore knobs must exit 2"
+    for knob in ICKPT_CAPTURE_WORKERS=lots ICKPT_RESTORE_WORKERS=two \
+        ICKPT_DELTA_BLOCKS=-3 ICKPT_DEDUP=yes; do
+        set +e
+        env "$knob" ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_PERIODS=4 \
+            target/release/repro --only "Ablations" >/dev/null 2>/dev/null
+        rc=$?
+        set -e
+        if [[ "$rc" -ne 2 ]]; then
+            echo "expected exit 2 for $knob, got $rc" >&2
+            exit 1
+        fi
+    done
+
     # Multi-tenant service determinism: the shared-array experiment
     # fans its sweep cells over host threads, yet stdout must be
     # byte-identical at 1 and 4 threads (the service itself is one

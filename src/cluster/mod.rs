@@ -63,7 +63,7 @@ use ickpt_obs::{DeviceKind, Event, Lane, ObsSummary, Recorder, RecoveryTier};
 use ickpt_sim::rendezvous::Combine;
 use ickpt_sim::{DevicePreset, SimDuration, SimTime, WorkerGate};
 use ickpt_storage::{
-    shared_device, Chunk, ChunkKey, ChunkKind, DrainStats, DrainTopology, Manifest, RankEntry,
+    shared_device, ChunkKey, ChunkKind, ChunkView, DrainStats, DrainTopology, Manifest, RankEntry,
     RecoverySource, SchemeSpec, StableStorage, StorageError, ThrottledStore, TierTopology,
     TierUsage, TieredStore,
 };
@@ -743,9 +743,9 @@ where
                     Some(gen) => {
                         let chunk_data = match &topo {
                             Some(t) => t.fetch_chunk_untimed(ChunkKey::new(0, gen))?,
-                            None => cfg.store.get_chunk(ChunkKey::new(0, gen))?,
+                            None => cfg.store.read_chunk(ChunkKey::new(0, gen))?,
                         };
-                        SimTime(Chunk::decode(&chunk_data)?.capture_time_ns)
+                        SimTime(ChunkView::decode(&chunk_data)?.capture_time_ns)
                     }
                     None => SimTime::ZERO,
                 };
