@@ -899,17 +899,12 @@ fn bench_metrics(c: &mut Criterion) {
     g.finish();
 }
 
-/// Ranks-per-second of the two characterization paths: the
-/// event-wheel engine (the default) vs the legacy one-thread-per-rank
-/// reference. Criterion's elements/s readout IS ranks/s here. The
-/// rank count is deliberately modest so the threaded reference stays
-/// benchmarkable; `fig5_extended` (and BENCH_PR7.json) carry the
-/// 4096/16384-rank wall-clock numbers.
+/// Ranks-per-second of a characterization run on the event engine.
+/// Criterion's elements/s readout IS ranks/s here; `fig5_extended`
+/// (and BENCH_PR7.json) carry the 4096/16384-rank wall-clock numbers.
 fn bench_cluster_ranks(c: &mut Criterion) {
     use ickpt::apps::Workload;
-    use ickpt::cluster::{
-        characterize, characterize_model_threaded, CharacterizationConfig, ReportDetail,
-    };
+    use ickpt::cluster::{characterize, CharacterizationConfig, ReportDetail};
     const NRANKS: usize = 256;
     let w = Workload::Sage100;
     let cfg = CharacterizationConfig {
@@ -924,15 +919,6 @@ fn bench_cluster_ranks(c: &mut Criterion) {
     g.throughput(Throughput::Elements(NRANKS as u64));
     g.bench_function("event_engine_256ranks", |b| {
         b.iter(|| black_box(characterize(w, &cfg).ranks.len()))
-    });
-    g.bench_function("threaded_reference_256ranks", |b| {
-        b.iter(|| {
-            let layout = w.layout(cfg.scale);
-            let report = characterize_model_threaded(&cfg, layout, |rank| {
-                Box::new(w.build(rank, cfg.nranks, cfg.scale, cfg.seed))
-            });
-            black_box(report.ranks.len())
-        })
     });
     g.finish();
 }

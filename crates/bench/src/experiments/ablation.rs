@@ -371,9 +371,8 @@ fn storage_path_ablation(obs: Recorder) -> Section {
                 net: NetConfig::qsnet(),
                 max_attempts: 1,
                 redundancy: None,
-                // Per-rank device lanes are the interesting view here;
-                // the Shared-flat path stays uninstrumented (see
-                // cluster.rs) so only the largest PerRank run records.
+                // Per-rank device lanes are the interesting view here:
+                // only the largest PerRank run records.
                 obs: if nranks == 8 && path == StoragePath::PerRank {
                     obs.clone()
                 } else {

@@ -315,6 +315,12 @@ impl CaptureScratch {
         &self.encode_buf
     }
 
+    /// The bytes the last [`CaptureScratch::encode_reusing`] produced,
+    /// for a write that happens after the chunk itself was recycled.
+    pub fn encoded(&self) -> &[u8] {
+        &self.encode_buf
+    }
+
     /// Make sure `n` worker slots exist.
     fn ensure_workers(&mut self, n: usize) {
         while self.workers.len() < n {

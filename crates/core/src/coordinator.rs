@@ -16,7 +16,7 @@
 //!    going to do anyway.
 //! 3. If checkpointing: every rank captures its chunk (full or
 //!    incremental per the [`CheckpointPolicy`] lineage), writes it to
-//!    stable storage, and a second rendezvous commits the manifest —
+//!    stable storage, and a second collective round commits the manifest —
 //!    the classic two-phase structure that makes the generation
 //!    atomic.
 //!

@@ -6,11 +6,10 @@
 //! is identical: writers fault once per page per timeslice.
 
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-use crossbeam::channel::{unbounded, Receiver};
 
 use crate::region::{NativeSample, TrackedRegion};
 
@@ -36,7 +35,7 @@ impl TimesliceSampler {
         assert!(!timeslice.is_zero());
         let stop = Arc::new(AtomicBool::new(false));
         let stop2 = stop.clone();
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let handle = std::thread::spawn(move || {
             let start = Instant::now();
             let mut next = start + timeslice;

@@ -1,10 +1,9 @@
 //! The message-matching rule, defined once.
 //!
 //! A rank's [`Mailbox`] holds the eager sends that reached it before
-//! the matching receive was posted. Both execution substrates use it:
-//! the blocking [`Endpoint`](crate::comm::Endpoint) parks out-of-order
-//! channel arrivals here, and the cluster event engine delivers every
-//! outbox into the receiver's mailbox during its serial resolve phase.
+//! the matching receive was posted: the cluster event engine delivers
+//! every outbox into the receiver's mailbox during its serial resolve
+//! phase.
 
 use ickpt_sim::SimTime;
 
@@ -29,7 +28,7 @@ pub struct Msg {
 /// `tag`, so messages of one `(src, tag)` pair leave in the order they
 /// were pushed — sender program order, the MPI non-overtaking rule —
 /// no matter how pushes for other pairs interleave. That per-pair FIFO
-/// is the only ordering either substrate relies on: a receive names
+/// is the only ordering the engine relies on: a receive names
 /// its `(src, tag)`, so the relative order of different pairs is never
 /// observed.
 ///
@@ -60,6 +59,12 @@ impl Mailbox {
     pub fn take(&mut self, src: usize, tag: u32) -> Option<Msg> {
         let i = self.msgs.iter().position(|m| m.src == src && m.tag == tag)?;
         Some(self.msgs.remove(i))
+    }
+
+    /// Whether no message awaits a receive (the coordinated-cut check:
+    /// nothing may be in flight across a committed generation).
+    pub fn is_empty(&self) -> bool {
+        self.msgs.is_empty()
     }
 }
 

@@ -7,10 +7,8 @@
 //! eager-send buffer hand-off.
 //!
 //! All communication *cost formulas* live here as pure functions of the
-//! configuration, so the threaded [`crate::comm::Endpoint`] and the
-//! event-driven cluster engine share them by construction — byte-exact
-//! agreement between the two execution models is a structural property,
-//! not a testing accident.
+//! configuration; the cluster event engine only decides *when* they
+//! apply.
 
 use ickpt_sim::{BandwidthDevice, DevicePreset, SimDuration, SimTime};
 
@@ -82,8 +80,7 @@ impl NetConfig {
         Self::tree_stages(nranks) as u64 * bytes
     }
 
-    // -- Pure completion-time formulas (shared by Endpoint and the
-    // -- event engine) -----------------------------------------------
+    // -- Pure completion-time formulas ------------------------------
 
     /// Sender's new local time after handing an eager-send buffer to
     /// the NIC: one memory copy of the payload.

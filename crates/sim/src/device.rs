@@ -10,9 +10,6 @@
 //! free, occupies it for `bytes / bandwidth`, and completes after an
 //! additional fixed latency.
 
-use parking_lot::Mutex;
-use std::sync::Arc;
-
 use crate::clock::{SimDuration, SimTime};
 
 /// Named device presets with the paper's reference numbers.
@@ -185,39 +182,6 @@ impl BandwidthDevice {
     }
 }
 
-/// A device shared between rank threads (e.g. the per-node NIC serving
-/// two Itanium-II processors on the paper's HP rx2600 nodes).
-#[derive(Debug, Clone)]
-pub struct SharedDevice(Arc<Mutex<BandwidthDevice>>);
-
-impl SharedDevice {
-    /// Wrap a device for shared use.
-    pub fn new(device: BandwidthDevice) -> Self {
-        Self(Arc::new(Mutex::new(device)))
-    }
-
-    /// Issue a transfer; see [`BandwidthDevice::transfer`].
-    pub fn transfer(&self, now: SimTime, bytes: u64) -> SimTime {
-        self.0.lock().transfer(now, bytes)
-    }
-
-    /// Issue a transfer with the full queue-wait vs service breakdown;
-    /// see [`BandwidthDevice::transfer_detailed`].
-    pub fn transfer_detailed(&self, now: SimTime, bytes: u64) -> Transfer {
-        self.0.lock().transfer_detailed(now, bytes)
-    }
-
-    /// Snapshot of total bytes transferred.
-    pub fn bytes_total(&self) -> u64 {
-        self.0.lock().bytes_total()
-    }
-
-    /// Peak bandwidth in bytes/second.
-    pub fn bandwidth(&self) -> u64 {
-        self.0.lock().bandwidth()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -303,14 +267,5 @@ mod tests {
         }
         assert_eq!(a.bytes_total(), b.bytes_total());
         assert_eq!(a.queue_wait_total(), b.queue_wait_total());
-    }
-
-    #[test]
-    fn shared_device_serializes() {
-        let d = SharedDevice::new(BandwidthDevice::new(1_000_000, SimDuration::ZERO));
-        let a = d.transfer(SimTime::ZERO, 500_000);
-        let b = d.transfer(SimTime::ZERO, 500_000);
-        assert!(b > a);
-        assert_eq!(d.bytes_total(), 1_000_000);
     }
 }

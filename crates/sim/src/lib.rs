@@ -18,34 +18,26 @@
 //!   provided as presets) with busy-until queuing.
 //! * [`rng`] — SplitMix64: tiny, seedable, no external dependency, used
 //!   wherever the workload models need reproducible pseudo-randomness.
-//! * [`rendezvous`] — a reusable N-party rendezvous that computes the
-//!   max of the participants' local clocks; the building block for
-//!   barriers, reductions and coordinated checkpoints.
 //! * [`sched`] — a deterministic calendar-queue event wheel: amortized
 //!   O(1) insert/pop over bucketed `SimTime` with FIFO tie-break, the
 //!   backbone of the event-driven cluster engine.
 //! * [`reduce`] — hierarchical fan-in reduction (`tree_reduce`),
-//!   byte-identical to a flat fold for associative integer merges.
-//! * [`gate`] — a counting semaphore capping how many rank threads of
-//!   the legacy thread-per-rank paths execute concurrently.
+//!   byte-identical to a flat fold for associative integer merges, and
+//!   the [`Combine`] operators collective rounds fold values with.
 //! * [`stripe`] — a striped multi-device array: round-robin stripe
 //!   chunks over M FIFO devices, the storage shape of a shared
 //!   checkpoint service.
 
 pub mod clock;
 pub mod device;
-pub mod gate;
 pub mod reduce;
-pub mod rendezvous;
 pub mod rng;
 pub mod sched;
 pub mod stripe;
 
 pub use clock::{SimDuration, SimTime};
-pub use device::{BandwidthDevice, DevicePreset, SharedDevice, Transfer};
-pub use gate::WorkerGate;
-pub use reduce::{flat_reduce, tree_reduce};
-pub use rendezvous::Rendezvous;
+pub use device::{BandwidthDevice, DevicePreset, Transfer};
+pub use reduce::{flat_reduce, tree_reduce, Combine};
 pub use rng::SplitMix64;
 pub use sched::EventWheel;
 pub use stripe::{StripeTransfer, StripedArray};

@@ -15,6 +15,48 @@
 //! and belongs at render time, after the reduction. The property suite
 //! (`tests/sched_props.rs`) pins tree-vs-flat equality across arities.
 
+/// How the per-participant `u64` values of a collective round are
+/// folded (the vote word of an iteration boundary, the slowest write
+/// of a forked checkpoint).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Combine {
+    /// Maximum of the contributed values.
+    Max,
+    /// Minimum of the contributed values.
+    Min,
+    /// Wrapping sum of the contributed values.
+    Sum,
+    /// Bitwise OR (useful for vote flags).
+    Or,
+    /// Bitwise AND (useful for unanimous votes).
+    And,
+}
+
+impl Combine {
+    /// The identity element of this combiner (the accumulator seed).
+    pub fn identity(&self) -> u64 {
+        match self {
+            Combine::Max => 0,
+            Combine::Min => u64::MAX,
+            Combine::Sum => 0,
+            Combine::Or => 0,
+            Combine::And => u64::MAX,
+        }
+    }
+
+    /// Combine two values. All variants are commutative and
+    /// associative, so fold order never affects the result.
+    pub fn apply(&self, a: u64, b: u64) -> u64 {
+        match self {
+            Combine::Max => a.max(b),
+            Combine::Min => a.min(b),
+            Combine::Sum => a.wrapping_add(b),
+            Combine::Or => a | b,
+            Combine::And => a & b,
+        }
+    }
+}
+
 /// Reduce `items` through a fan-in tree of the given `arity`
 /// (minimum 2). Returns `None` for an empty input.
 ///
@@ -95,6 +137,16 @@ mod tests {
     fn arity_below_two_is_clamped() {
         let sum = tree_reduce(vec![1u64, 2, 3], 0, |a, b| *a += b);
         assert_eq!(sum, Some(6));
+    }
+
+    #[test]
+    fn combine_folds_from_its_identity() {
+        let fold = |c: Combine, vs: &[u64]| vs.iter().fold(c.identity(), |a, &v| c.apply(a, v));
+        assert_eq!(fold(Combine::Max, &[5, 9, 7]), 9);
+        assert_eq!(fold(Combine::Min, &[5, 9, 7]), 5);
+        assert_eq!(fold(Combine::Sum, &[1, 2, 3]), 6);
+        assert_eq!(fold(Combine::Or, &[0b01, 0b10]), 0b11);
+        assert_eq!(fold(Combine::And, &[0b11, 0b10]), 0b10);
     }
 
     #[test]

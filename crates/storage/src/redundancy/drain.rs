@@ -17,11 +17,12 @@
 //!
 //! ## Determinism
 //!
-//! Every rank enqueues its commit notification at the same
-//! barrier-released instant; the last arrival (under one lock, from
-//! one thread) performs the whole flush in canonical (generation,
-//! rank) order, so device charges and stored bytes are independent of
-//! thread scheduling.
+//! Every rank's commit notification carries the same barrier-released
+//! instant; the last one (under one lock) performs the whole flush in
+//! canonical (generation, rank) order, so device charges and stored
+//! bytes do not depend on who notified last. The cluster engine sends
+//! all of them from its serial resolve phase when the commit round
+//! closes.
 
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
@@ -123,7 +124,7 @@ pub struct DrainQueue {
     stripe: Mutex<Option<Arc<Mutex<StripedArray>>>>,
     state: Mutex<DrainState>,
     /// Flight recorder for batch lifecycle / queue-depth events. The
-    /// flush runs on whichever rank thread notified last, but always
+    /// flush runs in whichever notification came last, but always
     /// under the state lock in canonical order, so its events are
     /// deterministic; they land on the dedicated drain lane.
     obs: Mutex<Recorder>,

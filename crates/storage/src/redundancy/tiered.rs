@@ -2,7 +2,7 @@
 //! drain, with tiered recovery.
 //!
 //! A [`TierTopology`] is built once per run and shared by every rank
-//! thread (and across recovery attempts — node-local data survives a
+//! (and across recovery attempts — node-local data survives a
 //! *process* restart, which is exactly what makes the local tier worth
 //! having). Each rank writes through its [`TieredStore`] handle:
 //!

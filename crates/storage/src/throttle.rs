@@ -32,7 +32,8 @@ pub fn shared_device(device: BandwidthDevice) -> SharedBandwidthDevice {
 /// the device is private (a per-rank disk path, deterministic
 /// completion times); with [`ThrottledStore::with_shared_device`]
 /// several ranks contend on one device (a shared storage array, FIFO
-/// completion — per-rank service order depends on arrival order).
+/// completion in call order — the cluster engine makes those calls from
+/// its serial resolve phase, so call order is event-wheel order).
 pub struct ThrottledStore {
     inner: Arc<dyn StableStorage>,
     device: SharedBandwidthDevice,

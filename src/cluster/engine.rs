@@ -1,62 +1,97 @@
-//! Event-driven characterization engine: thousands of ranks on a
-//! fixed worker pool.
+//! The event engine: every cluster run — characterization and
+//! fault-tolerant — executes here, on a fixed worker pool.
 //!
-//! The reference path in [`super::characterize_model_threaded`] runs
-//! one OS thread per rank; at 16k ranks that drowns the host scheduler.
-//! This engine keeps every rank as an explicit state machine
-//! ([`RankSm`]) stepped by at most `workers` threads, scheduled through
-//! the calendar-queue [`EventWheel`].
+//! Each rank is an explicit state machine ([`RankSm`]) over its address
+//! space ([`SparseSpace`] for characterization, [`BackedSpace`] for
+//! fault-tolerant runs), stepped by at most `workers` threads and
+//! scheduled through the calendar-queue [`EventWheel`]. A blocked rank
+//! consumes no worker, so the rank count is bounded by memory, not by
+//! OS threads.
 //!
 //! ## Determinism at any worker count
 //!
 //! The main loop alternates two phases:
 //!
 //! 1. **Advance** (parallel): every runnable rank executes on purely
-//!    rank-local state until it blocks on a receive or a collective.
-//!    Sends accumulate in a rank-local outbox; nothing cross-rank is
+//!    rank-local state — page fill, tracker, capture, encode, restore,
+//!    its own devices and stores — until it blocks. Sends accumulate
+//!    in a rank-local outbox; nothing another rank can reach is
 //!    touched, so the host interleaving cannot matter.
 //! 2. **Resolve** (serial, in wheel order): outboxes are delivered to
-//!    receiver queues and collective entries are folded, in the
-//!    deterministic `(time, seq)` order the wheel popped the batch.
+//!    receiver mailboxes, collective entries are folded, and every
+//!    operation on state two ranks can reach runs here, in the
+//!    deterministic `(time, seq)` order the wheel popped the batch:
+//!    the writes and rollback reads of a flat
+//!    [`StoragePath::Shared`](super::StoragePath::Shared) array, the
+//!    commit manifest, the tier commit notifications and the drain they
+//!    kick. FCFS order on a shared device is therefore wheel order by
+//!    construction.
 //!
-//! Each rank keeps delivered-but-unmatched sends in one flat
-//! [`Mailbox`]; a receive takes the first message from its
-//! `(src, tag)`. Per-`(src, tag)` message order therefore equals sender
-//! program order — the order of different pairs is never observed, a
-//! receive names its pair — and all collective folds use the
-//! commutative/associative [`Combine`] operators, so the run is
-//! byte-identical to the threaded reference: the matching rule is
-//! the very [`Mailbox`] [`Endpoint`](ickpt_net::comm::Endpoint) uses,
-//! and the cost formulas are shared through the pure [`NetConfig`]
-//! helpers.
+//! A rank blocks in one of four ways ([`Blocked`]): on a receive (woken
+//! by the matching delivery), in a collective round (woken when the
+//! last participant joins), waiting for its turn on a shared device
+//! (served in the same resolve phase), or for good. Each rank keeps
+//! delivered-but-unmatched sends in one flat [`Mailbox`]; a receive
+//! takes the first message from its `(src, tag)`, so per-pair order is
+//! sender program order — the order of different pairs is never
+//! observed, a receive names its pair — and all collective folds use
+//! the commutative/associative [`Combine`] operators.
 //!
-//! A blocked rank consumes no worker until the resolver wakes it:
-//! receive wakes on matching delivery, collectives wake when the last
-//! participant joins the round. Rendezvous semantics guarantee at most
-//! one collective round is open at a time (no rank can run ahead into
-//! a second collective while any rank still blocks on the first), so a
-//! single round accumulator suffices.
+//! Collectives synchronize every rank, so at most one round is open at
+//! a time (no rank can run ahead into a second collective while any
+//! rank still blocks on the first) and a single round accumulator
+//! suffices. When the wheel drains with a rank still blocked, the
+//! script cannot complete: that is a typed [`NetError`], not a hang.
+//!
+//! The checkpoint, commit and restore states of a fault-tolerant rank
+//! live in [`super::ft`]; this file is scheduling, messaging and the
+//! one interpreter of [`Step`].
 
 use std::sync::Mutex;
 
 use ickpt_apps::step::{AppModel, Step};
 use ickpt_core::checkpoint::ContentStats;
 use ickpt_core::coordinator::VoteFlags;
-use ickpt_core::tracked_space::TrackedSpace;
+use ickpt_core::tracked_space::{ContentWrite, TrackedSpace};
 use ickpt_core::tracker::WriteTracker;
-use ickpt_mem::{pages_for_bytes, AddressSpace, DataLayout, PageRange, SparseSpace};
+use ickpt_mem::{pages_for_bytes, AddressSpace, BackedSpace, DataLayout, PageRange, SparseSpace};
 use ickpt_net::{Mailbox, Msg, NetConfig, NetError};
 use ickpt_obs::{Event, Lane, Recorder};
-use ickpt_sim::rendezvous::Combine;
-use ickpt_sim::{BandwidthDevice, EventWheel, SimDuration, SimTime};
+use ickpt_sim::{BandwidthDevice, Combine, EventWheel, SimDuration, SimTime};
 
+use super::ft::{self, FtParams, FtRank};
 use super::{
     summarize_obs, BoundaryRecord, CharacterizationConfig, RankReport, RunError, RunOutcome,
     RunReport,
 };
 
-/// Below this batch size the scoped-thread fan-out costs more than it
-/// saves; advance inline instead.
+/// An address space a rank can run over. The engine reads its
+/// execution policy from the type: a content-backed space moves real
+/// bytes on every touch, a sparse one only metadata.
+pub(super) trait RankSpace: AddressSpace + ContentWrite + Send {
+    /// Whether touches materialize page contents.
+    const BACKED: bool;
+
+    /// The space as a checkpointable image (fault-tolerant runs).
+    fn backed(&mut self) -> Option<&mut BackedSpace> {
+        None
+    }
+}
+
+impl RankSpace for SparseSpace {
+    const BACKED: bool = false;
+}
+
+impl RankSpace for BackedSpace {
+    const BACKED: bool = true;
+
+    fn backed(&mut self) -> Option<&mut BackedSpace> {
+        Some(self)
+    }
+}
+
+/// Below this batch size the scoped-thread fan-out of a *sparse* run
+/// costs more than it saves; advance inline instead.
 ///
 /// Measured break-even (2 vCPU, 2 workers, Sage scale 0.1, every
 /// round holding all ranks at ~1.1 µs per visit): a round's advance
@@ -68,6 +103,20 @@ use super::{
 /// it earns back from about 2000 visits up; a few hundred rounds per
 /// run bound that at ~0.1 s, so no persistent pool is kept.
 const PAR_BATCH_MIN: usize = 2048;
+
+/// Smallest batch that fans out over the workers. A content-backed
+/// visit fills, captures or restores megabytes (milliseconds, not the
+/// microsecond of a sparse visit), so any batch of two ranks is worth
+/// a thread each: measured on the thread-per-rank path this replaced
+/// (2 vCPU, `ft_cluster`, two runs each), a pass took 1.06 / 1.13 s
+/// with two ranks executing at a time and 1.78 / 1.83 s with one.
+fn par_batch_min<S: RankSpace>() -> usize {
+    if S::BACKED {
+        2
+    } else {
+        PAR_BATCH_MIN
+    }
+}
 
 /// The engine worker-count environment knob.
 const WORKERS_ENV: &str = "ICKPT_SIM_WORKERS";
@@ -89,7 +138,7 @@ fn parse_workers(raw: &str) -> Result<usize, String> {
 /// `ICKPT_SIM_WORKERS` environment knob (malformed exits 2), then host
 /// parallelism.
 #[allow(clippy::disallowed_macros)]
-pub(crate) fn resolve_workers(explicit: Option<usize>) -> usize {
+pub(super) fn resolve_workers(explicit: Option<usize>) -> usize {
     if let Some(w) = explicit {
         return w.max(1);
     }
@@ -105,7 +154,7 @@ pub(crate) fn resolve_workers(explicit: Option<usize>) -> usize {
 /// The collective a rank is blocked in, with the rank-local context
 /// needed to finish the operation once the round completes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CollOp {
+pub(super) enum CollOp {
     Barrier,
     Allreduce {
         bytes: u64,
@@ -121,6 +170,17 @@ enum CollOp {
         pre: SimTime,
         iterations: u64,
     },
+    /// Forked checkpoints: agree on the slowest background write
+    /// (8-byte allreduce, Max-combined).
+    Settle {
+        write_done: SimTime,
+    },
+    /// Two-phase commit: gather every rank's payload size; closing the
+    /// round writes the manifest and releases every rank at the commit
+    /// barrier's instant ([`ft::close_commit`]).
+    Commit {
+        payload: u64,
+    },
 }
 
 impl CollOp {
@@ -132,6 +192,8 @@ impl CollOp {
             CollOp::Allreduce { bytes } => (1, *bytes),
             CollOp::AllToAll { bytes_per_pair, .. } => (2, *bytes_per_pair),
             CollOp::Vote { .. } => (3, 16),
+            CollOp::Settle { .. } => (4, 8),
+            CollOp::Commit { .. } => (5, 8),
         }
     }
 
@@ -145,6 +207,7 @@ impl CollOp {
     fn contribution(&self) -> u64 {
         match self {
             CollOp::Vote { votes, .. } => *votes,
+            CollOp::Settle { write_done } => write_done.0,
             _ => 0,
         }
     }
@@ -152,13 +215,17 @@ impl CollOp {
 
 /// Why a rank yielded its worker.
 #[derive(Debug, Clone, Copy)]
-enum Blocked {
+pub(super) enum Blocked {
     /// Runnable: executing steps or phase transitions.
     Running,
     /// Waiting on a matching message.
     Recv { from: usize, tag: u32, into: Option<PageRange>, version: u64 },
     /// Waiting for a collective round to complete.
     Coll(CollOp),
+    /// The rank's next storage operation charges a device other ranks
+    /// can reach: the resolver performs it in batch order
+    /// ([`RankSm::perform_io`]) and requeues the rank.
+    Shared,
     /// Finished (or failed; see `error`).
     Done,
 }
@@ -166,84 +233,104 @@ enum Blocked {
 /// Result of a completed collective round, handed to every blocked
 /// participant.
 #[derive(Debug, Clone, Copy)]
-struct RoundResult {
-    /// Entry time of the last participant.
-    time: SimTime,
+pub(super) struct RoundResult {
+    /// Entry time of the last participant (commit rounds: the instant
+    /// the commit barrier releases).
+    pub time: SimTime,
     /// Combined value.
-    value: u64,
+    pub value: u64,
 }
 
-/// The open collective round: rendezvous semantics admit at most one.
+/// The open collective round: collectives synchronize every rank, so
+/// there is at most one.
 struct Round {
     joined: usize,
     max_time: SimTime,
     value: u64,
     sig: (u8, u64),
+    /// Commit rounds: the gathered payload size of every rank.
+    gathered: Vec<u64>,
 }
 
-fn join_round(round: &mut Option<Round>, op: CollOp, entered: SimTime) {
-    let sig = op.sig();
+fn join_round(
+    round: &mut Option<Round>,
+    rank: usize,
+    nranks: usize,
+    op: CollOp,
+    entered: SimTime,
+) -> Result<(), NetError> {
     let combine = op.combine();
-    let contrib = op.contribution();
-    match round {
-        None => {
-            *round = Some(Round {
-                joined: 1,
-                max_time: entered,
-                value: combine.apply(combine.identity(), contrib),
-                sig,
-            });
-        }
-        Some(rd) => {
-            assert_eq!(
-                rd.sig, sig,
-                "collective mismatch: ranks entered different collectives in one round"
-            );
-            rd.joined += 1;
-            rd.max_time = rd.max_time.max(entered);
-            rd.value = combine.apply(rd.value, contrib);
-        }
+    let rd = round.get_or_insert_with(|| Round {
+        joined: 0,
+        max_time: entered,
+        value: combine.identity(),
+        sig: op.sig(),
+        gathered: Vec::new(),
+    });
+    if rd.sig != op.sig() {
+        return Err(NetError::CollectiveMismatch { rank });
     }
+    rd.joined += 1;
+    rd.max_time = rd.max_time.max(entered);
+    rd.value = combine.apply(rd.value, op.contribution());
+    if let CollOp::Commit { payload } = op {
+        rd.gathered.resize(nranks, 0);
+        rd.gathered[rank] = payload;
+    }
+    Ok(())
 }
 
 /// Where the rank is in its phase script.
-enum PhaseState {
-    /// `model.init` not yet consumed.
+pub(super) enum PhaseState {
+    /// `model.init` (or, after a failure, the rollback restore) not yet
+    /// consumed.
     NeedInit,
     /// Executing a phase from `model.next_phase` (or init, which never
     /// ends an iteration).
     Loaded { ends_iteration: bool },
 }
 
+/// Why a rank's mutex can be poisoned: the panic is the bug to report.
+pub(super) const POISON: &str = "a rank panicked while being advanced";
+
 /// Shared read-only run parameters.
-struct EngineCtx<'a> {
-    net: &'a NetConfig,
-    nranks: usize,
-    run_for: SimDuration,
-    max_iterations: Option<u64>,
-    stretch_overhead: bool,
-    obs: &'a Recorder,
+pub(super) struct EngineCtx<'a> {
+    pub net: &'a NetConfig,
+    pub nranks: usize,
+    pub run_for: SimDuration,
+    pub max_iterations: Option<u64>,
+    pub stretch_overhead: bool,
+    pub obs: &'a Recorder,
+    /// Checkpointing parameters (fault-tolerant runs).
+    pub ft: Option<&'a FtParams>,
+}
+
+impl EngineCtx<'_> {
+    /// The checkpointing parameters a fault-tolerant rank runs under.
+    pub(super) fn ft_params(&self) -> &FtParams {
+        self.ft.expect("checkpoint states are only entered by fault-tolerant runs")
+    }
 }
 
 /// One rank as an event-driven state machine. All fields are
 /// rank-local; the resolver alone moves data between machines.
-struct RankSm {
-    rank: usize,
-    space: SparseSpace,
-    tracker: WriteTracker,
-    model: Box<dyn AppModel>,
-    clock: SimTime,
-    started_at: SimTime,
+pub(super) struct RankSm<S> {
+    pub(super) rank: usize,
+    pub(super) space: S,
+    pub(super) tracker: WriteTracker,
+    pub(super) model: Box<dyn AppModel>,
+    pub(super) clock: SimTime,
+    pub(super) started_at: SimTime,
     nic: BandwidthDevice,
     steps: Vec<Step>,
     step_idx: usize,
     version: u64,
-    phase: PhaseState,
+    pub(super) phase: PhaseState,
     /// Delivered sends no receive has matched yet.
-    pending: Mailbox,
-    outbox: Vec<(usize, Msg)>,
-    bytes_received: u64,
-    blocked: Blocked,
+    pub(super) pending: Mailbox,
+    pub(super) outbox: Vec<(usize, Msg)>,
+    pub(super) bytes_received: u64,
+    pub(super) blocked: Blocked,
     completion: Option<RoundResult>,
     boundaries: Vec<BoundaryRecord>,
     /// Keep only the latest boundary record (compact report detail).
@@ -251,17 +338,21 @@ struct RankSm {
     /// Whether this rank is scheduled (or queued to be) in the wheel.
     in_wheel: bool,
     error: Option<RunError>,
+    /// Checkpoint, commit and restore state — everything only a
+    /// fault-tolerant rank has, behind one pointer so the
+    /// characterization machine does not carry it.
+    pub(super) ft: Option<Box<FtRank>>,
 }
 
-impl RankSm {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
+impl<S: RankSpace> RankSm<S> {
+    pub(super) fn new(
         rank: usize,
-        space: SparseSpace,
+        space: S,
         tracker: WriteTracker,
         model: Box<dyn AppModel>,
         nic: BandwidthDevice,
         compact_boundaries: bool,
+        ft: Option<Box<FtRank>>,
     ) -> Self {
         Self {
             rank,
@@ -284,6 +375,7 @@ impl RankSm {
             compact_boundaries,
             in_wheel: false,
             error: None,
+            ft,
         }
     }
 
@@ -308,7 +400,14 @@ impl RankSm {
                 Blocked::Recv { from, tag, into, version } => {
                     let Some(msg) = self.pending.take(from, tag) else { return Ok(()) };
                     self.blocked = Blocked::Running;
-                    self.complete_recv(msg, into, version, ctx)?;
+                    self.complete_recv(msg, into, version, ctx);
+                }
+                Blocked::Shared => {
+                    if !self.io_done() {
+                        return Ok(());
+                    }
+                    self.blocked = Blocked::Running;
+                    self.finish_io(ctx)?;
                 }
                 Blocked::Running => self.step(ctx)?,
             }
@@ -319,6 +418,7 @@ impl RankSm {
     fn step(&mut self, ctx: &EngineCtx<'_>) -> Result<(), RunError> {
         if self.step_idx >= self.steps.len() {
             return match self.phase {
+                PhaseState::NeedInit if self.resumes() => self.begin_restore(ctx),
                 PhaseState::NeedInit => self.load_init(),
                 PhaseState::Loaded { ends_iteration: false } => self.load_next_phase(),
                 PhaseState::Loaded { ends_iteration: true } => {
@@ -328,10 +428,10 @@ impl RankSm {
             };
         }
         let steps = std::mem::take(&mut self.steps);
-        let res = self.exec_step(&steps[self.step_idx], ctx);
+        self.exec_step(&steps[self.step_idx], ctx);
         self.steps = steps;
         self.step_idx += 1;
-        res
+        Ok(())
     }
 
     fn load_init(&mut self) -> Result<(), RunError> {
@@ -342,13 +442,12 @@ impl RankSm {
         self.version = self.model.iterations_done() + 1;
         self.steps = phase.steps;
         self.step_idx = 0;
-        // run_init never coordinates an iteration boundary, matching
-        // the threaded reference.
+        // Initialization never coordinates an iteration boundary.
         self.phase = PhaseState::Loaded { ends_iteration: false };
         Ok(())
     }
 
-    fn load_next_phase(&mut self) -> Result<(), RunError> {
+    pub(super) fn load_next_phase(&mut self) -> Result<(), RunError> {
         let phase = {
             let mut ts = TrackedSpace::new(&mut self.space, &mut self.tracker);
             self.model.next_phase(&mut ts)?
@@ -361,8 +460,11 @@ impl RankSm {
     }
 
     /// First half of the iteration boundary: compute the local vote and
-    /// enter the boundary allreduce. The second half runs in
-    /// `complete_coll` when the round closes.
+    /// enter the boundary allreduce — STOP (run limit reached), FAIL
+    /// (injected failure), CHECKPOINT (interval elapsed). The OR of the
+    /// votes is the global decision, so the coordinated checkpoint
+    /// costs no extra communication round (§6.2). The second half runs
+    /// in `complete_coll` when the round closes.
     fn begin_boundary(&mut self, ctx: &EngineCtx<'_>) {
         let pre = self.clock;
         self.tracker.mark_iteration(self.clock);
@@ -373,13 +475,18 @@ impl RankSm {
         if past_time || past_iters {
             votes = votes.with(VoteFlags::STOP);
         }
+        if let Some(ft) = &self.ft {
+            votes = ft.vote(votes, self.clock);
+        }
         self.blocked = Blocked::Coll(CollOp::Vote { votes: votes.0, pre, iterations });
     }
 
-    fn exec_step(&mut self, step: &Step, ctx: &EngineCtx<'_>) -> Result<(), RunError> {
+    fn exec_step(&mut self, step: &Step, ctx: &EngineCtx<'_>) {
         let version = self.version;
         match step {
             Step::Compute { duration, pattern } => {
+                // Sliced at timeslice boundaries so the tracker's alarm
+                // sees exactly the pages a real run dirties per window.
                 let start = self.clock;
                 let end = start + *duration;
                 let dur_s = duration.as_secs_f64();
@@ -406,10 +513,15 @@ impl RankSm {
                 }
                 self.clock = end;
                 if ctx.stretch_overhead {
+                    // §6.5: fault handling slows the application down;
+                    // stretch the clock by the handler cost.
                     self.clock += self.tracker.fault_cost(faults);
                 }
             }
             Step::Send { to, tag, bytes } => {
+                // Hand-off: copy into the NIC's buffer at memory
+                // bandwidth. Wire: serialize on this rank's NIC, then
+                // link latency; the sender does not wait for it.
                 let handoff = ctx.net.send_handoff_time(self.clock, *bytes);
                 let arrival = self.nic.transfer(self.clock, *bytes);
                 self.outbox.push((*to, Msg { src: self.rank, tag: *tag, bytes: *bytes, arrival }));
@@ -432,18 +544,18 @@ impl RankSm {
                 });
             }
         }
-        Ok(())
     }
 
-    /// Consume a matched message: same math as `Endpoint::recv` +
-    /// the threaded runner's `Step::Recv` arm.
+    /// Consume a matched message: the clock jumps to
+    /// `max(local, arrival)` plus the bounce-buffer copy, which dirties
+    /// the destination pages (§4.2).
     fn complete_recv(
         &mut self,
         msg: Msg,
         into: Option<PageRange>,
         version: u64,
         ctx: &EngineCtx<'_>,
-    ) -> Result<(), RunError> {
+    ) {
         self.clock = ctx.net.recv_complete_time(self.clock, msg.arrival, msg.bytes);
         self.bytes_received += msg.bytes;
         self.tracker.advance_to(self.clock);
@@ -454,11 +566,9 @@ impl RankSm {
             let mut ts = TrackedSpace::new(&mut self.space, &mut self.tracker);
             ts.touch(r, version);
         }
-        Ok(())
     }
 
-    /// Finish a collective whose round closed at `res.time`: same math
-    /// as the `Endpoint` collective plus the threaded runner's arm.
+    /// Finish a collective whose round closed at `res.time`.
     fn complete_coll(
         &mut self,
         op: CollOp,
@@ -496,6 +606,10 @@ impl RankSm {
                 self.clock = ctx.net.allreduce_complete_time(res.time, ctx.nranks, 16);
                 self.tracker.advance_to(self.clock);
                 self.tracker.note_received(recv);
+                // Snapshot the boundary: a shorter run stopping here
+                // ends with exactly these clocks and counters
+                // (checkpoint work below only happens when the run
+                // continues or a checkpoint is due).
                 self.tracker.snapshot_residue(self.clock);
                 if self.compact_boundaries {
                     self.boundaries.clear();
@@ -514,21 +628,44 @@ impl RankSm {
                     Event::IterationBoundary { iteration: iterations },
                 );
                 let global = VoteFlags(res.value);
-                debug_assert!(!global.has(VoteFlags::FAIL), "engine runs are failure-free");
-                if global.has(VoteFlags::STOP) {
-                    self.tracker.finish(self.clock);
-                    self.blocked = Blocked::Done;
+                if self.ft.is_some() {
+                    self.checkpoint_boundary(global, ctx)?;
                 } else {
-                    self.load_next_phase()?;
+                    debug_assert!(!global.has(VoteFlags::FAIL), "only checkpointed ranks fail");
+                    self.end_boundary(global.has(VoteFlags::STOP))?;
                 }
             }
+            CollOp::Settle { .. } => self.settled(res, ctx)?,
+            CollOp::Commit { .. } => self.committed(res, ctx)?,
         }
         Ok(())
     }
 
-    fn into_report(mut self) -> RankReport {
+    /// Last step of an iteration boundary: stop, or run the next phase.
+    pub(super) fn end_boundary(&mut self, stop: bool) -> Result<(), RunError> {
+        if stop {
+            self.finish();
+            Ok(())
+        } else {
+            self.load_next_phase()
+        }
+    }
+
+    /// The rank is done (run limit reached or global FAIL vote).
+    pub(super) fn finish(&mut self) {
+        self.tracker.finish(self.clock);
+        let digest = self.space.backed().map(|s| s.content_digest());
+        if let Some(ft) = &mut self.ft {
+            ft.digest = digest;
+        }
+        self.blocked = Blocked::Done;
+    }
+
+    pub(super) fn into_report(mut self) -> (RankReport, Option<Box<FtRank>>) {
         let trace = self.tracker.records_trace().then(|| self.tracker.take_trace());
-        RankReport {
+        let ft = self.ft.take();
+        let ckpt = ft.as_deref();
+        let report = RankReport {
             rank: self.rank,
             samples: self.tracker.samples().to_vec(),
             epoch_samples: self.tracker.epoch_samples().to_vec(),
@@ -540,49 +677,35 @@ impl RankSm {
             iterations: self.model.iterations_done(),
             bytes_received: self.bytes_received,
             footprint_pages: self.tracker.footprint_pages(),
-            content_digest: None,
-            checkpoint_bytes: 0,
-            checkpoints: 0,
-            checkpoint_stall: SimDuration::ZERO,
-            commit_lag: SimDuration::ZERO,
+            content_digest: ckpt.and_then(|c| c.digest),
+            checkpoint_bytes: ckpt.map_or(0, |c| c.bytes_written),
+            checkpoints: ckpt.map_or(0, |c| c.count),
+            checkpoint_stall: ckpt.map_or(SimDuration::ZERO, |c| c.stall),
+            commit_lag: ckpt.map_or(SimDuration::ZERO, |c| c.commit_lag),
             excluded_pages: self.tracker.excluded_pages(),
-            content: ContentStats::default(),
-            last_committed: None,
+            content: ckpt.map_or_else(ContentStats::default, |c| c.content),
+            last_committed: ckpt.and_then(|c| c.planner.last_committed()),
             summary: *self.tracker.sample_summary(),
             boundaries: self.boundaries,
             trace,
             tier: None,
-        }
+        };
+        (report, ft)
     }
 }
 
-/// Event-driven characterization: byte-identical results to
-/// [`super::characterize_model_threaded`] at any worker count.
-pub(crate) fn characterize_event<F>(
-    cfg: &CharacterizationConfig,
-    layout: DataLayout,
-    build: &F,
-) -> RunReport
-where
-    F: Fn(usize) -> Box<dyn AppModel> + Sync,
-{
-    let nranks = cfg.nranks;
-    assert!(nranks > 0, "characterization needs at least one rank");
-    let workers = resolve_workers(cfg.workers);
-    cfg.obs.emit(Lane::Run, SimTime::ZERO, Event::RunStart { ranks: nranks as u32 });
-    let ctx = EngineCtx {
-        net: &cfg.net,
-        nranks,
-        run_for: cfg.run_for,
-        max_iterations: None,
-        stretch_overhead: cfg.stretch_overhead,
-        obs: &cfg.obs,
-    };
-    let mut sms = build_ranks(cfg, layout, build, workers);
-
+/// Drive `sms` until every rank finished. Returns the first rank error
+/// in resolve order, or the typed stall of a script that cannot
+/// complete.
+pub(super) fn run<S: RankSpace>(
+    ctx: &EngineCtx<'_>,
+    sms: &mut [Mutex<RankSm<S>>],
+    workers: usize,
+) -> Result<(), RunError> {
+    let nranks = sms.len();
     let mut wheel: EventWheel<usize> = EventWheel::new();
     for (r, m) in sms.iter_mut().enumerate() {
-        m.get_mut().expect("lock poisoned").in_wheel = true;
+        m.get_mut().expect(POISON).in_wheel = true;
         wheel.push(SimTime::ZERO, r);
     }
     let mut round: Option<Round> = None;
@@ -596,48 +719,49 @@ where
         }
 
         // Advance phase: rank-local, order-independent.
-        if workers > 1 && batch.len() >= PAR_BATCH_MIN {
+        if workers > 1 && batch.len() >= par_batch_min::<S>() {
             let chunk = batch.len().div_ceil(workers);
-            let sms_ref = &sms;
-            let ctx_ref = &ctx;
+            let sms = &*sms;
             std::thread::scope(|s| {
                 for ch in batch.chunks(chunk) {
                     s.spawn(move || {
                         for &r in ch {
-                            sms_ref[r].lock().expect("lock poisoned").advance(ctx_ref);
+                            sms[r].lock().expect(POISON).advance(ctx);
                         }
                     });
                 }
             });
         } else {
             for &r in &batch {
-                sms[r].get_mut().expect("lock poisoned").advance(&ctx);
+                sms[r].get_mut().expect(POISON).advance(ctx);
             }
         }
 
         // Resolve phase: serial, in deterministic batch order.
         wake.clear();
         for &r in &batch {
-            sms[r].get_mut().expect("lock poisoned").in_wheel = false;
+            sms[r].get_mut().expect(POISON).in_wheel = false;
         }
         for &r in &batch {
-            let (outbox, join) = {
-                let sm = sms[r].get_mut().expect("lock poisoned");
-                if let Some(e) = sm.error.take() {
-                    panic!("characterization run failed: {e}");
+            let sm = sms[r].get_mut().expect(POISON);
+            if let Some(e) = sm.error.take() {
+                return Err(e);
+            }
+            match sm.blocked {
+                Blocked::Coll(op) => {
+                    debug_assert!(sm.completion.is_none());
+                    join_round(&mut round, r, nranks, op, sm.clock)?;
                 }
-                let join = match sm.blocked {
-                    Blocked::Coll(op) => {
-                        debug_assert!(sm.completion.is_none());
-                        Some((op, sm.clock))
-                    }
-                    _ => None,
-                };
-                (std::mem::take(&mut sm.outbox), join)
-            };
-            for (dst, msg) in outbox {
+                Blocked::Shared => {
+                    sm.perform_io(ctx)?;
+                    sm.in_wheel = true;
+                    wake.push((sm.clock, r));
+                }
+                _ => {}
+            }
+            for (dst, msg) in std::mem::take(&mut sm.outbox) {
                 assert!(dst < nranks, "rank {r} sent to unknown rank {dst}");
-                let d = sms[dst].get_mut().expect("lock poisoned");
+                let d = sms[dst].get_mut().expect(POISON);
                 let wanted = matches!(
                     d.blocked,
                     Blocked::Recv { from, tag, .. } if from == msg.src && tag == msg.tag
@@ -648,19 +772,21 @@ where
                     wake.push((d.clock, dst));
                 }
             }
-            if let Some((op, entered)) = join {
-                join_round(&mut round, op, entered);
-            }
         }
         if round.as_ref().is_some_and(|rd| rd.joined == nranks) {
             let rd = round.take().expect("round present");
+            let res = if rd.gathered.is_empty() {
+                RoundResult { time: rd.max_time, value: rd.value }
+            } else {
+                ft::close_commit(ctx, sms, rd.max_time, &rd.gathered)?
+            };
             for (r, m) in sms.iter_mut().enumerate() {
-                let sm = m.get_mut().expect("lock poisoned");
+                let sm = m.get_mut().expect(POISON);
                 debug_assert!(matches!(sm.blocked, Blocked::Coll(_)));
-                sm.completion = Some(RoundResult { time: rd.max_time, value: rd.value });
+                sm.completion = Some(res);
                 if !sm.in_wheel {
                     sm.in_wheel = true;
-                    wake.push((rd.max_time, r));
+                    wake.push((res.time, r));
                 }
             }
         }
@@ -670,25 +796,52 @@ where
     }
 
     // The wheel drained: every rank must have finished, otherwise the
-    // script deadlocked (a recv nobody sends, or a partial collective).
-    for m in &mut sms {
-        let sm = m.get_mut().expect("lock poisoned");
+    // script deadlocked. Name the receive nobody sends to if there is
+    // one — ranks stuck in a collective are waiting for that rank.
+    let mut stalled = None;
+    for m in sms {
+        let sm = m.get_mut().expect(POISON);
         match sm.blocked {
             Blocked::Done => {}
             Blocked::Recv { from, tag, .. } => {
-                let e = RunError::Net(NetError::RecvTimeout { rank: sm.rank, from, tag });
-                panic!("characterization run failed: {e}");
+                return Err(NetError::UnmatchedRecv { rank: sm.rank, from, tag }.into());
             }
-            _ => panic!(
-                "characterization run failed: rank {} stalled in a collective \
-                 (mismatched script?)",
-                sm.rank
-            ),
+            _ => {
+                stalled.get_or_insert(NetError::PartialCollective { rank: sm.rank });
+            }
         }
     }
+    stalled.map_or(Ok(()), |e| Err(e.into()))
+}
 
-    let ranks: Vec<RankReport> =
-        sms.into_iter().map(|m| m.into_inner().expect("lock poisoned").into_report()).collect();
+/// Event-driven characterization: byte-identical reports at any worker
+/// count. Panics when the script cannot complete (see
+/// [`super::characterize_model`]).
+pub(super) fn characterize_event<F>(
+    cfg: &CharacterizationConfig,
+    layout: DataLayout,
+    build: &F,
+) -> RunReport
+where
+    F: Fn(usize) -> Box<dyn AppModel> + Sync,
+{
+    assert!(cfg.nranks > 0, "characterization needs at least one rank");
+    let workers = resolve_workers(cfg.workers);
+    cfg.obs.emit(Lane::Run, SimTime::ZERO, Event::RunStart { ranks: cfg.nranks as u32 });
+    let ctx = EngineCtx {
+        net: &cfg.net,
+        nranks: cfg.nranks,
+        run_for: cfg.run_for,
+        max_iterations: None,
+        stretch_overhead: cfg.stretch_overhead,
+        obs: &cfg.obs,
+        ft: None,
+    };
+    let mut sms = build_ranks(cfg, layout, build, workers);
+    if let Err(e) = run(&ctx, &mut sms, workers) {
+        panic!("characterization run failed: {e}");
+    }
+    let ranks = sms.into_iter().map(|m| m.into_inner().expect(POISON).into_report().0).collect();
     RunReport {
         outcome: RunOutcome::Completed,
         ranks,
@@ -707,7 +860,7 @@ fn build_ranks<F>(
     layout: DataLayout,
     build: &F,
     workers: usize,
-) -> Vec<Mutex<RankSm>>
+) -> Vec<Mutex<RankSm<SparseSpace>>>
 where
     F: Fn(usize) -> Box<dyn AppModel> + Sync,
 {
@@ -719,7 +872,8 @@ where
             cfg.tracker_config(rank),
         );
         let compact = !cfg.detail.rank_is_full(rank, cfg.trace_ranks);
-        Mutex::new(RankSm::new(rank, space, tracker, build(rank), cfg.net.build_nic(), compact))
+        let nic = cfg.net.build_nic();
+        Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, compact, None))
     };
     if workers <= 1 || cfg.nranks < 256 {
         return (0..cfg.nranks).map(mk).collect();
@@ -738,9 +892,9 @@ where
     })
 }
 
-// Tests for the engine live in `tests/` (cross-path byte-identity and
+// Tests for the engine live in `tests/` (worker-count byte-identity and
 // scheduler property suites); unit coverage here sticks to the pieces
-// with no cross-path oracle.
+// with no cross-run oracle.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -772,17 +926,29 @@ mod tests {
             CollOp::Vote { votes: 1, pre: SimTime::ZERO, iterations: 0 }.sig(),
             CollOp::Vote { votes: 9, pre: SimTime::ZERO, iterations: 4 }.sig(),
         );
+        // The 8-byte settle allreduce is not an application allreduce
+        // of 8 bytes, and not the commit gather either.
+        let settle = CollOp::Settle { write_done: SimTime(7) };
+        assert_ne!(settle.sig(), CollOp::Allreduce { bytes: 8 }.sig());
+        assert_ne!(settle.sig(), CollOp::Commit { payload: 7 }.sig());
     }
 
     #[test]
-    fn round_folds_votes_with_or() {
+    fn round_folds_votes_with_or_and_gathers_commit_payloads() {
         let mut round = None;
         let op = |v: u64| CollOp::Vote { votes: v, pre: SimTime::ZERO, iterations: 0 };
-        join_round(&mut round, op(0b01), SimTime(5));
-        join_round(&mut round, op(0b10), SimTime(3));
-        let rd = round.unwrap();
-        assert_eq!(rd.joined, 2);
-        assert_eq!(rd.max_time, SimTime(5));
-        assert_eq!(rd.value, 0b11);
+        join_round(&mut round, 0, 2, op(0b01), SimTime(5)).unwrap();
+        join_round(&mut round, 1, 2, op(0b10), SimTime(3)).unwrap();
+        let rd = round.take().unwrap();
+        assert_eq!((rd.joined, rd.max_time, rd.value), (2, SimTime(5), 0b11));
+        assert!(rd.gathered.is_empty());
+
+        join_round(&mut round, 1, 2, CollOp::Commit { payload: 40 }, SimTime(1)).unwrap();
+        join_round(&mut round, 0, 2, CollOp::Commit { payload: 30 }, SimTime(2)).unwrap();
+        assert_eq!(round.as_ref().unwrap().gathered, vec![30, 40], "indexed by rank");
+        assert_eq!(
+            join_round(&mut round, 0, 2, CollOp::Barrier, SimTime(9)),
+            Err(NetError::CollectiveMismatch { rank: 0 }),
+        );
     }
 }

@@ -1,14 +1,15 @@
-//! The cluster runner: application models on rank threads over virtual
-//! time, with write tracking, coordinated checkpointing, failure
-//! injection and rollback recovery.
+//! The cluster runner: application models as rank state machines over
+//! virtual time, with write tracking, coordinated checkpointing,
+//! failure injection and rollback recovery.
 //!
 //! Two entry points:
 //!
 //! * [`characterize`] — the paper's methodology (§4): run a workload on
-//!   a metadata-only [`SparseSpace`] per rank with the write tracker
-//!   sampling every timeslice. This is what regenerates every table and
-//!   figure, and it scales to the full 64-rank, 1 GB/process
-//!   configurations because no page contents exist.
+//!   a metadata-only [`SparseSpace`](ickpt_mem::SparseSpace) per rank
+//!   with the write tracker sampling every timeslice. This is what
+//!   regenerates every table and figure, and it scales to the full
+//!   64-rank, 1 GB/process configurations (and to 16k ranks) because no
+//!   page contents exist.
 //! * [`run_fault_tolerant`] — the system the paper argues is feasible:
 //!   content-backed spaces, coordinated incremental checkpoints at
 //!   iteration boundaries (§6.2), failure injection, and global
@@ -16,22 +17,29 @@
 //!
 //! ## Execution model
 //!
-//! Each rank is a real thread with a virtual clock. Compute steps are
-//! sliced at timeslice boundaries so the tracker's alarm sees exactly
-//! the pages a real run would dirty per window; sends compute arrival
-//! times analytically; receives jump the clock to
-//! `max(local, arrival)` plus the bounce-buffer copy (which dirties the
-//! destination pages, §4.2); collectives rendezvous on the
-//! participants' clocks. The result is bit-for-bit deterministic.
+//! Both run on one substrate, the event engine (`engine.rs`): each rank
+//! is a state machine with a virtual clock, advanced by a fixed worker
+//! pool. Compute steps are sliced at timeslice boundaries so the
+//! tracker's alarm sees exactly the pages a real run would dirty per
+//! window; sends compute arrival times analytically; receives jump the
+//! clock to `max(local, arrival)` plus the bounce-buffer copy (which
+//! dirties the destination pages, §4.2); collectives complete from the
+//! maximum of the participants' clocks. Whatever two ranks can reach —
+//! mailboxes, collective rounds, a shared storage array — is touched
+//! only by the engine's serial resolve phase, in wheel order, so every
+//! report, trace and metrics snapshot is byte-identical at any worker
+//! count and on any host.
 //!
 //! At every iteration boundary the ranks already synchronize, so the
 //! runner piggybacks a vote word on that allreduce: STOP (run limit
 //! reached), FAIL (injected failure), CHECKPOINT (interval elapsed).
 //! The OR of the votes is the global decision — the coordinated
 //! checkpoint costs no extra communication rounds, exactly the
-//! opportunity §6.2 identifies.
+//! opportunity §6.2 identifies. The checkpoint, commit and restore
+//! states that follow are in `ft.rs`.
 
 mod engine;
+mod ft;
 pub mod report;
 pub mod tenant;
 
@@ -40,38 +48,31 @@ pub use tenant::{fleet_profiles, mixed_fleet, TenantHandle, TenantStall, TenantS
 
 use std::sync::{Arc, Mutex};
 
-use ickpt_apps::codec::{ByteReader, ByteWriter};
-use ickpt_apps::step::{AppModel, Step};
+use ickpt_apps::step::AppModel;
 use ickpt_apps::Workload;
-use ickpt_core::checkpoint::{
-    capture_full_with, capture_incremental_with, CaptureConfig, CaptureScratch, ContentStats,
-};
-use ickpt_core::coordinator::{CheckpointPlanner, CheckpointPolicy, VoteFlags};
+use ickpt_core::checkpoint::{CaptureConfig, CaptureScratch, ContentStats};
+use ickpt_core::coordinator::{CheckpointPlanner, CheckpointPolicy};
 use ickpt_core::metrics::{IwsSample, SampleSummary};
-use ickpt_core::restore::{
-    latest_committed_generation, record_restore, restore_rank_with, RestoreConfig,
-};
+use ickpt_core::restore::{latest_committed_generation, RestoreConfig};
 use ickpt_core::trace::RankTrace;
-use ickpt_core::tracked_space::{ContentWrite, TrackedSpace};
 use ickpt_core::tracker::{EpochSample, IterationSample, SampleMode, TrackerConfig, WriteTracker};
-use ickpt_mem::{
-    pages_for_bytes, AddressSpace, BackedSpace, DataLayout, PageRange, SparseSpace, WriteProfile,
-};
-use ickpt_net::comm::Endpoint;
-use ickpt_net::{CommWorld, NetConfig};
+use ickpt_mem::{AddressSpace, BackedSpace, DataLayout, WriteProfile};
+use ickpt_net::NetConfig;
 use ickpt_obs::{DeviceKind, Event, Lane, ObsSummary, Recorder, RecoveryTier};
-use ickpt_sim::rendezvous::Combine;
-use ickpt_sim::{DevicePreset, SimDuration, SimTime, WorkerGate};
+use ickpt_sim::{DevicePreset, SimDuration, SimTime};
 use ickpt_storage::{
-    shared_device, ChunkKey, ChunkKind, ChunkView, DrainStats, DrainTopology, Manifest, RankEntry,
-    RecoverySource, SchemeSpec, StableStorage, StorageError, ThrottledStore, TierTopology,
-    TierUsage, TieredStore,
+    shared_device, ChunkKey, ChunkView, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
+    StableStorage, ThrottledStore, TierTopology, TierUsage,
 };
+
+use engine::{EngineCtx, RankSm};
+use ft::{CkptStore, FtParams, FtRank};
 
 /// Error from a cluster run.
 #[derive(Debug)]
 pub enum RunError {
-    /// Networking failure (usually a mismatched send/recv script).
+    /// The communication script cannot complete: a receive nobody
+    /// sends to, a collective not every rank enters.
     Net(ickpt_net::NetError),
     /// Memory model failure (layout too small, bad unmap).
     Mem(ickpt_mem::MemError),
@@ -293,8 +294,7 @@ pub struct CharacterizationConfig {
     pub trace_ranks: usize,
     /// Flight recorder; disabled by default (zero-cost no-op).
     pub obs: Recorder,
-    /// Worker threads stepping the rank state machines (event engine)
-    /// or executing gated rank threads (threaded path). `None` defers
+    /// Worker threads stepping the rank state machines. `None` defers
     /// to the `ICKPT_SIM_WORKERS` environment knob, then host
     /// parallelism. Results are byte-identical at any value.
     pub workers: Option<usize>,
@@ -357,11 +357,12 @@ pub fn characterize(workload: Workload, cfg: &CharacterizationConfig) -> RunRepo
 
 /// [`characterize`] over an arbitrary model builder.
 ///
-/// Dispatches to the event-driven engine ([`engine`]) by default; set
-/// `ICKPT_SIM_ENGINE=threaded` to force the legacy one-thread-per-rank
-/// reference path. Both produce byte-identical reports (the property
-/// suite pins this), but only the engine scales to tens of thousands
-/// of ranks.
+/// # Panics
+///
+/// When the script cannot complete — a receive nobody sends to, a
+/// collective not every rank enters — or the model outgrows `layout`:
+/// a characterization workload is a fixed catalog entry, so either is
+/// a bug in the model, not a run-time condition.
 pub fn characterize_model<F>(
     cfg: &CharacterizationConfig,
     layout: DataLayout,
@@ -370,87 +371,7 @@ pub fn characterize_model<F>(
 where
     F: Fn(usize) -> Box<dyn AppModel> + Sync,
 {
-    let threaded = std::env::var("ICKPT_SIM_ENGINE").is_ok_and(|v| v.trim() == "threaded");
-    if threaded {
-        characterize_model_threaded(cfg, layout, build)
-    } else {
-        engine::characterize_event(cfg, layout, &build)
-    }
-}
-
-/// The legacy one-thread-per-rank characterization path, kept as the
-/// independent reference implementation the event engine is checked
-/// against. A [`WorkerGate`] caps how many rank threads *execute*
-/// concurrently (permits from [`CharacterizationConfig::workers`]);
-/// every blocking wait inside [`Endpoint`] releases the permit, so the
-/// cap cannot deadlock and virtual-time results are unchanged.
-pub fn characterize_model_threaded<F>(
-    cfg: &CharacterizationConfig,
-    layout: DataLayout,
-    build: F,
-) -> RunReport
-where
-    F: Fn(usize) -> Box<dyn AppModel> + Sync,
-{
-    let world = CommWorld::new(cfg.nranks, cfg.net.clone());
-    let endpoints = world.endpoints();
-    cfg.obs.emit(Lane::Run, SimTime::ZERO, Event::RunStart { ranks: cfg.nranks as u32 });
-    let params = RunParams {
-        run_for: cfg.run_for,
-        max_iterations: None,
-        stretch_overhead: cfg.stretch_overhead,
-        obs: cfg.obs.clone(),
-    };
-    let gate = Arc::new(WorkerGate::new(engine::resolve_workers(cfg.workers)));
-    let reports: Vec<RankReport> = std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut ep)| {
-                let build = &build;
-                let params = &params;
-                let tcfg = cfg.tracker_config(rank);
-                let gate = gate.clone();
-                scope.spawn(move || -> Result<RankReport, RunError> {
-                    ep.set_worker_gate(gate.clone());
-                    let _permit = gate.permit();
-                    let mut space = SparseSpace::new(layout);
-                    let tracker =
-                        WriteTracker::new(layout.capacity_pages(), space.mapped_pages(), tcfg);
-                    let model = build(rank);
-                    let mut runner = RankRunner::new(
-                        rank,
-                        &mut space,
-                        tracker,
-                        ep,
-                        model,
-                        SimTime::ZERO,
-                        None,
-                        None,
-                        params,
-                    );
-                    runner.run_init()?;
-                    let (failed, _) = runner.run_loop()?;
-                    debug_assert!(!failed);
-                    Ok(runner.into_report(None))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
-            .collect::<Result<Vec<_>, _>>()
-            .unwrap_or_else(|e| panic!("characterization run failed: {e}"))
-    });
-    RunReport {
-        outcome: RunOutcome::Completed,
-        ranks: reports,
-        attempts: 1,
-        wasted: SimDuration::ZERO,
-        recoveries: Vec::new(),
-        drain: None,
-        obs: summarize_obs(&cfg.obs),
-    }
+    engine::characterize_event(cfg, layout, &build)
 }
 
 // ---------------------------------------------------------------------
@@ -464,7 +385,8 @@ pub enum StoragePath {
     /// dedicated network lane): checkpoint writes proceed in parallel.
     PerRank,
     /// All ranks contend on one array (a shared parallel filesystem):
-    /// writes serialize, so the stall grows with the rank count.
+    /// writes serialize — in event-wheel order, so a run is reproducible
+    /// — and the stall grows with the rank count.
     Shared,
 }
 
@@ -610,6 +532,13 @@ pub struct FaultTolerantConfig {
 /// Run a model fleet with coordinated checkpointing and recovery on
 /// content-backed spaces. `build(rank)` constructs the model; `layout`
 /// must fit it.
+///
+/// # Errors
+///
+/// Storage, restore and memory-model failures, and — instead of a hang
+/// or a panic — a script that cannot complete
+/// ([`RunError::Net`]: the engine's wheel drained with ranks still
+/// blocked).
 pub fn run_fault_tolerant<F>(
     cfg: &FaultTolerantConfig,
     layout: DataLayout,
@@ -619,6 +548,22 @@ where
     F: Fn(usize) -> Box<dyn AppModel> + Sync,
 {
     assert!(cfg.max_attempts >= 1);
+    // Every `ICKPT_*` knob of the run is read here, once: a malformed
+    // value exits 2 before any rank has started.
+    let mut capture = CaptureConfig::from_env();
+    if let Some(dedup) = cfg.dedup {
+        capture.dedup = dedup;
+    }
+    capture.obs = cfg.obs.clone();
+    let knobs = Knobs {
+        capture,
+        params: FtParams {
+            mode: cfg.mode,
+            restore: RestoreConfig::from_env(),
+            timeslice: cfg.timeslice,
+        },
+        workers: engine::resolve_workers(None),
+    };
     // The tier topology outlives attempts: node-local data survives a
     // process restart (that survival is the whole point of the tier),
     // and NodeLoss wipes exactly one rank's local store below.
@@ -644,11 +589,21 @@ where
     let mut resume_from: Option<u64> = None;
     let mut wasted = SimDuration::ZERO;
     let mut recoveries = Vec::new();
-    // Capture buffers survive attempts: a rollback re-leases the failed
+    // Capture buffers survive attempts: a rollback reuses the failed
     // attempt's allocations instead of re-growing them.
-    let arena = Arc::new(RankArena::new());
+    let mut scratch: Vec<CaptureScratch> = Vec::new();
+    scratch.resize_with(cfg.nranks, CaptureScratch::new);
     loop {
-        let report = ft_attempt(cfg, layout, &build, resume_from, attempt, topo.as_ref(), &arena)?;
+        let report = ft_attempt(
+            cfg,
+            layout,
+            &build,
+            resume_from,
+            attempt,
+            topo.as_ref(),
+            &knobs,
+            &mut scratch,
+        )?;
         attempt += 1;
         match report.outcome {
             RunOutcome::Completed => {
@@ -770,6 +725,15 @@ where
     }
 }
 
+/// What [`run_fault_tolerant`] resolved from the environment at entry.
+struct Knobs {
+    capture: CaptureConfig,
+    params: FtParams,
+    workers: usize,
+}
+
+/// One attempt: every rank runs from `init` (or from the rollback
+/// restore of `resume_from`) to the STOP or FAIL vote, on the engine.
 #[allow(clippy::too_many_arguments)]
 fn ft_attempt<F>(
     cfg: &FaultTolerantConfig,
@@ -778,215 +742,85 @@ fn ft_attempt<F>(
     resume_from: Option<u64>,
     attempt: u32,
     topo: Option<&Arc<TierTopology>>,
-    arena: &Arc<RankArena>,
+    knobs: &Knobs,
+    scratch: &mut [CaptureScratch],
 ) -> Result<RunReport, RunError>
 where
     F: Fn(usize) -> Box<dyn AppModel> + Sync,
 {
-    let world = CommWorld::new(cfg.nranks, cfg.net.clone());
-    let endpoints = world.endpoints();
-    // Cap host-thread fan-out exactly as the characterization paths do;
-    // blocking waits release the permit, so the cap cannot deadlock.
-    let gate = Arc::new(WorkerGate::new(engine::resolve_workers(None)));
-    let params = RunParams {
+    let ctx = EngineCtx {
+        net: &cfg.net,
+        nranks: cfg.nranks,
         run_for: SimDuration(u64::MAX / 4),
         max_iterations: Some(cfg.max_iterations),
         stretch_overhead: false,
-        obs: cfg.obs.clone(),
+        obs: &cfg.obs,
+        ft: Some(&knobs.params),
     };
     let failure = cfg.failures.get(attempt as usize).copied();
     // One shared array for every rank, or None for per-rank paths.
     // Tiered runs charge the array through the drain instead.
     let array = (topo.is_none() && matches!(cfg.storage_path, StoragePath::Shared))
         .then(|| shared_device(cfg.device.build()));
-    let results: Vec<Result<(RankReport, bool), RunError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = endpoints
-            .into_iter()
-            .enumerate()
-            .map(|(rank, mut ep)| {
-                let params = &params;
-                let store = cfg.store.clone();
-                let policy = cfg.policy;
-                let device = cfg.device;
-                let timeslice = cfg.timeslice;
-                let mode = cfg.mode;
-                let array = array.clone();
-                let topo = topo.cloned();
-                let obs = cfg.obs.clone();
-                let gate = gate.clone();
-                let arena = arena.clone();
-                scope.spawn(move || -> Result<(RankReport, bool), RunError> {
-                    ep.set_worker_gate(gate.clone());
-                    let _permit = gate.permit();
-                    let tcfg = TrackerConfig {
-                        timeslice,
-                        fault_cost: SimDuration::ZERO,
-                        track_checkpoint_set: true,
-                        epoch: None,
-                        track_iterations: false,
-                        record_trace: false,
-                        obs: obs.clone(),
-                        obs_rank: rank as u32,
-                        sample_mode: SampleMode::Full,
-                    };
-                    let mut space = BackedSpace::new(layout);
-                    space.set_write_profile(cfg.write_profile);
-                    let mut model = build(rank);
-                    let mut clock = SimTime::ZERO;
-                    let mut planner = CheckpointPlanner::new(policy, SimTime::ZERO);
-                    let tstore = match &topo {
-                        Some(t) => CkptStore::Tiered(t.handle(rank)),
-                        None => CkptStore::Flat(match array {
-                            // Shared-array contention resolves in host
-                            // thread arrival order, so queue waits are
-                            // not virtual-time deterministic; that leg
-                            // stays uninstrumented to keep trace
-                            // exports byte-stable across thread counts.
-                            Some(dev) => ThrottledStore::with_shared_device(store.clone(), dev),
-                            None => ThrottledStore::new(store.clone(), device.build()).observed(
-                                obs.clone(),
-                                Lane::Rank(rank as u32),
-                                Lane::Device(DeviceKind::Storage, rank as u32),
-                            ),
-                        }),
-                    };
-                    let mut skip_init = false;
-                    if let Some(gen) = resume_from {
-                        // Rollback recovery: restore memory, model
-                        // state and clock from the committed
-                        // generation. The manifest read and the chain
-                        // reads go through the same bandwidth-modelled
-                        // path as checkpoint writes (tiered recovery:
-                        // local, then peer reconstruction, then the
-                        // shared array), so restart cost uses the
-                        // paper's device model.
-                        let (restore_report, read_cost) = match &tstore {
-                            CkptStore::Tiered(_) => {
-                                let t = topo.as_ref().expect("tiered store implies topology");
-                                let reader = t.reader(rank, SimTime::ZERO);
-                                validate_manifest(&reader.get_manifest(gen)?, gen, cfg.nranks)?;
-                                let report = restore_rank_with(
-                                    &reader,
-                                    rank as u32,
-                                    gen,
-                                    &mut space,
-                                    &RestoreConfig::from_env(),
-                                )?;
-                                let cost = reader.now().saturating_sub(SimTime::ZERO);
-                                t.note_recovery_time(rank, cost);
-                                (report, cost)
-                            }
-                            CkptStore::Flat(ts) => {
-                                let (mdata, t0) = ts.get_manifest_timed(SimTime::ZERO, gen)?;
-                                validate_manifest(&mdata, gen, cfg.nranks)?;
-                                let reader = ts.timed_reads(t0);
-                                let report = restore_rank_with(
-                                    &reader,
-                                    rank as u32,
-                                    gen,
-                                    &mut space,
-                                    &RestoreConfig::from_env(),
-                                )?;
-                                (report, reader.now().saturating_sub(SimTime::ZERO))
-                            }
-                        };
-                        record_restore(
-                            &obs,
-                            rank as u32,
-                            SimTime::ZERO,
-                            SimTime::ZERO + read_cost,
-                            &restore_report,
-                        );
-                        let mut blob = ByteReader::new(&restore_report.app_state);
-                        let model_state = blob
-                            .get_bytes()
-                            .map_err(|_| {
-                                ickpt_storage::StorageError::Corrupt("bad app state".into())
-                            })?
-                            .to_vec();
-                        let digest = blob.get_u64().map_err(|_| {
-                            ickpt_storage::StorageError::Corrupt("missing digest".into())
-                        })?;
-                        // Restore self-check: the rebuilt image must
-                        // hash to what was captured.
-                        if space.content_digest() != digest {
-                            return Err(ickpt_storage::StorageError::Corrupt(format!(
-                                "rank {rank}: restored image digest mismatch at generation {gen}"
-                            ))
-                            .into());
-                        }
-                        model.restore_state(&model_state).map_err(|_| {
-                            ickpt_storage::StorageError::Corrupt("bad app state".into())
-                        })?;
-                        clock = SimTime(restore_report.capture_time_ns) + read_cost;
-                        planner.resume_after(gen, clock);
-                        skip_init = true;
-                    }
-                    let mut tracker =
-                        WriteTracker::new(layout.capacity_pages(), space.mapped_pages(), tcfg);
-                    // Alarms continue on the absolute virtual clock.
-                    tracker.advance_to(clock);
-                    let ckpt = RankCheckpointer {
-                        rank,
-                        nranks: cfg.nranks,
-                        planner,
-                        tstore,
-                        mode,
-                        pending: None,
-                        bytes_written: 0,
-                        count: 0,
-                        stall: SimDuration::ZERO,
-                        commit_lag: SimDuration::ZERO,
-                        capture_cfg: {
-                            let mut c = CaptureConfig::from_env();
-                            if let Some(dedup) = cfg.dedup {
-                                c.dedup = dedup;
-                            }
-                            c.obs = obs.clone();
-                            c.obs_rank = rank as u32;
-                            c
-                        },
-                        scratch: arena.acquire(),
-                        arena: Some(arena),
-                        content: ContentStats::default(),
-                        obs,
-                    };
-                    let mut runner = RankRunner::new(
-                        rank,
-                        &mut space,
-                        tracker,
-                        ep,
-                        model,
-                        clock,
-                        failure.and_then(|f| (f.rank == rank).then_some(f.at)),
-                        Some(ckpt),
-                        params,
-                    );
-                    if !skip_init {
-                        runner.run_init()?;
-                    }
-                    let (failed, last_committed) = runner.run_loop()?;
-                    let digest = runner.space.content_digest();
-                    let mut report = runner.into_report(Some(digest));
-                    report.last_committed = last_committed;
-                    Ok((report, failed))
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("rank thread panicked")).collect()
-    });
-    let mut ranks = Vec::with_capacity(cfg.nranks);
+    let mut sms: Vec<Mutex<RankSm<BackedSpace>>> = (0..cfg.nranks)
+        .map(|rank| {
+            let rank_lane = Lane::Rank(rank as u32);
+            let tstore = match (topo, &array) {
+                (Some(t), _) => CkptStore::Tiered(t.handle(rank)),
+                // Every rank queues on the one array; the engine makes
+                // these calls from its serial phase, in wheel order.
+                (None, Some(dev)) => CkptStore::Flat(
+                    ThrottledStore::with_shared_device(cfg.store.clone(), dev.clone()).observed(
+                        cfg.obs.clone(),
+                        rank_lane,
+                        Lane::Device(DeviceKind::Array, 0),
+                    ),
+                ),
+                (None, None) => CkptStore::Flat(
+                    ThrottledStore::new(cfg.store.clone(), cfg.device.build()).observed(
+                        cfg.obs.clone(),
+                        rank_lane,
+                        Lane::Device(DeviceKind::Storage, rank as u32),
+                    ),
+                ),
+            };
+            let mut capture = knobs.capture.clone();
+            capture.obs_rank = rank as u32;
+            let ft = FtRank::new(
+                CheckpointPlanner::new(cfg.policy, SimTime::ZERO),
+                tstore,
+                array.is_some(),
+                failure.and_then(|f| (f.rank == rank).then_some(f.at)),
+                resume_from,
+                capture,
+                std::mem::take(&mut scratch[rank]),
+            );
+            let mut space = BackedSpace::new(layout);
+            space.set_write_profile(cfg.write_profile);
+            let tracker = WriteTracker::new(
+                layout.capacity_pages(),
+                space.mapped_pages(),
+                knobs.params.tracker_config(&cfg.obs, rank),
+            );
+            let nic = cfg.net.build_nic();
+            Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, false, Some(ft)))
+        })
+        .collect();
+    engine::run(&ctx, &mut sms, knobs.workers)?;
+
     let mut failed = false;
-    for r in results {
-        let (report, rank_failed) = r?;
-        failed |= rank_failed;
-        ranks.push(report);
-    }
-    if let Some(t) = topo {
-        for (rank, report) in ranks.iter_mut().enumerate() {
-            report.tier = Some(t.usage(rank));
-        }
-    }
+    let ranks: Vec<RankReport> = sms
+        .into_iter()
+        .map(|m| {
+            let sm = m.into_inner().expect(engine::POISON);
+            let (mut report, ft) = sm.into_report();
+            let ft = ft.expect("fault-tolerant ranks carry checkpoint state");
+            failed |= ft.failed;
+            scratch[report.rank] = ft.scratch;
+            report.tier = topo.map(|t| t.usage(report.rank));
+            report
+        })
+        .collect();
     // All ranks agree on the outcome via the vote; use rank 0.
     let outcome = if failed {
         RunOutcome::Failed { recover_from: ranks[0].last_committed }
@@ -1004,715 +838,8 @@ where
     })
 }
 
-/// Decode a commit manifest and check it covers every rank at the
-/// expected generation before a restore trusts it.
-fn validate_manifest(data: &[u8], generation: u64, nranks: usize) -> Result<(), RunError> {
-    let manifest = Manifest::decode(data)?;
-    if manifest.generation != generation || manifest.nranks as usize != nranks {
-        return Err(StorageError::Corrupt(format!(
-            "manifest mismatch: found generation {} over {} ranks, expected {generation} over {nranks}",
-            manifest.generation, manifest.nranks
-        ))
-        .into());
-    }
-    if !manifest.is_complete() {
-        return Err(StorageError::Corrupt(format!(
-            "manifest of generation {generation} does not cover every rank"
-        ))
-        .into());
-    }
-    Ok(())
-}
-
-// ---------------------------------------------------------------------
-// The per-rank execution engine
-// ---------------------------------------------------------------------
-
-/// A rank's write path to stable storage: either the single-tier
-/// throttled store or a handle into the multilevel [`TierTopology`].
-enum CkptStore {
-    Flat(ThrottledStore),
-    Tiered(TieredStore),
-}
-
-impl CkptStore {
-    fn put_chunk_timed(
-        &self,
-        now: SimTime,
-        key: ChunkKey,
-        data: &[u8],
-    ) -> Result<SimTime, StorageError> {
-        match self {
-            CkptStore::Flat(s) => s.put_chunk_timed(now, key, data),
-            CkptStore::Tiered(s) => s.put_chunk_timed(now, key, data),
-        }
-    }
-
-    fn put_manifest_timed(
-        &self,
-        now: SimTime,
-        generation: u64,
-        data: &[u8],
-    ) -> Result<SimTime, StorageError> {
-        match self {
-            CkptStore::Flat(s) => s.put_manifest_timed(now, generation, data),
-            CkptStore::Tiered(s) => s.put_manifest_timed(now, generation, data),
-        }
-    }
-
-    /// Commit notification at the barrier-released instant: feeds the
-    /// background drain on tiered runs, a no-op on flat ones (their
-    /// writes already went to the durable store).
-    fn note_committed(&self, generation: u64, commit_time: SimTime) -> Result<(), StorageError> {
-        match self {
-            CkptStore::Flat(_) => Ok(()),
-            CkptStore::Tiered(s) => s.note_committed(generation, commit_time),
-        }
-    }
-}
-
-struct RunParams {
-    run_for: SimDuration,
-    max_iterations: Option<u64>,
-    stretch_overhead: bool,
-    obs: Recorder,
-}
-
-/// Pool of per-rank capture scratch buffers shared across the attempts
-/// of a fault-tolerant run: rank threads of attempt N+1 reuse the
-/// capture/encode allocations of attempt N instead of re-growing them
-/// from zero. Leases reset the dedup baseline, preserving the
-/// "fresh index after rollback" invariant a per-attempt
-/// `CaptureScratch::new()` provided — a recycled scratch is
-/// behaviourally indistinguishable from a fresh one.
-pub struct RankArena {
-    pool: Mutex<Vec<CaptureScratch>>,
-}
-
-impl RankArena {
-    /// An empty arena.
-    pub fn new() -> Self {
-        Self { pool: Mutex::new(Vec::new()) }
-    }
-
-    /// Lease a scratch (recycled when available, fresh otherwise).
-    pub fn acquire(&self) -> CaptureScratch {
-        let mut scratch = self.pool.lock().expect("arena poisoned").pop().unwrap_or_default();
-        scratch.dedup_index().reset();
-        scratch
-    }
-
-    /// Return a scratch to the pool for the next lease.
-    pub fn release(&self, scratch: CaptureScratch) {
-        self.pool.lock().expect("arena poisoned").push(scratch);
-    }
-
-    #[cfg(test)]
-    fn pooled(&self) -> usize {
-        self.pool.lock().expect("arena poisoned").len()
-    }
-}
-
-impl Default for RankArena {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// A checkpoint written but not yet globally committed (forked mode).
-struct PendingCommit {
-    generation: u64,
-    kind: ChunkKind,
-    parent: Option<u64>,
-    write_done: SimTime,
-    payload: u64,
-    /// Tracker fault count at capture: faults taken since then are
-    /// (an upper bound on) the pages needing COW duplication.
-    faults_at_capture: u64,
-}
-
-/// Per-rank checkpoint machinery (backed runs only).
-struct RankCheckpointer {
-    rank: usize,
-    nranks: usize,
-    planner: CheckpointPlanner,
-    tstore: CkptStore,
-    mode: CheckpointMode,
-    pending: Option<PendingCommit>,
-    bytes_written: u64,
-    count: u64,
-    /// Total virtual time the application was stalled by checkpoints.
-    stall: SimDuration,
-    /// Total lag between capture and global commit.
-    commit_lag: SimDuration,
-    /// Capture tuning (worker count from `ICKPT_CAPTURE_WORKERS`).
-    capture_cfg: CaptureConfig,
-    /// Recycled capture/encode buffers: steady-state checkpoints are
-    /// allocation-free. Also owns the dedup baseline; leases from the
-    /// [`RankArena`] reset the index, so a rollback can never reuse a
-    /// stale baseline (the index starts fully invalid after every
-    /// recovery).
-    scratch: CaptureScratch,
-    /// Arena the scratch returns to when this checkpointer drops.
-    arena: Option<Arc<RankArena>>,
-    /// Run totals of the content layer (silent-same drops, deltas).
-    content: ContentStats,
-    /// Flight recorder (stall spans + commit instants on this rank's
-    /// lane).
-    obs: Recorder,
-}
-
-impl Drop for RankCheckpointer {
-    fn drop(&mut self) {
-        if let Some(arena) = &self.arena {
-            arena.release(std::mem::take(&mut self.scratch));
-        }
-    }
-}
-
-impl RankCheckpointer {
-    fn take(
-        &mut self,
-        space: &BackedSpace,
-        tracker: &mut WriteTracker,
-        ep: &mut Endpoint,
-        model: &dyn AppModel,
-        now: SimTime,
-    ) -> Result<SimTime, RunError> {
-        debug_assert!(self.pending.is_none(), "pending commit must settle before a new capture");
-        let planned = self.planner.plan(now);
-        // Pages unmapped since the last capture invalidate the dedup
-        // baseline: their records may leave the chain, and a remapped
-        // page must never silently match hashes from a previous
-        // mapping epoch. (A full capture resets the whole index, but
-        // the churn set still has to be drained.)
-        if self.capture_cfg.dedup {
-            for range in tracker.take_churn_set() {
-                self.scratch.dedup_index().invalidate(range);
-            }
-        }
-        let mut chunk = match planned.kind {
-            ChunkKind::Full => {
-                // A fresh base supersedes the pending dirty set.
-                let _ = tracker.take_checkpoint_set();
-                capture_full_with(
-                    space,
-                    self.rank as u32,
-                    planned.generation,
-                    now,
-                    &self.capture_cfg,
-                    &mut self.scratch,
-                )
-            }
-            ChunkKind::Incremental => {
-                let dirty = tracker.take_checkpoint_set();
-                capture_incremental_with(
-                    space,
-                    self.rank as u32,
-                    planned.generation,
-                    planned.parent.expect("incremental has parent"),
-                    now,
-                    &dirty,
-                    &self.capture_cfg,
-                    &mut self.scratch,
-                )
-            }
-        };
-        self.content.merge(self.scratch.last_content());
-        // The app-state blob carries the model state plus a digest of
-        // the captured image, so restores are self-verifying.
-        let mut blob = ByteWriter::new();
-        blob.put_bytes(&model.save_state());
-        blob.put_u64(space.content_digest());
-        chunk.app_state = blob.into_vec();
-        let payload = chunk.payload_bytes();
-        let encoded = self.scratch.encode_reusing(&chunk);
-        let encoded_len = encoded.len() as u64;
-        // Every rank streams its chunk to stable storage over its own
-        // (bandwidth-limited) path.
-        let write_done = self.tstore.put_chunk_timed(
-            now,
-            ChunkKey::new(self.rank as u32, planned.generation),
-            encoded,
-        )?;
-        // Return the chunk's buffers to the pool for the next capture.
-        self.scratch.recycle(chunk);
-        self.bytes_written += encoded_len;
-        self.count += 1;
-        match self.mode {
-            CheckpointMode::StopAndCopy => {
-                // The rank blocks for the write, then the generation
-                // commits immediately (two-phase: gather + manifest +
-                // release barrier).
-                let released = self.commit(
-                    ep,
-                    PendingCommit {
-                        generation: planned.generation,
-                        kind: planned.kind,
-                        parent: planned.parent,
-                        write_done,
-                        payload,
-                        faults_at_capture: tracker.total_faults(),
-                    },
-                    write_done,
-                )?;
-                self.stall += released.saturating_sub(now);
-                self.obs.emit_span(
-                    Lane::Rank(self.rank as u32),
-                    now,
-                    released.saturating_sub(now),
-                    Event::CheckpointStall { generation: planned.generation },
-                );
-                Ok(released)
-            }
-            CheckpointMode::Forked { fork_cost_per_page_ns, .. } => {
-                // The rank pays only the snapshot cost; the write
-                // streams out in the background and commits later.
-                let fork_cost = SimDuration(space.mapped_pages() * fork_cost_per_page_ns);
-                self.pending = Some(PendingCommit {
-                    generation: planned.generation,
-                    kind: planned.kind,
-                    parent: planned.parent,
-                    write_done,
-                    payload,
-                    faults_at_capture: tracker.total_faults(),
-                });
-                self.stall += fork_cost;
-                self.obs.emit_span(
-                    Lane::Rank(self.rank as u32),
-                    now,
-                    fork_cost,
-                    Event::CheckpointStall { generation: planned.generation },
-                );
-                Ok(now + fork_cost)
-            }
-        }
-    }
-
-    /// Two-phase commit of `pending` entered at local time `now`:
-    /// gather payload sizes, rank 0 writes the manifest, a barrier
-    /// releases everyone at the commit instant.
-    fn commit(
-        &mut self,
-        ep: &mut Endpoint,
-        pending: PendingCommit,
-        now: SimTime,
-    ) -> Result<SimTime, RunError> {
-        let (payloads, gathered_at) = ep.gather_u64(now, pending.payload);
-        let commit_t = if self.rank == 0 {
-            let manifest = Manifest {
-                generation: pending.generation,
-                commit_time_ns: gathered_at.0,
-                nranks: self.nranks as u32,
-                entries: payloads
-                    .iter()
-                    .enumerate()
-                    .map(|(r, &p)| RankEntry {
-                        rank: r as u32,
-                        kind: pending.kind,
-                        parent: pending.parent,
-                        payload_bytes: p,
-                    })
-                    .collect(),
-            };
-            self.tstore.put_manifest_timed(gathered_at, pending.generation, &manifest.encode())?
-        } else {
-            gathered_at
-        };
-        let released = ep.barrier(commit_t);
-        // Every rank notifies at the same barrier-released instant; on
-        // tiered runs the last notifier kicks off the background drain.
-        self.obs.emit(
-            Lane::Rank(self.rank as u32),
-            released,
-            Event::CommitBarrier { generation: pending.generation },
-        );
-        self.tstore.note_committed(pending.generation, released)?;
-        self.planner.committed(pending.generation);
-        self.commit_lag += released.saturating_sub(SimTime(pending.write_done.0.min(released.0)));
-        Ok(released)
-    }
-
-    /// Try to commit a pending forked checkpoint at an iteration
-    /// boundary. `force` blocks until the slowest write lands;
-    /// otherwise the commit only happens if every rank's write is
-    /// already done. Returns the caller's new local time.
-    fn settle_pending(
-        &mut self,
-        ep: &mut Endpoint,
-        tracker: &WriteTracker,
-        now: SimTime,
-        force: bool,
-    ) -> Result<SimTime, RunError> {
-        let Some(pending) = self.pending.take() else {
-            return Ok(now);
-        };
-        // Agree on the slowest write completion.
-        let info = ep.allreduce(now, 8, pending.write_done.0, Combine::Max);
-        let all_done = SimTime(info.value);
-        let mut t = info.new_time;
-        if all_done <= t || force {
-            let stall_begin = t;
-            if all_done > t {
-                // Forced: wait out the background write.
-                self.stall += all_done - t;
-                t = all_done;
-            }
-            // COW charge: every page first-written during the write-out
-            // window had to be duplicated before the application's
-            // store could proceed.
-            if let CheckpointMode::Forked { cow_copy_ns, .. } = self.mode {
-                let cow_pages = tracker.total_faults().saturating_sub(pending.faults_at_capture);
-                let cow = SimDuration(cow_pages * cow_copy_ns);
-                self.stall += cow;
-                t += cow;
-            }
-            if t > stall_begin {
-                self.obs.emit_span(
-                    Lane::Rank(self.rank as u32),
-                    stall_begin,
-                    t - stall_begin,
-                    Event::CheckpointStall { generation: pending.generation },
-                );
-            }
-            t = self.commit(ep, pending, t)?;
-        } else {
-            self.pending = Some(pending);
-        }
-        Ok(t)
-    }
-}
-
-struct RankRunner<'a, S: AddressSpace + ContentWrite> {
-    rank: usize,
-    space: &'a mut S,
-    tracker: WriteTracker,
-    ep: Endpoint,
-    model: Box<dyn AppModel>,
-    started_at: SimTime,
-    clock: SimTime,
-    fail_at: Option<SimTime>,
-    ckpt: Option<RankCheckpointer>,
-    params: &'a RunParams,
-    // Set when the global FAIL vote passed.
-    failed: bool,
-    boundaries: Vec<BoundaryRecord>,
-}
-
-impl<'a, S: AddressSpace + ContentWrite + CheckpointCapable> RankRunner<'a, S> {
-    #[allow(clippy::too_many_arguments)]
-    fn new(
-        rank: usize,
-        space: &'a mut S,
-        tracker: WriteTracker,
-        ep: Endpoint,
-        model: Box<dyn AppModel>,
-        clock: SimTime,
-        fail_at: Option<SimTime>,
-        ckpt: Option<RankCheckpointer>,
-        params: &'a RunParams,
-    ) -> Self {
-        Self {
-            rank,
-            space,
-            tracker,
-            ep,
-            model,
-            started_at: clock,
-            clock,
-            fail_at,
-            ckpt,
-            params,
-            failed: false,
-            boundaries: Vec::new(),
-        }
-    }
-
-    fn run_init(&mut self) -> Result<(), RunError> {
-        let phase = {
-            let mut ts = TrackedSpace::new(self.space, &mut self.tracker);
-            self.model.init(&mut ts)?
-        };
-        self.execute_steps(&phase.steps)?;
-        Ok(())
-    }
-
-    /// Main loop; returns (failed, last committed generation).
-    fn run_loop(&mut self) -> Result<(bool, Option<u64>), RunError> {
-        loop {
-            let phase = {
-                let mut ts = TrackedSpace::new(self.space, &mut self.tracker);
-                self.model.next_phase(&mut ts)?
-            };
-            self.execute_steps(&phase.steps)?;
-            if phase.ends_iteration && self.iteration_boundary()? {
-                break;
-            }
-        }
-        self.tracker.finish(self.clock);
-        let last = self.ckpt.as_ref().and_then(|c| c.planner.last_committed());
-        Ok((self.failed, last))
-    }
-
-    /// Iteration-boundary coordination; returns true when the run ends.
-    fn iteration_boundary(&mut self) -> Result<bool, RunError> {
-        let pre = self.clock;
-        self.tracker.mark_iteration(self.clock);
-        let iterations = self.model.iterations_done();
-        let mut votes = VoteFlags::none();
-        let past_time = self.clock.saturating_sub(SimTime::ZERO) >= self.params.run_for;
-        let past_iters = self.params.max_iterations.is_some_and(|m| iterations >= m);
-        if past_time || past_iters {
-            votes = votes.with(VoteFlags::STOP);
-        }
-        if self.fail_at.is_some_and(|t| self.clock >= t) {
-            votes = votes.with(VoteFlags::FAIL);
-        }
-        if self.ckpt.as_ref().is_some_and(|c| c.planner.due(self.clock)) {
-            votes = votes.with(VoteFlags::CHECKPOINT);
-        }
-        let info = self.ep.allreduce(self.clock, 16, votes.0, Combine::Or);
-        self.clock = info.new_time;
-        self.tracker.advance_to(self.clock);
-        self.tracker.note_received(info.bytes_received);
-        // Snapshot the boundary: a shorter run stopping here ends with
-        // exactly these clocks and counters (checkpoint settling below
-        // only happens when the run continues or a checkpoint is due).
-        self.tracker.snapshot_residue(self.clock);
-        self.boundaries.push(BoundaryRecord {
-            pre,
-            post: self.clock,
-            footprint_pages: self.tracker.footprint_pages(),
-            total_faults: self.tracker.total_faults(),
-            overhead: self.tracker.overhead(),
-            bytes_received: self.ep.bytes_received(),
-        });
-        self.params.obs.emit(
-            Lane::Rank(self.rank as u32),
-            self.clock,
-            Event::IterationBoundary { iteration: iterations },
-        );
-        let global = VoteFlags(info.value);
-        if global.has(VoteFlags::FAIL) {
-            self.failed = true;
-            return Ok(true);
-        }
-        let stop = global.has(VoteFlags::STOP);
-        let take_ckpt = global.has(VoteFlags::CHECKPOINT);
-        if let Some(mut ckpt) = self.ckpt.take() {
-            if ckpt.pending.is_some() {
-                // Forked mode: a background write may be ready to
-                // commit. Force the commit when a new capture or the
-                // end of the run is imminent.
-                self.clock = ckpt.settle_pending(
-                    &mut self.ep,
-                    &self.tracker,
-                    self.clock,
-                    take_ckpt || stop,
-                )?;
-                self.tracker.advance_to(self.clock);
-            }
-            if take_ckpt {
-                // The capture needs &BackedSpace; reachable only
-                // through the concrete type, so this is specialized
-                // below.
-                self.clock = self.do_checkpoint(&mut ckpt)?;
-                if stop {
-                    // Nothing after this boundary will drive the
-                    // deferred commit: flush it now.
-                    self.clock =
-                        ckpt.settle_pending(&mut self.ep, &self.tracker, self.clock, true)?;
-                }
-                self.tracker.advance_to(self.clock);
-            }
-            self.ckpt = Some(ckpt);
-        }
-        Ok(stop)
-    }
-
-    fn execute_steps(&mut self, steps: &[Step]) -> Result<(), RunError> {
-        let version = self.model.iterations_done() + 1;
-        for step in steps {
-            match step {
-                Step::Compute { duration, pattern } => {
-                    let start = self.clock;
-                    let end = start + *duration;
-                    let dur_s = duration.as_secs_f64();
-                    let mut cursor = start;
-                    let mut faults = 0u64;
-                    if duration.is_zero() {
-                        self.tracker.advance_to(start);
-                        let mut ts = TrackedSpace::new(self.space, &mut self.tracker);
-                        for r in pattern.slice(0.0, 1.0) {
-                            faults += ts.touch(r, version);
-                        }
-                    } else {
-                        while cursor < end {
-                            self.tracker.advance_to(cursor);
-                            let seg_end = end.min(self.tracker.next_alarm_time());
-                            let f0 = (cursor - start).as_secs_f64() / dur_s;
-                            let f1 = (seg_end - start).as_secs_f64() / dur_s;
-                            let mut ts = TrackedSpace::new(self.space, &mut self.tracker);
-                            for r in pattern.slice(f0.min(1.0), f1.min(1.0)) {
-                                faults += ts.touch(r, version);
-                            }
-                            cursor = seg_end;
-                        }
-                    }
-                    self.clock = end;
-                    if self.params.stretch_overhead {
-                        // §6.5: fault handling slows the application
-                        // down; stretch the clock by the handler cost.
-                        self.clock += self.tracker.fault_cost(faults);
-                    }
-                }
-                Step::Send { to, tag, bytes } => {
-                    self.clock = self.ep.send(self.clock, *to, *tag, *bytes)?;
-                }
-                Step::Recv { from, tag, into } => {
-                    let info = self.ep.recv(self.clock, *from, *tag)?;
-                    self.clock = info.new_time;
-                    self.tracker.advance_to(self.clock);
-                    self.tracker.note_received(info.bytes);
-                    if let Some(dst) = into {
-                        // The bounce-buffer copy dirties the
-                        // destination pages (§4.2).
-                        let pages = pages_for_bytes(info.bytes).min(dst.len).max(1);
-                        let r = PageRange::new(dst.start, pages);
-                        let mut ts = TrackedSpace::new(self.space, &mut self.tracker);
-                        ts.touch(r, version);
-                    }
-                }
-                Step::Barrier => {
-                    self.clock = self.ep.barrier(self.clock);
-                    self.tracker.advance_to(self.clock);
-                }
-                Step::Allreduce { bytes } => {
-                    let info = self.ep.allreduce(self.clock, *bytes, 0, Combine::Max);
-                    self.clock = info.new_time;
-                    self.tracker.advance_to(self.clock);
-                    self.tracker.note_received(info.bytes_received);
-                }
-                Step::AllToAll { bytes_per_pair, into } => {
-                    let info = self.ep.alltoall(self.clock, *bytes_per_pair);
-                    self.clock = info.new_time;
-                    self.tracker.advance_to(self.clock);
-                    self.tracker.note_received(info.bytes_received);
-                    if let Some(dst) = into {
-                        let pages = pages_for_bytes(info.bytes_received).min(dst.len).max(1);
-                        let r = PageRange::new(dst.start, pages);
-                        let mut ts = TrackedSpace::new(self.space, &mut self.tracker);
-                        ts.touch(r, version);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
-    fn into_report(mut self, content_digest: Option<u64>) -> RankReport {
-        let trace = self.tracker.records_trace().then(|| self.tracker.take_trace());
-        RankReport {
-            rank: self.rank,
-            samples: self.tracker.samples().to_vec(),
-            epoch_samples: self.tracker.epoch_samples().to_vec(),
-            iteration_samples: self.tracker.iteration_samples().to_vec(),
-            total_faults: self.tracker.total_faults(),
-            overhead: self.tracker.overhead(),
-            started_at: self.started_at,
-            final_time: self.clock,
-            iterations: self.model.iterations_done(),
-            bytes_received: self.ep.bytes_received(),
-            footprint_pages: self.tracker.footprint_pages(),
-            content_digest,
-            checkpoint_bytes: self.ckpt.as_ref().map_or(0, |c| c.bytes_written),
-            checkpoints: self.ckpt.as_ref().map_or(0, |c| c.count),
-            checkpoint_stall: self.ckpt.as_ref().map_or(SimDuration::ZERO, |c| c.stall),
-            commit_lag: self.ckpt.as_ref().map_or(SimDuration::ZERO, |c| c.commit_lag),
-            excluded_pages: self.tracker.excluded_pages(),
-            content: self.ckpt.as_ref().map_or_else(ContentStats::default, |c| c.content),
-            summary: *self.tracker.sample_summary(),
-            last_committed: self.ckpt.as_ref().and_then(|c| c.planner.last_committed()),
-            boundaries: self.boundaries,
-            trace,
-            tier: None,
-        }
-    }
-}
-
-// Checkpoint specialization: only content-backed spaces can capture.
-trait CheckpointCapable {
-    fn do_checkpoint_inner(
-        &self,
-        ckpt: &mut RankCheckpointer,
-        tracker: &mut WriteTracker,
-        ep: &mut Endpoint,
-        model: &dyn AppModel,
-        now: SimTime,
-    ) -> Result<SimTime, RunError>;
-}
-
-impl CheckpointCapable for SparseSpace {
-    fn do_checkpoint_inner(
-        &self,
-        _ckpt: &mut RankCheckpointer,
-        _tracker: &mut WriteTracker,
-        _ep: &mut Endpoint,
-        _model: &dyn AppModel,
-        now: SimTime,
-    ) -> Result<SimTime, RunError> {
-        // Sparse spaces carry no contents; checkpointing them is a
-        // configuration error guarded at the entry points.
-        unreachable!("checkpointing requires a BackedSpace, got SparseSpace at {now}")
-    }
-}
-
-impl CheckpointCapable for BackedSpace {
-    fn do_checkpoint_inner(
-        &self,
-        ckpt: &mut RankCheckpointer,
-        tracker: &mut WriteTracker,
-        ep: &mut Endpoint,
-        model: &dyn AppModel,
-        now: SimTime,
-    ) -> Result<SimTime, RunError> {
-        ckpt.take(self, tracker, ep, model, now)
-    }
-}
-
-impl<S: AddressSpace + ContentWrite + CheckpointCapable> RankRunner<'_, S> {
-    fn do_checkpoint(&mut self, ckpt: &mut RankCheckpointer) -> Result<SimTime, RunError> {
-        self.space.do_checkpoint_inner(
-            ckpt,
-            &mut self.tracker,
-            &mut self.ep,
-            self.model.as_ref(),
-            self.clock,
-        )
-    }
-}
-
 /// Find the newest committed generation in a store (delegates to
 /// `ickpt-core`, re-exported here for runner users).
 pub fn last_committed(store: &dyn StableStorage, nranks: u32) -> Option<u64> {
     latest_committed_generation(store, nranks).ok().flatten()
-}
-
-#[cfg(test)]
-mod arena_tests {
-    use super::RankArena;
-
-    #[test]
-    fn arena_recycles_scratch_across_leases() {
-        let arena = RankArena::new();
-        assert_eq!(arena.pooled(), 0);
-        let a = arena.acquire();
-        let b = arena.acquire();
-        arena.release(a);
-        arena.release(b);
-        assert_eq!(arena.pooled(), 2);
-        // A lease drains the pool instead of allocating fresh.
-        let _c = arena.acquire();
-        assert_eq!(arena.pooled(), 1);
-    }
 }

@@ -25,8 +25,9 @@
 //! | [`analysis`] | series/stats/tables/plots for the experiment harness |
 //!
 //! This facade crate adds [`cluster`]: the runner that executes
-//! application models on rank threads over virtual time, with tracking,
-//! coordinated checkpointing, failure injection and rollback recovery.
+//! application models as rank state machines over virtual time, with
+//! tracking, coordinated checkpointing, failure injection and rollback
+//! recovery.
 //!
 //! ## Quickstart
 //!

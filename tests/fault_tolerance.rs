@@ -469,3 +469,135 @@ fn tiered_node_loss_recovery_is_deterministic() {
     };
     assert_eq!(run(), run());
 }
+
+#[test]
+fn commit_cuts_are_coordinated_for_every_workload() {
+    // Checkpoints every 300 virtual ms on the six catalog codes and the
+    // synthetic app, in both checkpoint modes: every commit round runs
+    // the engine's coordinated-cut assertion (live in this debug
+    // build — no message may be in flight across a committed
+    // generation), and a recovery from any of those cuts must reproduce
+    // the failure-free image.
+    let nranks = 4;
+    let scale = 0.01;
+    let forked = CheckpointMode::Forked { fork_cost_per_page_ns: 200, cow_copy_ns: 2_000 };
+    let catalog = [
+        Workload::Sage50,
+        Workload::Sweep3d,
+        Workload::NasSp,
+        Workload::NasLu,
+        Workload::NasBt,
+        Workload::NasFt,
+    ];
+    type Build = Box<dyn Fn(usize) -> Box<dyn ickpt::apps::AppModel> + Sync>;
+    let mut apps: Vec<(String, DataLayout, Build)> = catalog
+        .iter()
+        .map(|&w| {
+            let build: Build = Box::new(move |rank| Box::new(w.build(rank, nranks, scale, 11)));
+            (w.name().to_string(), w.layout(scale), build)
+        })
+        .collect();
+    apps.push(("synthetic".into(), synthetic_layout(), Box::new(build_synthetic(nranks))));
+    for (name, layout, build) in &apps {
+        for mode in [CheckpointMode::StopAndCopy, forked] {
+            let mk = |failures| FaultTolerantConfig {
+                policy: CheckpointPolicy::incremental(SimDuration::from_millis(300), 3),
+                mode,
+                dedup: Some(true),
+                ..synthetic_cfg(nranks, 10, failures)
+            };
+            let free = run_fault_tolerant(&mk(vec![]), *layout, build).unwrap();
+            assert_eq!(free.outcome, RunOutcome::Completed, "{name}");
+            assert!(free.ranks[0].checkpoints >= 3, "{name}: {}", free.ranks[0].checkpoints);
+            let fail_at = SimTime(free.ranks[0].final_time.0 * 6 / 10);
+            let cfg = mk(vec![FailureSpec::process(1, fail_at)]);
+            let recovered = run_fault_tolerant(&cfg, *layout, build).unwrap();
+            assert_eq!(recovered.outcome, RunOutcome::Completed, "{name}");
+            assert_eq!(recovered.attempts, 2, "{name}");
+            assert!(recovered.recoveries[0].generation.is_some(), "{name}: restored a cut");
+            for (a, b) in free.ranks.iter().zip(&recovered.ranks) {
+                assert_eq!(a.content_digest, b.content_digest, "{name}: rank {}", a.rank);
+            }
+        }
+    }
+}
+
+/// A model whose script cannot complete: every iteration, rank 0 also
+/// waits for a message (`Orphan`) or enters a barrier (`LoneBarrier`)
+/// that no other rank takes part in.
+struct Deadlocks {
+    rank: usize,
+    how: Stuck,
+    iter: u64,
+}
+
+#[derive(Clone, Copy)]
+enum Stuck {
+    Orphan,
+    LoneBarrier,
+}
+
+impl ickpt::apps::AppModel for Deadlocks {
+    fn name(&self) -> String {
+        "deadlocks".into()
+    }
+
+    fn init(
+        &mut self,
+        space: &mut dyn ickpt::mem::AddressSpace,
+    ) -> Result<ickpt::apps::step::Phase, ickpt::mem::MemError> {
+        space.heap_grow(8)?;
+        Ok(ickpt::apps::step::Phase::continuing(vec![]))
+    }
+
+    fn next_phase(
+        &mut self,
+        _space: &mut dyn ickpt::mem::AddressSpace,
+    ) -> Result<ickpt::apps::step::Phase, ickpt::mem::MemError> {
+        use ickpt::apps::Step;
+        self.iter += 1;
+        let steps = match (self.rank, self.how) {
+            (0, Stuck::Orphan) => vec![Step::Recv { from: 1, tag: 9, into: None }],
+            (0, Stuck::LoneBarrier) => vec![Step::Barrier],
+            _ => vec![],
+        };
+        Ok(ickpt::apps::step::Phase::ending(steps))
+    }
+
+    fn iterations_done(&self) -> u64 {
+        self.iter
+    }
+
+    fn save_state(&self) -> Vec<u8> {
+        self.iter.to_le_bytes().to_vec()
+    }
+
+    fn restore_state(&mut self, _state: &[u8]) -> Result<(), ickpt::apps::codec::CodecError> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_deadlocked_script_is_a_typed_error_not_a_hang() {
+    use ickpt::cluster::RunError;
+    use ickpt::net::NetError;
+    let run = |how| {
+        let cfg = synthetic_cfg(3, 5, vec![]);
+        run_fault_tolerant(&cfg, synthetic_layout(), move |rank| {
+            Box::new(Deadlocks { rank, how, iter: 0 })
+        })
+    };
+    // Ranks 1 and 2 wait in the boundary vote for rank 0, which waits
+    // for a message nobody sends: the drained wheel names that receive.
+    match run(Stuck::Orphan) {
+        Err(RunError::Net(e)) => {
+            assert_eq!(e, NetError::UnmatchedRecv { rank: 0, from: 1, tag: 9 });
+        }
+        other => panic!("expected the unmatched receive, got {:?}", other.map(|r| r.outcome)),
+    }
+    // Rank 0 enters a barrier while the others enter the vote.
+    match run(Stuck::LoneBarrier) {
+        Err(RunError::Net(NetError::CollectiveMismatch { .. })) => {}
+        other => panic!("expected a collective mismatch, got {:?}", other.map(|r| r.outcome)),
+    }
+}
