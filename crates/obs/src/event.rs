@@ -22,6 +22,10 @@ pub enum DeviceKind {
 }
 
 impl DeviceKind {
+    /// Every kind in declaration (= `Ord`, = `as usize`) order.
+    pub(crate) const ALL: [DeviceKind; 4] =
+        [DeviceKind::Storage, DeviceKind::Local, DeviceKind::Nic, DeviceKind::Array];
+
     /// Stable lowercase token used in track names.
     pub fn token(&self) -> &'static str {
         match self {
@@ -43,6 +47,11 @@ impl DeviceKind {
         }
     }
 }
+
+/// Rank, tenant and device ids below this bound index dense tables (the
+/// recorder's lane slots, the plane's device cells); an id at or above
+/// it goes through an ordered map, so no id sizes an allocation.
+pub(crate) const DENSE_LANE_IDS: u32 = 1 << 20;
 
 /// A horizontal track in the trace: one timeline the UI draws.
 ///
@@ -101,15 +110,7 @@ impl Lane {
         match self {
             Lane::Run => 0,
             Lane::Rank(r) => 1 + *r as u64,
-            Lane::Device(kind, idx) => {
-                let k = match kind {
-                    DeviceKind::Storage => 0,
-                    DeviceKind::Local => 1,
-                    DeviceKind::Nic => 2,
-                    DeviceKind::Array => 3,
-                } as u64;
-                1_000_000 + k * 100_000 + *idx as u64
-            }
+            Lane::Device(kind, idx) => 1_000_000 + *kind as u64 * 100_000 + *idx as u64,
             Lane::Tenant(t) => 8_000_000 + *t as u64,
             Lane::Drain => 9_000_000,
         }
@@ -143,6 +144,14 @@ pub enum RecoveryTier {
 }
 
 impl RecoveryTier {
+    /// Every tier in declaration (= `Ord`, = `as usize`) order.
+    pub(crate) const ALL: [RecoveryTier; 4] = [
+        RecoveryTier::Local,
+        RecoveryTier::Reconstructed,
+        RecoveryTier::Durable,
+        RecoveryTier::ColdRestart,
+    ];
+
     /// Stable lowercase token used in serialized events.
     pub fn token(&self) -> &'static str {
         match self {
@@ -427,6 +436,19 @@ pub enum Event {
     },
 }
 
+/// `ints!(out, ""; a, b)` appends `"a":<a>,"b":<b>`: each binding's
+/// name is its JSON key, the literal goes in front of the first.
+macro_rules! ints {
+    ($out:ident, $lead:literal; $first:ident $(, $rest:ident)*) => {{
+        $out.push_str(concat!($lead, "\"", stringify!($first), "\":"));
+        push_u64($out, u64::from($first));
+        $(
+            $out.push_str(concat!(",\"", stringify!($rest), "\":"));
+            push_u64($out, u64::from($rest));
+        )*
+    }};
+}
+
 impl Event {
     /// Stable event-type token (the `name` field in exports).
     pub fn name(&self) -> &'static str {
@@ -464,124 +486,97 @@ impl Event {
     /// Field order is fixed by this function, so serialization is
     /// byte-deterministic.
     pub fn write_args(&self, out: &mut String) {
-        use std::fmt::Write;
         out.push('{');
         match *self {
-            Event::RunStart { ranks } => {
-                let _ = write!(out, "\"ranks\":{ranks}");
-            }
-            Event::IterationBoundary { iteration } => {
-                let _ = write!(out, "\"iteration\":{iteration}");
-            }
+            Event::RunStart { ranks } => ints!(out, ""; ranks),
+            Event::IterationBoundary { iteration } => ints!(out, ""; iteration),
             Event::TrackerWindow { index, iws_pages, footprint_pages, faults } => {
-                let _ = write!(
-                    out,
-                    "\"index\":{index},\"iws_pages\":{iws_pages},\"footprint_pages\":{footprint_pages},\"faults\":{faults}"
-                );
+                ints!(out, ""; index, iws_pages, footprint_pages, faults);
             }
             Event::Capture { kind, generation, pages, payload_bytes } => {
-                let _ = write!(
-                    out,
-                    "\"kind\":\"{}\",\"generation\":{generation},\"pages\":{pages},\"payload_bytes\":{payload_bytes}",
-                    kind.token()
-                );
+                put_token(out, "\"kind\":\"", kind.token());
+                ints!(out, ","; generation, pages, payload_bytes);
             }
             Event::DedupSkip { generation, pages, bytes_saved } => {
-                let _ = write!(
-                    out,
-                    "\"generation\":{generation},\"pages\":{pages},\"bytes_saved\":{bytes_saved}"
-                );
+                ints!(out, ""; generation, pages, bytes_saved);
             }
             Event::DeltaEncode { generation, pages, blocks, bytes_saved } => {
-                let _ = write!(
-                    out,
-                    "\"generation\":{generation},\"pages\":{pages},\"blocks\":{blocks},\"bytes_saved\":{bytes_saved}"
-                );
+                ints!(out, ""; generation, pages, blocks, bytes_saved);
             }
-            Event::CheckpointStall { generation } => {
-                let _ = write!(out, "\"generation\":{generation}");
-            }
-            Event::CommitBarrier { generation } => {
-                let _ = write!(out, "\"generation\":{generation}");
+            Event::CheckpointStall { generation } | Event::CommitBarrier { generation } => {
+                ints!(out, ""; generation);
             }
             Event::ChunkPut { generation, bytes, queue_wait_ns, service_ns }
             | Event::ChunkGet { generation, bytes, queue_wait_ns, service_ns } => {
-                let _ = write!(
-                    out,
-                    "\"generation\":{generation},\"bytes\":{bytes},\"queue_wait_ns\":{queue_wait_ns},\"service_ns\":{service_ns}"
-                );
+                ints!(out, ""; generation, bytes, queue_wait_ns, service_ns);
             }
-            Event::ManifestPut { generation, bytes } => {
-                let _ = write!(out, "\"generation\":{generation},\"bytes\":{bytes}");
-            }
+            Event::ManifestPut { generation, bytes }
+            | Event::RedundancyPublish { generation, bytes } => ints!(out, ""; generation, bytes),
             Event::DeviceTransfer { bytes, queue_wait_ns, service_ns } => {
-                let _ = write!(
-                    out,
-                    "\"bytes\":{bytes},\"queue_wait_ns\":{queue_wait_ns},\"service_ns\":{service_ns}"
-                );
-            }
-            Event::RedundancyPublish { generation, bytes } => {
-                let _ = write!(out, "\"generation\":{generation},\"bytes\":{bytes}");
+                ints!(out, ""; bytes, queue_wait_ns, service_ns);
             }
             Event::RedundancyReconstruct { generation, pieces, bytes } => {
-                let _ = write!(
-                    out,
-                    "\"generation\":{generation},\"pieces\":{pieces},\"bytes\":{bytes}"
-                );
+                ints!(out, ""; generation, pieces, bytes);
             }
             Event::DrainBatch { generations, chunks, bytes } => {
-                let _ = write!(
-                    out,
-                    "\"generations\":{generations},\"chunks\":{chunks},\"bytes\":{bytes}"
-                );
+                ints!(out, ""; generations, chunks, bytes);
             }
-            Event::DrainQueueDepth { depth } => {
-                let _ = write!(out, "\"depth\":{depth}");
-            }
-            Event::DrainTorn { generations, bytes } => {
-                let _ = write!(out, "\"generations\":{generations},\"bytes\":{bytes}");
-            }
+            Event::DrainQueueDepth { depth } => ints!(out, ""; depth),
+            Event::DrainTorn { generations, bytes } => ints!(out, ""; generations, bytes),
             Event::AdmissionGrant { tenant, bytes, chunks } => {
-                let _ = write!(out, "\"tenant\":{tenant},\"bytes\":{bytes},\"chunks\":{chunks}");
+                ints!(out, ""; tenant, bytes, chunks)
             }
             Event::AdmissionReject { tenant, bytes, retry_ns } => {
-                let _ =
-                    write!(out, "\"tenant\":{tenant},\"bytes\":{bytes},\"retry_ns\":{retry_ns}");
+                ints!(out, ""; tenant, bytes, retry_ns);
             }
-            Event::TenantStall { tenant, bytes } => {
-                let _ = write!(out, "\"tenant\":{tenant},\"bytes\":{bytes}");
-            }
+            Event::TenantStall { tenant, bytes } => ints!(out, ""; tenant, bytes),
             Event::RecoveryRead { tier, bytes } => {
-                let _ = write!(out, "\"tier\":\"{}\",\"bytes\":{bytes}", tier.token());
+                put_token(out, "\"tier\":\"", tier.token());
+                ints!(out, ","; bytes);
             }
             Event::RecoveryPlan { rank, tier, generation } => {
-                let _ = write!(
-                    out,
-                    "\"rank\":{rank},\"tier\":\"{}\",\"generation\":{generation}",
-                    tier.token()
-                );
+                ints!(out, ""; rank);
+                put_token(out, ",\"tier\":\"", tier.token());
+                ints!(out, ","; generation);
             }
             Event::Restore { generation, chain, pages, bytes } => {
-                let _ = write!(
-                    out,
-                    "\"generation\":{generation},\"chain\":{chain},\"pages\":{pages},\"bytes\":{bytes}"
-                );
+                ints!(out, ""; generation, chain, pages, bytes);
             }
-            Event::Failure { rank, node_loss } => {
-                let _ = write!(out, "\"rank\":{rank},\"node_loss\":{node_loss}");
-            }
+            Event::Failure { rank, node_loss } => ints!(out, ""; rank, node_loss),
             Event::Counter { name, value } => {
-                let _ = write!(out, "\"counter\":\"{name}\",\"value\":{value}");
+                put_token(out, "\"counter\":\"", name);
+                ints!(out, ","; value);
             }
             Event::SloBreach { rule, window, value, limit } => {
-                let _ = write!(
-                    out,
-                    "\"rule\":\"{rule}\",\"window\":{window},\"value\":{value},\"limit\":{limit}"
-                );
+                put_token(out, "\"rule\":\"", rule);
+                ints!(out, ","; window, value, limit);
             }
         }
         out.push('}');
     }
+}
+
+/// Append `v` in decimal. The exporters write a dozen integers per
+/// event, and `core::fmt` costs more per integer than the digits do.
+pub(crate) fn push_u64(out: &mut String, mut v: u64) {
+    let mut buf = [0u8; 20];
+    let mut i = buf.len();
+    loop {
+        i -= 1;
+        buf[i] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&buf[i..]).expect("ASCII digits"));
+}
+
+/// Append `key`, a bare token, and its closing quote.
+fn put_token(out: &mut String, key: &str, token: &str) {
+    out.push_str(key);
+    out.push_str(token);
+    out.push('"');
 }
 
 /// An [`Event`] stamped with virtual time. `dur == 0` exports as an

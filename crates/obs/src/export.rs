@@ -6,18 +6,23 @@
 //! already canonically sorted), so the output is byte-deterministic
 //! for a given seed regardless of `ICKPT_BENCH_THREADS`.
 
+use std::borrow::Cow;
 use std::fmt::Write;
 
 use ickpt_sim::{SimDuration, SimTime};
 
-use crate::event::{CaptureKind, Event, Lane, RecoveryTier, TimedEvent, TrackKey};
+use crate::event::{push_u64, CaptureKind, Event, Lane, RecoveryTier, TimedEvent};
 use crate::log::TraceSnapshot;
 
 /// Append a Chrome-trace timestamp: microseconds with nanosecond
 /// precision, rendered with integer math (`f64` formatting would be a
 /// determinism hazard across platforms).
 fn write_us(out: &mut String, ns: u64) {
-    let _ = write!(out, "{}.{:03}", ns / 1_000, ns % 1_000);
+    push_u64(out, ns / 1_000);
+    out.push('.');
+    for place in [100, 10, 1] {
+        out.push(char::from(b'0' + (ns / place % 10) as u8));
+    }
 }
 
 /// Escape a string for embedding in a JSON string literal. Track and
@@ -39,22 +44,6 @@ fn escape_into(out: &mut String, s: &str) {
     }
 }
 
-fn write_chrome_event(out: &mut String, pid: u32, key: &TrackKey, ev: &TimedEvent) {
-    let _ = write!(out, "{{\"name\":\"{}\",\"cat\":\"ickpt\",", ev.event.name());
-    if ev.dur.0 > 0 {
-        out.push_str("\"ph\":\"X\",\"ts\":");
-        write_us(out, ev.ts.0);
-        out.push_str(",\"dur\":");
-        write_us(out, ev.dur.0);
-    } else {
-        out.push_str("\"ph\":\"i\",\"s\":\"t\",\"ts\":");
-        write_us(out, ev.ts.0);
-    }
-    let _ = write!(out, ",\"pid\":{pid},\"tid\":{},\"args\":", key.lane.tid());
-    ev.event.write_args(out);
-    out.push('}');
-}
-
 /// Serialize a snapshot in Chrome trace-event format. Open the result
 /// in <https://ui.perfetto.dev> (or `chrome://tracing`): one process
 /// per run group, one thread track per rank/device/drain lane, with
@@ -72,7 +61,8 @@ pub fn chrome_trace(snap: &TraceSnapshot) -> String {
     };
 
     // Metadata: name each process (run group) and thread (lane), and
-    // pin the display order to lane order.
+    // pin the display order to lane order. Once per track, so `write!`
+    // is fine here; the per-event loop below does without it.
     let mut groups_seen: Vec<u32> = Vec::new();
     for (key, _, _) in &snap.tracks {
         if !groups_seen.contains(&key.group) {
@@ -107,11 +97,25 @@ pub fn chrome_trace(snap: &TraceSnapshot) -> String {
         );
     }
 
+    // `,"pid":P,"tid":T,"args":` is the same for a whole track.
     for (key, events, _) in &snap.tracks {
-        let pid = key.group + 1;
+        let ids = format!(",\"pid\":{},\"tid\":{},\"args\":", key.group + 1, key.lane.tid());
         for ev in events {
             push_sep(&mut out, &mut first);
-            write_chrome_event(&mut out, pid, key, ev);
+            out.push_str("{\"name\":\"");
+            out.push_str(ev.event.name());
+            if ev.dur.0 > 0 {
+                out.push_str("\",\"cat\":\"ickpt\",\"ph\":\"X\",\"ts\":");
+                write_us(&mut out, ev.ts.0);
+                out.push_str(",\"dur\":");
+                write_us(&mut out, ev.dur.0);
+            } else {
+                out.push_str("\",\"cat\":\"ickpt\",\"ph\":\"i\",\"s\":\"t\",\"ts\":");
+                write_us(&mut out, ev.ts.0);
+            }
+            out.push_str(&ids);
+            ev.event.write_args(&mut out);
+            out.push('}');
         }
     }
     out.push_str("\n]}\n");
@@ -125,19 +129,18 @@ pub fn chrome_trace(snap: &TraceSnapshot) -> String {
 pub fn jsonl(snap: &TraceSnapshot) -> String {
     let mut out = String::with_capacity(64 * 1024);
     for (key, events, _) in &snap.tracks {
-        let run = snap.group_name(key.group);
+        // `{"run":"R","track":"T","ts":` is the same for a whole track.
+        let mut head = String::from("{\"run\":\"");
+        escape_into(&mut head, &snap.group_name(key.group));
+        let _ = write!(head, "\",\"track\":\"{}\",\"ts\":", key.lane.label());
         for ev in events {
-            out.push_str("{\"run\":\"");
-            escape_into(&mut out, &run);
-            out.push_str("\",\"track\":\"");
-            out.push_str(&key.lane.label());
-            let _ = write!(
-                out,
-                "\",\"ts\":{},\"dur\":{},\"name\":\"{}\",\"args\":",
-                ev.ts.0,
-                ev.dur.0,
-                ev.event.name()
-            );
+            out.push_str(&head);
+            push_u64(&mut out, ev.ts.0);
+            out.push_str(",\"dur\":");
+            push_u64(&mut out, ev.dur.0);
+            out.push_str(",\"name\":\"");
+            out.push_str(ev.event.name());
+            out.push_str("\",\"args\":");
             ev.event.write_args(&mut out);
             out.push_str("}\n");
         }
@@ -162,6 +165,15 @@ pub struct ParsedEvent {
     pub args: Vec<(String, String)>,
 }
 
+/// `fields!(parsed, Variant { a, b })`: the event whose integer fields
+/// are the arguments of the same names ([`Event::write_args`] names
+/// them that way); `None` when one is missing or out of range.
+macro_rules! fields {
+    ($parsed:ident, $variant:ident { $($field:ident),+ }) => {
+        Event::$variant { $($field: $parsed.arg_u64(stringify!($field))?.try_into().ok()?),+ }
+    };
+}
+
 impl ParsedEvent {
     /// Raw value of argument `key`, if present.
     pub fn arg(&self, key: &str) -> Option<&str> {
@@ -182,106 +194,44 @@ impl ParsedEvent {
     pub fn to_timed(&self) -> Option<(Lane, TimedEvent)> {
         let lane = Lane::parse(&self.track)?;
         let event = match self.name.as_str() {
-            "run_start" => Event::RunStart { ranks: self.arg_u64("ranks")? as u32 },
-            "iteration" => Event::IterationBoundary { iteration: self.arg_u64("iteration")? },
-            "tracker_window" => Event::TrackerWindow {
-                index: self.arg_u64("index")?,
-                iws_pages: self.arg_u64("iws_pages")?,
-                footprint_pages: self.arg_u64("footprint_pages")?,
-                faults: self.arg_u64("faults")?,
-            },
+            "run_start" => fields!(self, RunStart { ranks }),
+            "iteration" => fields!(self, IterationBoundary { iteration }),
+            "tracker_window" => {
+                fields!(self, TrackerWindow { index, iws_pages, footprint_pages, faults })
+            }
             "capture" => Event::Capture {
                 kind: CaptureKind::parse(self.arg("kind")?)?,
                 generation: self.arg_u64("generation")?,
                 pages: self.arg_u64("pages")?,
                 payload_bytes: self.arg_u64("payload_bytes")?,
             },
-            "dedup_skip" => Event::DedupSkip {
-                generation: self.arg_u64("generation")?,
-                pages: self.arg_u64("pages")?,
-                bytes_saved: self.arg_u64("bytes_saved")?,
-            },
-            "delta_encode" => Event::DeltaEncode {
-                generation: self.arg_u64("generation")?,
-                pages: self.arg_u64("pages")?,
-                blocks: self.arg_u64("blocks")?,
-                bytes_saved: self.arg_u64("bytes_saved")?,
-            },
-            "ckpt_stall" => Event::CheckpointStall { generation: self.arg_u64("generation")? },
-            "commit" => Event::CommitBarrier { generation: self.arg_u64("generation")? },
-            "chunk_put" => Event::ChunkPut {
-                generation: self.arg_u64("generation")?,
-                bytes: self.arg_u64("bytes")?,
-                queue_wait_ns: self.arg_u64("queue_wait_ns")?,
-                service_ns: self.arg_u64("service_ns")?,
-            },
-            "chunk_get" => Event::ChunkGet {
-                generation: self.arg_u64("generation")?,
-                bytes: self.arg_u64("bytes")?,
-                queue_wait_ns: self.arg_u64("queue_wait_ns")?,
-                service_ns: self.arg_u64("service_ns")?,
-            },
-            "manifest_put" => Event::ManifestPut {
-                generation: self.arg_u64("generation")?,
-                bytes: self.arg_u64("bytes")?,
-            },
-            "transfer" => Event::DeviceTransfer {
-                bytes: self.arg_u64("bytes")?,
-                queue_wait_ns: self.arg_u64("queue_wait_ns")?,
-                service_ns: self.arg_u64("service_ns")?,
-            },
-            "publish" => Event::RedundancyPublish {
-                generation: self.arg_u64("generation")?,
-                bytes: self.arg_u64("bytes")?,
-            },
-            "reconstruct" => Event::RedundancyReconstruct {
-                generation: self.arg_u64("generation")?,
-                pieces: self.arg_u64("pieces")? as u32,
-                bytes: self.arg_u64("bytes")?,
-            },
-            "drain_batch" => Event::DrainBatch {
-                generations: self.arg_u64("generations")?,
-                chunks: self.arg_u64("chunks")?,
-                bytes: self.arg_u64("bytes")?,
-            },
-            "drain_depth" => Event::DrainQueueDepth { depth: self.arg_u64("depth")? },
-            "drain_torn" => Event::DrainTorn {
-                generations: self.arg_u64("generations")?,
-                bytes: self.arg_u64("bytes")?,
-            },
-            "admit" => Event::AdmissionGrant {
-                tenant: self.arg_u64("tenant")? as u32,
-                bytes: self.arg_u64("bytes")?,
-                chunks: self.arg_u64("chunks")?,
-            },
-            "reject" => Event::AdmissionReject {
-                tenant: self.arg_u64("tenant")? as u32,
-                bytes: self.arg_u64("bytes")?,
-                retry_ns: self.arg_u64("retry_ns")?,
-            },
-            "tenant_stall" => Event::TenantStall {
-                tenant: self.arg_u64("tenant")? as u32,
-                bytes: self.arg_u64("bytes")?,
-            },
+            "dedup_skip" => fields!(self, DedupSkip { generation, pages, bytes_saved }),
+            "delta_encode" => fields!(self, DeltaEncode { generation, pages, blocks, bytes_saved }),
+            "ckpt_stall" => fields!(self, CheckpointStall { generation }),
+            "commit" => fields!(self, CommitBarrier { generation }),
+            "chunk_put" => fields!(self, ChunkPut { generation, bytes, queue_wait_ns, service_ns }),
+            "chunk_get" => fields!(self, ChunkGet { generation, bytes, queue_wait_ns, service_ns }),
+            "manifest_put" => fields!(self, ManifestPut { generation, bytes }),
+            "transfer" => fields!(self, DeviceTransfer { bytes, queue_wait_ns, service_ns }),
+            "publish" => fields!(self, RedundancyPublish { generation, bytes }),
+            "reconstruct" => fields!(self, RedundancyReconstruct { generation, pieces, bytes }),
+            "drain_batch" => fields!(self, DrainBatch { generations, chunks, bytes }),
+            "drain_depth" => fields!(self, DrainQueueDepth { depth }),
+            "drain_torn" => fields!(self, DrainTorn { generations, bytes }),
+            "admit" => fields!(self, AdmissionGrant { tenant, bytes, chunks }),
+            "reject" => fields!(self, AdmissionReject { tenant, bytes, retry_ns }),
+            "tenant_stall" => fields!(self, TenantStall { tenant, bytes }),
             "recovery_read" => Event::RecoveryRead {
                 tier: RecoveryTier::parse(self.arg("tier")?)?,
                 bytes: self.arg_u64("bytes")?,
             },
             "recovery_plan" => Event::RecoveryPlan {
-                rank: self.arg_u64("rank")? as u32,
+                rank: self.arg_u64("rank")?.try_into().ok()?,
                 tier: RecoveryTier::parse(self.arg("tier")?)?,
                 generation: self.arg_u64("generation")?,
             },
-            "restore" => Event::Restore {
-                generation: self.arg_u64("generation")?,
-                chain: self.arg_u64("chain")?,
-                pages: self.arg_u64("pages")?,
-                bytes: self.arg_u64("bytes")?,
-            },
-            "failure" => Event::Failure {
-                rank: self.arg_u64("rank")? as u32,
-                node_loss: self.arg_u64("node_loss")? as u32,
-            },
+            "restore" => fields!(self, Restore { generation, chain, pages, bytes }),
+            "failure" => fields!(self, Failure { rank, node_loss }),
             _ => return None,
         };
         Some((lane, TimedEvent { ts: SimTime(self.ts), dur: SimDuration(self.dur), event }))
@@ -304,7 +254,7 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedEvent>, String> {
 }
 
 fn parse_line(line: &str) -> Result<ParsedEvent, String> {
-    let mut p = Cursor { b: line.as_bytes(), i: 0 };
+    let mut p = Cursor { s: line, i: 0 };
     p.expect(b'{')?;
     let mut run = String::new();
     let mut track = String::new();
@@ -313,21 +263,22 @@ fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     let mut name = String::new();
     let mut args = Vec::new();
     loop {
+        // The fixed keys are matched on the borrowed slice.
         let key = p.string()?;
         p.expect(b':')?;
-        match key.as_str() {
-            "run" => run = p.string()?,
-            "track" => track = p.string()?,
-            "ts" => ts = p.integer()?,
-            "dur" => dur = p.integer()?,
-            "name" => name = p.string()?,
+        match &*key {
+            "run" => run = p.string()?.into_owned(),
+            "track" => track = p.string()?.into_owned(),
+            "ts" => ts = p.digits()?.1,
+            "dur" => dur = p.digits()?.1,
+            "name" => name = p.string()?.into_owned(),
             "args" => {
                 p.expect(b'{')?;
                 if p.peek() == Some(b'}') {
                     p.i += 1;
                 } else {
                     loop {
-                        let k = p.string()?;
+                        let k = p.string()?.into_owned();
                         p.expect(b':')?;
                         let v = p.raw_value()?;
                         args.push((k, v));
@@ -350,14 +301,16 @@ fn parse_line(line: &str) -> Result<ParsedEvent, String> {
     Ok(ParsedEvent { run, track, ts, dur, name, args })
 }
 
+/// A byte position in one line. Slices are cut only next to the ASCII
+/// bytes the grammar stops at, so they stay on `char` boundaries.
 struct Cursor<'a> {
-    b: &'a [u8],
+    s: &'a str,
     i: usize,
 }
 
-impl Cursor<'_> {
+impl<'a> Cursor<'a> {
     fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
+        self.s.as_bytes().get(self.i).copied()
     }
 
     fn next(&mut self) -> Result<u8, String> {
@@ -374,26 +327,42 @@ impl Cursor<'_> {
         Ok(())
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// A string literal's decoded body: the line's own bytes when it
+    /// holds no escape, else a copy made one unescaped run at a time.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect(b'"')?;
-        let mut s = String::new();
+        let mut decoded = String::new();
         loop {
-            match self.next()? {
-                b'"' => return Ok(s),
-                b'\\' => match self.next()? {
-                    b'"' => s.push('"'),
-                    b'\\' => s.push('\\'),
-                    b'n' => s.push('\n'),
-                    b'r' => s.push('\r'),
-                    b't' => s.push('\t'),
-                    c => return Err(format!("unsupported escape \\{}", c as char)),
-                },
-                c => s.push(c as char),
+            let start = self.i;
+            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                self.i += 1;
             }
+            let run = &self.s[start..self.i];
+            if self.next()? == b'"' {
+                let whole = decoded.is_empty();
+                return Ok(if whole { Cow::Borrowed(run) } else { Cow::Owned(decoded + run) });
+            }
+            decoded.push_str(run);
+            decoded.push(match self.next()? {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'u' => {
+                    let hex = self.s.get(self.i..self.i + 4).ok_or("truncated \\u escape")?;
+                    self.i += 4;
+                    let code = hex.bytes().all(|b| b.is_ascii_hexdigit()).then_some(hex);
+                    code.and_then(|hex| char::from_u32(u32::from_str_radix(hex, 16).ok()?))
+                        .ok_or_else(|| format!("unsupported escape \\u{hex}"))?
+                }
+                c => return Err(format!("unsupported escape \\{}", c as char)),
+            });
         }
     }
 
-    fn integer(&mut self) -> Result<u64, String> {
+    /// The digits of an unsigned integer and its value.
+    fn digits(&mut self) -> Result<(&'a str, u64), String> {
         let start = self.i;
         while self.peek().is_some_and(|c| c.is_ascii_digit()) {
             self.i += 1;
@@ -401,19 +370,18 @@ impl Cursor<'_> {
         if self.i == start {
             return Err("expected integer".to_string());
         }
-        std::str::from_utf8(&self.b[start..self.i])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("bad integer: {e}"))
+        let text = &self.s[start..self.i];
+        Ok((text, text.parse().map_err(|e| format!("bad integer: {e}"))?))
     }
 
     /// A primitive value (string or integer) as its raw token text.
     fn raw_value(&mut self) -> Result<String, String> {
         if self.peek() == Some(b'"') {
-            self.string()
-        } else {
-            Ok(self.integer()?.to_string())
+            return Ok(self.string()?.into_owned());
         }
+        let (text, v) = self.digits()?;
+        // Canonical digits are the token; `007` is rewritten as `7`.
+        Ok(if text.len() == 1 || !text.starts_with('0') { text.to_string() } else { v.to_string() })
     }
 }
 

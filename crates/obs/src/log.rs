@@ -18,7 +18,7 @@ use std::sync::Arc;
 use ickpt_sim::{SimDuration, SimTime};
 use parking_lot::Mutex;
 
-use crate::event::{Event, Lane, TimedEvent, TrackKey};
+use crate::event::{Event, Lane, TimedEvent, TrackKey, DENSE_LANE_IDS};
 use crate::metrics::MetricsPlane;
 
 /// Default per-track ring capacity: enough for hours of 1 s tracker
@@ -142,14 +142,58 @@ impl TraceSnapshot {
     }
 }
 
-/// The shared event store: a map of bounded per-track rings guarded
-/// by one mutex. Rank threads emit a handful of events per virtual
-/// second, so a single lock is nowhere near contended enough to
-/// matter; what matters is that a `BTreeMap` keyed by [`TrackKey`]
-/// gives snapshots a canonical track order for free.
+/// Every ring in creation order, found by index arithmetic: a group's
+/// table holds, at a lane's [`dense_slot`], the ring's position in
+/// `rings` plus one (0 while the lane has none). Lanes without a dense
+/// slot are looked up in an ordered map, so an id never sizes a table.
+#[derive(Default)]
+struct Tracks {
+    rings: Vec<(TrackKey, EventLog)>,
+    groups: BTreeMap<u32, Vec<u32>>,
+    sparse: BTreeMap<TrackKey, u32>,
+}
+
+/// `run`, `drain`, then the six id-bearing lane classes interleaved by
+/// id; `None` for an id at or above [`DENSE_LANE_IDS`].
+fn dense_slot(lane: Lane) -> Option<usize> {
+    let (class, id) = match lane {
+        Lane::Run => return Some(0),
+        Lane::Drain => return Some(1),
+        Lane::Rank(id) => (0, id),
+        Lane::Tenant(id) => (1, id),
+        Lane::Device(kind, id) => (2 + kind as usize, id),
+    };
+    (id < DENSE_LANE_IDS).then_some(2 + id as usize * 6 + class)
+}
+
+impl Tracks {
+    fn ring(&mut self, key: TrackKey, capacity: usize) -> &mut EventLog {
+        let slot = match dense_slot(key.lane) {
+            None => self.sparse.entry(key).or_insert(0),
+            Some(at) => {
+                let table = self.groups.entry(key.group).or_default();
+                if table.len() <= at {
+                    table.resize(at + 1, 0);
+                }
+                &mut table[at]
+            }
+        };
+        if *slot == 0 {
+            self.rings.push((key, EventLog::new(capacity)));
+            *slot = u32::try_from(self.rings.len()).expect("fewer than 2^32 tracks");
+        }
+        &mut self.rings[*slot as usize - 1].1
+    }
+}
+
+/// The shared event store: bounded per-track rings guarded by one
+/// mutex. Rank threads emit a handful of events per virtual second, so
+/// a single lock is nowhere near contended enough to matter; what
+/// matters is that an emit finds its ring without comparing keys.
+/// [`FlightRecorder::snapshot`] restores canonical track order, once.
 pub struct FlightRecorder {
     capacity: usize,
-    tracks: Mutex<BTreeMap<TrackKey, EventLog>>,
+    tracks: Mutex<Tracks>,
     groups: Mutex<BTreeMap<u32, String>>,
 }
 
@@ -158,7 +202,7 @@ impl FlightRecorder {
     pub fn new(capacity: usize) -> Arc<Self> {
         Arc::new(Self {
             capacity: capacity.max(1),
-            tracks: Mutex::new(BTreeMap::new()),
+            tracks: Mutex::new(Tracks::default()),
             groups: Mutex::new(BTreeMap::new()),
         })
     }
@@ -190,20 +234,29 @@ impl FlightRecorder {
         self.groups.lock().insert(group, name.to_string());
     }
 
-    /// Copy out every track, sorting each track's events by
-    /// `(ts, serialized event)` for deterministic export.
+    /// Copy out every track in [`TrackKey`] order, sorting each
+    /// track's events by `(ts, dur, name, serialized arguments)` for
+    /// deterministic export.
     pub fn snapshot(&self) -> TraceSnapshot {
         let groups =
             self.groups.lock().iter().map(|(id, name)| (*id, name.clone())).collect::<Vec<_>>();
         let tracks = self.tracks.lock();
-        let mut out = Vec::with_capacity(tracks.len());
-        for (key, log) in tracks.iter() {
+        let mut rings: Vec<&(TrackKey, EventLog)> = tracks.rings.iter().collect();
+        rings.sort_unstable_by_key(|(key, _)| *key);
+        // Arguments are serialized only to break a `(ts, dur, name)` tie.
+        let (mut a, mut b) = (String::new(), String::new());
+        let mut out = Vec::with_capacity(rings.len());
+        for (key, log) in rings {
             let mut evs: Vec<TimedEvent> = log.events().copied().collect();
-            let mut buf = String::new();
-            evs.sort_by_cached_key(|ev| {
-                buf.clear();
-                ev.event.write_args(&mut buf);
-                (ev.ts, ev.dur, ev.event.name(), buf.clone())
+            evs.sort_by(|x, y| {
+                let head = |ev: &TimedEvent| (ev.ts, ev.dur, ev.event.name());
+                head(x).cmp(&head(y)).then_with(|| {
+                    a.clear();
+                    b.clear();
+                    x.event.write_args(&mut a);
+                    y.event.write_args(&mut b);
+                    a.cmp(&b)
+                })
             });
             out.push((*key, evs, log.dropped()));
         }
@@ -216,15 +269,14 @@ impl fmt::Debug for FlightRecorder {
         let tracks = self.tracks.lock();
         f.debug_struct("FlightRecorder")
             .field("capacity", &self.capacity)
-            .field("tracks", &tracks.len())
+            .field("tracks", &tracks.rings.len())
             .finish()
     }
 }
 
 impl ObsSink for FlightRecorder {
     fn record(&self, track: TrackKey, ev: TimedEvent) {
-        let mut tracks = self.tracks.lock();
-        tracks.entry(track).or_insert_with(|| EventLog::new(self.capacity)).push(ev);
+        self.tracks.lock().ring(track, self.capacity).push(ev);
     }
 }
 
@@ -331,10 +383,11 @@ impl Recorder {
 
 impl fmt::Debug for Recorder {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.sink.is_some() {
-            write!(f, "Recorder(enabled, group {})", self.group)
-        } else {
-            write!(f, "Recorder(disabled)")
+        match (self.sink.is_some(), self.metrics.is_some()) {
+            (false, false) => write!(f, "Recorder(disabled)"),
+            (true, false) => write!(f, "Recorder(enabled, group {})", self.group),
+            (false, true) => write!(f, "Recorder(metrics only, group {})", self.group),
+            (true, true) => write!(f, "Recorder(enabled + metrics, group {})", self.group),
         }
     }
 }
@@ -423,6 +476,18 @@ mod tests {
         let span = rec.span(Lane::Rank(0), SimTime(5));
         span.end(SimTime(9), Event::CheckpointStall { generation: 1 });
         // Nothing to assert beyond "did not panic": there is no sink.
+    }
+
+    #[test]
+    fn debug_names_what_is_attached() {
+        let plane = MetricsPlane::new(SimDuration::from_secs(1));
+        let ring = Recorder::new(FlightRecorder::new(4)).with_group(3);
+        let metered = Recorder::disabled().with_metrics(plane.clone());
+        assert_eq!(format!("{:?}", Recorder::disabled()), "Recorder(disabled)");
+        assert_eq!(format!("{ring:?}"), "Recorder(enabled, group 3)");
+        assert_eq!(format!("{metered:?}"), "Recorder(metrics only, group 0)");
+        let both = ring.with_metrics(plane);
+        assert_eq!(format!("{both:?}"), "Recorder(enabled + metrics, group 3)");
     }
 
     #[test]

@@ -13,6 +13,12 @@
 //! is byte-identical at any `ICKPT_SIM_WORKERS` / `ICKPT_BENCH_THREADS`
 //! setting, exactly like the trace exporters.
 //!
+//! Counter and histogram names are a closed vocabulary, so ingest is
+//! index arithmetic: a name is a private id into a dense cell table and
+//! `COUNTER_NAMES` / `HIST_NAMES` (name-sorted) order every report. Only
+//! gauges keep an ordered map (`Event::Counter` names are the caller's);
+//! windows are an index-sorted vector with a last-hit hint.
+//!
 //! Quantiles come from [`LogHistogram`]: 65 fixed power-of-two buckets
 //! whose nearest-rank quantile is bit-reproducible and lands within
 //! one log₂ bucket of the exact nearest-rank statistic (property-pinned
@@ -33,7 +39,7 @@ use std::sync::Arc;
 use ickpt_sim::{SimDuration, SimTime};
 use parking_lot::Mutex;
 
-use crate::event::{DeviceKind, Event, Lane, RecoveryTier, TimedEvent};
+use crate::event::{DeviceKind, Event, Lane, RecoveryTier, TimedEvent, DENSE_LANE_IDS};
 
 /// Environment knob controlling the metrics plane in the bench/repro
 /// binaries: `off` (default), `on` (1 s windows) or `window=<secs>`.
@@ -252,7 +258,77 @@ impl MetricLabel {
     }
 }
 
-type MetricKey = (&'static str, MetricLabel);
+/// A private id enum and the table of metric names it indexes, both in
+/// name order (`vocabulary_is_name_sorted`): an id is its name's rank.
+macro_rules! vocabulary {
+    ($id:ident, $names:ident: $($variant:ident = $name:literal),+ $(,)?) => {
+        #[derive(Clone, Copy)]
+        enum $id { $($variant),+ }
+        const $names: &[&str] = &[$($name),+];
+    };
+}
+
+#[rustfmt::skip]
+vocabulary!(Ctr, COUNTER_NAMES:
+    AdmitBytes = "admit_bytes", Admits = "admits", CaptureBytes = "capture_bytes",
+    CapturePages = "capture_pages", Captures = "captures", ChunkGetBytes = "chunk_get_bytes",
+    ChunkGets = "chunk_gets", ChunkPutBytes = "chunk_put_bytes", ChunkPuts = "chunk_puts",
+    Commits = "commits", DedupBytesSaved = "dedup_bytes_saved", DedupPages = "dedup_pages",
+    DeltaBytesSaved = "delta_bytes_saved", DeltaPages = "delta_pages",
+    DeviceBusyNs = "device_busy_ns", DeviceBytes = "device_bytes",
+    DeviceQueueWaitNs = "device_queue_wait_ns", DeviceTransfers = "device_transfers",
+    DirtyBytes = "dirty_bytes", DrainBatches = "drain_batches", DrainBytes = "drain_bytes",
+    DrainGenerations = "drain_generations", DrainTornBytes = "drain_torn_bytes",
+    DrainTornGenerations = "drain_torn_generations", Failures = "failures",
+    Iterations = "iterations", ManifestPuts = "manifest_puts", PublishBytes = "publish_bytes",
+    ReconstructBytes = "reconstruct_bytes", RecoveryPlans = "recovery_plans",
+    RecoveryReadBytes = "recovery_read_bytes", RecoveryReads = "recovery_reads",
+    Rejects = "rejects", RestoreBytes = "restore_bytes", RestoreNs = "restore_ns",
+    Restores = "restores", SloBreaches = "slo_breaches", StallNs = "stall_ns",
+    TenantCheckpoints = "tenant_checkpoints", TenantStallNs = "tenant_stall_ns",
+    TrackerFaults = "tracker_faults", TrackerWindows = "tracker_windows",
+);
+
+#[rustfmt::skip]
+vocabulary!(Hist, HIST_NAMES:
+    AdmissionWait = "admission_wait_ns", CaptureCost = "capture_cost_ns",
+    DrainBatch = "drain_batch_ns", Stall = "stall_ns", TenantStall = "tenant_stall_ns",
+);
+
+/// The counters `DeviceTransfer` feeds per device and the ones recovery
+/// events feed per tier: each a run of consecutive ids. The cell table
+/// holds every unlabelled cell by id, then one row of `TIER_CTRS` per
+/// tier, then one row of `DEVICE_CTRS` per device, row `4 * index + kind`.
+const DEVICE_CTRS: std::ops::Range<usize> = Ctr::DeviceBusyNs as usize..Ctr::DirtyBytes as usize;
+const TIER_CTRS: std::ops::Range<usize> = Ctr::RecoveryPlans as usize..Ctr::Rejects as usize;
+const TIER_ROWS: usize = COUNTER_NAMES.len();
+const DEVICE_ROWS: usize = TIER_ROWS + 4 * TIER_CTRS.end - 4 * TIER_CTRS.start;
+/// Cells of one device index (four kinds), and the end of the rows of
+/// indices below [`DENSE_LANE_IDS`]: the part of the table kept dense.
+const INDEX_CELLS: usize = 4 * (DEVICE_CTRS.end - DEVICE_CTRS.start);
+const DENSE_CELLS: usize = DEVICE_ROWS + DENSE_LANE_IDS as usize * INDEX_CELLS;
+
+/// Where counter `id` under `label` sits in the cell table; `None` when
+/// the counter does not carry that kind of label.
+fn cell_at(id: usize, label: MetricLabel) -> Option<usize> {
+    let col = |ids: &std::ops::Range<usize>| ids.contains(&id).then(|| id - ids.start);
+    let device_row = |kind: DeviceKind, idx: u32| 4 * idx as usize + kind as usize;
+    Some(match label {
+        MetricLabel::None => id,
+        MetricLabel::Tier(tier) => TIER_ROWS + tier as usize * TIER_CTRS.len() + col(&TIER_CTRS)?,
+        MetricLabel::Device(kind, idx) => {
+            DEVICE_ROWS + device_row(kind, idx) * DEVICE_CTRS.len() + col(&DEVICE_CTRS)?
+        }
+    })
+}
+
+/// One counter cell. `touched` is what the map-keyed plane expressed by
+/// the key being present: a counter bumped by 0 still reports a 0.
+#[derive(Debug, Clone, Copy, Default)]
+struct Cell {
+    value: u64,
+    touched: bool,
+}
 
 /// One virtual-time window's accumulated rates and distributions. All
 /// fields fold element-wise (sums and maxes), so windows are as
@@ -316,37 +392,87 @@ impl WindowAccum {
 }
 
 /// One run group's metric state: the value behind a [`MetricsView`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct GroupMetrics {
-    counters: BTreeMap<MetricKey, u64>,
-    gauges_max: BTreeMap<MetricKey, u64>,
-    hists: BTreeMap<MetricKey, LogHistogram>,
-    windows: BTreeMap<u64, WindowAccum>,
+    /// Counter cells by [`cell_at`], grown on demand up to
+    /// `DENSE_CELLS`; a cell beyond is a key of `sparse`, so a device
+    /// index never sizes the table.
+    cells: Vec<Cell>,
+    sparse: BTreeMap<usize, Cell>,
+    gauges_max: BTreeMap<&'static str, u64>,
+    /// By [`Hist`]; reported once it holds a sample.
+    hists: [LogHistogram; HIST_NAMES.len()],
+    /// Sorted by window index. Boxed, so opening a window in front of
+    /// later ones moves pointers, not kilobyte accumulators.
+    windows: Vec<(u64, Box<WindowAccum>)>,
+    /// Where the last event's window is: the next one's, mostly.
+    window_hint: usize,
     horizon_ns: u64,
 }
 
 impl GroupMetrics {
     #[inline]
-    fn add(&mut self, name: &'static str, label: MetricLabel, delta: u64) -> u64 {
-        *self.counters.entry((name, label)).or_insert(0) += delta;
+    fn add(&mut self, id: Ctr, label: MetricLabel, delta: u64) -> u64 {
+        let at = cell_at(id as usize, label).expect("a counter is bumped under its own label");
+        if at >= self.cells.len() && at < DENSE_CELLS {
+            self.cells.resize(at + 1, Cell::default());
+        }
+        let cell = match self.cells.get_mut(at) {
+            Some(cell) => cell,
+            None => self.sparse.entry(at).or_default(),
+        };
+        cell.value += delta;
+        cell.touched = true;
         1
     }
 
-    #[inline]
-    fn gauge_max(&mut self, name: &'static str, label: MetricLabel, v: u64) -> u64 {
-        let g = self.gauges_max.entry((name, label)).or_insert(0);
+    fn gauge_max(&mut self, name: &'static str, v: u64) -> u64 {
+        let g = self.gauges_max.entry(name).or_insert(0);
         *g = (*g).max(v);
         1
     }
 
     #[inline]
-    fn hist(&mut self, name: &'static str, v: u64) -> u64 {
-        self.hists.entry((name, MetricLabel::None)).or_default().record(v);
+    fn hist(&mut self, id: Hist, v: u64) -> u64 {
+        self.hists[id as usize].record(v);
         1
     }
 
     fn window(&mut self, ts: SimTime, window_ns: u64) -> &mut WindowAccum {
-        self.windows.entry(ts.0 / window_ns.max(1)).or_default()
+        let index = ts.0 / window_ns.max(1);
+        if self.windows.get(self.window_hint).map(|(i, _)| *i) != Some(index) {
+            let found = self.windows.binary_search_by_key(&index, |(i, _)| *i);
+            self.window_hint = found.unwrap_or_else(|at| {
+                self.windows.insert(at, (index, Box::default()));
+                at
+            });
+        }
+        &mut self.windows[self.window_hint].1
+    }
+
+    /// Counter `id` under `label`, if that cell was ever bumped.
+    fn cell(&self, id: usize, label: MetricLabel) -> Option<u64> {
+        let at = cell_at(id, label)?;
+        let cell = self.cells.get(at).or_else(|| self.sparse.get(&at))?;
+        cell.touched.then_some(cell.value)
+    }
+
+    /// Every bumped cell of counter `id` with its label, in label
+    /// order: unlabelled, devices by `(kind, index)`, tiers.
+    fn cells(&self, id: usize) -> impl Iterator<Item = (MetricLabel, u64)> + '_ {
+        let mut labels = vec![MetricLabel::None];
+        if DEVICE_CTRS.contains(&id) {
+            // Device indices that have cells: the dense rows', then the keys'.
+            let index_of = |at: usize| (at.saturating_sub(DEVICE_ROWS) / INDEX_CELLS) as u32;
+            let sparse = self.sparse.keys().map(|at| index_of(*at));
+            let mut indices: Vec<u32> = (0..=index_of(self.cells.len())).chain(sparse).collect();
+            indices.dedup();
+            for kind in DeviceKind::ALL {
+                labels.extend(indices.iter().map(|idx| MetricLabel::Device(kind, *idx)));
+            }
+        }
+        labels.extend(RecoveryTier::ALL.map(MetricLabel::Tier));
+        labels.into_iter().filter_map(move |label| Some((label, self.cell(id, label)?)))
     }
 
     /// Apply one event; returns `(cell updates, histogram records)`
@@ -358,20 +484,20 @@ impl GroupMetrics {
         let dur = ev.dur.0;
         match ev.event {
             Event::RunStart { ranks } => {
-                updates += self.gauge_max("ranks", MetricLabel::None, u64::from(ranks));
+                updates += self.gauge_max("ranks", u64::from(ranks));
             }
             Event::IterationBoundary { .. } => {
-                updates += self.add("iterations", MetricLabel::None, 1);
+                updates += self.add(Ctr::Iterations, MetricLabel::None, 1);
             }
             Event::TrackerWindow { faults, .. } => {
-                updates += self.add("tracker_windows", MetricLabel::None, 1);
-                updates += self.add("tracker_faults", MetricLabel::None, faults);
+                updates += self.add(Ctr::TrackerWindows, MetricLabel::None, 1);
+                updates += self.add(Ctr::TrackerFaults, MetricLabel::None, faults);
             }
             Event::Capture { pages, payload_bytes, .. } => {
-                updates += self.add("captures", MetricLabel::None, 1);
-                updates += self.add("capture_pages", MetricLabel::None, pages);
-                updates += self.add("capture_bytes", MetricLabel::None, payload_bytes);
-                updates += self.add("dirty_bytes", MetricLabel::None, payload_bytes);
+                updates += self.add(Ctr::Captures, MetricLabel::None, 1);
+                updates += self.add(Ctr::CapturePages, MetricLabel::None, pages);
+                updates += self.add(Ctr::CaptureBytes, MetricLabel::None, payload_bytes);
+                updates += self.add(Ctr::DirtyBytes, MetricLabel::None, payload_bytes);
                 let w = self.window(ev.ts, window_ns);
                 w.captures += 1;
                 w.effective_ib_bytes += payload_bytes;
@@ -379,22 +505,22 @@ impl GroupMetrics {
                 updates += 3;
             }
             Event::DedupSkip { pages, bytes_saved, .. } => {
-                updates += self.add("dedup_pages", MetricLabel::None, pages);
-                updates += self.add("dedup_bytes_saved", MetricLabel::None, bytes_saved);
-                updates += self.add("dirty_bytes", MetricLabel::None, bytes_saved);
+                updates += self.add(Ctr::DedupPages, MetricLabel::None, pages);
+                updates += self.add(Ctr::DedupBytesSaved, MetricLabel::None, bytes_saved);
+                updates += self.add(Ctr::DirtyBytes, MetricLabel::None, bytes_saved);
                 self.window(ev.ts, window_ns).dirty_ib_bytes += bytes_saved;
                 updates += 1;
             }
             Event::DeltaEncode { pages, bytes_saved, .. } => {
-                updates += self.add("delta_pages", MetricLabel::None, pages);
-                updates += self.add("delta_bytes_saved", MetricLabel::None, bytes_saved);
-                updates += self.add("dirty_bytes", MetricLabel::None, bytes_saved);
+                updates += self.add(Ctr::DeltaPages, MetricLabel::None, pages);
+                updates += self.add(Ctr::DeltaBytesSaved, MetricLabel::None, bytes_saved);
+                updates += self.add(Ctr::DirtyBytes, MetricLabel::None, bytes_saved);
                 self.window(ev.ts, window_ns).dirty_ib_bytes += bytes_saved;
                 updates += 1;
             }
             Event::CheckpointStall { .. } => {
-                updates += self.add("stall_ns", MetricLabel::None, dur);
-                hists += self.hist("stall_ns", dur);
+                updates += self.add(Ctr::StallNs, MetricLabel::None, dur);
+                hists += self.hist(Hist::Stall, dur);
                 let w = self.window(ev.ts, window_ns);
                 w.stall_ns += dur;
                 w.stall.record(dur);
@@ -402,97 +528,97 @@ impl GroupMetrics {
                 hists += 1;
             }
             Event::CommitBarrier { .. } => {
-                updates += self.add("commits", MetricLabel::None, 1);
+                updates += self.add(Ctr::Commits, MetricLabel::None, 1);
             }
             Event::ChunkPut { bytes, queue_wait_ns, service_ns, .. } => {
-                updates += self.add("chunk_puts", MetricLabel::None, 1);
-                updates += self.add("chunk_put_bytes", MetricLabel::None, bytes);
-                hists += self.hist("capture_cost_ns", queue_wait_ns + service_ns);
+                updates += self.add(Ctr::ChunkPuts, MetricLabel::None, 1);
+                updates += self.add(Ctr::ChunkPutBytes, MetricLabel::None, bytes);
+                hists += self.hist(Hist::CaptureCost, queue_wait_ns + service_ns);
             }
             Event::ChunkGet { bytes, .. } => {
-                updates += self.add("chunk_gets", MetricLabel::None, 1);
-                updates += self.add("chunk_get_bytes", MetricLabel::None, bytes);
+                updates += self.add(Ctr::ChunkGets, MetricLabel::None, 1);
+                updates += self.add(Ctr::ChunkGetBytes, MetricLabel::None, bytes);
             }
             Event::ManifestPut { .. } => {
-                updates += self.add("manifest_puts", MetricLabel::None, 1);
+                updates += self.add(Ctr::ManifestPuts, MetricLabel::None, 1);
             }
             Event::DeviceTransfer { bytes, queue_wait_ns, service_ns } => {
                 let label = match lane {
                     Lane::Device(kind, idx) => MetricLabel::Device(kind, idx),
                     _ => MetricLabel::None,
                 };
-                updates += self.add("device_transfers", label, 1);
-                updates += self.add("device_bytes", label, bytes);
-                updates += self.add("device_busy_ns", label, service_ns);
-                updates += self.add("device_queue_wait_ns", label, queue_wait_ns);
+                updates += self.add(Ctr::DeviceTransfers, label, 1);
+                updates += self.add(Ctr::DeviceBytes, label, bytes);
+                updates += self.add(Ctr::DeviceBusyNs, label, service_ns);
+                updates += self.add(Ctr::DeviceQueueWaitNs, label, queue_wait_ns);
                 self.window(ev.ts, window_ns).device_busy_ns += service_ns;
                 updates += 1;
             }
             Event::RedundancyPublish { bytes, .. } => {
-                updates += self.add("publish_bytes", MetricLabel::None, bytes);
+                updates += self.add(Ctr::PublishBytes, MetricLabel::None, bytes);
             }
             Event::RedundancyReconstruct { bytes, .. } => {
-                updates += self.add("reconstruct_bytes", MetricLabel::None, bytes);
+                updates += self.add(Ctr::ReconstructBytes, MetricLabel::None, bytes);
             }
             Event::DrainBatch { generations, bytes, .. } => {
-                updates += self.add("drain_batches", MetricLabel::None, 1);
-                updates += self.add("drain_generations", MetricLabel::None, generations);
-                updates += self.add("drain_bytes", MetricLabel::None, bytes);
-                hists += self.hist("drain_batch_ns", dur);
+                updates += self.add(Ctr::DrainBatches, MetricLabel::None, 1);
+                updates += self.add(Ctr::DrainGenerations, MetricLabel::None, generations);
+                updates += self.add(Ctr::DrainBytes, MetricLabel::None, bytes);
+                hists += self.hist(Hist::DrainBatch, dur);
                 let w = self.window(ev.ts, window_ns);
                 w.drain_batches += 1;
                 w.drain_bytes += bytes;
                 updates += 2;
             }
             Event::DrainQueueDepth { depth } => {
-                updates += self.gauge_max("drain_depth_max", MetricLabel::None, depth);
+                updates += self.gauge_max("drain_depth_max", depth);
                 let w = self.window(ev.ts, window_ns);
                 w.drain_depth_max = w.drain_depth_max.max(depth);
                 updates += 1;
             }
             Event::DrainTorn { generations, bytes } => {
-                updates += self.add("drain_torn_generations", MetricLabel::None, generations);
-                updates += self.add("drain_torn_bytes", MetricLabel::None, bytes);
+                updates += self.add(Ctr::DrainTornGenerations, MetricLabel::None, generations);
+                updates += self.add(Ctr::DrainTornBytes, MetricLabel::None, bytes);
             }
             Event::AdmissionGrant { bytes, .. } => {
-                updates += self.add("admits", MetricLabel::None, 1);
-                updates += self.add("admit_bytes", MetricLabel::None, bytes);
+                updates += self.add(Ctr::Admits, MetricLabel::None, 1);
+                updates += self.add(Ctr::AdmitBytes, MetricLabel::None, bytes);
                 self.window(ev.ts, window_ns).admits += 1;
                 updates += 1;
             }
             Event::AdmissionReject { retry_ns, .. } => {
-                updates += self.add("rejects", MetricLabel::None, 1);
-                hists += self.hist("admission_wait_ns", retry_ns);
+                updates += self.add(Ctr::Rejects, MetricLabel::None, 1);
+                hists += self.hist(Hist::AdmissionWait, retry_ns);
                 self.window(ev.ts, window_ns).rejects += 1;
                 updates += 1;
             }
             Event::TenantStall { .. } => {
-                updates += self.add("tenant_checkpoints", MetricLabel::None, 1);
-                updates += self.add("tenant_stall_ns", MetricLabel::None, dur);
-                hists += self.hist("tenant_stall_ns", dur);
+                updates += self.add(Ctr::TenantCheckpoints, MetricLabel::None, 1);
+                updates += self.add(Ctr::TenantStallNs, MetricLabel::None, dur);
+                hists += self.hist(Hist::TenantStall, dur);
                 self.window(ev.ts, window_ns).tenant_stall.record(dur);
                 hists += 1;
             }
             Event::RecoveryRead { tier, bytes } => {
-                updates += self.add("recovery_reads", MetricLabel::Tier(tier), 1);
-                updates += self.add("recovery_read_bytes", MetricLabel::Tier(tier), bytes);
+                updates += self.add(Ctr::RecoveryReads, MetricLabel::Tier(tier), 1);
+                updates += self.add(Ctr::RecoveryReadBytes, MetricLabel::Tier(tier), bytes);
             }
             Event::RecoveryPlan { tier, .. } => {
-                updates += self.add("recovery_plans", MetricLabel::Tier(tier), 1);
+                updates += self.add(Ctr::RecoveryPlans, MetricLabel::Tier(tier), 1);
             }
             Event::Restore { bytes, .. } => {
-                updates += self.add("restores", MetricLabel::None, 1);
-                updates += self.add("restore_ns", MetricLabel::None, dur);
-                updates += self.add("restore_bytes", MetricLabel::None, bytes);
+                updates += self.add(Ctr::Restores, MetricLabel::None, 1);
+                updates += self.add(Ctr::RestoreNs, MetricLabel::None, dur);
+                updates += self.add(Ctr::RestoreBytes, MetricLabel::None, bytes);
             }
             Event::Failure { .. } => {
-                updates += self.add("failures", MetricLabel::None, 1);
+                updates += self.add(Ctr::Failures, MetricLabel::None, 1);
             }
             Event::Counter { name, value } => {
-                updates += self.gauge_max(name, MetricLabel::None, value);
+                updates += self.gauge_max(name, value);
             }
             Event::SloBreach { .. } => {
-                updates += self.add("slo_breaches", MetricLabel::None, 1);
+                updates += self.add(Ctr::SloBreaches, MetricLabel::None, 1);
             }
         }
         (updates, hists)
@@ -514,7 +640,8 @@ pub struct MetaStats {
 
 #[derive(Default)]
 struct PlaneState {
-    groups: BTreeMap<u32, GroupMetrics>,
+    /// Boxed: tree nodes hold ids and pointers, not kilobytes of cells.
+    groups: BTreeMap<u32, Box<GroupMetrics>>,
     names: BTreeMap<u32, String>,
     meta: MetaStats,
 }
@@ -600,17 +727,17 @@ impl MetricsPlane {
             let run = labels;
             let _ = writeln!(out, "ickpt_horizon_ns{{run=\"{run}\"}} {}", g.horizon_ns);
             let _ = writeln!(out, "ickpt_windows{{run=\"{run}\"}} {}", g.windows.len());
-            for ((name, label), v) in &g.counters {
-                let mut l = String::new();
-                label.write(&mut l);
-                let _ = writeln!(out, "ickpt_{name}_total{{run=\"{run}\"{l}}} {v}");
+            for (id, name) in COUNTER_NAMES.iter().enumerate() {
+                for (label, v) in g.cells(id) {
+                    let mut l = String::new();
+                    label.write(&mut l);
+                    let _ = writeln!(out, "ickpt_{name}_total{{run=\"{run}\"{l}}} {v}");
+                }
             }
-            for ((name, label), v) in &g.gauges_max {
-                let mut l = String::new();
-                label.write(&mut l);
-                let _ = writeln!(out, "ickpt_{name}{{run=\"{run}\"{l}}} {v}");
+            for (name, v) in &g.gauges_max {
+                let _ = writeln!(out, "ickpt_{name}{{run=\"{run}\"}} {v}");
             }
-            for ((name, _), h) in &g.hists {
+            for (name, h) in HIST_NAMES.iter().zip(&g.hists).filter(|(_, h)| !h.is_empty()) {
                 let _ = writeln!(out, "ickpt_{name}_count{{run=\"{run}\"}} {}", h.count());
                 let _ = writeln!(out, "ickpt_{name}_sum{{run=\"{run}\"}} {}", h.sum());
                 for (q, pct) in [("0.5", 50u8), ("0.9", 90), ("0.99", 99)] {
@@ -651,7 +778,7 @@ fn escape_label(out: &mut String, s: &str) {
 
 /// A point-in-time, read-only view of one run group's metrics — the
 /// API contract the ROADMAP item 4 adaptive controller consumes.
-/// Lookups iterate small ordered maps; windows come back in index
+/// Lookups find a name by binary search; windows come back in index
 /// order. Cloned out of the plane, so holding a view never blocks
 /// ingestion.
 #[derive(Debug, Clone)]
@@ -659,7 +786,7 @@ pub struct MetricsView {
     group: u32,
     name: String,
     window_ns: u64,
-    metrics: GroupMetrics,
+    metrics: Box<GroupMetrics>,
 }
 
 impl MetricsView {
@@ -690,32 +817,19 @@ impl MetricsView {
 
     /// Value of counter `name` with `label`.
     pub fn counter_labeled(&self, name: &str, label: MetricLabel) -> u64 {
-        self.metrics
-            .counters
-            .iter()
-            .find(|((n, l), _)| *n == name && *l == label)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        let id = COUNTER_NAMES.binary_search(&name).ok();
+        id.and_then(|id| self.metrics.cell(id, label)).unwrap_or(0)
     }
 
     /// High-water value of gauge `name` (0 if never touched).
     pub fn gauge(&self, name: &str) -> u64 {
-        self.metrics
-            .gauges_max
-            .iter()
-            .find(|((n, l), _)| *n == name && *l == MetricLabel::None)
-            .map(|(_, v)| *v)
-            .unwrap_or(0)
+        self.metrics.gauges_max.get(name).copied().unwrap_or(0)
     }
 
     /// The run-wide histogram `name`, if any samples were recorded.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
-        self.metrics
-            .hists
-            .iter()
-            .find(|((n, _), _)| *n == name)
-            .map(|(_, h)| h)
-            .filter(|h| !h.is_empty())
+        let id = HIST_NAMES.binary_search(&name).ok()?;
+        Some(&self.metrics.hists[id]).filter(|h| !h.is_empty())
     }
 
     /// Nearest-rank quantile of histogram `name` at `pct` percent.
@@ -725,23 +839,19 @@ impl MetricsView {
 
     /// All labeled variants of counter `name`, label order.
     pub fn counters_labeled(&self, name: &str) -> Vec<(MetricLabel, u64)> {
-        self.metrics
-            .counters
-            .iter()
-            .filter(|((n, _), _)| *n == name)
-            .map(|((_, l), v)| (*l, *v))
-            .collect()
+        COUNTER_NAMES.binary_search(&name).map_or(Vec::new(), |id| self.metrics.cells(id).collect())
     }
 
     /// Windowed series, `(window index, accumulator)` in index order.
     /// Windows nothing happened in are absent.
     pub fn windows(&self) -> impl Iterator<Item = (u64, &WindowAccum)> {
-        self.metrics.windows.iter().map(|(i, w)| (*i, w))
+        self.metrics.windows.iter().map(|(i, w)| (*i, &**w))
     }
 
     /// One window's accumulator.
     pub fn window(&self, index: u64) -> Option<&WindowAccum> {
-        self.metrics.windows.get(&index)
+        let at = self.metrics.windows.binary_search_by_key(&index, |(i, _)| *i).ok()?;
+        Some(&self.metrics.windows[at].1)
     }
 
     /// Number of populated windows.
@@ -778,6 +888,15 @@ mod tests {
         for bad in ["", "On", "1", "window=", "window=0", "window=-1", "window=2s", "yes"] {
             assert!(MetricsConfig::parse(bad).is_err(), "{bad:?} must be rejected");
         }
+    }
+
+    #[test]
+    fn vocabulary_is_name_sorted() {
+        assert!(COUNTER_NAMES.is_sorted() && HIST_NAMES.is_sorted());
+        assert_eq!(COUNTER_NAMES[Ctr::TrackerWindows as usize], "tracker_windows");
+        assert_eq!(COUNTER_NAMES[DEVICE_CTRS].last(), Some(&"device_transfers"));
+        assert_eq!(COUNTER_NAMES[TIER_CTRS].last(), Some(&"recovery_reads"));
+        assert_eq!(HIST_NAMES[Hist::TenantStall as usize], "tenant_stall_ns");
     }
 
     #[test]

@@ -229,7 +229,25 @@ KNOBS
     # public API: run its own tests (tiny `--quick` inputs, every
     # workload and check end to end, ~3 s) so an API change that breaks
     # the benchmark fails here rather than in the next driver run.
+    # Building perf/ rewrites perf/Cargo.lock in place (`--offline`
+    # without `--locked`; the checked-in lock still lists crates the
+    # workspace dropped), so the file is put back as it was found.
+    local lock_before
+    lock_before=$(mktemp)
+    cp perf/Cargo.lock "$lock_before"
     run cargo test --release --offline --manifest-path perf/Cargo.toml
+    cp "$lock_before" perf/Cargo.lock
+    rm -f "$lock_before"
+
+    # The driver rejects a PR that changes anything under perf/ or
+    # BENCHMARK.json (a committed lock rewrite did that to PR 15), so
+    # whatever is still different from HEAD here was not this script.
+    echo "==> perf/ and BENCHMARK.json untouched"
+    if [[ -n "$(git status --porcelain -- perf BENCHMARK.json)" ]]; then
+        git status --porcelain -- perf BENCHMARK.json >&2
+        echo "the benchmark must stay as committed; for the lock file: git checkout -- perf/Cargo.lock" >&2
+        exit 1
+    fi
 }
 
 if [[ "${1:-}" == "--bench-smoke" ]]; then
