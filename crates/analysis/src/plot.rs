@@ -1,9 +1,9 @@
 //! ASCII line plots for the figure regenerators.
 //!
-//! The figure benches print each series both as machine-readable rows
-//! and as a terminal plot, so the *shape* claims (burst periodicity,
-//! IB decay, scaling flatness) are visible in `cargo bench` output
-//! without external tooling.
+//! The figure experiments print each series both as machine-readable
+//! rows and as a terminal plot, so the *shape* claims (burst
+//! periodicity, IB decay, scaling flatness) are visible in `repro`
+//! output without external tooling.
 
 /// Render `series` (x, y) as an ASCII scatter/line plot of the given
 /// character dimensions, with axis labels.

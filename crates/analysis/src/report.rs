@@ -47,14 +47,4 @@ impl ExperimentReport {
         self.trace = trace;
         self
     }
-
-    /// Print the body and hand back the comparison rows.
-    // The sanctioned stdout path for bench targets: the body is the
-    // deliverable, and callers invoke this only from terminal-facing
-    // binaries.
-    #[allow(clippy::disallowed_macros)]
-    pub fn print(self) -> Vec<Comparison> {
-        print!("{}", self.body);
-        self.comparisons
-    }
 }

@@ -36,9 +36,11 @@
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
+use ickpt::obs::ParsedEvent;
 use ickpt::storage::{
     Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage, PARITY_RANK_BASE,
 };
+use ickpt::svc::percentile_ns;
 use ickpt_analysis::table::fnum;
 use ickpt_analysis::TextTable;
 
@@ -132,22 +134,23 @@ fn tiered_overview(dir: &str) -> String {
     shared.to_string_lossy().into_owned()
 }
 
+/// Read and parse a JSONL flight-recorder export (`repro --trace-out`,
+/// `redundancy_smoke --trace-out`). Exits 2 if the file cannot be
+/// read and 1 if it is malformed.
+fn load_trace(path: &str) -> Vec<ParsedEvent> {
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
+        eprintln!("cannot read {path}: {e}");
+        std::process::exit(2);
+    });
+    ickpt::obs::parse_jsonl(&text).unwrap_or_else(|e| {
+        eprintln!("{path}: malformed trace: {e}");
+        std::process::exit(1);
+    })
+}
+
 /// `inspect --trace`: summarize a JSONL flight-recorder export.
 fn trace_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let events = match ickpt::obs::parse_jsonl(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("{path}: malformed trace: {e}");
-            return 1;
-        }
-    };
+    let events = load_trace(path);
     println!("trace: {path}");
     // Per (run, track): count, busy (sum of span durations), extent.
     let mut tracks: std::collections::BTreeMap<(String, String), (u64, u64, u64)> =
@@ -188,7 +191,7 @@ fn trace_report(path: &str) -> i32 {
         torn_generations: u64,
         torn_bytes: u64,
     }
-    let arg = |ev: &ickpt::obs::ParsedEvent, key: &str| ev.arg_u64(key).unwrap_or(0);
+    let arg = |ev: &ParsedEvent, key: &str| ev.arg_u64(key).unwrap_or(0);
     let mut drains: std::collections::BTreeMap<String, DrainAcc> =
         std::collections::BTreeMap::new();
     for ev in events.iter().filter(|ev| ev.track == "drain") {
@@ -239,15 +242,6 @@ fn trace_report(path: &str) -> i32 {
     0
 }
 
-/// Nearest-rank percentile of sorted ns samples.
-fn pct_sorted(sorted: &[u64], pct: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (pct.min(100) * sorted.len() as u64).div_ceil(100).max(1);
-    sorted[(rank - 1) as usize]
-}
-
 /// `inspect --metrics`: replay a JSONL trace into a fresh metrics
 /// plane and print each run's end-of-run totals, latency quantiles
 /// and SLO health verdicts; `--windows` adds the per-window rate
@@ -256,20 +250,7 @@ fn pct_sorted(sorted: &[u64], pct: u64) -> u64 {
 fn metrics_report(path: &str, show_windows: bool) -> i32 {
     use ickpt::obs::{HealthMonitor, MetricLabel, MetricsConfig, MetricsPlane};
 
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let events = match ickpt::obs::parse_jsonl(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("{path}: malformed trace: {e}");
-            return 1;
-        }
-    };
+    let events = load_trace(path);
     let plane = MetricsPlane::new(MetricsConfig::from_env().window);
     let mut group_of: Vec<String> = Vec::new(); // index = group id
     let mut skipped = 0usize;
@@ -444,20 +425,7 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
 /// admission rejections, stall percentiles and each tenant's share of
 /// the drained bytes, per run group.
 fn tenants_report(path: &str) -> i32 {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("cannot read {path}: {e}");
-            return 2;
-        }
-    };
-    let events = match ickpt::obs::parse_jsonl(&text) {
-        Ok(ev) => ev,
-        Err(e) => {
-            eprintln!("{path}: malformed trace: {e}");
-            return 1;
-        }
-    };
+    let events = load_trace(path);
     println!("tenant service view: {path}");
     #[derive(Default)]
     struct Acc {
@@ -471,9 +439,6 @@ fn tenants_report(path: &str) -> i32 {
     // (run, tenant id) → accumulator, from the tenant-lane events.
     let mut tenants: std::collections::BTreeMap<(String, u32), Acc> =
         std::collections::BTreeMap::new();
-    let arg = |ev: &ickpt::obs::ParsedEvent, key: &str| -> u64 {
-        ev.args.iter().find(|(k, _)| k == key).and_then(|(_, v)| v.parse().ok()).unwrap_or(0)
-    };
     for ev in &events {
         let Some(id) = ev.track.strip_prefix("tenant").and_then(|t| t.parse().ok()) else {
             continue;
@@ -481,11 +446,11 @@ fn tenants_report(path: &str) -> i32 {
         let a = tenants.entry((ev.run.clone(), id)).or_default();
         a.extent_ns = a.extent_ns.max(ev.ts + ev.dur);
         match ev.name.as_str() {
-            "admit" => a.admitted_bytes += arg(ev, "bytes"),
+            "admit" => a.admitted_bytes += ev.arg_u64("bytes").unwrap_or(0),
             "reject" => a.rejections += 1,
             "tenant_stall" => {
                 a.checkpoints += 1;
-                a.drained_bytes += arg(ev, "bytes");
+                a.drained_bytes += ev.arg_u64("bytes").unwrap_or(0);
                 a.stalls_ns.push(ev.dur);
             }
             _ => {}
@@ -524,15 +489,13 @@ fn tenants_report(path: &str) -> i32 {
                 ]);
                 break;
             }
-            let mut stalls = a.stalls_ns.clone();
-            stalls.sort_unstable();
             t.row(vec![
                 id.to_string(),
                 a.checkpoints.to_string(),
                 fnum(a.drained_bytes as f64 / 1e6 / (a.extent_ns.max(1) as f64 / 1e9), 2),
                 a.rejections.to_string(),
-                fnum(pct_sorted(&stalls, 50) as f64 / 1e6, 1),
-                fnum(pct_sorted(&stalls, 99) as f64 / 1e6, 1),
+                fnum(percentile_ns(&a.stalls_ns, 50) as f64 / 1e6, 1),
+                fnum(percentile_ns(&a.stalls_ns, 99) as f64 / 1e6, 1),
                 fnum(a.drained_bytes as f64 * 100.0 / fleet_drained.max(1) as f64, 1),
             ]);
         }

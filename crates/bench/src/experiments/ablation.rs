@@ -560,8 +560,3 @@ pub fn report() -> ExperimentReport {
     }
     ExperimentReport::new(body, comparisons).with_trace(tb.finish())
 }
-
-/// Print the ablations and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

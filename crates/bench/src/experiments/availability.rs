@@ -199,8 +199,3 @@ pub fn report() -> ExperimentReport {
     .unwrap();
     ExperimentReport::new(body, rows).with_trace(tb.finish())
 }
-
-/// Print the availability study and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

@@ -189,8 +189,3 @@ pub fn report() -> ExperimentReport {
     .unwrap();
     ExperimentReport::new(body, rows)
 }
-
-/// Print the effective-IB study and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

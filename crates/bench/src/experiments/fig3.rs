@@ -70,8 +70,3 @@ pub fn report() -> ExperimentReport {
     ];
     ExperimentReport::new(body, comparisons).with_trace(tb.finish())
 }
-
-/// Print the regenerated figure and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

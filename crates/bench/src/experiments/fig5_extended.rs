@@ -176,11 +176,6 @@ fn host_timing(nranks: usize, elapsed_s: f64) {
     );
 }
 
-/// Print the regenerated figure and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -129,8 +129,3 @@ pub fn report() -> ExperimentReport {
     }
     ExperimentReport::new(body, comparisons).with_trace(tb.finish())
 }
-
-/// Print the regenerated experiment and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

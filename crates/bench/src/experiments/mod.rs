@@ -5,9 +5,7 @@
 //! [`ickpt_analysis::Comparison`] rows as an
 //! [`ickpt_analysis::ExperimentReport`] — experiments never print, so
 //! the scheduler can run them concurrently and emit output in a fixed
-//! order. `run_and_print()` is the print-immediately convenience the
-//! bench targets under `benches/` call; the `repro` binary runs
-//! everything.
+//! order. The `repro` binary runs them (`--only` selects a subset).
 
 pub mod ablation;
 pub mod availability;

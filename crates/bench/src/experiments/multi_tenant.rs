@@ -240,11 +240,6 @@ fn host_timing(stage: &str, elapsed_s: f64) {
     eprintln!("multi_tenant: {stage} in {elapsed_s:.1}s host time");
 }
 
-/// Print the regenerated tables and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -94,8 +94,3 @@ pub fn report() -> ExperimentReport {
     writeln!(body, "(periods detected at run time by IWS autocorrelation, §6.2)").unwrap();
     ExperimentReport::new(body, comparisons).with_trace(tb.finish())
 }
-
-/// Print the regenerated table and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

@@ -72,8 +72,3 @@ pub fn report() -> ExperimentReport {
     .unwrap();
     ExperimentReport::new(body, comparisons).with_trace(tb.finish())
 }
-
-/// Print the regenerated table and return the comparison rows.
-pub fn run_and_print() -> Vec<Comparison> {
-    report().print()
-}

@@ -1,9 +1,10 @@
 //! # ickpt-bench — the experiment harness
 //!
-//! One bench target per table/figure of the paper (all `harness =
-//! false`, so `cargo bench` regenerates everything), plus criterion
-//! micro-benchmarks and ablation studies. This library holds the shared
-//! glue: standard run configurations, IB statistics extraction with the
+//! One experiment module per table/figure of the paper plus the
+//! ablation studies; the `repro` binary runs them all (`repro --only
+//! <name>` regenerates one). Speed is measured by the stand-alone
+//! `perf/` package, not here. This library holds the shared glue:
+//! standard run configurations, IB statistics extraction with the
 //! paper's initialization-burst exclusion, and result formatting.
 //!
 //! ## Environment knobs

@@ -62,7 +62,7 @@ pub struct CaptureConfig {
     pub parallel_threshold_pages: u64,
     /// Flight recorder; each capture emits one `Event::Capture` on the
     /// rank lane. Disabled by default — a test-and-return on the hot
-    /// path (the `obs` micro-bench group measures the delta).
+    /// path (perf/'s `obs.disabled_ns` measures it).
     pub obs: Recorder,
     /// Rank lane the capture events land on.
     pub obs_rank: u32,

@@ -27,8 +27,7 @@
 //!
 //! [`FlatDirtyBitmap`] preserves the previous single-level
 //! implementation as an executable reference: the property tests prove
-//! the two observationally equivalent, and the micro-benches report the
-//! hierarchical speedup against it.
+//! the two observationally equivalent.
 
 use crate::page::PageRange;
 

@@ -14,9 +14,9 @@
 //!
 //! Recording is *zero cost when disabled*: configs default to
 //! [`Recorder::disabled`], whose emit methods are an inlined
-//! test-and-return (see `benches/micro.rs` group `obs` for the
-//! measured delta), and the [`ObsSink`] trait's [`NullSink`] compiles
-//! away entirely for statically-disabled call sites.
+//! test-and-return (perf/'s `obs.disabled_ns` measures it), and the
+//! [`ObsSink`] trait's [`NullSink`] compiles away entirely for
+//! statically-disabled call sites.
 
 pub mod event;
 pub mod export;
@@ -36,6 +36,4 @@ pub use metrics::{
     bucket_bound, bucket_of, LogHistogram, MetaStats, MetricLabel, MetricsConfig, MetricsPlane,
     MetricsView, WindowAccum, HIST_BUCKETS, METRICS_ENV,
 };
-pub use summary::{
-    DeviceStats, ObsSummary, RankStats, TenantStats, TierRecoveryStats, SUMMARY_REDUCE_ARITY,
-};
+pub use summary::{DeviceStats, ObsSummary, RankStats, TenantStats, TierRecoveryStats};

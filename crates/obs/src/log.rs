@@ -6,8 +6,8 @@
 //! underneath. The `#[inline]` emit methods test the option and
 //! return — the compiler sees a branch on a never-written pointer and
 //! hoists/eliminates it, so instrumented hot paths run at PR 4 speed
-//! unless a recorder is actually attached (the micro bench measures
-//! this delta). For code generic over sinks, the [`ObsSink`] trait's
+//! unless a recorder is actually attached (perf/'s `obs.disabled_ns`
+//! measures the disabled path). For code generic over sinks, the [`ObsSink`] trait's
 //! [`NullSink`] impl is an empty inline body that compiles away
 //! entirely.
 

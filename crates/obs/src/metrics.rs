@@ -626,8 +626,9 @@ impl GroupMetrics {
 }
 
 /// Deterministic op counts the plane keeps about itself. Multiplied by
-/// the `metrics` micro-bench rows they bound the plane's own overhead
-/// without putting host time (a determinism hazard) in any snapshot.
+/// perf/'s per-op costs (`obs.plane_ingest_ns`) they bound the plane's
+/// own overhead without putting host time (a determinism hazard) in
+/// any snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct MetaStats {
     /// Events offered to [`MetricsPlane::ingest`].

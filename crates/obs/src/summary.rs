@@ -6,14 +6,8 @@
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
-use ickpt_sim::tree_reduce;
-
-use crate::event::{Event, Lane, RecoveryTier, TimedEvent, TrackKey};
+use crate::event::{Event, Lane, RecoveryTier};
 use crate::log::TraceSnapshot;
-
-/// Fan-in of the summary reduction — the same arity the cluster's
-/// report tree-reduce uses, so a 16k-track snapshot folds in 3 levels.
-pub const SUMMARY_REDUCE_ARITY: usize = 32;
 
 /// One device lane's aggregate activity.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -127,38 +121,27 @@ pub struct ObsSummary {
 
 impl ObsSummary {
     /// Aggregate `snap` (all groups combined; per-run recorders hold
-    /// one group, multi-run recorders merge by lane label). Folds one
-    /// partial summary per track through [`tree_reduce`] at
-    /// [`SUMMARY_REDUCE_ARITY`] — the same reduction shape the cluster
-    /// uses for rank reports, so summarizing a 16k-rank trace never
-    /// materializes one flat accumulation pass over every track.
+    /// one group, multi-run recorders merge by lane label) in one pass
+    /// over every track's events.
     pub fn from_snapshot(snap: &TraceSnapshot) -> Self {
-        let parts: Vec<ObsSummary> = snap
-            .tracks
-            .iter()
-            .map(|(key, events, dropped)| Self::from_track(key, events, *dropped))
-            .collect();
-        tree_reduce(parts, SUMMARY_REDUCE_ARITY, |acc, part| acc.merge(&part)).unwrap_or_default()
-    }
-
-    /// Partial summary of one track. Merging every track's partial
-    /// (in any grouping — [`ObsSummary::merge`] is associative and
-    /// commutative) reproduces the whole-snapshot summary.
-    fn from_track(key: &TrackKey, events: &[TimedEvent], dropped: u64) -> Self {
-        let mut devices: BTreeMap<String, DeviceStats> = BTreeMap::new();
+        // Devices are keyed by lane while folding (the label is
+        // formatted once per device, not per transfer) and sorted by
+        // label at the end; `Lane::label` is injective.
+        let mut devices: BTreeMap<Lane, DeviceStats> = BTreeMap::new();
         let mut ranks: BTreeMap<u32, RankStats> = BTreeMap::new();
         let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
         let mut depth_hist: BTreeMap<u64, u64> = BTreeMap::new();
         let mut recovery: BTreeMap<RecoveryTier, TierRecoveryStats> = BTreeMap::new();
-        let mut s = ObsSummary { dropped, ..ObsSummary::default() };
+        let mut s = ObsSummary::default();
 
-        {
+        for (key, events, dropped) in &snap.tracks {
+            s.dropped += dropped;
             for ev in events {
                 s.events += 1;
                 s.horizon_ns = s.horizon_ns.max(ev.ts.0 + ev.dur.0);
                 match ev.event {
                     Event::DeviceTransfer { bytes, queue_wait_ns, service_ns } => {
-                        let d = devices.entry(key.lane.label()).or_insert_with(|| DeviceStats {
+                        let d = entry(&mut devices, key.lane, || DeviceStats {
                             label: key.lane.label(),
                             transfers: 0,
                             bytes: 0,
@@ -250,106 +233,12 @@ impl ObsSummary {
         }
 
         s.devices = devices.into_values().collect();
+        s.devices.sort_unstable_by(|a, b| a.label.cmp(&b.label));
         s.ranks = ranks.into_values().collect();
         s.tenants = tenants.into_values().collect();
         s.drain_depth_histogram = depth_hist.into_iter().collect();
         s.recovery = recovery.into_iter().collect();
         s
-    }
-
-    /// Fold `other` into `self`. Keyed sections merge by key (device
-    /// label, rank id, queue depth, recovery tier), scalars add, and
-    /// the horizon takes the max — associative and commutative, so any
-    /// reduction tree over any partition of the tracks yields the same
-    /// summary.
-    pub fn merge(&mut self, other: &ObsSummary) {
-        self.horizon_ns = self.horizon_ns.max(other.horizon_ns);
-        self.events += other.events;
-        self.dropped += other.dropped;
-        self.drain_batches += other.drain_batches;
-        self.drain_bytes += other.drain_bytes;
-        self.drain_latency_ns += other.drain_latency_ns;
-        self.torn_generations += other.torn_generations;
-        self.torn_bytes += other.torn_bytes;
-        self.slo_breaches += other.slo_breaches;
-        self.restores += other.restores;
-        self.restore_ns += other.restore_ns;
-
-        let mut devices: BTreeMap<String, DeviceStats> =
-            std::mem::take(&mut self.devices).into_iter().map(|d| (d.label.clone(), d)).collect();
-        for o in &other.devices {
-            match devices.get_mut(&o.label) {
-                Some(d) => {
-                    d.transfers += o.transfers;
-                    d.bytes += o.bytes;
-                    d.busy_ns += o.busy_ns;
-                    d.queue_wait_ns += o.queue_wait_ns;
-                }
-                None => {
-                    devices.insert(o.label.clone(), o.clone());
-                }
-            }
-        }
-        self.devices = devices.into_values().collect();
-
-        let mut ranks: BTreeMap<u32, RankStats> =
-            std::mem::take(&mut self.ranks).into_iter().map(|r| (r.rank, r)).collect();
-        for o in &other.ranks {
-            match ranks.get_mut(&o.rank) {
-                Some(r) => {
-                    r.stall_ns += o.stall_ns;
-                    r.captures += o.captures;
-                    r.capture_pages += o.capture_pages;
-                    r.capture_bytes += o.capture_bytes;
-                    r.iterations += o.iterations;
-                    r.dedup_pages += o.dedup_pages;
-                    r.dedup_bytes_saved += o.dedup_bytes_saved;
-                    r.delta_pages += o.delta_pages;
-                    r.delta_bytes_saved += o.delta_bytes_saved;
-                }
-                None => {
-                    ranks.insert(o.rank, o.clone());
-                }
-            }
-        }
-        self.ranks = ranks.into_values().collect();
-
-        let mut tenants: BTreeMap<u32, TenantStats> =
-            std::mem::take(&mut self.tenants).into_iter().map(|t| (t.tenant, t)).collect();
-        for o in &other.tenants {
-            match tenants.get_mut(&o.tenant) {
-                Some(t) => {
-                    t.checkpoints += o.checkpoints;
-                    t.admitted += o.admitted;
-                    t.rejections += o.rejections;
-                    t.admitted_bytes += o.admitted_bytes;
-                    t.stall_ns += o.stall_ns;
-                    t.stall_max_ns = t.stall_max_ns.max(o.stall_max_ns);
-                }
-                None => {
-                    tenants.insert(o.tenant, *o);
-                }
-            }
-        }
-        self.tenants = tenants.into_values().collect();
-
-        let mut hist: BTreeMap<u64, u64> =
-            std::mem::take(&mut self.drain_depth_histogram).into_iter().collect();
-        for &(depth, count) in &other.drain_depth_histogram {
-            *hist.entry(depth).or_insert(0) += count;
-        }
-        self.drain_depth_histogram = hist.into_iter().collect();
-
-        let mut recovery: BTreeMap<RecoveryTier, TierRecoveryStats> =
-            std::mem::take(&mut self.recovery).into_iter().collect();
-        for &(tier, o) in &other.recovery {
-            let t = recovery.entry(tier).or_default();
-            t.plans += o.plans;
-            t.reads += o.reads;
-            t.bytes += o.bytes;
-            t.read_ns += o.read_ns;
-        }
-        self.recovery = recovery.into_iter().collect();
     }
 
     /// Utilization of `dev` over the observed horizon, in basis
@@ -484,8 +373,18 @@ impl ObsSummary {
     }
 }
 
+/// `map[key]`, inserted by `init` when absent. Tracks arrive in lane
+/// order, so the key a track's events fold into is almost always the
+/// largest one yet: the last entry is checked before searching.
+fn entry<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, init: impl FnOnce() -> V) -> &mut V {
+    if map.last_key_value().is_some_and(|(last, _)| *last == key) {
+        return map.last_entry().expect("checked non-empty").into_mut();
+    }
+    map.entry(key).or_insert_with(init)
+}
+
 fn tenant_entry(map: &mut BTreeMap<u32, TenantStats>, tenant: u32) -> &mut TenantStats {
-    map.entry(tenant).or_insert_with(|| TenantStats {
+    entry(map, tenant, || TenantStats {
         tenant,
         checkpoints: 0,
         admitted: 0,
@@ -497,7 +396,7 @@ fn tenant_entry(map: &mut BTreeMap<u32, TenantStats>, tenant: u32) -> &mut Tenan
 }
 
 fn rank_entry(map: &mut BTreeMap<u32, RankStats>, rank: u32) -> &mut RankStats {
-    map.entry(rank).or_insert_with(|| RankStats {
+    entry(map, rank, || RankStats {
         rank,
         stall_ns: 0,
         captures: 0,
@@ -636,7 +535,8 @@ mod tests {
         assert!(rendered.contains("tenant3"));
     }
 
-    /// A synthetic many-rank snapshot for partition-invariance tests.
+    /// A synthetic many-rank snapshot: per rank one capture of r+1
+    /// pages, one stall span and one transfer on its own local device.
     fn busy_recorder(nranks: u32) -> std::sync::Arc<FlightRecorder> {
         let fr = FlightRecorder::for_ranks(nranks as usize);
         let rec = Recorder::new(fr.clone());
@@ -667,36 +567,19 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_partition_invariant() {
-        let fr = busy_recorder(97);
-        let snap = fr.snapshot();
-        let whole = ObsSummary::from_snapshot(&snap);
-        // Split the snapshot into per-track snapshots, summarize each,
-        // and merge in two different groupings: pairwise left fold and
-        // reversed order.
-        let parts: Vec<ObsSummary> = snap
-            .tracks
-            .iter()
-            .map(|t| {
-                ObsSummary::from_snapshot(&TraceSnapshot {
-                    groups: snap.groups.clone(),
-                    tracks: vec![t.clone()],
-                })
-            })
-            .collect();
-        let mut forward = ObsSummary::default();
-        for p in &parts {
-            forward.merge(p);
+    fn whole_snapshot_folds_every_track() {
+        let s = ObsSummary::from_snapshot(&busy_recorder(97).snapshot());
+        assert_eq!(s.ranks.len(), 97);
+        assert_eq!(s.devices.len(), 97);
+        assert_eq!(s.events, 97 * 3);
+        for (r, rank) in s.ranks.iter().enumerate() {
+            assert_eq!(rank.rank, r as u32);
+            assert_eq!(rank.capture_pages, r as u64 + 1);
+            assert_eq!(rank.stall_ns, 5);
         }
-        let mut backward = ObsSummary::default();
-        for p in parts.iter().rev() {
-            backward.merge(p);
-        }
-        assert_eq!(whole, forward);
-        assert_eq!(whole, backward);
-        assert_eq!(whole.ranks.len(), 97);
-        assert_eq!(whole.devices.len(), 97);
-        assert_eq!(whole.events, 97 * 3);
+        // Label order, not lane order: dev:local:10 sorts before dev:local:2.
+        assert!(s.devices.windows(2).all(|w| w[0].label < w[1].label));
+        assert_eq!(s.devices[2].label, "dev:local:10");
     }
 
     #[test]

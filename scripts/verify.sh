@@ -5,11 +5,9 @@
 #
 # Usage:
 #   scripts/verify.sh               # build + tests + fmt + clippy + bench smoke
-#   scripts/verify.sh --bench       # also run the micro-bench measurement pass
-#                                   # and refresh /tmp/ickpt_bench.json
-#   scripts/verify.sh --bench-smoke # bench smoke pass only (tiny sizes, no
-#                                   # timing assertions — checks the benches
-#                                   # still run, not how fast)
+#   scripts/verify.sh --bench-smoke # bench smoke pass only: knob, determinism
+#                                   # and inspect gates on tiny runs, plus the
+#                                   # perf/ package's own tests (no timing)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -19,37 +17,25 @@ run() {
 }
 
 bench_smoke() {
-    # Tiny footprints and a minimal measurement budget: this asserts the
-    # bench harness still builds chains, restores, and merges without
-    # panicking. It makes no claims about timing.
-    ICKPT_BENCH_CAPTURE_MB=8 ICKPT_BENCH_RESTORE_MB=8 \
-        run cargo bench -q -p ickpt-bench --bench micro -- \
-        --measure-ms 20 --save-json /tmp/ickpt_bench_smoke.json
-
-    # Trace-engine determinism: the same (small) experiment through the
-    # trace-once path, serial and parallel, must be byte-identical.
-    run cargo build --release -p ickpt-bench --bin repro
-    echo "==> repro --only 'table 4' at 1 and 4 scheduler threads"
-    ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "table 4" >/tmp/ickpt_repro_t1.txt 2>/dev/null
-    ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_THREADS=4 \
-        target/release/repro --only "table 4" >/tmp/ickpt_repro_t4.txt 2>/dev/null
-    run diff /tmp/ickpt_repro_t1.txt /tmp/ickpt_repro_t4.txt
+    run cargo build --release -p ickpt-bench --bins
 
     # Every strict `ICKPT_*` knob: a malformed value must abort with exit
-    # status 2 and a message before any experiment (or any rank of a
-    # fault-tolerant run) starts half-configured. One row per knob:
-    # value | experiment that reads it | extra environment.
+    # status 2 and a message naming the variable, before any experiment
+    # (or any rank of a fault-tolerant run) starts half-configured. The
+    # message is required because `repro` also exits 2 when `--only`
+    # matches no experiment: a renamed experiment would otherwise pass
+    # every row without ever reading its knob.
+    # One row per knob: value | experiment that reads it | extra environment.
     local small="ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_PERIODS=4"
     while IFS='|' read -r knob only extra; do
-        echo "==> repro --only '$only' with $knob must exit 2"
+        echo "==> repro --only '$only' with $knob must exit 2 naming ${knob%%=*}"
         set +e
         # shellcheck disable=SC2086
-        env "$knob" $extra target/release/repro --only "$only" >/dev/null 2>/dev/null
+        err=$(env "$knob" $extra target/release/repro --only "$only" 2>&1 >/dev/null)
         rc=$?
         set -e
-        if [[ "$rc" -ne 2 ]]; then
-            echo "expected exit 2 for $knob, got $rc" >&2
+        if [[ "$rc" -ne 2 || "$err" != *"${knob%%=*}"* ]]; then
+            echo "expected exit 2 and a message naming ${knob%%=*}, got $rc: $err" >&2
             exit 1
         fi
     done <<KNOBS
@@ -64,141 +50,75 @@ ICKPT_BENCH_TENANTS=4,frogs|Multi-tenant|
 ICKPT_METRICS=every-5s|table 4|
 KNOBS
 
-    # Content-layer determinism: the effective-IB experiment runs every
-    # app twice (dedup off, then on), asserts the two runs byte-identical
-    # end to end, and its printed report must not depend on scheduler
-    # parallelism.
-    echo "==> repro --only 'Effective IB' at 1 and 4 scheduler threads"
-    ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Effective IB" >/tmp/ickpt_dedup_t1.txt 2>/dev/null
-    ICKPT_BENCH_THREADS=4 \
-        target/release/repro --only "Effective IB" >/tmp/ickpt_dedup_t4.txt 2>/dev/null
-    run diff /tmp/ickpt_dedup_t1.txt /tmp/ickpt_dedup_t4.txt
+    # Determinism: each row runs one binary under every variant
+    # environment and diffs stdout (the --trace-out path normalized to
+    # OUTDIR) and, with --trace-out, the exported trace / metrics files
+    # against the first variant's. Outputs stay under
+    # /tmp/ickpt_diff/<id>/<variant index>/ for the checks after the table.
+    #   table4        trace-once engine, serial vs parallel scheduler
+    #   effib         content layer: dedup-off and dedup-on runs, scheduler
+    #   kernels       every capture artifact, SIMD tiers vs scalar reference
+    #   ablations     flight recorder with DedupSkip/DeltaEncode, scheduler
+    #   ablations-k   the same event stream on the scalar kernel tier
+    #   ft, ft-smoke  one event engine for every fault-tolerant run
+    #                 (forked mode, tiered partner/XOR under node loss)
+    #   ext4k         the event engine at 4096 ranks (wall time on stderr)
+    #   tenants       one serial service wheel per sweep cell, fanned out
+    #   metrics       the metrics-plane snapshot, scheduler
+    # id | binary | --only | --trace-out | shared environment | variants (;-separated)
+    local ft="ICKPT_METRICS=on ICKPT_DEDUP=1 $small ICKPT_BENCH_THREADS=1"
+    local svc="ICKPT_BENCH_TENANTS=1,4,16 ICKPT_BENCH_SVC_SECONDS=60"
+    while IFS='|' read -r id bin only trace shared variants; do
+        local base="/tmp/ickpt_diff/$id"
+        rm -rf "$base"
+        echo "==> $id: $bin ${only:+--only '$only' }under $variants"
+        local i=0 v
+        IFS=';' read -ra vs <<<"$variants"
+        for v in "${vs[@]}"; do
+            local dir="$base/$i" args=()
+            mkdir -p "$dir"
+            [[ -n "$only" ]] && args+=(--only "$only")
+            [[ "$trace" == y ]] && args+=(--trace-out "$dir/trace")
+            # shellcheck disable=SC2086
+            env $shared $v "target/release/$bin" "${args[@]}" </dev/null 2>/dev/null |
+                sed "s|$dir|OUTDIR|g" >"$dir/stdout.txt"
+            if ((i > 0)); then
+                run diff "$base/0/stdout.txt" "$dir/stdout.txt"
+                [[ "$trace" == y ]] && run diff -r "$base/0/trace" "$dir/trace"
+            fi
+            i=$((i + 1))
+        done
+    done <<DIFFS
+table4|repro|table 4|n|$small|ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
+effib|repro|Effective IB|n||ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
+kernels|repro|Effective IB|n|ICKPT_BENCH_THREADS=1|ICKPT_KERNELS=scalar;ICKPT_KERNELS=auto
+ablations|repro|Ablations|y|ICKPT_DEDUP=1 $small|ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
+ablations-k|repro|Ablations|y|ICKPT_DEDUP=1 $small ICKPT_BENCH_THREADS=1|ICKPT_KERNELS=auto;ICKPT_KERNELS=scalar
+ft|repro|Ablations|y|$ft|ICKPT_SIM_WORKERS=1;ICKPT_SIM_WORKERS=2;ICKPT_SIM_WORKERS=8
+ft-smoke|redundancy_smoke||y|ICKPT_METRICS=on|ICKPT_SIM_WORKERS=1;ICKPT_SIM_WORKERS=2;ICKPT_SIM_WORKERS=8
+ext4k|repro|Figure 5 extended|n|ICKPT_BENCH_EXT_RANKS=4096|ICKPT_SIM_WORKERS=1;ICKPT_SIM_WORKERS=4
+tenants|repro|Multi-tenant|y|$svc|ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
+metrics|repro|table 4|y|ICKPT_METRICS=on $small|ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
+DIFFS
 
-    # Kernel-dispatch identity: every capture/restore artifact must be
-    # byte-identical whether the SIMD tiers or the scalar reference
-    # computed it. The scalar run of the effective-IB experiment (its
-    # report folds page hashes, dedup decisions, chunk CRCs, and byte
-    # counters) must match the auto run bit for bit.
-    echo "==> repro --only 'Effective IB' with ICKPT_KERNELS=scalar vs auto"
-    ICKPT_KERNELS=scalar ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Effective IB" >/tmp/ickpt_kern_scalar.txt 2>/dev/null
-    ICKPT_KERNELS=auto ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Effective IB" >/tmp/ickpt_kern_auto.txt 2>/dev/null
-    run diff /tmp/ickpt_kern_scalar.txt /tmp/ickpt_kern_auto.txt
+    local ablations_jsonl=/tmp/ickpt_diff/ablations/0/trace/ablations-checkpoint-system.jsonl
+    run target/release/inspect --trace "$ablations_jsonl" >/dev/null
 
-    # Flight-recorder determinism: the exported trace files (Chrome
-    # JSON + JSONL) for a live-instrumented experiment must be
-    # byte-identical at 1 and 4 scheduler threads — with the content
-    # layer (dedup + delta) forced on, so DedupSkip/DeltaEncode events
-    # flow through the recorder in both runs.
-    echo "==> repro --trace-out at 1 and 4 scheduler threads (ICKPT_DEDUP=1)"
-    rm -rf /tmp/ickpt_trace_t1 /tmp/ickpt_trace_t4
-    ICKPT_DEDUP=1 ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_PERIODS=4 \
-        ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Ablations" --trace-out /tmp/ickpt_trace_t1 \
-        >/dev/null 2>/dev/null
-    ICKPT_DEDUP=1 ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_PERIODS=4 \
-        ICKPT_BENCH_THREADS=4 \
-        target/release/repro --only "Ablations" --trace-out /tmp/ickpt_trace_t4 \
-        >/dev/null 2>/dev/null
-    run diff -r /tmp/ickpt_trace_t1 /tmp/ickpt_trace_t4
-
-    # Same trace export under the forced scalar backend: the recorded
-    # event stream (hashes, dedup skips, delta encodes) must not depend
-    # on which kernel tier computed it.
-    echo "==> repro --trace-out with ICKPT_KERNELS=scalar (ICKPT_DEDUP=1)"
-    rm -rf /tmp/ickpt_trace_scalar
-    ICKPT_KERNELS=scalar ICKPT_DEDUP=1 ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 \
-        ICKPT_BENCH_PERIODS=4 ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Ablations" --trace-out /tmp/ickpt_trace_scalar \
-        >/dev/null 2>/dev/null
-    run diff -r /tmp/ickpt_trace_t1 /tmp/ickpt_trace_scalar
-    run cargo build --release -p ickpt-bench --bin inspect
-    run target/release/inspect --trace \
-        /tmp/ickpt_trace_t1/ablations-checkpoint-system.jsonl >/dev/null
-
-    # One execution substrate: the fault-tolerant runs of the ablation
-    # suite (per-rank and shared-array paths, forked mode, tiered
-    # partner/XOR under node loss) and of redundancy_smoke go through
-    # the same event engine, so stdout, exported traces and metrics
-    # snapshots must be byte-identical at 1, 2 and 8 engine workers.
-    echo "==> fault-tolerant --trace-out at 1, 2 and 8 sim workers (ICKPT_METRICS=on)"
-    run cargo build --release -p ickpt-bench --bin redundancy_smoke
-    for w in 1 2 8; do
-        rm -rf "/tmp/ickpt_ft_w$w"
-        ICKPT_SIM_WORKERS=$w ICKPT_METRICS=on ICKPT_DEDUP=1 ICKPT_BENCH_RANKS=4 \
-            ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_PERIODS=4 ICKPT_BENCH_THREADS=1 \
-            target/release/repro --only "Ablations" --trace-out "/tmp/ickpt_ft_w$w/repro" \
-            2>/dev/null | sed "s|/tmp/ickpt_ft_w$w|OUTDIR|g" >"/tmp/ickpt_ft_w$w.txt"
-        ICKPT_SIM_WORKERS=$w ICKPT_METRICS=on \
-            target/release/redundancy_smoke --trace-out "/tmp/ickpt_ft_w$w/smoke" \
-            2>/dev/null | sed "s|/tmp/ickpt_ft_w$w|OUTDIR|g" >>"/tmp/ickpt_ft_w$w.txt"
-    done
-    for w in 2 8; do
-        run diff /tmp/ickpt_ft_w1.txt "/tmp/ickpt_ft_w$w.txt"
-        run diff -r /tmp/ickpt_ft_w1 "/tmp/ickpt_ft_w$w"
-    done
-
-    # Event-engine determinism at scale: the extended weak-scaling
-    # experiment at 4096 ranks must print byte-identical stdout at 1
-    # and 4 sim workers (host wall-clock goes to stderr only).
-    echo "==> repro --only 'Figure 5 extended' (4096 ranks) at 1 and 4 sim workers"
-    ICKPT_BENCH_EXT_RANKS=4096 ICKPT_SIM_WORKERS=1 \
-        target/release/repro --only "Figure 5 extended" >/tmp/ickpt_ext_w1.txt 2>/dev/null
-    ICKPT_BENCH_EXT_RANKS=4096 ICKPT_SIM_WORKERS=4 \
-        target/release/repro --only "Figure 5 extended" >/tmp/ickpt_ext_w4.txt 2>/dev/null
-    run diff /tmp/ickpt_ext_w1.txt /tmp/ickpt_ext_w4.txt
-
-    # Multi-tenant service determinism: the shared-array experiment
-    # fans its sweep cells over host threads, yet stdout must be
-    # byte-identical at 1 and 4 threads (the service itself is one
-    # serial event wheel per cell).
-    echo "==> repro --only 'Multi-tenant' at 1 and 4 host threads"
-    ICKPT_BENCH_TENANTS=1,4,16 ICKPT_BENCH_SVC_SECONDS=60 ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Multi-tenant" >/tmp/ickpt_svc_t1.txt 2>/dev/null
-    ICKPT_BENCH_TENANTS=1,4,16 ICKPT_BENCH_SVC_SECONDS=60 ICKPT_BENCH_THREADS=4 \
-        target/release/repro --only "Multi-tenant" >/tmp/ickpt_svc_t4.txt 2>/dev/null
-    run diff /tmp/ickpt_svc_t1.txt /tmp/ickpt_svc_t4.txt
-
-    # Tenant lanes in the flight recorder: the ablation's trace must
+    # Tenant lanes in the flight recorder: the multi-tenant trace must
     # carry per-tenant tracks, and `inspect --tenants` must fold them
     # into the per-tenant table without erroring.
-    echo "==> repro --trace-out tenant tracks + inspect --tenants"
-    rm -rf /tmp/ickpt_trace_svc
-    ICKPT_BENCH_TENANTS=1,4,16 ICKPT_BENCH_SVC_SECONDS=60 ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "Multi-tenant" --trace-out /tmp/ickpt_trace_svc \
-        >/dev/null 2>/dev/null
-    svc_jsonl=$(ls /tmp/ickpt_trace_svc/*.jsonl)
+    svc_jsonl=$(ls /tmp/ickpt_diff/tenants/0/trace/*.jsonl)
     if ! grep -q '"tenant' "$svc_jsonl"; then
         echo "expected tenant tracks in $svc_jsonl" >&2
         exit 1
     fi
     run target/release/inspect --tenants "$svc_jsonl" >/dev/null
 
-    # Metrics-plane determinism: with ICKPT_METRICS=on the
-    # Prometheus-style text snapshot (printed to stdout and written as
-    # <slug>.metrics.txt under --trace-out, so the diff -r covers it)
-    # must be byte-identical at 1 and 4 scheduler threads.
-    echo "==> repro --only 'table 4' with ICKPT_METRICS=on at 1 and 4 threads"
-    rm -rf /tmp/ickpt_metrics_t1 /tmp/ickpt_metrics_t4
-    ICKPT_METRICS=on ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_THREADS=1 \
-        target/release/repro --only "table 4" --trace-out /tmp/ickpt_metrics_t1 \
-        >/tmp/ickpt_metrics_t1.txt 2>/dev/null
-    ICKPT_METRICS=on ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_THREADS=4 \
-        target/release/repro --only "table 4" --trace-out /tmp/ickpt_metrics_t4 \
-        >/tmp/ickpt_metrics_t4.txt 2>/dev/null
-    # The stdout echoes the --trace-out paths, which differ by design;
-    # normalize them so the diff compares only the experiment + snapshot.
-    sed -i 's|/tmp/ickpt_metrics_t[14]|OUTDIR|g' \
-        /tmp/ickpt_metrics_t1.txt /tmp/ickpt_metrics_t4.txt
-    run diff /tmp/ickpt_metrics_t1.txt /tmp/ickpt_metrics_t4.txt
-    run diff -r /tmp/ickpt_metrics_t1 /tmp/ickpt_metrics_t4
     # Table 4 is characterization-only (no checkpoint captures), so the
     # live counters it feeds are the tracker's; the capture-path counters
     # are exercised by the inspect --metrics replay below.
     if ! grep -q '^ickpt_tracker_windows_total' \
-        /tmp/ickpt_metrics_t1/table-4-*.metrics.txt; then
+        /tmp/ickpt_diff/metrics/0/trace/table-4-*.metrics.txt; then
         echo "expected tracker counters in the metrics snapshot" >&2
         exit 1
     fi
@@ -206,19 +126,12 @@ KNOBS
     # Post-hoc metrics view: replay the ablation's JSONL trace into a
     # fresh plane; per-run totals, window series and SLO verdicts must
     # render without erroring.
-    run target/release/inspect --metrics \
-        /tmp/ickpt_trace_t1/ablations-checkpoint-system.jsonl --windows >/dev/null
-
-    # PR-over-PR micro-bench drift: compare the two checked-in
-    # baselines (deterministic — no benches run here). The wide band
-    # catches order-of-magnitude cliffs, not host noise.
-    run python3 scripts/bench_delta.py BENCH_PR9.json BENCH_PR10.json --tolerance 100
+    run target/release/inspect --metrics "$ablations_jsonl" --windows >/dev/null
 
     # Multilevel redundancy: inject a node loss mid-run, recover the
     # wiped rank by partner reconstruction, and diff the final
     # application state against a failure-free run (byte-identical or
     # the binary exits non-zero).
-    run cargo build --release -p ickpt-bench --bin redundancy_smoke
     run target/release/redundancy_smoke
     # And the same loss/reconstruct cycle on the scalar backend: XOR
     # parity encode/reconstruct must be tier-independent too.
@@ -279,11 +192,5 @@ determinism_suites
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
 bench_smoke
-
-if [[ "${1:-}" == "--bench" ]]; then
-    # Short measurement budget: a smoke pass in seconds, not minutes.
-    run cargo bench -q -p ickpt-bench --bench micro -- \
-        --measure-ms 100 --save-json /tmp/ickpt_bench.json
-fi
 
 echo "verify: OK"
