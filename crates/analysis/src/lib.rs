@@ -7,11 +7,9 @@
 //! * [`table`] — aligned text tables (the Table 2/3/4 regenerators).
 //! * [`plot`] — ASCII line plots (the Figure 1–5 regenerators print
 //!   their series both as plots and as machine-readable rows).
-//! * [`csv`] — CSV export for external plotting.
 //! * [`compare`] — paper-vs-measured rows for EXPERIMENTS.md.
 
 pub mod compare;
-pub mod csv;
 pub mod plot;
 pub mod report;
 pub mod stats;

@@ -188,7 +188,6 @@ impl WorkloadTrace {
             wasted: SimDuration::ZERO,
             recoveries: Vec::new(),
             drain: None,
-            obs: None,
         }
     }
 }

@@ -10,15 +10,9 @@
 //! configurations) with [`ReportDetail::compact`], so per-rank state
 //! stays bounded at 16k ranks.
 //!
-//! ## Knobs
-//!
-//! * `ICKPT_BENCH_EXT_RANKS` — comma-separated rank counts
-//!   (default `64,1024,4096,16384`).
-//! * `ICKPT_BENCH_EXT_SCALE` — memory scale factor (default `0.1`:
-//!   ~100 MB/process Sage, keeping 16k ranks in laptop memory).
-//! * `ICKPT_BENCH_EXT_SECONDS` — virtual run length (default 120 s).
-//! * `ICKPT_SIM_WORKERS` — engine worker threads; stdout is
-//!   byte-identical at any value (host timings go to stderr).
+//! `ICKPT_BENCH_EXT_RANKS` picks the rank counts (see the README's knob
+//! table); stdout is byte-identical at any `ICKPT_SIM_WORKERS` (host
+//! timings go to stderr).
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -29,56 +23,35 @@ use ickpt::cluster::{
     DEFAULT_REDUCE_ARITY,
 };
 use ickpt::core::metrics::IbStats;
-use ickpt::sim::{SimDuration, SimTime};
+use ickpt::sim::{env, SimDuration, SimTime};
 use ickpt_analysis::table::fnum;
 use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use crate::obs_glue::TraceBuilder;
-use crate::{knob, BENCH_SEED};
+use crate::BENCH_SEED;
 
 /// The default extended sweep: the paper's largest configuration, then
 /// three orders past it.
 pub const DEFAULT_EXT_RANKS: [usize; 4] = [64, 1024, 4096, 16384];
 
+/// Memory scale of the extended sweep: ~100 MB/process Sage, keeping
+/// 16k ranks in laptop memory.
+pub const EXT_SCALE: f64 = 0.1;
+
+/// Virtual run length of the extended sweep, in seconds.
+pub const EXT_SECONDS: u64 = 120;
+
 /// Rank counts for the extended sweep (`ICKPT_BENCH_EXT_RANKS`).
-// Mirrors `knob`: aborting with a message is the sanctioned use of
-// stderr in this library.
-#[allow(clippy::disallowed_macros)]
 pub fn ext_ranks() -> Vec<usize> {
-    let Ok(raw) = std::env::var("ICKPT_BENCH_EXT_RANKS") else {
-        return DEFAULT_EXT_RANKS.to_vec();
-    };
-    let parsed: Result<Vec<usize>, _> = raw.split(',').map(|s| s.trim().parse()).collect();
-    match parsed {
-        Ok(v) if !v.is_empty() && v.iter().all(|&r| r >= 1) => v,
-        _ => {
-            eprintln!(
-                "error: ICKPT_BENCH_EXT_RANKS={raw:?} is invalid: expected a comma-separated \
-                 list of rank counts >= 1"
-            );
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Memory scale of the extended sweep (`ICKPT_BENCH_EXT_SCALE`).
-pub fn ext_scale() -> f64 {
-    knob("ICKPT_BENCH_EXT_SCALE", 0.1, "a finite scale factor > 0", |&s: &f64| {
-        s > 0.0 && s.is_finite()
-    })
-}
-
-/// Virtual run length of the extended sweep (`ICKPT_BENCH_EXT_SECONDS`).
-pub fn ext_seconds() -> u64 {
-    knob("ICKPT_BENCH_EXT_SECONDS", 120, "a whole number of seconds >= 10", |&s: &u64| s >= 10)
+    env::knob("ICKPT_BENCH_EXT_RANKS", env::counts).unwrap_or_else(|| DEFAULT_EXT_RANKS.to_vec())
 }
 
 /// One extended run: Sage under weak scaling at `nranks`.
 pub fn ext_run(nranks: usize) -> RunReport {
     let cfg = CharacterizationConfig {
         nranks,
-        scale: ext_scale(),
-        run_for: SimDuration::from_secs(ext_seconds()),
+        scale: EXT_SCALE,
+        run_for: SimDuration::from_secs(EXT_SECONDS),
         timeslice: SimDuration::from_secs(1),
         seed: BENCH_SEED,
         detail: ReportDetail::compact(),
@@ -98,7 +71,7 @@ fn ext_ib(report: &RunReport) -> IbStats {
         SimDuration::from_secs(1),
         SimTime::from_secs_f64(init_s + 1.0),
     );
-    let rescale = 1.0 / ext_scale();
+    let rescale = 1.0 / EXT_SCALE;
     IbStats { avg_mbps: raw.avg_mbps * rescale, max_mbps: raw.max_mbps * rescale, ..raw }
 }
 
@@ -109,8 +82,8 @@ pub fn report() -> ExperimentReport {
         "\n=== Figure 5 extended: per-process IB, {} ranks (Sage, weak scaling) ===\n    \
          config: scale {}, {} virtual s, seed {:#x}, compact reports\n\n",
         ranks.iter().map(|r| r.to_string()).collect::<Vec<_>>().join("/"),
-        ext_scale(),
-        ext_seconds(),
+        EXT_SCALE,
+        EXT_SECONDS,
         BENCH_SEED,
     );
     let mut t = TextTable::new("").header(&[
@@ -136,7 +109,7 @@ pub fn report() -> ExperimentReport {
             n.to_string(),
             fnum(ib.avg_mbps, 1),
             fnum(ib.max_mbps, 1),
-            fnum(agg.summary.avg_iws_mb() / ext_scale(), 1),
+            fnum(agg.summary.avg_iws_mb() / EXT_SCALE, 1),
             agg.max_iterations.to_string(),
         ]);
         rows.push((n, ib.avg_mbps));

@@ -25,7 +25,7 @@ use std::time::Duration;
 use ickpt::apps::Workload;
 use ickpt::cluster::{characterize, CharacterizationConfig};
 use ickpt::native::intrusiveness::measure;
-use ickpt::sim::SimDuration;
+use ickpt::sim::{env, SimDuration};
 use ickpt_analysis::table::fnum;
 use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
@@ -99,7 +99,7 @@ pub fn report() -> ExperimentReport {
     ));
 
     writeln!(body).unwrap();
-    if std::env::var("ICKPT_BENCH_NATIVE").map(|v| v == "1").unwrap_or(false) {
+    if env::knob("ICKPT_BENCH_NATIVE", env::flag).unwrap_or(false) {
         writeln!(body, "native: real mprotect/SIGSEGV tracker on this machine").unwrap();
         let mut t =
             TextTable::new("").header(&["timeslice", "baseline", "tracked", "slowdown", "faults"]);

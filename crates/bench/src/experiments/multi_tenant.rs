@@ -15,22 +15,16 @@
 //!    fair-share must beat FIFO's p99 stall (head-of-line blocking by
 //!    multi-chunk heavy requests is exactly what DRR removes).
 //!
-//! ## Knobs
-//!
-//! * `ICKPT_BENCH_TENANTS` — comma-separated fleet sizes
-//!   (default `1,4,16,64`).
-//! * `ICKPT_BENCH_SVC_DEVICES` — striped array width (default 4).
-//! * `ICKPT_BENCH_SVC_SECONDS` — virtual seconds of arrivals
-//!   (default 300).
-//! * `ICKPT_BENCH_SVC_SCALE` — memory scale factor (default `0.1`).
-//! * `ICKPT_BENCH_THREADS` — host threads for the sweep cells; stdout
-//!   is byte-identical at any value.
+//! `ICKPT_BENCH_TENANTS` picks the fleet sizes and
+//! `ICKPT_BENCH_SVC_SECONDS` the virtual seconds of arrivals (see the
+//! README's knob table); stdout is byte-identical at any
+//! `ICKPT_BENCH_THREADS`.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
 use ickpt::cluster::tenant::{fleet_profiles, mixed_fleet, TenantStallAccount};
-use ickpt::sim::SimDuration;
+use ickpt::sim::{env, SimDuration};
 use ickpt::svc::{run_service, SchedPolicy, ServiceConfig, ServiceReport};
 use ickpt_analysis::table::fnum;
 use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
@@ -38,54 +32,36 @@ use ickpt_obs::Recorder;
 
 use crate::engine::parallel_map;
 use crate::obs_glue::TraceBuilder;
-use crate::{knob, BENCH_SEED};
+use crate::BENCH_SEED;
 
 /// The default fleet-size sweep.
 pub const DEFAULT_TENANTS: [usize; 4] = [1, 4, 16, 64];
 
+/// Striped array width.
+pub const SVC_DEVICES: usize = 4;
+
+/// Memory scale of the tenant fleets.
+pub const SVC_SCALE: f64 = 0.1;
+
 /// Fleet sizes for the sweep (`ICKPT_BENCH_TENANTS`).
-// Mirrors `knob`: aborting with a message is the sanctioned use of
-// stderr in this library.
-#[allow(clippy::disallowed_macros)]
 pub fn svc_tenants() -> Vec<usize> {
-    let Ok(raw) = std::env::var("ICKPT_BENCH_TENANTS") else {
-        return DEFAULT_TENANTS.to_vec();
-    };
-    let parsed: Result<Vec<usize>, _> = raw.split(',').map(|s| s.trim().parse()).collect();
-    match parsed {
-        Ok(v) if !v.is_empty() && v.iter().all(|&n| n >= 1) => v,
-        _ => {
-            eprintln!(
-                "error: ICKPT_BENCH_TENANTS={raw:?} is invalid: expected a comma-separated \
-                 list of fleet sizes >= 1"
-            );
-            std::process::exit(2);
-        }
-    }
+    env::knob("ICKPT_BENCH_TENANTS", env::counts).unwrap_or_else(|| DEFAULT_TENANTS.to_vec())
 }
 
-/// Striped array width (`ICKPT_BENCH_SVC_DEVICES`).
-pub fn svc_devices() -> usize {
-    knob("ICKPT_BENCH_SVC_DEVICES", 4, "a whole number of devices >= 1", |&d: &usize| d >= 1)
-}
-
-/// Virtual seconds of arrivals (`ICKPT_BENCH_SVC_SECONDS`).
+/// Virtual seconds of arrivals (`ICKPT_BENCH_SVC_SECONDS`, at least 10).
 pub fn svc_seconds() -> u64 {
-    knob("ICKPT_BENCH_SVC_SECONDS", 300, "a whole number of seconds >= 10", |&s: &u64| s >= 10)
-}
-
-/// Memory scale of the tenant fleets (`ICKPT_BENCH_SVC_SCALE`).
-pub fn svc_scale() -> f64 {
-    knob("ICKPT_BENCH_SVC_SCALE", 0.1, "a finite scale factor > 0", |&s: &f64| {
-        s > 0.0 && s.is_finite()
-    })
+    let seconds = |raw: &str| match env::count(raw) {
+        Ok(s) if s >= 10 => Ok(s as u64),
+        _ => Err("a whole number of seconds >= 10"),
+    };
+    env::knob("ICKPT_BENCH_SVC_SECONDS", seconds).unwrap_or(300)
 }
 
 /// Build the service config for a fleet of `n` under `policy`.
 pub fn svc_config(n: usize, policy: SchedPolicy) -> ServiceConfig {
-    let fleet = mixed_fleet(n, svc_scale(), BENCH_SEED);
+    let fleet = mixed_fleet(n, SVC_SCALE, BENCH_SEED);
     let mut cfg = ServiceConfig::new(fleet_profiles(&fleet), SimDuration::from_secs(svc_seconds()));
-    cfg.devices = svc_devices();
+    cfg.devices = SVC_DEVICES;
     cfg.policy = policy;
     cfg.seed = BENCH_SEED;
     cfg.with_fair_admission(10)
@@ -112,16 +88,15 @@ fn throughput_row(n: usize, r: &ServiceReport) -> Vec<String> {
 /// Regenerate the multi-tenant service tables.
 pub fn report() -> ExperimentReport {
     let counts = svc_tenants();
-    let devices = svc_devices();
     let mut body = format!(
         "\n=== Multi-tenant service: {} tenants on a {}-device striped array ===\n    \
          config: scale {}, {} virtual s, {} x 320 MB/s devices, 4 MB stripe chunks, \
          seed {:#x}\n\n",
         counts.iter().map(|n| n.to_string()).collect::<Vec<_>>().join("/"),
-        devices,
-        svc_scale(),
+        SVC_DEVICES,
+        SVC_SCALE,
         svc_seconds(),
-        devices,
+        SVC_DEVICES,
         BENCH_SEED,
     );
 

@@ -10,21 +10,10 @@
 //! ## Environment knobs
 //!
 //! The defaults reproduce the paper's configuration (64 ranks, full
-//! footprints). On small machines override with:
-//!
-//! * `ICKPT_BENCH_RANKS` — cluster size (default 64).
-//! * `ICKPT_BENCH_SCALE` — memory scale factor (default 1.0).
-//! * `ICKPT_BENCH_PERIODS` — main-iteration periods to simulate per
-//!   run (default 6).
-//! * `ICKPT_BENCH_THREADS` — experiment scheduler threads (default:
-//!   available parallelism). Results are byte-identical at any value.
-//! * `ICKPT_BENCH_NATIVE` — set to `1` to run the real-`mprotect`
-//!   native intrusiveness measurement (host-dependent; off by
-//!   default so the suite is a pure function of the seed).
-//!
-//! A malformed knob aborts with a clear message rather than silently
-//! running the default configuration (`ICKPT_BENCH_RANKS=6.4` used to
-//! quietly simulate 64 ranks).
+//! footprints); `ICKPT_BENCH_RANKS` / `_SCALE` / `_PERIODS` shrink it
+//! on small machines. The README's knob table lists every `ICKPT_*`
+//! variable with its values, default and reader; all of them are read
+//! through [`ickpt::sim::env`].
 
 pub mod engine;
 pub mod experiments;
@@ -35,61 +24,30 @@ pub use obs_glue::{set_trace_enabled, trace_enabled, TraceBuilder};
 use ickpt::apps::Workload;
 use ickpt::cluster::{CharacterizationConfig, RunReport};
 use ickpt::core::metrics::IbStats;
-use ickpt::sim::{SimDuration, SimTime};
+use ickpt::sim::{env, SimDuration, SimTime};
 
 /// Seed used by every experiment (runs are pure functions of it).
 pub const BENCH_SEED: u64 = 0x1DC4_2004;
 
-/// Parse an env-knob value, rejecting garbage instead of swallowing it.
-fn parse_knob<T: std::str::FromStr>(
-    name: &str,
-    raw: &str,
-    expect: &str,
-    valid: fn(&T) -> bool,
-) -> Result<T, String> {
-    match raw.trim().parse::<T>() {
-        Ok(v) if valid(&v) => Ok(v),
-        Ok(_) => Err(format!("{name}={raw:?} is out of range: expected {expect}")),
-        Err(_) => Err(format!("{name}={raw:?} is invalid: expected {expect}")),
-    }
-}
-
-/// Read an env knob strictly: unset → default, malformed → exit(2)
-/// with a message naming the variable (never a silent fallback).
-// The one sanctioned stderr write in a library crate: this aborts the
-// process, so there is no report to return the message through.
-#[allow(clippy::disallowed_macros)]
-fn knob<T: std::str::FromStr>(name: &str, default: T, expect: &str, valid: fn(&T) -> bool) -> T {
-    match std::env::var(name) {
-        Err(_) => default,
-        Ok(raw) => parse_knob(name, &raw, expect, valid).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-    }
-}
-
 /// Cluster size for experiments (the paper's largest is 64).
 pub fn bench_ranks() -> usize {
-    knob("ICKPT_BENCH_RANKS", 64, "a whole number of ranks >= 1", |&r: &usize| r >= 1)
+    env::knob("ICKPT_BENCH_RANKS", env::count).unwrap_or(64)
 }
 
 /// Memory scale factor (1.0 = the paper's footprints).
 pub fn bench_scale() -> f64 {
-    knob("ICKPT_BENCH_SCALE", 1.0, "a finite scale factor > 0", |&s: &f64| s > 0.0 && s.is_finite())
+    env::knob("ICKPT_BENCH_SCALE", env::positive).unwrap_or(1.0)
 }
 
 /// Periods per run.
 pub fn bench_periods() -> f64 {
-    knob("ICKPT_BENCH_PERIODS", 6.0, "a finite period count > 0", |&p: &f64| {
-        p > 0.0 && p.is_finite()
-    })
+    env::knob("ICKPT_BENCH_PERIODS", env::positive).unwrap_or(6.0)
 }
 
 /// Experiment scheduler threads (default: available parallelism).
 pub fn bench_threads() -> usize {
-    let default = std::thread::available_parallelism().map_or(1, |n| n.get());
-    knob("ICKPT_BENCH_THREADS", default, "a whole number of threads >= 1", |&t: &usize| t >= 1)
+    env::knob("ICKPT_BENCH_THREADS", env::count)
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Virtual run length for a workload at a given timeslice: enough
@@ -182,42 +140,5 @@ mod tests {
         assert!(s.as_secs_f64() > 145.0);
         let s = skip_until(Workload::NasLu);
         assert!(s.as_secs_f64() > 1.0 && s.as_secs_f64() < 10.0);
-    }
-
-    #[test]
-    fn knob_parsing_is_strict() {
-        let ranks = |raw: &str| {
-            parse_knob::<usize>("ICKPT_BENCH_RANKS", raw, "a whole number of ranks >= 1", |&r| {
-                r >= 1
-            })
-        };
-        assert_eq!(ranks("64"), Ok(64));
-        assert_eq!(ranks(" 8 "), Ok(8));
-        // The historical bug: "6.4" must NOT silently become 64 ranks.
-        let err = ranks("6.4").unwrap_err();
-        assert!(err.contains("ICKPT_BENCH_RANKS") && err.contains("6.4"), "{err}");
-        assert!(ranks("0").unwrap_err().contains("out of range"));
-        assert!(ranks("").is_err() && ranks("sixty-four").is_err());
-
-        let scale = |raw: &str| {
-            parse_knob::<f64>("ICKPT_BENCH_SCALE", raw, "a finite scale factor > 0", |&s| {
-                s > 0.0 && s.is_finite()
-            })
-        };
-        assert_eq!(scale("0.05"), Ok(0.05));
-        assert!(scale("-1").unwrap_err().contains("out of range"));
-        assert!(scale("0").is_err() && scale("inf").is_err() && scale("NaN").is_err());
-        assert!(scale("1,5").unwrap_err().contains("invalid"));
-
-        let threads = |raw: &str| {
-            parse_knob::<usize>(
-                "ICKPT_BENCH_THREADS",
-                raw,
-                "a whole number of threads >= 1",
-                |&t| t >= 1,
-            )
-        };
-        assert_eq!(threads("4"), Ok(4));
-        assert!(threads("0").is_err() && threads("auto").is_err());
     }
 }

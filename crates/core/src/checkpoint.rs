@@ -33,11 +33,9 @@
 
 use ickpt_mem::{AddressSpace, PageRange, PageSource};
 use ickpt_obs::{CaptureKind, Event, Lane, Recorder};
-use ickpt_sim::SimTime;
+use ickpt_sim::{env, SimTime};
 use ickpt_storage::hash::{zero_block_hash, BLOCKS_PER_PAGE, BLOCK_SIZE};
 use ickpt_storage::{kernels, Chunk, ChunkKind, DeltaRecord, PageRecord, CHUNK_PAGE_SIZE};
-
-use crate::env;
 
 /// Whether a page's content is entirely zero (zero-page elision test).
 ///
@@ -74,18 +72,22 @@ pub struct CaptureConfig {
     /// captured chunk is byte-identical for every worker count either
     /// way.
     pub dedup: bool,
-    /// Delta-encode a changed page only when at most this many of its
-    /// [`BLOCKS_PER_PAGE`] blocks changed (the hash-vs-copy crossover
-    /// knob). 0 disables delta encoding while keeping silent-same
-    /// drops. Only consulted when `dedup` is on.
-    pub delta_max_blocks: u32,
 }
 
-/// Default delta crossover: a delta pays off while the stored blocks
-/// plus the 16-byte record header undercut a whole page; 12 of 16
-/// blocks (3 KiB + header vs 4 KiB) keeps a safety margin for the
-/// extra base-page read at restore.
+/// Delta crossover: with dedup on, a changed page is delta-encoded only
+/// when at most this many of its [`BLOCKS_PER_PAGE`] blocks changed. A
+/// delta pays off while the stored blocks plus the 16-byte record
+/// header undercut a whole page; 12 of 16 blocks (3 KiB + header vs
+/// 4 KiB) keeps a safety margin for the extra base-page read at restore.
 pub const DEFAULT_DELTA_MAX_BLOCKS: u32 = 12;
+
+/// Capture and restore worker count of a fault-tolerant run: the
+/// machine's available parallelism capped at 8 — page copy saturates
+/// memory bandwidth long before core count on wide machines. Captured
+/// chunks and restored images are byte-identical at any count.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
+}
 
 impl Default for CaptureConfig {
     fn default() -> Self {
@@ -95,7 +97,6 @@ impl Default for CaptureConfig {
             obs: Recorder::disabled(),
             obs_rank: 0,
             dedup: false,
-            delta_max_blocks: DEFAULT_DELTA_MAX_BLOCKS,
         }
     }
 }
@@ -111,18 +112,11 @@ impl CaptureConfig {
         Self { workers: workers.max(1), ..Self::default() }
     }
 
-    /// Workers from `ICKPT_CAPTURE_WORKERS` (0 means 1), else the
-    /// machine's available parallelism capped at 8. Dedup from
-    /// `ICKPT_DEDUP` (`1`/`true` or `0`/`false`) and the delta crossover
-    /// from `ICKPT_DELTA_BLOCKS`. A malformed value of any of the three
-    /// exits 2.
+    /// [`default_workers`] threads, dedup from `ICKPT_DEDUP` (`1`/`true`
+    /// or `0`/`false`; a malformed value exits 2).
     pub fn from_env() -> Self {
-        let workers = env::knob("ICKPT_CAPTURE_WORKERS", env::parse_count)
-            .unwrap_or_else(env::default_workers);
-        let dedup = env::knob("ICKPT_DEDUP", env::parse_flag).unwrap_or(false);
-        let delta_max_blocks =
-            env::knob("ICKPT_DELTA_BLOCKS", env::parse_count).unwrap_or(DEFAULT_DELTA_MAX_BLOCKS);
-        Self { dedup, delta_max_blocks, ..Self::with_workers(workers) }
+        let dedup = env::knob("ICKPT_DEDUP", env::flag).unwrap_or(false);
+        Self { dedup, ..Self::with_workers(default_workers()) }
     }
 }
 
@@ -237,7 +231,6 @@ struct DedupWindow<'a> {
     /// Capture-wide mode: on full captures every page is stored whole
     /// and the baseline is rebuilt (no drops, no deltas).
     refresh_only: bool,
-    delta_max_blocks: u32,
     zero_hash: u64,
 }
 
@@ -407,14 +400,14 @@ fn build_records_into<S: PageSource>(
                         out.stats.dropped_pages += 1;
                         continue;
                     }
-                    if ctx.flags[i] & DEDUP_FULL_BASELINE != 0 && ctx.delta_max_blocks > 0 {
+                    if ctx.flags[i] & DEDUP_FULL_BASELINE != 0 {
                         let mut mask = 0u16;
                         for (b, (&new, &old)) in fresh.iter().zip(slot.iter()).enumerate() {
                             if new != old {
                                 mask |= 1 << b;
                             }
                         }
-                        if mask.count_ones() <= ctx.delta_max_blocks {
+                        if mask.count_ones() <= DEFAULT_DELTA_MAX_BLOCKS {
                             let mut data = out.data_pool.pop().unwrap_or_default();
                             data.clear();
                             for b in 0..BLOCKS_PER_PAGE {
@@ -526,7 +519,6 @@ fn dedup_windows<'a>(
     index: &'a mut DedupIndex,
     spans: &[Vec<PageRange>],
     refresh_only: bool,
-    delta_max_blocks: u32,
 ) -> Vec<Option<DedupWindow<'a>>> {
     let zero_hash = zero_block_hash();
     let mut windows = Vec::with_capacity(spans.len());
@@ -554,7 +546,6 @@ fn dedup_windows<'a>(
             flags: f,
             base_page: lo,
             refresh_only,
-            delta_max_blocks,
             zero_hash,
         }));
     }
@@ -583,9 +574,7 @@ fn capture_records<S: PageSource + Sync>(
         let mut out = std::mem::take(&mut scratch.workers[0]);
         let window = if cfg.dedup {
             let spans = vec![ranges.to_vec()];
-            dedup_windows(&mut scratch.dedup_index, &spans, refresh_only, cfg.delta_max_blocks)
-                .pop()
-                .unwrap()
+            dedup_windows(&mut scratch.dedup_index, &spans, refresh_only).pop().unwrap()
         } else {
             None
         };
@@ -603,7 +592,7 @@ fn capture_records<S: PageSource + Sync>(
     let spans = split_spans(ranges, cfg.workers);
     scratch.ensure_workers(spans.len());
     let mut windows: Vec<Option<DedupWindow<'_>>> = if cfg.dedup {
-        dedup_windows(&mut scratch.dedup_index, &spans, refresh_only, cfg.delta_max_blocks)
+        dedup_windows(&mut scratch.dedup_index, &spans, refresh_only)
     } else {
         spans.iter().map(|_| None).collect()
     };

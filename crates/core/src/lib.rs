@@ -34,7 +34,6 @@
 
 pub mod checkpoint;
 pub mod coordinator;
-mod env;
 pub mod error;
 pub mod feasibility;
 pub mod interval;

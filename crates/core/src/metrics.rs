@@ -172,11 +172,6 @@ impl SampleSummary {
             self.total_iws_pages as f64 * PAGE_BYTES / MB / self.windows as f64
         }
     }
-
-    /// Largest single-window IWS in MB.
-    pub fn max_iws_mb(&self) -> f64 {
-        self.max_iws_pages as f64 * PAGE_BYTES / MB
-    }
 }
 
 /// The IWS time series in `(seconds, MB)` pairs — Fig 1(a).

@@ -38,7 +38,6 @@ use ickpt_storage::{
     CHUNK_PAGE_SIZE,
 };
 
-use crate::env;
 use crate::error::CoreError;
 
 /// How a planned restore executes.
@@ -68,15 +67,6 @@ impl RestoreConfig {
     /// Restore with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         Self { workers: workers.max(1), ..Self::default() }
-    }
-
-    /// Workers from `ICKPT_RESTORE_WORKERS` (0 means 1; a malformed
-    /// value exits 2), else the machine's available parallelism capped
-    /// at 8, matching capture.
-    pub fn from_env() -> Self {
-        let workers = env::knob("ICKPT_RESTORE_WORKERS", env::parse_count)
-            .unwrap_or_else(env::default_workers);
-        Self::with_workers(workers)
     }
 }
 

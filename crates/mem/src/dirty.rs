@@ -357,11 +357,6 @@ impl DirtyBitmap {
         self.pages = pages;
     }
 
-    /// Total heap bytes used by the bitmap (for overhead accounting).
-    pub fn memory_bytes(&self) -> usize {
-        (self.words.capacity() + self.summary.capacity()) * std::mem::size_of::<u64>()
-    }
-
     /// Set summary bits for words `first..=last`.
     fn set_summary_range(&mut self, first: usize, last: usize) {
         let (fs, fb) = (first / WORD_BITS as usize, first as u64 % WORD_BITS);

@@ -330,16 +330,6 @@ impl Recorder {
         self.group
     }
 
-    /// The underlying recorder, if enabled.
-    pub fn flight_recorder(&self) -> Option<&Arc<FlightRecorder>> {
-        self.sink.as_ref()
-    }
-
-    /// The attached metrics plane, if any.
-    pub fn metrics_plane(&self) -> Option<&Arc<MetricsPlane>> {
-        self.metrics.as_ref()
-    }
-
     /// Record an instant on `lane` at `ts`.
     #[inline]
     pub fn emit(&self, lane: Lane, ts: SimTime, event: Event) {

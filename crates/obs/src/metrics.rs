@@ -65,45 +65,25 @@ impl Default for MetricsConfig {
 }
 
 impl MetricsConfig {
-    /// Parse a [`METRICS_ENV`] value. Pure so strictness is
-    /// unit-testable without spawning a process.
-    pub fn parse(raw: &str) -> Result<Self, String> {
-        let err = || {
-            format!(
-                "{METRICS_ENV}={raw:?} is invalid: expected \"off\", \"on\" or \"window=<secs>\""
-            )
-        };
-        match raw.trim() {
+    /// Parse a [`METRICS_ENV`] value (an [`ickpt_sim::env::Parser`]).
+    pub fn parse(raw: &str) -> Result<Self, &'static str> {
+        // Whole seconds >= 1 whose nanosecond count fits a `SimDuration`.
+        let window =
+            |secs: &str| secs.parse().ok().filter(|s| (1..=u64::MAX / 1_000_000_000).contains(s));
+        match raw {
             "off" => Ok(Self { enabled: false, ..Self::default() }),
             "on" => Ok(Self { enabled: true, ..Self::default() }),
-            v => match v.strip_prefix("window=") {
-                None => Err(err()),
-                Some(secs) => {
-                    let secs: u64 = secs.parse().map_err(|_| err())?;
-                    if secs == 0 || secs > u64::MAX / 1_000_000_000 {
-                        return Err(err());
-                    }
-                    Ok(Self { enabled: true, window: SimDuration::from_secs(secs) })
-                }
+            v => match v.strip_prefix("window=").and_then(window) {
+                Some(secs) => Ok(Self { enabled: true, window: SimDuration::from_secs(secs) }),
+                None => Err("\"off\", \"on\" or \"window=<secs>\""),
             },
         }
     }
 
-    // The one sanctioned stderr write in this crate: a malformed env
-    // knob must abort loudly before any experiment runs
-    // half-configured, exactly like ICKPT_KERNELS and the
-    // ICKPT_BENCH_* knobs (exit status 2 with a message).
-    /// Read [`METRICS_ENV`], exiting with status 2 on a malformed
-    /// value. Absent means disabled.
-    #[allow(clippy::disallowed_macros)]
+    /// Read [`METRICS_ENV`] (a malformed value exits 2). Absent means
+    /// disabled.
     pub fn from_env() -> Self {
-        match std::env::var(METRICS_ENV) {
-            Err(_) => Self::default(),
-            Ok(raw) => Self::parse(&raw).unwrap_or_else(|e| {
-                eprintln!("error: {e}");
-                std::process::exit(2);
-            }),
-        }
+        ickpt_sim::env::knob(METRICS_ENV, Self::parse).unwrap_or_default()
     }
 }
 
@@ -885,7 +865,6 @@ mod tests {
         let w = MetricsConfig::parse("window=5").unwrap();
         assert!(w.enabled);
         assert_eq!(w.window, SimDuration::from_secs(5));
-        assert_eq!(MetricsConfig::parse(" on ").unwrap(), on);
         for bad in ["", "On", "1", "window=", "window=0", "window=-1", "window=2s", "yes"] {
             assert!(MetricsConfig::parse(bad).is_err(), "{bad:?} must be rejected");
         }

@@ -27,9 +27,11 @@
 //! * [`stripe`] — a striped multi-device array: round-robin stripe
 //!   chunks over M FIFO devices, the storage shape of a shared
 //!   checkpoint service.
+//! * [`env`] — the one strict reader of the `ICKPT_*` environment knobs.
 
 pub mod clock;
 pub mod device;
+pub mod env;
 pub mod reduce;
 pub mod rng;
 pub mod sched;

@@ -36,8 +36,8 @@
 //! property suite in `tests/kernel_props.rs` (misaligned slices, odd
 //! lengths, all-backends-agree). `ICKPT_KERNELS=scalar` forces the
 //! reference backend; `auto` (or unset) picks the best detected tier; a
-//! malformed value exits with status 2, matching the `ICKPT_BENCH_*`
-//! knob convention.
+//! malformed value exits with status 2, like every `ICKPT_*` knob
+//! ([`ickpt_sim::env`]).
 
 use std::sync::OnceLock;
 
@@ -118,27 +118,12 @@ pub enum BackendChoice {
     Auto,
 }
 
-/// Parse an `ICKPT_KERNELS` value. Pure so strictness is unit-testable
-/// without spawning a process.
-pub fn parse_backend(raw: &str) -> Result<BackendChoice, String> {
-    match raw.trim() {
+/// Parse an `ICKPT_KERNELS` value (an [`ickpt_sim::env::Parser`]).
+pub fn parse_backend(raw: &str) -> Result<BackendChoice, &'static str> {
+    match raw {
         "scalar" => Ok(BackendChoice::Scalar),
         "auto" => Ok(BackendChoice::Auto),
-        _ => Err(format!("{KERNELS_ENV}={raw:?} is invalid: expected \"scalar\" or \"auto\"")),
-    }
-}
-
-// The one sanctioned stderr write in this crate: a malformed env knob
-// must abort loudly before any experiment runs half-configured, exactly
-// like the ICKPT_BENCH_* knobs (exit status 2 with a message).
-#[allow(clippy::disallowed_macros)]
-fn backend_from_env() -> BackendChoice {
-    match std::env::var(KERNELS_ENV) {
-        Err(_) => BackendChoice::Auto,
-        Ok(raw) => parse_backend(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
+        _ => Err("\"scalar\" or \"auto\""),
     }
 }
 
@@ -175,9 +160,9 @@ static ACTIVE: OnceLock<Kernels> = OnceLock::new();
 /// call per kernel invocation.
 #[inline]
 pub fn active() -> &'static Kernels {
-    ACTIVE.get_or_init(|| match backend_from_env() {
-        BackendChoice::Scalar => SCALAR,
-        BackendChoice::Auto => best(),
+    ACTIVE.get_or_init(|| match ickpt_sim::env::knob(KERNELS_ENV, parse_backend) {
+        Some(BackendChoice::Scalar) => SCALAR,
+        Some(BackendChoice::Auto) | None => best(),
     })
 }
 
@@ -259,11 +244,8 @@ mod tests {
     fn parse_backend_is_strict() {
         assert_eq!(parse_backend("scalar"), Ok(BackendChoice::Scalar));
         assert_eq!(parse_backend("auto"), Ok(BackendChoice::Auto));
-        assert_eq!(parse_backend(" auto "), Ok(BackendChoice::Auto));
         for bad in ["", "Scalar", "AUTO", "avx2", "scalar,auto", "1", "simd"] {
-            let err = parse_backend(bad).unwrap_err();
-            assert!(err.contains(KERNELS_ENV), "error names the knob: {err}");
-            assert!(err.contains("expected"), "error says what was expected: {err}");
+            assert!(parse_backend(bad).is_err(), "{bad:?}");
         }
     }
 

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use ickpt_obs::{DeviceKind, Event, Lane, Recorder};
 use ickpt_sim::reduce::fanin_group;
-use ickpt_sim::{SimDuration, SimTime, StripedArray};
+use ickpt_sim::{SimDuration, SimTime};
 
 use crate::store::{ChunkKey, StableStorage, StorageError};
 use crate::throttle::SharedBandwidthDevice;
@@ -118,10 +118,6 @@ pub struct DrainQueue {
     /// already shared (inside an `Arc`ed topology) when the run
     /// config picks the topology.
     topology: Mutex<DrainTopology>,
-    /// When set, drain traffic is charged on this striped multi-device
-    /// array (chunk-split, round-robin) instead of the single FIFO
-    /// device the caller passes to [`DrainQueue::note_committed`].
-    stripe: Mutex<Option<Arc<Mutex<StripedArray>>>>,
     state: Mutex<DrainState>,
     /// Flight recorder for batch lifecycle / queue-depth events. The
     /// flush runs in whichever notification came last, but always
@@ -139,7 +135,6 @@ impl DrainQueue {
             nranks,
             drain_every,
             topology: Mutex::new(DrainTopology::Flat),
-            stripe: Mutex::new(None),
             state: Mutex::new(DrainState::default()),
             obs: Mutex::new(Recorder::disabled()),
         }
@@ -154,16 +149,6 @@ impl DrainQueue {
     /// The configured array charging pattern.
     pub fn topology(&self) -> DrainTopology {
         *self.topology.lock()
-    }
-
-    /// Route drain traffic onto a striped multi-device array instead
-    /// of the caller's single FIFO device (call before the run starts
-    /// writing). Stored bytes and accounting are identical; what
-    /// changes is where the bytes are charged — split into stripe
-    /// chunks round-robined across the stripe's devices, each chunk a
-    /// span on that device's flight-recorder lane.
-    pub fn set_stripe(&self, stripe: Arc<Mutex<StripedArray>>) {
-        *self.stripe.lock() = Some(stripe);
     }
 
     /// Attach a flight recorder (call before the run starts writing).
@@ -232,7 +217,6 @@ impl DrainQueue {
         let mut flushed = Vec::new();
         let mut batch_chunks = 0u64;
         let mut batch_bytes = 0u64;
-        let mut batch_done = commit_time;
         for &gen in &gens {
             // Gather first: a generation with any missing local chunk
             // (wiped by a node loss, never re-deposited) is abandoned
@@ -261,10 +245,9 @@ impl DrainQueue {
             };
             let mut pending_group: Option<(usize, u64)> = None;
             let mut charge = |state: &mut DrainState, bytes: u64| {
-                let done = self.charge_array(array, obs, commit_time, bytes);
+                charge_array(array, obs, commit_time, bytes);
                 state.stats.drained_bytes += bytes;
                 batch_bytes += bytes;
-                batch_done = batch_done.max(done);
             };
             for (rank, data) in chunks.iter().enumerate() {
                 shared.put_chunk(ChunkKey::new(rank as u32, gen), data)?;
@@ -293,13 +276,10 @@ impl DrainQueue {
                 .find_map(|r| locals[r].get_manifest(target).ok())
                 .ok_or(StorageError::ManifestNotFound(target))?;
             shared.put_manifest(target, &manifest)?;
-            // The batch is durable once its slowest charge lands. On
-            // the single FIFO device the manifest (charged last)
-            // completes after every chunk; on a striped array another
-            // device may still be finishing an earlier chunk, so the
-            // batch tracks the max over every charge.
-            let done =
-                batch_done.max(self.charge_array(array, obs, commit_time, manifest.len() as u64));
+            // The batch is durable once its manifest lands: on the FIFO
+            // array the manifest, charged last, completes after every
+            // chunk of the batch.
+            let done = charge_array(array, obs, commit_time, manifest.len() as u64);
             state.stats.drained_bytes += manifest.len() as u64;
             batch_bytes += manifest.len() as u64;
             state.stats.last_drained = Some(target);
@@ -319,54 +299,6 @@ impl DrainQueue {
             );
         }
         Ok(())
-    }
-
-    /// Charge `bytes` of drain traffic starting at `commit_time`: on
-    /// the attached striped array when one is set (split into stripe
-    /// chunks, round-robined across devices, one flight-recorder span
-    /// per device charge), else as one transfer on the caller's FIFO
-    /// device. Returns the completion instant of the slowest piece.
-    fn charge_array(
-        &self,
-        array: &SharedBandwidthDevice,
-        obs: &Recorder,
-        commit_time: SimTime,
-        bytes: u64,
-    ) -> SimTime {
-        let stripe = self.stripe.lock().clone();
-        if let Some(stripe) = stripe {
-            let mut stripe = stripe.lock();
-            let mut done = commit_time;
-            let sizes: Vec<u64> = stripe.chunk_sizes(bytes).collect();
-            for sz in sizes {
-                let (dev, t) = stripe.write_chunk(commit_time, sz);
-                obs.emit_span(
-                    Lane::Device(DeviceKind::Array, dev as u32),
-                    t.start,
-                    t.service,
-                    Event::DeviceTransfer {
-                        bytes: sz,
-                        queue_wait_ns: t.queue_wait.0,
-                        service_ns: t.service.0,
-                    },
-                );
-                done = done.max(t.done);
-            }
-            done
-        } else {
-            let t = array.lock().transfer_detailed(commit_time, bytes);
-            obs.emit_span(
-                Lane::Device(DeviceKind::Array, 0),
-                t.start,
-                t.service,
-                Event::DeviceTransfer {
-                    bytes,
-                    queue_wait_ns: t.queue_wait.0,
-                    service_ns: t.service.0,
-                },
-            );
-            t.done
-        }
     }
 
     /// Newest generation whose drain had fully completed by `t`.
@@ -445,6 +377,25 @@ impl DrainQueue {
     pub fn stats(&self) -> DrainStats {
         self.state.lock().stats
     }
+}
+
+/// Charge `bytes` of drain traffic on the shared array from
+/// `commit_time`, one flight-recorder span per transfer; returns the
+/// completion instant.
+fn charge_array(
+    array: &SharedBandwidthDevice,
+    obs: &Recorder,
+    commit_time: SimTime,
+    bytes: u64,
+) -> SimTime {
+    let t = array.lock().transfer_detailed(commit_time, bytes);
+    obs.emit_span(
+        Lane::Device(DeviceKind::Array, 0),
+        t.start,
+        t.service,
+        Event::DeviceTransfer { bytes, queue_wait_ns: t.queue_wait.0, service_ns: t.service.0 },
+    );
+    t.done
 }
 
 #[cfg(test)]
@@ -636,53 +587,6 @@ mod tests {
         assert_eq!(redone.drained_bytes, flushed.drained_bytes);
         assert_eq!(redone.torn_generations, 1);
         assert_eq!(redone.torn_bytes, flushed.drained_bytes);
-    }
-
-    #[test]
-    fn striped_drain_spreads_bytes_and_preserves_accounting() {
-        use ickpt_sim::StripedArray;
-
-        let run = |stripe_width: Option<usize>| {
-            let (locals, shared) = setup(4);
-            let array = shared_device(BandwidthDevice::new(1_000_000, SimDuration::ZERO));
-            let q = DrainQueue::new(4, 1);
-            let stripe = stripe_width.map(|w| {
-                let s = Arc::new(Mutex::new(StripedArray::homogeneous(
-                    w,
-                    1_000_000,
-                    SimDuration::ZERO,
-                    512,
-                )));
-                q.set_stripe(s.clone());
-                s
-            });
-            commit_gen(&locals, 0, 1000);
-            for _ in 0..4 {
-                q.note_committed(0, SimTime::ZERO, &locals, &shared, &array).unwrap();
-            }
-            (q, shared, array, stripe)
-        };
-
-        let (flat_q, flat_store, flat_array, _) = run(None);
-        let (striped_q, striped_store, striped_array, stripe) = run(Some(2));
-        let stripe = stripe.unwrap();
-
-        // Stored data and drain accounting are identical either way.
-        assert_eq!(
-            flat_store.list_generations(0).unwrap(),
-            striped_store.list_generations(0).unwrap()
-        );
-        assert_eq!(flat_q.stats().drained_bytes, striped_q.stats().drained_bytes);
-        // With the stripe attached, the FIFO device saw nothing: every
-        // byte landed on stripe devices, spread across both.
-        assert_eq!(striped_array.lock().bytes_total(), 0);
-        let per_dev = stripe.lock().device_bytes();
-        assert_eq!(per_dev.len(), 2);
-        assert_eq!(per_dev.iter().sum::<u64>(), striped_q.stats().drained_bytes);
-        assert!(per_dev.iter().all(|&b| b > 0), "round-robin touches every device: {per_dev:?}");
-        assert!(flat_array.lock().bytes_total() > 0);
-        // Durability still gates on the slowest stripe chunk.
-        assert!(striped_q.fully_drained_before(SimTime::from_secs(60)).is_some());
     }
 
     #[test]

@@ -197,15 +197,6 @@ impl TierTopology {
         self.drain.set_topology(topology);
     }
 
-    /// Route drain traffic onto a striped multi-device array (call
-    /// before the run starts writing). See [`DrainQueue::set_stripe`]:
-    /// stored bytes and drain accounting are unchanged; the charges
-    /// move from the single FIFO array device onto the stripe's
-    /// devices, chunk-split and round-robined.
-    pub fn set_array_stripe(&self, stripe: Arc<Mutex<ickpt_sim::StripedArray>>) {
-        self.drain.set_stripe(stripe);
-    }
-
     fn obs(&self) -> Recorder {
         self.obs.lock().clone()
     }

@@ -10,7 +10,7 @@ use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Write};
 use std::ops::Deref;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -243,17 +243,24 @@ impl FileStore {
     }
 }
 
+/// Read the file at `path`. Only a missing file is `missing`; any other
+/// failure (permissions, a symlink loop, a read error) is
+/// [`StorageError::Io`], so a reader never mistakes a faulty store for
+/// an absent chunk.
+fn read_file(path: &Path, missing: StorageError) -> Result<Vec<u8>, StorageError> {
+    fs::read(path).map_err(|e| match e.kind() {
+        ErrorKind::NotFound => missing,
+        _ => StorageError::Io(e),
+    })
+}
+
 impl StableStorage for FileStore {
     fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
         self.write_atomic(&self.chunk_path(key), data)
     }
 
     fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
-        let path = self.chunk_path(key);
-        let mut f = fs::File::open(&path).map_err(|_| StorageError::NotFound(key))?;
-        let mut data = Vec::new();
-        f.read_to_end(&mut data)?;
-        Ok(data)
+        read_file(&self.chunk_path(key), StorageError::NotFound(key))
     }
 
     fn delete_chunk(&self, key: ChunkKey) -> Result<(), StorageError> {
@@ -283,12 +290,7 @@ impl StableStorage for FileStore {
     }
 
     fn get_manifest(&self, generation: u64) -> Result<Vec<u8>, StorageError> {
-        let path = self.manifest_path(generation);
-        let mut f =
-            fs::File::open(&path).map_err(|_| StorageError::ManifestNotFound(generation))?;
-        let mut data = Vec::new();
-        f.read_to_end(&mut data)?;
-        Ok(data)
+        read_file(&self.manifest_path(generation), StorageError::ManifestNotFound(generation))
     }
 
     fn list_manifests(&self) -> Result<Vec<u64>, StorageError> {
@@ -409,6 +411,27 @@ mod tests {
         s.put_chunk(committed, b"retried").unwrap();
         assert_eq!(s.get_chunk(committed).unwrap(), b"retried");
         assert!(!dir.join(format!("{committed}.tmp")).exists(), "retry consumed the tmp");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn filestore_open_failures_other_than_absence_are_io_errors() {
+        // A symlink to itself makes every open fail with ELOOP: the
+        // file is there but unreadable, which is not "not found".
+        let dir = std::env::temp_dir().join(format!("ickpt_store_eloop_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileStore::open(&dir).unwrap();
+        let key = ChunkKey::new(0, 3);
+        for path in [s.chunk_path(key), s.manifest_path(3)] {
+            std::os::unix::fs::symlink(&path, &path).unwrap();
+        }
+        assert!(matches!(s.get_chunk(key), Err(StorageError::Io(_))));
+        assert!(matches!(s.read_chunk(key), Err(StorageError::Io(_))));
+        assert!(matches!(s.get_manifest(3), Err(StorageError::Io(_))));
+        // Absence is still reported as such.
+        assert!(matches!(s.get_chunk(ChunkKey::new(0, 4)), Err(StorageError::NotFound(_))));
+        assert!(matches!(s.get_manifest(4), Err(StorageError::ManifestNotFound(4))));
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -127,29 +127,6 @@ impl ThrottledStore {
         Ok(t.done)
     }
 
-    /// Read a chunk at virtual time `now`; returns the data and the
-    /// instant the read completes (restores cost time too).
-    pub fn get_chunk_timed(
-        &self,
-        now: SimTime,
-        key: ChunkKey,
-    ) -> Result<(Vec<u8>, SimTime), StorageError> {
-        let data = self.inner.get_chunk(key)?;
-        let t = self.charge_device(now, data.len() as u64);
-        self.obs.emit_span(
-            self.rank_lane,
-            now,
-            t.done.saturating_sub(now),
-            Event::ChunkGet {
-                generation: key.generation,
-                bytes: data.len() as u64,
-                queue_wait_ns: t.queue_wait.0,
-                service_ns: t.service.0,
-            },
-        );
-        Ok((data, t.done))
-    }
-
     /// Read a manifest at virtual time `now`; returns the data and the
     /// instant the read completes. Resume paths use this so the
     /// manifest lookup that picks the restore generation is charged
@@ -306,9 +283,6 @@ mod tests {
         let s = throttled(1_000_000);
         s.put_chunk_timed(SimTime::ZERO, ChunkKey::new(1, 2), b"abc").unwrap();
         assert_eq!(s.inner().get_chunk(ChunkKey::new(1, 2)).unwrap(), b"abc");
-        let (data, done) = s.get_chunk_timed(SimTime::from_secs(1), ChunkKey::new(1, 2)).unwrap();
-        assert_eq!(data, b"abc");
-        assert!(done > SimTime::from_secs(1));
     }
 
     #[test]

@@ -212,14 +212,12 @@ fn facade_rejects_mismatched_fused_lengths() {
 
 #[test]
 fn env_knob_parses_strictly() {
-    // Mirrors `knob_parsing_is_strict` in ickpt-bench: the parse is a
-    // pure function so strictness is testable without a subprocess;
-    // the process-exit path in `active()` wraps exactly this parser.
-    assert_eq!(kernels::parse_backend("scalar"), Ok(BackendChoice::Scalar));
-    assert_eq!(kernels::parse_backend("auto"), Ok(BackendChoice::Auto));
-    assert!(kernels::parse_backend("fast").is_err());
-    assert!(kernels::parse_backend("").is_err());
-    let msg = kernels::parse_backend("avx512").unwrap_err();
-    assert!(msg.contains("ICKPT_KERNELS=\"avx512\""), "{msg}");
-    assert!(msg.contains("expected"), "{msg}");
+    // The process-exit path in `active()` prints exactly this message.
+    let parse = |raw| ickpt_sim::env::parse(kernels::KERNELS_ENV, raw, kernels::parse_backend);
+    assert_eq!(parse(" scalar\n"), Ok(BackendChoice::Scalar));
+    assert_eq!(parse("auto"), Ok(BackendChoice::Auto));
+    assert_eq!(
+        parse("avx512").unwrap_err(),
+        "ICKPT_KERNELS=\"avx512\" is invalid: expected \"scalar\" or \"auto\""
+    );
 }

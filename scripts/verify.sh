@@ -42,12 +42,16 @@ bench_smoke() {
 ICKPT_KERNELS=bogus|Effective IB|
 ICKPT_SIM_WORKERS=lots|Figure 5 extended|ICKPT_BENCH_EXT_RANKS=64
 ICKPT_SIM_WORKERS=lots|Ablations|$small
-ICKPT_CAPTURE_WORKERS=lots|Ablations|$small
-ICKPT_RESTORE_WORKERS=two|Ablations|$small
-ICKPT_DELTA_BLOCKS=-3|Ablations|$small
 ICKPT_DEDUP=yes|Ablations|$small
-ICKPT_BENCH_TENANTS=4,frogs|Multi-tenant|
 ICKPT_METRICS=every-5s|table 4|
+ICKPT_BENCH_RANKS=6.4|table 4|ICKPT_BENCH_SCALE=0.05 ICKPT_BENCH_PERIODS=4
+ICKPT_BENCH_SCALE=0|table 4|ICKPT_BENCH_RANKS=4 ICKPT_BENCH_PERIODS=4
+ICKPT_BENCH_PERIODS=-1|table 4|ICKPT_BENCH_RANKS=4 ICKPT_BENCH_SCALE=0.05
+ICKPT_BENCH_THREADS=0|table 4|$small
+ICKPT_BENCH_NATIVE=yes|Section 6.5|$small
+ICKPT_BENCH_TENANTS=4,frogs|Multi-tenant|
+ICKPT_BENCH_SVC_SECONDS=5|Multi-tenant|ICKPT_BENCH_TENANTS=1
+ICKPT_BENCH_EXT_RANKS=64,0|Figure 5 extended|
 KNOBS
 
     # Determinism: each row runs one binary under every variant

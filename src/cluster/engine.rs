@@ -57,13 +57,10 @@ use ickpt_core::tracker::WriteTracker;
 use ickpt_mem::{pages_for_bytes, AddressSpace, BackedSpace, DataLayout, PageRange, SparseSpace};
 use ickpt_net::{Mailbox, Msg, NetConfig, NetError};
 use ickpt_obs::{Event, Lane, Recorder};
-use ickpt_sim::{BandwidthDevice, Combine, EventWheel, SimDuration, SimTime};
+use ickpt_sim::{env, BandwidthDevice, Combine, EventWheel, SimDuration, SimTime};
 
 use super::ft::{self, FtParams, FtRank};
-use super::{
-    summarize_obs, BoundaryRecord, CharacterizationConfig, RankReport, RunError, RunOutcome,
-    RunReport,
-};
+use super::{BoundaryRecord, CharacterizationConfig, RankReport, RunError, RunOutcome, RunReport};
 
 /// An address space a rank can run over. The engine reads its
 /// execution policy from the type: a content-backed space moves real
@@ -121,34 +118,14 @@ fn par_batch_min<S: RankSpace>() -> usize {
 /// The engine worker-count environment knob.
 const WORKERS_ENV: &str = "ICKPT_SIM_WORKERS";
 
-/// Parse an `ICKPT_SIM_WORKERS` value (`0` means 1, like an explicit
-/// `Some(0)`). Pure so strictness is unit-testable without spawning a
-/// process.
-fn parse_workers(raw: &str) -> Result<usize, String> {
-    match raw.trim().parse::<usize>() {
-        Ok(w) => Ok(w.max(1)),
-        Err(_) => Err(format!("{WORKERS_ENV}={raw:?} is invalid: expected a worker count")),
-    }
-}
-
-// The one sanctioned stderr write in this crate: a malformed env knob
-// must abort loudly before a run starts half-configured, exactly like
-// ICKPT_KERNELS and ICKPT_METRICS (exit status 2 with a message).
-/// Resolve the worker count: explicit config, then the
-/// `ICKPT_SIM_WORKERS` environment knob (malformed exits 2), then host
+/// Resolve the worker count: explicit config (0 means 1), then the
+/// `ICKPT_SIM_WORKERS` count knob (malformed exits 2), then host
 /// parallelism.
-#[allow(clippy::disallowed_macros)]
 pub(super) fn resolve_workers(explicit: Option<usize>) -> usize {
-    if let Some(w) = explicit {
-        return w.max(1);
-    }
-    match std::env::var(WORKERS_ENV) {
-        Ok(raw) => parse_workers(&raw).unwrap_or_else(|e| {
-            eprintln!("error: {e}");
-            std::process::exit(2);
-        }),
-        Err(_) => std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-    }
+    explicit
+        .or_else(|| env::knob(WORKERS_ENV, env::count))
+        .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+        .max(1)
 }
 
 /// The collective a rank is blocked in, with the rank-local context
@@ -849,7 +826,6 @@ where
         wasted: SimDuration::ZERO,
         recoveries: Vec::new(),
         drain: None,
-        obs: summarize_obs(&cfg.obs),
     }
 }
 
@@ -907,11 +883,11 @@ mod tests {
 
     #[test]
     fn workers_knob_parses_strictly() {
-        assert_eq!(parse_workers("4"), Ok(4));
-        assert_eq!(parse_workers(" 16\n"), Ok(16));
-        assert_eq!(parse_workers("0"), Ok(1), "0 clamps like an explicit Some(0)");
-        for bad in ["", "many", "-1", "2.5", "4 workers", "0x4"] {
-            let err = parse_workers(bad).expect_err(bad);
+        let parse = |raw| env::parse(WORKERS_ENV, raw, env::count);
+        assert_eq!(parse("4"), Ok(4));
+        assert_eq!(parse(" 16\n"), Ok(16));
+        for bad in ["", "0", "many", "-1", "2.5", "4 workers", "0x4"] {
+            let err = parse(bad).expect_err(bad);
             assert!(err.contains(WORKERS_ENV) && err.contains(bad), "{err}");
         }
     }

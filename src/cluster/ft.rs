@@ -221,7 +221,7 @@ pub(super) struct FtRank {
     /// Generation to roll back to before running (consumed by the
     /// restore state).
     resume_from: Option<u64>,
-    /// Capture tuning (worker count from `ICKPT_CAPTURE_WORKERS`).
+    /// Capture tuning (dedup from `ICKPT_DEDUP` or the run config).
     capture_cfg: CaptureConfig,
     /// Recycled capture/encode buffers: steady-state checkpoints are
     /// allocation-free. Also owns the dedup baseline, reset whenever an

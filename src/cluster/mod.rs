@@ -50,7 +50,7 @@ use std::sync::{Arc, Mutex};
 
 use ickpt_apps::step::AppModel;
 use ickpt_apps::Workload;
-use ickpt_core::checkpoint::{CaptureConfig, CaptureScratch, ContentStats};
+use ickpt_core::checkpoint::{default_workers, CaptureConfig, CaptureScratch, ContentStats};
 use ickpt_core::coordinator::{CheckpointPlanner, CheckpointPolicy};
 use ickpt_core::metrics::{IwsSample, SampleSummary};
 use ickpt_core::restore::{latest_committed_generation, RestoreConfig};
@@ -58,7 +58,7 @@ use ickpt_core::trace::RankTrace;
 use ickpt_core::tracker::{EpochSample, IterationSample, SampleMode, TrackerConfig, WriteTracker};
 use ickpt_mem::{AddressSpace, BackedSpace, DataLayout, WriteProfile};
 use ickpt_net::NetConfig;
-use ickpt_obs::{DeviceKind, Event, Lane, ObsSummary, Recorder, RecoveryTier};
+use ickpt_obs::{DeviceKind, Event, Lane, Recorder, RecoveryTier};
 use ickpt_sim::{DevicePreset, SimDuration, SimTime};
 use ickpt_storage::{
     shared_device, ChunkKey, ChunkView, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
@@ -246,15 +246,6 @@ pub struct RunReport {
     pub recoveries: Vec<RecoveryRecord>,
     /// Drain accounting of the durable tier (multilevel runs).
     pub drain: Option<DrainStats>,
-    /// Flight-recorder aggregates, when the run carried an enabled
-    /// [`Recorder`] (utilization, stalls, drain depth, recovery paths).
-    pub obs: Option<ObsSummary>,
-}
-
-/// Summarize the run's flight-recorder contents (all groups the
-/// recorder's sink has seen), or `None` when observability is off.
-fn summarize_obs(obs: &Recorder) -> Option<ObsSummary> {
-    obs.flight_recorder().map(|fr| ObsSummary::from_snapshot(&fr.snapshot()))
 }
 
 // ---------------------------------------------------------------------
@@ -559,7 +550,7 @@ where
         capture,
         params: FtParams {
             mode: cfg.mode,
-            restore: RestoreConfig::from_env(),
+            restore: RestoreConfig::with_workers(default_workers()),
             timeslice: cfg.timeslice,
         },
         workers: engine::resolve_workers(None),
@@ -608,15 +599,7 @@ where
         match report.outcome {
             RunOutcome::Completed => {
                 let drain = topo.as_ref().map(|t| t.drain_stats());
-                let obs = summarize_obs(&cfg.obs);
-                return Ok(RunReport {
-                    attempts: attempt,
-                    wasted,
-                    recoveries,
-                    drain,
-                    obs,
-                    ..report
-                });
+                return Ok(RunReport { attempts: attempt, wasted, recoveries, drain, ..report });
             }
             RunOutcome::Failed { recover_from } => {
                 let r0 = &report.ranks[0];
@@ -707,13 +690,11 @@ where
                 wasted += r0.final_time.saturating_sub(preserved_until);
                 if attempt >= cfg.max_attempts {
                     let drain = topo.as_ref().map(|t| t.drain_stats());
-                    let obs = summarize_obs(&cfg.obs);
                     return Ok(RunReport {
                         attempts: attempt,
                         wasted,
                         recoveries,
                         drain,
-                        obs,
                         ..report
                     });
                 }
@@ -834,7 +815,6 @@ where
         wasted: SimDuration::ZERO,
         recoveries: Vec::new(),
         drain: None,
-        obs: None,
     })
 }
 

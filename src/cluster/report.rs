@@ -121,15 +121,6 @@ impl ClusterAggregate {
             self.total_checkpoint_bytes.saturating_add(other.total_checkpoint_bytes);
         self.summary.merge(&other.summary);
     }
-
-    /// Mean footprint per rank in pages (render-time only).
-    pub fn avg_footprint_pages(&self) -> f64 {
-        if self.ranks == 0 {
-            0.0
-        } else {
-            self.total_footprint_pages as f64 / self.ranks as f64
-        }
-    }
 }
 
 /// Reduce per-rank reports through a fan-in tree of the given arity
