@@ -11,6 +11,9 @@
 //! * a *processing burst* of length `touches / peak_rate` followed by a
 //!   quiet tail filling the rest of the period (Sage has a long tail;
 //!   the NAS codes compute for essentially the whole period);
+//! * a [`Phase`] is one kernel — its compute step and its own exchange
+//!   rounds — or the tail, so a rank holds one kernel's script at a
+//!   time, never the whole burst's;
 //! * optionally (Sage) dynamic memory behaviour: a temporary workspace
 //!   block mapped for the burst and unmapped afterwards, plus
 //!   allocation churn over the permanent blocks — this is what makes
@@ -213,14 +216,25 @@ pub struct PhasedApp {
     perm: Vec<(u64, PageRange)>,
     /// Temporary workspace mapped for the current burst.
     temp: Option<PageRange>,
+    /// Exchange partners (empty unless `comm` is `Neighbors`).
+    nbrs: Vec<usize>,
+    /// The running burst's working set, computed at kernel 0: mappings
+    /// change only when a burst starts or ends.
+    ws: WorkingSet,
     /// Global sweep cursor (flat pages) so coverage cycles across
     /// kernels and iterations.
     sweep_offset: u64,
     iter: u64,
-    /// false → next phase is the burst; true → next phase is the tail.
-    in_tail: bool,
+    /// The next phase: [`BURST`], [`TAIL`], or `2 + k` for kernel
+    /// `k ≥ 1` of the running burst. Saved as is.
+    cursor: u64,
     initialized: bool,
 }
+
+/// Cursor: the next phase starts a burst (kernel 0).
+const BURST: u64 = 0;
+/// Cursor: the next phase is the tail.
+const TAIL: u64 = 1;
 
 impl PhasedApp {
     /// Build from configuration.
@@ -229,15 +243,21 @@ impl PhasedApp {
         assert!(cfg.peak_rate > 0.0 && cfg.init_rate > 0.0);
         assert!(cfg.ws_bytes > 0 && cfg.ws_bytes <= cfg.array_bytes * 2);
         let rng = SplitMix64::for_rank(cfg.seed, cfg.rank);
+        let nbrs = match cfg.comm {
+            CommSpec::Neighbors { shape, .. } => neighbors(cfg.rank, cfg.nranks, shape),
+            _ => Vec::new(),
+        };
         Self {
             cfg,
             rng,
             heap_range: None,
             perm: Vec::new(),
             temp: None,
+            nbrs,
+            ws: WorkingSet::default(),
             sweep_offset: 0,
             iter: 0,
-            in_tail: false,
+            cursor: BURST,
             initialized: false,
         }
     }
@@ -294,30 +314,34 @@ impl PhasedApp {
         (len > 0).then_some(PageRange::new(base.start + offset, len))
     }
 
-    /// Communication steps after kernel `k`.
-    fn comm_steps(&self, k: u32) -> Vec<Step> {
+    /// Number of communication steps after a kernel.
+    fn comm_len(&self) -> usize {
         match &self.cfg.comm {
-            CommSpec::None => Vec::new(),
-            CommSpec::Neighbors { shape, bytes, rounds } => {
-                let nbrs = neighbors(self.cfg.rank, self.cfg.nranks, *shape);
-                let mut steps = Vec::with_capacity(nbrs.len() * 2 * *rounds as usize);
+            CommSpec::None => 0,
+            CommSpec::Neighbors { rounds, .. } => self.nbrs.len() * 2 * *rounds as usize,
+            CommSpec::AllToAll { .. } => 1,
+        }
+    }
+
+    /// Append the communication steps after kernel `k`.
+    fn push_comm_steps(&self, k: u32, steps: &mut Vec<Step>) {
+        match &self.cfg.comm {
+            CommSpec::None => {}
+            CommSpec::Neighbors { bytes, rounds, .. } => {
                 for round in 0..*rounds {
                     let tag = k * 64 + round;
-                    for &nb in &nbrs {
+                    for &nb in &self.nbrs {
                         steps.push(Step::Send { to: nb, tag, bytes: *bytes });
                     }
-                    for (d, &nb) in nbrs.iter().enumerate() {
+                    for (d, &nb) in self.nbrs.iter().enumerate() {
                         steps.push(Step::Recv { from: nb, tag, into: self.ghost_range(d, *bytes) });
                     }
                 }
-                steps
             }
-            CommSpec::AllToAll { bytes_per_pair } => {
-                vec![Step::AllToAll {
-                    bytes_per_pair: *bytes_per_pair,
-                    into: self.ghost_range(0, bytes_per_pair * (self.cfg.nranks as u64 - 1).max(1)),
-                }]
-            }
+            CommSpec::AllToAll { bytes_per_pair } => steps.push(Step::AllToAll {
+                bytes_per_pair: *bytes_per_pair,
+                into: self.ghost_range(0, bytes_per_pair * (self.cfg.nranks as u64 - 1).max(1)),
+            }),
         }
     }
 
@@ -398,57 +422,9 @@ impl AppModel for PhasedApp {
 
     fn next_phase(&mut self, space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
         assert!(self.initialized, "next_phase before init");
-        if !self.in_tail {
-            // ---- burst phase ----
-            self.burst_alloc(space)?;
-            let ws = self.working_set();
-            let total_touch_pages = pages_for_bytes(self.cfg.touches_per_iter);
-            let per_kernel = (total_touch_pages / self.cfg.kernels as u64).max(1);
-            let mean_dur = (per_kernel * PAGE_SIZE) as f64 / self.cfg.peak_rate;
-            let mut steps = Vec::with_capacity(self.cfg.kernels as usize * 6 + 1);
-            // The workspace is first-touched once when it is mapped
-            // (filled with scratch data); those writes show up in the
-            // IWS but are later memory-excluded from checkpoints.
-            if let Some(t) = self.temp {
-                steps.push(Step::Compute {
-                    duration: SimDuration::from_secs_f64(
-                        (t.len * PAGE_SIZE) as f64 / self.cfg.peak_rate,
-                    ),
-                    pattern: AccessPattern::Sweep {
-                        set: WorkingSet::new(vec![t]),
-                        total_pages: t.len,
-                        start_offset: 0,
-                    },
-                });
-            }
-            for k in 0..self.cfg.kernels {
-                // Ramp kernel durations across the iteration (fast
-                // kernels first): the sawtooth envelope is what makes
-                // the *iteration* — not the kernel pair — the dominant
-                // period in the IWS series.
-                let ramp = if self.cfg.kernels > 1 {
-                    2.0 * k as f64 / (self.cfg.kernels - 1) as f64 - 1.0
-                } else {
-                    0.0
-                };
-                let dur = mean_dur * (1.0 + self.cfg.kernel_skew * ramp);
-                steps.push(Step::Compute {
-                    duration: SimDuration::from_secs_f64(dur),
-                    pattern: AccessPattern::Sweep {
-                        set: ws.clone(),
-                        total_pages: per_kernel,
-                        start_offset: self.sweep_offset,
-                    },
-                });
-                self.sweep_offset = (self.sweep_offset + per_kernel) % ws.total_pages().max(1);
-                steps.extend(self.comm_steps(k));
-            }
-            self.in_tail = true;
-            Ok(Phase::continuing(steps))
-        } else {
-            // ---- tail phase ----
+        if self.cursor == TAIL {
             self.burst_free(space)?;
-            let mut steps = Vec::new();
+            let mut steps = Vec::with_capacity(2);
             if self.cfg.allreduce_bytes > 0 {
                 steps.push(Step::Allreduce { bytes: self.cfg.allreduce_bytes });
             }
@@ -456,10 +432,56 @@ impl AppModel for PhasedApp {
             if !quiet.is_zero() {
                 steps.push(Step::Compute { duration: quiet, pattern: AccessPattern::None });
             }
-            self.in_tail = false;
+            self.cursor = BURST;
             self.iter += 1;
-            Ok(Phase::ending(steps))
+            return Ok(Phase::ending(steps));
         }
+        // ---- one kernel of the burst ----
+        let k = self.cursor.saturating_sub(2) as u32;
+        if k == 0 {
+            self.burst_alloc(space)?;
+            self.ws = self.working_set();
+        }
+        let workspace = self.temp.filter(|_| k == 0);
+        let mut steps = Vec::with_capacity(workspace.is_some() as usize + 1 + self.comm_len());
+        // The workspace is first-touched once when it is mapped (filled
+        // with scratch data); those writes show up in the IWS but are
+        // later memory-excluded from checkpoints.
+        if let Some(t) = workspace {
+            steps.push(Step::Compute {
+                duration: SimDuration::from_secs_f64(
+                    (t.len * PAGE_SIZE) as f64 / self.cfg.peak_rate,
+                ),
+                pattern: AccessPattern::Sweep {
+                    set: WorkingSet::new(vec![t]),
+                    total_pages: t.len,
+                    start_offset: 0,
+                },
+            });
+        }
+        let per_kernel =
+            (pages_for_bytes(self.cfg.touches_per_iter) / self.cfg.kernels as u64).max(1);
+        let mean_dur = (per_kernel * PAGE_SIZE) as f64 / self.cfg.peak_rate;
+        // Ramp kernel durations across the iteration (fast kernels
+        // first): the sawtooth envelope is what makes the *iteration* —
+        // not the kernel pair — the dominant period in the IWS series.
+        let ramp = if self.cfg.kernels > 1 {
+            2.0 * k as f64 / (self.cfg.kernels - 1) as f64 - 1.0
+        } else {
+            0.0
+        };
+        steps.push(Step::Compute {
+            duration: SimDuration::from_secs_f64(mean_dur * (1.0 + self.cfg.kernel_skew * ramp)),
+            pattern: AccessPattern::Sweep {
+                set: self.ws.clone(),
+                total_pages: per_kernel,
+                start_offset: self.sweep_offset,
+            },
+        });
+        self.sweep_offset = (self.sweep_offset + per_kernel) % self.ws.total_pages().max(1);
+        self.push_comm_steps(k, &mut steps);
+        self.cursor = if k + 1 == self.cfg.kernels { TAIL } else { 2 + u64::from(k + 1) };
+        Ok(Phase::continuing(steps))
     }
 
     fn iterations_done(&self) -> u64 {
@@ -469,7 +491,7 @@ impl AppModel for PhasedApp {
     fn save_state(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(self.iter);
-        w.put_u64(self.in_tail as u64);
+        w.put_u64(self.cursor);
         w.put_u64(self.sweep_offset);
         w.put_u64(self.rng_state());
         w.put_u64(self.heap_range.map_or(u64::MAX, |r| r.start));
@@ -494,7 +516,10 @@ impl AppModel for PhasedApp {
     fn restore_state(&mut self, state: &[u8]) -> Result<(), CodecError> {
         let mut r = ByteReader::new(state);
         self.iter = r.get_u64()?;
-        self.in_tail = r.get_u64()? != 0;
+        self.cursor = r.get_u64()?;
+        if self.cursor >= 2 + self.cfg.kernels as u64 {
+            return Err(CodecError("kernel cursor out of range"));
+        }
         self.sweep_offset = r.get_u64()?;
         let rng_state = r.get_u64()?;
         self.rng = SplitMix64::new(0);
@@ -517,6 +542,9 @@ impl AppModel for PhasedApp {
         } else {
             None
         };
+        if self.cursor > TAIL {
+            self.ws = self.working_set();
+        }
         self.initialized = true;
         Ok(())
     }
@@ -602,19 +630,35 @@ mod tests {
         }
     }
 
+    /// The phases of one iteration: the burst's kernels, then the tail.
+    fn iteration(app: &mut PhasedApp, sp: &mut SparseSpace) -> (Vec<Phase>, Phase) {
+        let mut burst = Vec::new();
+        loop {
+            let phase = app.next_phase(sp).unwrap();
+            if phase.ends_iteration {
+                return (burst, phase);
+            }
+            burst.push(phase);
+        }
+    }
+
+    fn count(phase: &Phase, pred: fn(&Step) -> bool) -> usize {
+        phase.steps.iter().filter(|s| pred(s)).count()
+    }
+
     #[test]
     fn burst_then_tail_structure() {
         let mut app = PhasedApp::new(test_cfg(AllocMode::StaticHeap, 4));
         let mut sp = space();
         app.init(&mut sp).unwrap();
-        let burst = app.next_phase(&mut sp).unwrap();
-        assert!(!burst.ends_iteration);
-        let computes = burst.steps.iter().filter(|s| matches!(s, Step::Compute { .. })).count();
-        assert_eq!(computes, 4, "one compute per kernel");
-        let sends = burst.steps.iter().filter(|s| matches!(s, Step::Send { .. })).count();
-        assert_eq!(sends, 8, "two ring neighbors x four kernels");
-        let tail = app.next_phase(&mut sp).unwrap();
-        assert!(tail.ends_iteration);
+        let (burst, tail) = iteration(&mut app, &mut sp);
+        assert_eq!(burst.len(), 4, "one phase per kernel");
+        for kernel in &burst {
+            assert_eq!(count(kernel, |s| matches!(s, Step::Compute { .. })), 1);
+            assert_eq!(count(kernel, |s| matches!(s, Step::Send { .. })), 2, "two ring neighbors");
+            assert_eq!(count(kernel, |s| matches!(s, Step::Recv { .. })), 2);
+            assert_eq!(kernel.steps.len(), kernel.steps.capacity(), "sized exactly");
+        }
         assert!(matches!(tail.steps[0], Step::Allreduce { .. }));
         // Quiet tail: 32MiB at 16e6 B/s ≈ 2.1 s burst of a 10 s period.
         match tail.steps.last().unwrap() {
@@ -634,9 +678,12 @@ mod tests {
         let mut sp = space();
         app.init(&mut sp).unwrap();
         let base_fp = sp.mapped_pages();
-        app.next_phase(&mut sp).unwrap(); // burst: temp mapped
-        assert!(sp.mapped_pages() > base_fp, "temp block mapped during burst");
-        app.next_phase(&mut sp).unwrap(); // tail: temp freed
+        app.next_phase(&mut sp).unwrap(); // kernel 0: temp mapped
+        let during = sp.mapped_pages();
+        assert!(during > base_fp, "temp block mapped during burst");
+        app.next_phase(&mut sp).unwrap(); // kernel 1 allocates nothing
+        assert_eq!(sp.mapped_pages(), during);
+        iteration(&mut app, &mut sp); // tail: temp freed
         let after = sp.mapped_pages();
         // Churn jitters one block, so footprint is near but not
         // necessarily equal to the base.
@@ -653,10 +700,10 @@ mod tests {
         let mut app = PhasedApp::new(cfg);
         let mut sp = space();
         app.init(&mut sp).unwrap();
-        let burst = app.next_phase(&mut sp).unwrap();
+        let (burst, _) = iteration(&mut app, &mut sp);
         let offsets: Vec<u64> = burst
-            .steps
             .iter()
+            .flat_map(|phase| &phase.steps)
             .filter_map(|s| match s {
                 Step::Compute { pattern: AccessPattern::Sweep { start_offset, .. }, .. } => {
                     Some(*start_offset)
@@ -675,7 +722,7 @@ mod tests {
         let mut a = PhasedApp::new(test_cfg(alloc.clone(), 2));
         let mut sp_a = space();
         a.init(&mut sp_a).unwrap();
-        for _ in 0..4 {
+        while a.iterations_done() < 2 {
             a.next_phase(&mut sp_a).unwrap();
         }
         let blob = a.save_state();
@@ -700,8 +747,73 @@ mod tests {
         let mut app = PhasedApp::new(cfg);
         let mut sp = space();
         app.init(&mut sp).unwrap();
-        let burst = app.next_phase(&mut sp).unwrap();
-        let a2a = burst.steps.iter().filter(|s| matches!(s, Step::AllToAll { .. })).count();
-        assert_eq!(a2a, 4, "one transpose per kernel");
+        let (burst, _) = iteration(&mut app, &mut sp);
+        assert_eq!(burst.len(), 4);
+        for kernel in &burst {
+            assert_eq!(count(kernel, |s| matches!(s, Step::AllToAll { .. })), 1, "one transpose");
+            assert_eq!(kernel.steps.len(), 2);
+        }
+    }
+
+    #[test]
+    fn mid_burst_snapshots_restore_the_same_trajectory() {
+        // 28 kernels: most snapshots land between two kernels of a burst.
+        let build = || crate::Workload::Sage1000.build(3, 8, 0.05, 11);
+        let layout = crate::Workload::Sage1000.layout(0.05);
+        let mut a = build();
+        let mut sp = SparseSpace::new(layout);
+        a.init(&mut sp).unwrap();
+        let (mut snaps, mut phases) = (Vec::new(), Vec::new());
+        while a.iterations_done() < 3 {
+            if a.iterations_done() < 2 {
+                snaps.push((phases.len(), a.save_state(), sp.clone()));
+            }
+            phases.push(a.next_phase(&mut sp).unwrap());
+        }
+        assert!(snaps.len() > 50);
+        for (at, blob, mut sp_b) in snaps {
+            let mut b = build();
+            b.restore_state(&blob).unwrap();
+            for (i, want) in phases[at..].iter().enumerate() {
+                assert_eq!(&b.next_phase(&mut sp_b).unwrap(), want, "snapshot {at}, phase +{i}");
+            }
+            assert_eq!(b.iterations_done(), 3);
+        }
+    }
+
+    #[test]
+    fn boundary_state_bytes_are_pinned() {
+        // Sage-50MB, rank 3 of 8, scale 1, seed 7, after two iterations:
+        // recorded when a whole burst was one phase. The cursor word (the
+        // second) is 0 at a boundary either way.
+        let w = crate::Workload::Sage50;
+        let mut sp = SparseSpace::new(w.layout(1.0));
+        let mut app = w.build(3, 8, 1.0, 7);
+        app.init(&mut sp).unwrap();
+        while app.iterations_done() < 2 {
+            app.next_phase(&mut sp).unwrap();
+        }
+        let words: Vec<u64> =
+            app.save_state().chunks(8).map(|c| u64::from_le_bytes(c.try_into().unwrap())).collect();
+        let perm = [
+            459, 9924, 524, 459, 3039, 459, 459, 3498, 459, 459, 3957, 459, 459, 4416, 459, 459,
+            4875, 459, 459, 5334, 459, 459, 10974, 486, 459, 6252, 459, 459, 6711, 459, 459, 7170,
+            459, 459, 10448, 526, 459, 8088, 459, 459, 2580, 425, 459, 9006, 459, 459, 9465, 459,
+        ];
+        let mut want = vec![2, 0, 5670, 1517094859979457764, 64, 2451, 16];
+        want.extend(perm);
+        want.push(0);
+        assert_eq!(words, want);
+    }
+
+    #[test]
+    fn out_of_range_cursor_is_rejected() {
+        let mut app = PhasedApp::new(test_cfg(AllocMode::StaticHeap, 4));
+        let mut sp = space();
+        app.init(&mut sp).unwrap();
+        let mut blob = app.save_state();
+        blob[8] = 2 + 4;
+        let err = PhasedApp::new(test_cfg(AllocMode::StaticHeap, 4)).restore_state(&blob);
+        assert_eq!(err, Err(CodecError("kernel cursor out of range")));
     }
 }

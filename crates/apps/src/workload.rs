@@ -186,7 +186,7 @@ mod tests {
             let mut app = w.build(0, 4, scale, 42);
             app.init(&mut space).unwrap_or_else(|_| panic!("{}", w.name()));
             // Two full iterations of phases must fit in the layout.
-            for _ in 0..4 {
+            while app.iterations_done() < 2 {
                 app.next_phase(&mut space).unwrap_or_else(|_| panic!("{}", w.name()));
             }
             assert!(space.mapped_pages() > 0);
@@ -225,7 +225,7 @@ mod tests {
         let mut app = w.build(0, 2, scale, 3);
         app.init(&mut space).unwrap();
         let mut peak: u64 = 0;
-        for _ in 0..10 {
+        while app.iterations_done() < 5 {
             app.next_phase(&mut space).unwrap();
             peak = peak.max(space.mapped_pages());
         }

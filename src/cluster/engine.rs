@@ -91,14 +91,16 @@ impl RankSpace for BackedSpace {
 /// costs more than it saves; advance inline instead.
 ///
 /// Measured break-even (2 vCPU, 2 workers, Sage scale 0.1, every
-/// round holding all ranks at ~1.1 µs per visit): a round's advance
-/// phase inline vs fanned out takes 48 vs 92 µs at 64 ranks, 218 vs
-/// 345 µs at 256, 475 vs 716 µs at 512; whole runs are a wash at
-/// 1024–2048 ranks (0.70–0.82 s vs 0.65–0.77 s at 2048) and 1.4×
-/// faster fanned out at 4096 (1.82–2.18 s vs 1.25–1.41 s). A
-/// fanned-out round pays ~260 µs of spawn, join and cold stacks, which
-/// it earns back from about 2000 visits up; a few hundred rounds per
-/// run bound that at ~0.1 s, so no persistent pool is kept.
+/// round holding all ranks at ~0.45 µs per visit): a round's advance
+/// phase inline vs fanned out takes 0.17–0.23 vs 0.24 ms at 512 ranks,
+/// 0.30–0.41 vs 0.36–0.38 ms at 1024, 0.70–0.84 vs 0.73–0.84 ms at
+/// 2048 (a wash) and 1.73–2.16 vs 1.45–2.03 ms at 4096. A fanned-out
+/// round also leaves its ranks cold in the resolving core's cache
+/// (+0.03 s of resolve per run), so whole runs favour inline at 2048
+/// (0.28–0.33 vs 0.31–0.37 s) and fanned out at 4096 (0.73–0.92 vs
+/// 0.68–0.90 s). Visits cost ~1.1 µs when this was first measured and
+/// the break-even was the same; a few hundred rounds per run bound the
+/// spawn cost at ~0.1 s, so no persistent pool is kept.
 const PAR_BATCH_MIN: usize = 2048;
 
 /// Smallest batch that fans out over the workers. A content-backed
@@ -688,6 +690,9 @@ pub(super) fn run<S: RankSpace>(
     let mut round: Option<Round> = None;
     let mut batch: Vec<usize> = Vec::with_capacity(nranks);
     let mut wake: Vec<(SimTime, usize)> = Vec::new();
+    // Swapped with each rank's outbox while delivering it, so neither
+    // side reallocates round after round.
+    let mut outbox: Vec<(usize, Msg)> = Vec::new();
 
     while !wheel.is_empty() {
         batch.clear();
@@ -736,7 +741,8 @@ pub(super) fn run<S: RankSpace>(
                 }
                 _ => {}
             }
-            for (dst, msg) in std::mem::take(&mut sm.outbox) {
+            std::mem::swap(&mut sm.outbox, &mut outbox);
+            for (dst, msg) in outbox.drain(..) {
                 assert!(dst < nranks, "rank {r} sent to unknown rank {dst}");
                 let d = sms[dst].get_mut().expect(POISON);
                 let wanted = matches!(
@@ -749,6 +755,7 @@ pub(super) fn run<S: RankSpace>(
                     wake.push((d.clock, dst));
                 }
             }
+            std::mem::swap(&mut sms[r].get_mut().expect(POISON).outbox, &mut outbox);
         }
         if round.as_ref().is_some_and(|rd| rd.joined == nranks) {
             let rd = round.take().expect("round present");
