@@ -41,7 +41,7 @@ pub struct AppCalib {
 impl AppCalib {
     /// Per-iteration working set in bytes: `overwrite_frac × avg
     /// footprint`.
-    pub fn ws_bytes(&self) -> u64 {
+    pub(crate) fn ws_bytes(&self) -> u64 {
         (self.overwrite_frac * self.footprint_avg_mb * 1e6) as u64
     }
 
@@ -49,20 +49,20 @@ impl AppCalib {
     /// full pass over the working set (Table 3's overwrite), more when
     /// the measured average IB implies intra-iteration reuse
     /// (`avg_ib × period` exceeds the working set).
-    pub fn touches_per_iter_bytes(&self) -> u64 {
+    pub(crate) fn touches_per_iter_bytes(&self) -> u64 {
         let by_ib = (self.avg_ib_mbps * self.period_s * 1e6) as u64;
         by_ib.max(self.ws_bytes())
     }
 
     /// Number of passes over the working set per iteration.
-    pub fn passes_per_iter(&self) -> f64 {
+    pub(crate) fn passes_per_iter(&self) -> f64 {
         self.touches_per_iter_bytes() as f64 / self.ws_bytes() as f64
     }
 
     /// A copy with footprint, rates and volumes scaled by `factor`
     /// (periods unchanged) — used to run the same *shape* at test-size
     /// footprints.
-    pub fn scaled(&self, factor: f64) -> AppCalib {
+    pub(crate) fn scaled(&self, factor: f64) -> AppCalib {
         AppCalib {
             footprint_max_mb: self.footprint_max_mb * factor,
             footprint_avg_mb: self.footprint_avg_mb * factor,
@@ -74,7 +74,7 @@ impl AppCalib {
 }
 
 /// Sage with a ~1000 MB per-process footprint.
-pub const SAGE_1000: AppCalib = AppCalib {
+pub(crate) const SAGE_1000: AppCalib = AppCalib {
     name: "Sage-1000MB",
     footprint_max_mb: 954.6,
     footprint_avg_mb: 779.5,
@@ -85,7 +85,7 @@ pub const SAGE_1000: AppCalib = AppCalib {
 };
 
 /// Sage with a ~500 MB footprint.
-pub const SAGE_500: AppCalib = AppCalib {
+pub(crate) const SAGE_500: AppCalib = AppCalib {
     name: "Sage-500MB",
     footprint_max_mb: 497.3,
     footprint_avg_mb: 407.3,
@@ -96,7 +96,7 @@ pub const SAGE_500: AppCalib = AppCalib {
 };
 
 /// Sage with a ~100 MB footprint.
-pub const SAGE_100: AppCalib = AppCalib {
+pub(crate) const SAGE_100: AppCalib = AppCalib {
     name: "Sage-100MB",
     footprint_max_mb: 103.7,
     footprint_avg_mb: 86.9,
@@ -107,7 +107,7 @@ pub const SAGE_100: AppCalib = AppCalib {
 };
 
 /// Sage with a ~50 MB footprint.
-pub const SAGE_50: AppCalib = AppCalib {
+pub(crate) const SAGE_50: AppCalib = AppCalib {
     name: "Sage-50MB",
     footprint_max_mb: 55.0,
     footprint_avg_mb: 45.2,
@@ -118,7 +118,7 @@ pub const SAGE_50: AppCalib = AppCalib {
 };
 
 /// Sweep3D, 1000×1000×50 grid points.
-pub const SWEEP3D: AppCalib = AppCalib {
+pub(crate) const SWEEP3D: AppCalib = AppCalib {
     name: "Sweep3D",
     footprint_max_mb: 105.5,
     footprint_avg_mb: 105.5,
@@ -129,7 +129,7 @@ pub const SWEEP3D: AppCalib = AppCalib {
 };
 
 /// NAS SP, class C.
-pub const NAS_SP: AppCalib = AppCalib {
+pub(crate) const NAS_SP: AppCalib = AppCalib {
     name: "SP",
     footprint_max_mb: 40.1,
     footprint_avg_mb: 40.1,
@@ -140,7 +140,7 @@ pub const NAS_SP: AppCalib = AppCalib {
 };
 
 /// NAS LU, class C.
-pub const NAS_LU: AppCalib = AppCalib {
+pub(crate) const NAS_LU: AppCalib = AppCalib {
     name: "LU",
     footprint_max_mb: 16.6,
     footprint_avg_mb: 16.6,
@@ -151,7 +151,7 @@ pub const NAS_LU: AppCalib = AppCalib {
 };
 
 /// NAS BT, class C.
-pub const NAS_BT: AppCalib = AppCalib {
+pub(crate) const NAS_BT: AppCalib = AppCalib {
     name: "BT",
     footprint_max_mb: 76.5,
     footprint_avg_mb: 76.5,
@@ -162,7 +162,7 @@ pub const NAS_BT: AppCalib = AppCalib {
 };
 
 /// NAS FT, class C.
-pub const NAS_FT: AppCalib = AppCalib {
+pub(crate) const NAS_FT: AppCalib = AppCalib {
     name: "FT",
     footprint_max_mb: 118.0,
     footprint_avg_mb: 118.0,
@@ -173,7 +173,8 @@ pub const NAS_FT: AppCalib = AppCalib {
 };
 
 /// All nine configurations in the paper's table order.
-pub const ALL: [AppCalib; 9] =
+#[cfg(test)]
+const ALL: [AppCalib; 9] =
     [SAGE_1000, SAGE_500, SAGE_100, SAGE_50, SWEEP3D, NAS_SP, NAS_LU, NAS_BT, NAS_FT];
 
 #[cfg(test)]

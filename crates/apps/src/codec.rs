@@ -22,11 +22,6 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    /// Append an f64.
-    pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a length-prefixed byte slice.
     pub fn put_bytes(&mut self, v: &[u8]) {
         self.put_u64(v.len() as u64);
@@ -73,11 +68,6 @@ impl<'a> ByteReader<'a> {
         Ok(u64::from_le_bytes(head.try_into().unwrap()))
     }
 
-    /// Read an f64.
-    pub fn get_f64(&mut self) -> Result<f64, CodecError> {
-        Ok(f64::from_bits(self.get_u64()?))
-    }
-
     /// Read a length-prefixed byte slice.
     pub fn get_bytes(&mut self) -> Result<&'a [u8], CodecError> {
         let len = self.get_u64()? as usize;
@@ -90,7 +80,8 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Whether all input was consumed.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
         self.buf.is_empty()
     }
 }
@@ -103,12 +94,10 @@ mod tests {
     fn roundtrip() {
         let mut w = ByteWriter::new();
         w.put_u64(42);
-        w.put_f64(1.5);
         w.put_bytes(b"state");
         let data = w.into_vec();
         let mut r = ByteReader::new(&data);
         assert_eq!(r.get_u64().unwrap(), 42);
-        assert_eq!(r.get_f64().unwrap(), 1.5);
         assert_eq!(r.get_bytes().unwrap(), b"state");
         assert!(r.is_empty());
     }

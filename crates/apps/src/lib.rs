@@ -9,7 +9,7 @@
 //! them: *which pages they write, when, and what they communicate*.
 //!
 //! Each model is built from the paper's own measurements used as
-//! calibration constants ([`calib`]): memory footprint (Table 2),
+//! calibration constants (`calib`): memory footprint (Table 2),
 //! main-iteration period and fraction of memory overwritten per
 //! iteration (Table 3), and peak/average write rates (Table 4). The
 //! *derived* behaviours — how IB decays with the timeslice (Fig 2),
@@ -17,31 +17,31 @@
 //! scaling (Fig 5) — all emerge from page reuse in the models, not from
 //! the constants; see DESIGN.md §5.
 //!
-//! * [`pattern`] — working sets and resumable access patterns (cyclic
+//! * `pattern` — working sets and resumable access patterns (cyclic
 //!   sweeps, random touches, first-touch initialization).
 //! * [`step`] — the [`step::AppModel`] trait: an application is a
 //!   deterministic generator of compute/communication steps.
 //! * [`phased`] — the generic bulk-synchronous iteration engine all six
 //!   workloads instantiate: kernel phases sweeping the working set,
 //!   communication between kernels, an optional quiet tail.
-//! * [`sage`], [`sweep3d`], [`nas`] — the concrete models.
+//! * `sage`, `sweep3d`, `nas` — the concrete models.
 //! * [`synthetic`] — a small fully-configurable model for tests.
-//! * [`workload`] — the [`workload::Workload`] catalog enum used by
+//! * `workload` — the [`Workload`] catalog enum used by
 //!   benches and examples.
 
-pub mod calib;
-pub mod codec;
-pub mod nas;
-pub mod pattern;
-pub mod phased;
-pub mod sage;
-pub mod step;
-pub mod sweep3d;
-pub mod synthetic;
-pub mod workload;
+#![deny(unreachable_pub)]
 
-pub use calib::AppCalib;
+mod calib;
+pub mod codec;
+mod nas;
+mod pattern;
+pub mod phased;
+mod sage;
+pub mod step;
+mod sweep3d;
+pub mod synthetic;
+mod workload;
+
 pub use pattern::{AccessPattern, WorkingSet};
 pub use step::{AppModel, Step};
-pub use synthetic::SyntheticApp;
 pub use workload::Workload;

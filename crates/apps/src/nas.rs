@@ -66,7 +66,7 @@ fn nas_model(
 
 /// NAS BT: block-tridiagonal ADI, three directional kernels, face
 /// exchanges on a 2D grid.
-pub fn bt(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
+pub(crate) fn bt(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
     nas_model(
         &NAS_BT,
         rank,
@@ -84,7 +84,7 @@ pub fn bt(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
 
 /// NAS SP: scalar-pentadiagonal ADI, same shape as BT with lighter
 /// kernels and the shortest period in the suite.
-pub fn sp(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
+pub(crate) fn sp(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
     nas_model(
         &NAS_SP,
         rank,
@@ -102,7 +102,7 @@ pub fn sp(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
 
 /// NAS LU: SSOR wavefront, lower + upper triangular sweeps with small
 /// pipelined messages.
-pub fn lu(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
+pub(crate) fn lu(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
     nas_model(
         &NAS_LU,
         rank,
@@ -120,7 +120,7 @@ pub fn lu(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
 
 /// NAS FT: 3D FFT with an all-to-all transpose after each per-dimension
 /// FFT pass.
-pub fn ft(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
+pub(crate) fn ft(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
     let per_pair =
         if nranks > 1 { (NAS_FT.ws_bytes() as f64 * scale / nranks as f64) as u64 } else { 0 };
     let comm =

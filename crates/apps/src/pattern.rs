@@ -27,24 +27,25 @@ impl WorkingSet {
     }
 
     /// Total pages in the set.
-    pub fn total_pages(&self) -> u64 {
+    pub(crate) fn total_pages(&self) -> u64 {
         self.total
     }
 
     /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.total == 0
     }
 
     /// The underlying ranges.
-    pub fn ranges(&self) -> &[PageRange] {
+    #[cfg(test)]
+    fn ranges(&self) -> &[PageRange] {
         &self.ranges
     }
 
     /// A sub-set covering the flat fraction interval `[lo, hi)` of this
     /// set (used to carve per-kernel slices out of an application's
     /// arrays).
-    pub fn slice_frac(&self, lo: f64, hi: f64) -> WorkingSet {
+    pub(crate) fn slice_frac(&self, lo: f64, hi: f64) -> WorkingSet {
         assert!((0.0..=1.0).contains(&lo) && lo <= hi && hi <= 1.0, "bad fraction [{lo},{hi})");
         let start = (self.total as f64 * lo).floor() as u64;
         let end = (self.total as f64 * hi).floor() as u64;
@@ -83,7 +84,7 @@ impl WorkingSet {
     /// page ranges. When `len >= total`, the whole set is returned once
     /// (touching a page twice in one window is idempotent for dirty
     /// tracking).
-    pub fn cyclic_span(&self, start: u64, len: u64) -> Vec<PageRange> {
+    pub(crate) fn cyclic_span(&self, start: u64, len: u64) -> Vec<PageRange> {
         if self.total == 0 || len == 0 {
             return Vec::new();
         }
@@ -162,15 +163,6 @@ impl AccessPattern {
                 }
                 out
             }
-        }
-    }
-
-    /// Total page touches of the full phase.
-    pub fn total_touches(&self) -> u64 {
-        match self {
-            AccessPattern::None => 0,
-            AccessPattern::Sweep { total_pages, .. } => *total_pages,
-            AccessPattern::Random { touches, .. } => *touches,
         }
     }
 }
@@ -269,6 +261,5 @@ mod tests {
     #[test]
     fn empty_pattern_touches_nothing() {
         assert!(AccessPattern::None.slice(0.0, 1.0).is_empty());
-        assert_eq!(AccessPattern::None.total_touches(), 0);
     }
 }

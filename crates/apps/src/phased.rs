@@ -130,13 +130,13 @@ pub struct PhasedConfig {
 
 impl PhasedConfig {
     /// Burst duration: `touches / peak_rate`.
-    pub fn burst(&self) -> SimDuration {
+    pub(crate) fn burst(&self) -> SimDuration {
         SimDuration::from_secs_f64(self.touches_per_iter as f64 / self.peak_rate)
     }
 
     /// Quiet tail: `period - burst - comm_budget` (zero when compute
     /// plus communication fills the whole period).
-    pub fn quiet(&self) -> SimDuration {
+    pub(crate) fn quiet(&self) -> SimDuration {
         let busy = self.burst() + self.comm_budget;
         if busy.0 >= self.period.0 {
             SimDuration::ZERO
@@ -150,7 +150,7 @@ impl CommSpec {
     /// Rough per-iteration communication time in seconds, used by
     /// workload constructors to budget compute so the total iteration
     /// period lands near the calibrated value. `nic_bw` in bytes/s.
-    pub fn estimate_seconds_per_iter(
+    pub(crate) fn estimate_seconds_per_iter(
         &self,
         rank: usize,
         nranks: usize,
@@ -238,7 +238,7 @@ const TAIL: u64 = 1;
 
 impl PhasedApp {
     /// Build from configuration.
-    pub fn new(cfg: PhasedConfig) -> Self {
+    pub(crate) fn new(cfg: PhasedConfig) -> Self {
         assert!(cfg.kernels > 0, "at least one kernel per iteration");
         assert!(cfg.peak_rate > 0.0 && cfg.init_rate > 0.0);
         assert!(cfg.ws_bytes > 0 && cfg.ws_bytes <= cfg.array_bytes * 2);

@@ -29,18 +29,24 @@ use crate::phased::{AllocMode, CommSpec, NeighborShape, PhasedApp, PhasedConfig}
 use ickpt_sim::SimDuration;
 
 /// Ghost-exchange payload per neighbor per round (bytes, unscaled).
-pub const EXCHANGE_BYTES: u64 = 512 * 1024;
+pub(crate) const EXCHANGE_BYTES: u64 = 512 * 1024;
 
 /// Number of permanent mmap blocks.
-pub const PERM_BLOCKS: u32 = 16;
+pub(crate) const PERM_BLOCKS: u32 = 16;
 
 /// First-touch initialization rate (bytes/s).
-pub const INIT_RATE: f64 = 400e6;
+pub(crate) const INIT_RATE: f64 = 400e6;
 
 /// Build a Sage model for one of the four footprint calibrations.
 /// `scale` shrinks the footprint (and all write volumes) for test-sized
 /// runs; 1.0 reproduces the paper configuration.
-pub fn model(calib: &AppCalib, rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
+pub(crate) fn model(
+    calib: &AppCalib,
+    rank: usize,
+    nranks: usize,
+    scale: f64,
+    seed: u64,
+) -> PhasedApp {
     assert!(calib.name.starts_with("Sage"), "not a Sage calibration: {}", calib.name);
     let c = calib.scaled(scale);
     let ws = c.ws_bytes();

@@ -76,12 +76,12 @@ pub struct Phase {
 
 impl Phase {
     /// A phase that ends the iteration.
-    pub fn ending(steps: Vec<Step>) -> Self {
+    pub(crate) fn ending(steps: Vec<Step>) -> Self {
         Self { steps, ends_iteration: true }
     }
 
     /// A mid-iteration phase.
-    pub fn continuing(steps: Vec<Step>) -> Self {
+    pub(crate) fn continuing(steps: Vec<Step>) -> Self {
         Self { steps, ends_iteration: false }
     }
 }

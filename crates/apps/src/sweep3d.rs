@@ -19,21 +19,21 @@ use crate::phased::{AllocMode, CommSpec, NeighborShape, PhasedApp, PhasedConfig}
 use ickpt_sim::SimDuration;
 
 /// Angle-block pipeline message size (bytes, unscaled).
-pub const PIPELINE_BYTES: u64 = 64 * 1024;
+pub(crate) const PIPELINE_BYTES: u64 = 64 * 1024;
 
 /// Exchange rounds per octant (pipelining depth).
-pub const ROUNDS: u32 = 2;
+pub(crate) const ROUNDS: u32 = 2;
 
 /// The eight octant sweeps.
-pub const OCTANTS: u32 = 8;
+pub(crate) const OCTANTS: u32 = 8;
 
 /// Build the Sweep3D model. `scale` shrinks memory for test runs.
-pub fn model(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
+pub(crate) fn model(rank: usize, nranks: usize, scale: f64, seed: u64) -> PhasedApp {
     model_from(&SWEEP3D, rank, nranks, scale, seed)
 }
 
 /// Build from an explicit calibration (tests use shrunken variants).
-pub fn model_from(
+pub(crate) fn model_from(
     calib: &AppCalib,
     rank: usize,
     nranks: usize,

@@ -115,7 +115,7 @@ impl Workload {
 }
 
 /// Derive a layout with headroom from a model configuration.
-pub fn layout_for(cfg: &PhasedConfig) -> DataLayout {
+pub(crate) fn layout_for(cfg: &PhasedConfig) -> DataLayout {
     let static_bytes = 64 * PAGE_SIZE; // text-adjacent static data: negligible
     match cfg.alloc {
         AllocMode::StaticHeap => LayoutBuilder::new()

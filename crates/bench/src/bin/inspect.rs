@@ -33,6 +33,7 @@
 //! partner copies and XOR parity blocks each node holds — before the
 //! shared tier is inspected as usual.
 
+#![deny(unreachable_pub)]
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
@@ -41,8 +42,8 @@ use ickpt::storage::{
     Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage, PARITY_RANK_BASE,
 };
 use ickpt::svc::percentile_ns;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::TextTable;
+use ickpt_bench::analysis::table::fnum;
+use ickpt_bench::analysis::TextTable;
 
 /// Per-rank listings above this count are elided (integrity checks
 /// still cover every rank; an explicit "… N more" line replaces the

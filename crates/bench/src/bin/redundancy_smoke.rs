@@ -13,6 +13,7 @@
 //! of both runs (groups `failure-free` and `node-loss`) and writes
 //! `redundancy-smoke.trace.json` + `redundancy-smoke.jsonl` there.
 
+#![deny(unreachable_pub)]
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 

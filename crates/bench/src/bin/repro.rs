@@ -32,18 +32,15 @@
 //! bodies, so the output is byte-identical at any thread count (timing
 //! lines go to stderr).
 
+#![deny(unreachable_pub)]
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
 use std::fmt::Write as _;
 
-use ickpt_analysis::compare::{comparison_markdown, comparison_table};
-use ickpt_analysis::ExperimentReport;
+use ickpt_bench::analysis::compare::{comparison_markdown, comparison_table};
 use ickpt_bench::engine::parallel_map;
-use ickpt_bench::experiments;
-
-/// One experiment: display name + runner.
-type Experiment = (&'static str, fn() -> ExperimentReport);
+use ickpt_bench::experiments::{self, Experiment};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -59,22 +56,7 @@ fn main() {
         .and_then(|i| args.get(i + 1))
         .map(|s| s.to_lowercase());
 
-    let experiments: Vec<Experiment> = vec![
-        ("Table 2 (memory footprints)", experiments::table2::report),
-        ("Table 3 (iteration period, % overwritten)", experiments::table3::report),
-        ("Table 4 (bandwidth requirements @1s)", experiments::table4::report),
-        ("Figure 1 (Sage-1000MB time series)", experiments::fig1::report),
-        ("Figure 2 (IB vs timeslice, 6 apps)", experiments::fig2::report),
-        ("Figure 3 (avg IB vs timeslice, Sage sizes)", experiments::fig3::report),
-        ("Figure 4 (IWS ratio vs timeslice)", experiments::fig4::report),
-        ("Figure 5 (weak scaling 8-64 procs)", experiments::fig5::report),
-        ("Figure 5 extended (weak scaling to 16384 ranks)", experiments::fig5_extended::report),
-        ("Section 6.5 (intrusiveness)", experiments::intrusive::report),
-        ("Ablations (checkpoint system)", experiments::ablation::report),
-        ("Availability under failures", experiments::availability::report),
-        ("Effective IB vs dirty IB (dedup + delta)", experiments::effective_ib::report),
-        ("Multi-tenant service (shared striped array)", experiments::multi_tenant::report),
-    ];
+    let experiments: Vec<Experiment> = experiments::ALL.to_vec();
     if args.iter().any(|a| a == "--list") {
         for (name, _) in &experiments {
             println!("{name}");

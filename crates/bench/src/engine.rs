@@ -6,9 +6,9 @@
 //! IWS/IB at a timeslice is a pure function of *which pages are
 //! written when* (§6.1), so one characterization run per workload —
 //! recorded as a fine-grained write trace — serves every timeslice
-//! that is a multiple of the trace resolution. [`workload_trace`]
+//! that is a multiple of the trace resolution. `workload_trace`
 //! memoizes these recordings behind a key of
-//! `(workload, ranks, scale, seed, resolution)`; [`WorkloadTrace::report_at`]
+//! `(workload, ranks, scale, seed, resolution)`; `WorkloadTrace::report_at`
 //! derives the report a direct run at `(timeslice, run_for)` would
 //! have produced:
 //!
@@ -34,15 +34,12 @@
 //! deliberate approximations — per-window `faults` (set to the window
 //! IWS) and cumulative `total_faults` (the fine run's count) — touch
 //! fields no experiment consumes; everything else is property-tested
-//! bit-exact against the direct simulation in `tests/rebin_props.rs`.
-//!
-//! The direct per-timeslice simulation remains the executable
-//! reference (repo convention): [`run_direct`] takes the old path.
+//! bit-exact against the direct simulation in `rebin_props.rs`.
 //!
 //! ## Deterministic parallel scheduling
 //!
 //! [`parallel_map`] fans work out on scoped threads behind a global
-//! permit gate of [`crate::bench_threads`] slots, and collects results
+//! permit gate of `crate::bench_threads` slots, and collects results
 //! *by input index*, so output assembly is independent of completion
 //! order. Experiment code renders into strings and never prints from
 //! workers; with `ICKPT_BENCH_THREADS=1` (or a single item) the map
@@ -66,26 +63,26 @@ use ickpt::sim::{SimDuration, SimTime};
 use crate::{bench_ranks, bench_scale, bench_threads, run_length, skip_until, BENCH_SEED};
 
 /// The paper's checkpoint-timeslice sweep (Figures 2-5).
-pub const PAPER_TIMESLICES: [u64; 6] = [1, 2, 5, 10, 15, 20];
+pub(crate) const PAPER_TIMESLICES: [u64; 6] = [1, 2, 5, 10, 15, 20];
 
 /// Figure 1's virtual run length (Sage-1000MB time series).
-pub const FIG1_RUN_FOR: SimDuration = SimDuration::from_secs(500);
+pub(crate) const FIG1_RUN_FOR: SimDuration = SimDuration::from_secs(500);
 
 /// Timeslice fine enough to resolve an app's period for Table 3:
 /// ~1/10 of it, clamped to [20 ms, 1 s].
-pub fn detection_timeslice(w: Workload) -> SimDuration {
+pub(crate) fn detection_timeslice(w: Workload) -> SimDuration {
     let s = (w.calib().period_s / 10.0).clamp(0.02, 1.0);
     SimDuration::from_secs_f64(s)
 }
 
 /// Table 3's cluster size (period structure is per-process).
-pub fn table3_ranks() -> usize {
+pub(crate) fn table3_ranks() -> usize {
     bench_ranks().min(16)
 }
 
 /// Table 3's run length: past initialization + warm-up, at least ~8
 /// periods and ~200 windows for the autocorrelation.
-pub fn table3_run_for(w: Workload) -> SimDuration {
+pub(crate) fn table3_run_for(w: Workload) -> SimDuration {
     let ts = detection_timeslice(w);
     SimDuration::from_secs_f64(
         skip_until(w).as_secs_f64() + (8.0 * w.calib().period_s).max(200.0 * ts.as_secs_f64()),
@@ -96,7 +93,7 @@ pub fn table3_run_for(w: Workload) -> SimDuration {
 /// derives from this key must be recoverable, so the recording runs to
 /// [`trace_horizon`] — the maximum run length over all known uses —
 /// with iteration tracking on (harmless to the trajectory).
-pub struct WorkloadTrace {
+pub(crate) struct WorkloadTrace {
     nranks: usize,
     /// Rank 0's recorded write trace (the paper's workloads are
     /// bulk-synchronous and rank-symmetric; every experiment reads
@@ -112,7 +109,7 @@ pub struct WorkloadTrace {
 impl WorkloadTrace {
     /// Build from a finished characterization report whose rank 0 was
     /// run with `trace_ranks >= 1` and `track_iterations = true`.
-    pub fn from_report(mut report: RunReport) -> Self {
+    pub(crate) fn from_report(mut report: RunReport) -> Self {
         WorkloadTrace {
             nranks: report.ranks.len(),
             trace: report.ranks[0].trace.take().expect("rank 0 recorded a trace"),
@@ -129,7 +126,7 @@ impl WorkloadTrace {
     /// `track_iterations` mirrors the direct config: when false the
     /// derived reports carry no iteration samples, exactly like a
     /// direct run that never enabled them.
-    pub fn report_at(
+    pub(crate) fn report_at(
         &self,
         timeslice: SimDuration,
         run_for: SimDuration,
@@ -235,7 +232,7 @@ static CACHE: OnceLock<Mutex<HashMap<TraceKey, Arc<OnceLock<SharedTrace>>>>> = O
 /// the current env knobs (scale) and [`BENCH_SEED`]. The first caller
 /// records it (running the cluster once to the canonical horizon);
 /// concurrent callers for the same key block until it is ready.
-pub fn workload_trace(w: Workload, nranks: usize, resolution: SimDuration) -> SharedTrace {
+pub(crate) fn workload_trace(w: Workload, nranks: usize, resolution: SimDuration) -> SharedTrace {
     let key = TraceKey {
         workload: w,
         nranks,
@@ -268,9 +265,9 @@ fn record_trace(w: Workload, nranks: usize, resolution: SimDuration) -> Workload
 // Engine-backed experiment entry points
 // ---------------------------------------------------------------------
 
-/// Engine-backed replacement for `characterize(w, standard_config)` at
+/// Engine-backed characterization of the standard configuration at
 /// an explicit cluster size (Figure 5's scaling study).
-pub fn run_cached_at(nranks: usize, w: Workload, timeslice_s: u64) -> RunReport {
+pub(crate) fn run_cached_at(nranks: usize, w: Workload, timeslice_s: u64) -> RunReport {
     workload_trace(w, nranks, SimDuration::from_secs(1)).report_at(
         SimDuration::from_secs(timeslice_s),
         run_length(w, timeslice_s),
@@ -278,13 +275,13 @@ pub fn run_cached_at(nranks: usize, w: Workload, timeslice_s: u64) -> RunReport 
     )
 }
 
-/// Engine-backed replacement for `characterize(w, standard_config)`.
-pub fn run_cached(w: Workload, timeslice_s: u64) -> RunReport {
+/// Engine-backed characterization of the standard configuration.
+pub(crate) fn run_cached(w: Workload, timeslice_s: u64) -> RunReport {
     run_cached_at(bench_ranks(), w, timeslice_s)
 }
 
 /// Engine-backed Figure 1 run (Sage-1000MB, 1 s timeslice, 500 s).
-pub fn run_fig1() -> RunReport {
+pub(crate) fn run_fig1() -> RunReport {
     workload_trace(Workload::Sage1000, bench_ranks(), SimDuration::from_secs(1)).report_at(
         SimDuration::from_secs(1),
         FIG1_RUN_FOR,
@@ -294,15 +291,9 @@ pub fn run_fig1() -> RunReport {
 
 /// Engine-backed Table 3 run (fine detection timeslice, iteration
 /// tracking).
-pub fn run_table3(w: Workload) -> RunReport {
+pub(crate) fn run_table3(w: Workload) -> RunReport {
     let ts = detection_timeslice(w);
     workload_trace(w, table3_ranks(), ts).report_at(ts, table3_run_for(w), true)
-}
-
-/// The direct per-timeslice simulation of the standard configuration —
-/// the executable reference the engine is property-tested against.
-pub fn run_direct(w: Workload, timeslice_s: u64) -> RunReport {
-    characterize(w, &crate::standard_config(w, timeslice_s))
 }
 
 // ---------------------------------------------------------------------
@@ -341,7 +332,7 @@ fn release_permit() {
     HELD.with(|h| h.set(false));
 }
 
-/// Apply `f` to every item, running up to [`crate::bench_threads`]
+/// Apply `f` to every item, running up to `crate::bench_threads`
 /// items concurrently, and return the results **in input order**. With
 /// one thread (or one item) this is an inline serial loop. Safe to
 /// nest: a worker calling `parallel_map` parks its own permit while

@@ -29,6 +29,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::synthetic::{SyntheticApp, SyntheticConfig};
 use ickpt::apps::AppModel;
 use ickpt::cluster::{
@@ -41,8 +43,6 @@ use ickpt::mem::{BackedSpace, DataLayout, LayoutBuilder, PAGE_SIZE};
 use ickpt::net::NetConfig;
 use ickpt::sim::{DevicePreset, SimDuration, SimTime};
 use ickpt::storage::{gc, Chunk, ChunkKey, DrainTopology, MemStore, RecoverySource, SchemeSpec};
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use ickpt::obs::Recorder;
 
@@ -533,7 +533,7 @@ fn redundancy_ablation(obs: Recorder) -> Section {
 
 /// Run all ablations (independent sections, scheduled in parallel,
 /// rendered in the fixed order below).
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body =
         banner_string("Ablations: incremental vs full, interval sweep, chain length & gc");
     let sections: [(&str, SectionFn); 6] = [

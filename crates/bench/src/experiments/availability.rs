@@ -13,6 +13,8 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::synthetic::{SyntheticApp, SyntheticConfig};
 use ickpt::apps::AppModel;
 use ickpt::cluster::{
@@ -23,8 +25,6 @@ use ickpt::core::interval::IntervalModel;
 use ickpt::net::NetConfig;
 use ickpt::sim::{DevicePreset, SimDuration, SimTime, SplitMix64};
 use ickpt::storage::MemStore;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use crate::engine::parallel_map;
 use crate::obs_glue::TraceBuilder;
@@ -124,7 +124,7 @@ fn run_at_interval(
 }
 
 /// Run the availability study.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body =
         banner_string("Availability: measured efficiency under failures vs Young's model");
     writeln!(

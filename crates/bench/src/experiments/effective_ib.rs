@@ -22,6 +22,8 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 use ickpt::apps::{AppModel, Workload};
 use ickpt::cluster::{
     run_fault_tolerant, CheckpointMode, FaultTolerantConfig, RunOutcome, RunReport, StoragePath,
@@ -33,8 +35,6 @@ use ickpt::net::NetConfig;
 use ickpt::obs::{CaptureKind, Event, FlightRecorder, Recorder};
 use ickpt::sim::{DevicePreset, SimDuration};
 use ickpt::storage::MemStore;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 
 use crate::banner_string;
 use crate::engine::parallel_map;
@@ -94,7 +94,7 @@ fn run(workload: Workload, dedup: bool) -> (RunReport, BTreeMap<u64, u64>) {
 }
 
 /// Run the effective-IB study.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Effective IB vs dirty IB: content dedup + delta encoding");
     writeln!(
         body,

@@ -9,17 +9,17 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::{ascii_plot, Comparison, ExperimentReport};
 use ickpt::core::metrics::{iws_series, received_series};
 use ickpt::core::policy::{detect_bursts, detect_period};
 use ickpt::sim::SimDuration;
-use ickpt_analysis::{ascii_plot, Comparison, ExperimentReport};
 
 use crate::engine::run_fig1;
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, bench_scale};
 
 /// Regenerate Figure 1 (both panels).
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Figure 1: Sage-1000MB IWS and data received per 1 s timeslice");
     let report = run_fig1();
     let mut tb = TraceBuilder::begin();

@@ -9,19 +9,19 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 
 use crate::engine::parallel_map;
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, ib_stats, run};
 
 /// The timeslices swept (seconds), matching the paper's x-axis.
-pub use crate::engine::PAPER_TIMESLICES as TIMESLICES;
+pub(crate) use crate::engine::PAPER_TIMESLICES as TIMESLICES;
 
 /// The six panels of Figure 2.
-pub const PANELS: [Workload; 6] = [
+pub(crate) const PANELS: [Workload; 6] = [
     Workload::Sage1000,
     Workload::Sweep3d,
     Workload::NasBt,
@@ -31,7 +31,7 @@ pub const PANELS: [Workload; 6] = [
 ];
 
 /// Sweep one workload; returns (avg, max) per timeslice.
-pub fn sweep(w: Workload) -> Vec<(u64, f64, f64)> {
+pub(crate) fn sweep(w: Workload) -> Vec<(u64, f64, f64)> {
     parallel_map(&TIMESLICES, |&ts| {
         let report = run(w, ts);
         let stats = ib_stats(w, &report, ts);
@@ -40,7 +40,7 @@ pub fn sweep(w: Workload) -> Vec<(u64, f64, f64)> {
 }
 
 /// Regenerate Figure 2 (all six panels).
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Figure 2: max and avg IB vs timeslice (1-20 s)");
     let mut comparisons = Vec::new();
     let mut tb = TraceBuilder::begin();

@@ -8,16 +8,16 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 
 use crate::engine::{parallel_map, PAPER_TIMESLICES as TIMESLICES};
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, ib_stats, run};
 
 /// Regenerate Figure 4.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Figure 4: IWS size / memory image size (%) vs timeslice");
     let all_rows: Vec<(Workload, Vec<(u64, f64)>)> = parallel_map(&Workload::SAGE, |&w| {
         let rows = parallel_map(&TIMESLICES, |&ts| {

@@ -8,16 +8,16 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{ascii_multi_plot, Comparison, ExperimentReport, TextTable};
 
 use crate::engine::{parallel_map, run_cached_at, PAPER_TIMESLICES as TIMESLICES};
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, ib_stats};
 
 /// The processor counts of the paper's scaling study.
-pub const RANK_COUNTS: [usize; 4] = [8, 16, 32, 64];
+pub(crate) const RANK_COUNTS: [usize; 4] = [8, 16, 32, 64];
 
 fn run_at(nranks: usize, ts: u64) -> f64 {
     let w = Workload::Sage1000;
@@ -26,7 +26,7 @@ fn run_at(nranks: usize, ts: u64) -> f64 {
 }
 
 /// Regenerate Figure 5.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string(
         "Figure 5: avg per-process IB for 8/16/32/64 processors (Sage-1000MB, weak scaling)",
     );

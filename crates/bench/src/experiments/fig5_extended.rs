@@ -17,6 +17,8 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
 use ickpt::cluster::{
     characterize, reduce_reports, CharacterizationConfig, ReportDetail, RunReport,
@@ -24,30 +26,28 @@ use ickpt::cluster::{
 };
 use ickpt::core::metrics::IbStats;
 use ickpt::sim::{env, SimDuration, SimTime};
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use crate::obs_glue::TraceBuilder;
 use crate::BENCH_SEED;
 
 /// The default extended sweep: the paper's largest configuration, then
 /// three orders past it.
-pub const DEFAULT_EXT_RANKS: [usize; 4] = [64, 1024, 4096, 16384];
+pub(crate) const DEFAULT_EXT_RANKS: [usize; 4] = [64, 1024, 4096, 16384];
 
 /// Memory scale of the extended sweep: ~100 MB/process Sage, keeping
 /// 16k ranks in laptop memory.
-pub const EXT_SCALE: f64 = 0.1;
+pub(crate) const EXT_SCALE: f64 = 0.1;
 
 /// Virtual run length of the extended sweep, in seconds.
-pub const EXT_SECONDS: u64 = 120;
+pub(crate) const EXT_SECONDS: u64 = 120;
 
 /// Rank counts for the extended sweep (`ICKPT_BENCH_EXT_RANKS`).
-pub fn ext_ranks() -> Vec<usize> {
+pub(crate) fn ext_ranks() -> Vec<usize> {
     env::knob("ICKPT_BENCH_EXT_RANKS", env::counts).unwrap_or_else(|| DEFAULT_EXT_RANKS.to_vec())
 }
 
 /// One extended run: Sage under weak scaling at `nranks`.
-pub fn ext_run(nranks: usize) -> RunReport {
+pub(crate) fn ext_run(nranks: usize) -> RunReport {
     let cfg = CharacterizationConfig {
         nranks,
         scale: EXT_SCALE,
@@ -76,7 +76,7 @@ fn ext_ib(report: &RunReport) -> IbStats {
 }
 
 /// Regenerate the extended figure.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let ranks = ext_ranks();
     let mut body = format!(
         "\n=== Figure 5 extended: per-process IB, {} ranks (Sage, weak scaling) ===\n    \

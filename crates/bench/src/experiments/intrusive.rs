@@ -22,12 +22,12 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
 use ickpt::cluster::{characterize, CharacterizationConfig};
 use ickpt::native::intrusiveness::measure;
 use ickpt::sim::{env, SimDuration};
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use ickpt::obs::Recorder;
 
@@ -59,7 +59,7 @@ fn simulated_slowdown(ts: u64, obs: Recorder) -> f64 {
 }
 
 /// Regenerate the §6.5 intrusiveness experiment.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Section 6.5: Intrusiveness");
     let mut comparisons = Vec::new();
 

@@ -23,11 +23,11 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::cluster::tenant::{fleet_profiles, mixed_fleet, TenantStallAccount};
 use ickpt::sim::{env, SimDuration};
 use ickpt::svc::{run_service, SchedPolicy, ServiceConfig, ServiceReport};
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt_obs::Recorder;
 
 use crate::engine::parallel_map;
@@ -35,21 +35,21 @@ use crate::obs_glue::TraceBuilder;
 use crate::BENCH_SEED;
 
 /// The default fleet-size sweep.
-pub const DEFAULT_TENANTS: [usize; 4] = [1, 4, 16, 64];
+pub(crate) const DEFAULT_TENANTS: [usize; 4] = [1, 4, 16, 64];
 
 /// Striped array width.
-pub const SVC_DEVICES: usize = 4;
+pub(crate) const SVC_DEVICES: usize = 4;
 
 /// Memory scale of the tenant fleets.
-pub const SVC_SCALE: f64 = 0.1;
+pub(crate) const SVC_SCALE: f64 = 0.1;
 
 /// Fleet sizes for the sweep (`ICKPT_BENCH_TENANTS`).
-pub fn svc_tenants() -> Vec<usize> {
+pub(crate) fn svc_tenants() -> Vec<usize> {
     env::knob("ICKPT_BENCH_TENANTS", env::counts).unwrap_or_else(|| DEFAULT_TENANTS.to_vec())
 }
 
 /// Virtual seconds of arrivals (`ICKPT_BENCH_SVC_SECONDS`, at least 10).
-pub fn svc_seconds() -> u64 {
+pub(crate) fn svc_seconds() -> u64 {
     let seconds = |raw: &str| match env::count(raw) {
         Ok(s) if s >= 10 => Ok(s as u64),
         _ => Err("a whole number of seconds >= 10"),
@@ -58,7 +58,7 @@ pub fn svc_seconds() -> u64 {
 }
 
 /// Build the service config for a fleet of `n` under `policy`.
-pub fn svc_config(n: usize, policy: SchedPolicy) -> ServiceConfig {
+pub(crate) fn svc_config(n: usize, policy: SchedPolicy) -> ServiceConfig {
     let fleet = mixed_fleet(n, SVC_SCALE, BENCH_SEED);
     let mut cfg = ServiceConfig::new(fleet_profiles(&fleet), SimDuration::from_secs(svc_seconds()));
     cfg.devices = SVC_DEVICES;
@@ -86,7 +86,7 @@ fn throughput_row(n: usize, r: &ServiceReport) -> Vec<String> {
 }
 
 /// Regenerate the multi-tenant service tables.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let counts = svc_tenants();
     let mut body = format!(
         "\n=== Multi-tenant service: {} tenants on a {}-device striped array ===\n    \

@@ -7,16 +7,16 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use crate::engine::parallel_map;
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, footprint_mb, run};
 
 /// Regenerate Table 2.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Table 2: Memory Footprint Size (MB)");
     let mut table =
         TextTable::new("").header(&["Application", "Maximum", "Average", "paper max", "paper avg"]);

@@ -14,10 +14,10 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
 use ickpt::core::policy::detect_period;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use ickpt::cluster::RunReport;
 
@@ -46,13 +46,13 @@ fn measure(w: Workload) -> (RunReport, Option<f64>, f64) {
             .filter(|s| s.footprint_pages > 0)
             .map(|s| 100.0 * s.unique_pages as f64 / s.footprint_pages as f64)
             .collect();
-        ickpt_analysis::stats::mean(&fracs)
+        crate::analysis::stats::mean(&fracs)
     };
     (report, period, overwrite)
 }
 
 /// Regenerate Table 3.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Table 3: Characteristics of the Main Iteration");
     let mut table = TextTable::new("").header(&[
         "Application",

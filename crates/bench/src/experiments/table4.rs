@@ -8,17 +8,17 @@
 
 use std::fmt::Write as _;
 
+use crate::analysis::table::fnum;
+use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
 use ickpt::core::feasibility::FeasibilityReport;
-use ickpt_analysis::table::fnum;
-use ickpt_analysis::{Comparison, ExperimentReport, TextTable};
 
 use crate::engine::parallel_map;
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, ib_stats, run};
 
 /// Regenerate Table 4.
-pub fn report() -> ExperimentReport {
+pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Table 4: Bandwidth Requirements (MB/s), timeslice 1 s");
     let mut table = TextTable::new("").header(&[
         "Application",

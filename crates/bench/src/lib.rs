@@ -5,7 +5,9 @@
 //! <name>` regenerates one). Speed is measured by the stand-alone
 //! `perf/` package, not here. This library holds the shared glue:
 //! standard run configurations, IB statistics extraction with the
-//! paper's initialization-burst exclusion, and result formatting.
+//! paper's initialization-burst exclusion, and result formatting
+//! ([`analysis`]: statistics, text tables, ASCII plots and
+//! paper-vs-measured comparison rows).
 //!
 //! ## Environment knobs
 //!
@@ -15,14 +17,20 @@
 //! variable with its values, default and reader; all of them are read
 //! through [`ickpt::sim::env`].
 
+#![deny(unreachable_pub)]
+
+pub mod analysis;
 pub mod engine;
 pub mod experiments;
 pub mod obs_glue;
 
-pub use obs_glue::{set_trace_enabled, trace_enabled, TraceBuilder};
+#[cfg(test)]
+mod rebin_props;
+
+pub use obs_glue::{set_trace_enabled, TraceBuilder};
 
 use ickpt::apps::Workload;
-use ickpt::cluster::{CharacterizationConfig, RunReport};
+use ickpt::cluster::RunReport;
 use ickpt::core::metrics::IbStats;
 use ickpt::sim::{env, SimDuration, SimTime};
 
@@ -40,12 +48,12 @@ pub fn bench_scale() -> f64 {
 }
 
 /// Periods per run.
-pub fn bench_periods() -> f64 {
+pub(crate) fn bench_periods() -> f64 {
     env::knob("ICKPT_BENCH_PERIODS", env::positive).unwrap_or(6.0)
 }
 
 /// Experiment scheduler threads (default: available parallelism).
-pub fn bench_threads() -> usize {
+pub(crate) fn bench_threads() -> usize {
     env::knob("ICKPT_BENCH_THREADS", env::count)
         .unwrap_or_else(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
@@ -53,7 +61,7 @@ pub fn bench_threads() -> usize {
 /// Virtual run length for a workload at a given timeslice: enough
 /// periods for stable statistics and enough windows for long
 /// timeslices.
-pub fn run_length(w: Workload, timeslice_s: u64) -> SimDuration {
+pub(crate) fn run_length(w: Workload, timeslice_s: u64) -> SimDuration {
     let by_period = bench_periods() * w.calib().period_s;
     let by_windows = 25.0 * timeslice_s as f64;
     SimDuration::from_secs_f64(by_period.max(by_windows).max(60.0))
@@ -62,35 +70,23 @@ pub fn run_length(w: Workload, timeslice_s: u64) -> SimDuration {
 /// The instant up to which samples are excluded from IB statistics:
 /// past the data-initialization burst (§6.3 excludes it) plus one full
 /// iteration of warm-up.
-pub fn skip_until(w: Workload) -> SimTime {
+pub(crate) fn skip_until(w: Workload) -> SimTime {
     // Initialization sweeps the footprint at ~400 MB/s (scale cancels).
     let init_s = w.calib().footprint_avg_mb / 400.0;
     SimTime::from_secs_f64(init_s + w.calib().period_s + 1.0)
 }
 
-/// Standard characterization config for a workload/timeslice.
-pub fn standard_config(w: Workload, timeslice_s: u64) -> CharacterizationConfig {
-    CharacterizationConfig {
-        nranks: bench_ranks(),
-        scale: bench_scale(),
-        run_for: run_length(w, timeslice_s),
-        timeslice: SimDuration::from_secs(timeslice_s),
-        seed: BENCH_SEED,
-        ..Default::default()
-    }
-}
-
 /// Run a workload at a timeslice and return the full report. Served
 /// from the trace engine: the workload is simulated once at fine
-/// resolution and re-binned (property-tested bit-exact against
-/// [`engine::run_direct`], the direct per-timeslice simulation).
-pub fn run(w: Workload, timeslice_s: u64) -> RunReport {
+/// resolution and re-binned (property-tested bit-exact against the
+/// direct per-timeslice simulation in `rebin_props.rs`).
+pub(crate) fn run(w: Workload, timeslice_s: u64) -> RunReport {
     engine::run_cached(w, timeslice_s)
 }
 
 /// Rank-0 IB statistics with the standard exclusion, rescaled back to
 /// paper-equivalent MB/s when `ICKPT_BENCH_SCALE` shrinks memory.
-pub fn ib_stats(w: Workload, report: &RunReport, timeslice_s: u64) -> IbStats {
+pub(crate) fn ib_stats(w: Workload, report: &RunReport, timeslice_s: u64) -> IbStats {
     let raw = IbStats::from_samples(
         &report.ranks[0].samples,
         SimDuration::from_secs(timeslice_s),
@@ -106,14 +102,14 @@ pub fn ib_stats(w: Workload, report: &RunReport, timeslice_s: u64) -> IbStats {
 }
 
 /// Footprint (max, avg) in paper-equivalent MB from rank 0's samples.
-pub fn footprint_mb(report: &RunReport) -> (f64, f64) {
+pub(crate) fn footprint_mb(report: &RunReport) -> (f64, f64) {
     let (max, avg) = ickpt::core::metrics::footprint_stats(&report.ranks[0].samples);
     let rescale = 1.0 / bench_scale();
     (max * rescale, avg * rescale)
 }
 
 /// The standard bench banner.
-pub fn banner_string(what: &str) -> String {
+pub(crate) fn banner_string(what: &str) -> String {
     format!(
         "\n=== {what} ===\n    config: {} ranks, scale {}, seed {:#x}\n\n",
         bench_ranks(),

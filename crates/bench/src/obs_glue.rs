@@ -11,20 +11,20 @@
 //! Two capture styles coexist:
 //!
 //! * **Live** — fault-tolerant runs thread a [`Recorder`] straight into
-//!   [`FaultTolerantConfig::obs`], so capture/stall/commit/drain/
+//!   [`FaultTolerantConfig::obs`](ickpt::cluster::FaultTolerantConfig::obs), so capture/stall/commit/drain/
 //!   recovery events come from the instrumented hot paths.
 //! * **Synthesized** — characterization experiments are served from the
 //!   memoized trace engine, which predates any recorder; their reports
 //!   carry everything the timeline needs (per-window samples, boundary
-//!   clock pairs), so [`synthesize_into`] replays them as events. The
+//!   clock pairs), so `synthesize_into` replays them as events. The
 //!   result is indistinguishable in format from a live capture.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
+use crate::analysis::TraceArtifacts;
 use ickpt::cluster::{FailureKind, RunReport};
 use ickpt::sim::SimTime;
-use ickpt_analysis::TraceArtifacts;
 use ickpt_obs::{
     chrome_trace, jsonl, Event, FlightRecorder, HealthMonitor, Lane, MetricsConfig, MetricsPlane,
     ObsSummary, Recorder, RecoveryTier,
@@ -40,7 +40,7 @@ pub fn set_trace_enabled(on: bool) {
 }
 
 /// Whether `--trace-out` capture is active.
-pub fn trace_enabled() -> bool {
+pub(crate) fn trace_enabled() -> bool {
     TRACE_ENABLED.load(Ordering::Acquire)
 }
 
@@ -75,7 +75,7 @@ impl TraceBuilder {
     /// for a run with `nranks` rank tracks
     /// ([`FlightRecorder::for_ranks`]), keeping the recorder and its
     /// exports bounded for the 16k-rank extended experiments.
-    pub fn begin_scaled(nranks: usize) -> Self {
+    pub(crate) fn begin_scaled(nranks: usize) -> Self {
         let fr = trace_enabled().then(|| FlightRecorder::for_ranks(nranks));
         let plane = MetricsPlane::from_config(&MetricsConfig::from_env());
         Self { fr, plane, next_group: 0 }
@@ -83,7 +83,7 @@ impl TraceBuilder {
 
     /// True when this builder actually records (trace, metrics, or
     /// both).
-    pub fn enabled(&self) -> bool {
+    pub(crate) fn enabled(&self) -> bool {
         self.fr.is_some() || self.plane.is_some()
     }
 
@@ -111,7 +111,7 @@ impl TraceBuilder {
     /// Replay a finished run's report as trace events under a new
     /// group named `name` (for trace-engine-derived experiments with
     /// no live instrumentation).
-    pub fn synthesize(&mut self, name: &str, report: &RunReport) {
+    pub(crate) fn synthesize(&mut self, name: &str, report: &RunReport) {
         if !self.enabled() {
             return;
         }
@@ -183,7 +183,7 @@ impl TraceBuilder {
 /// rank tracker windows (as timeslice spans ending at the sample
 /// instant) and iteration boundaries, plus any recovery records. Used
 /// for runs that executed without live instrumentation.
-pub fn synthesize_into(rec: &Recorder, report: &RunReport) {
+pub(crate) fn synthesize_into(rec: &Recorder, report: &RunReport) {
     if !rec.is_enabled() {
         return;
     }
@@ -239,7 +239,7 @@ fn source_tier(r: &ickpt::cluster::RecoveryRecord) -> RecoveryTier {
 
 /// Slug an experiment display name into a filename stem:
 /// `"Table 2 (memory footprints)"` → `"table-2-memory-footprints"`.
-pub fn trace_slug(name: &str) -> String {
+pub(crate) fn trace_slug(name: &str) -> String {
     let mut out = String::with_capacity(name.len());
     let mut dash = false;
     for c in name.chars() {

@@ -79,7 +79,7 @@ pub struct CaptureConfig {
 /// delta pays off while the stored blocks plus the 16-byte record
 /// header undercut a whole page; 12 of 16 blocks (3 KiB + header vs
 /// 4 KiB) keeps a safety margin for the extra base-page read at restore.
-pub const DEFAULT_DELTA_MAX_BLOCKS: u32 = 12;
+pub(crate) const DEFAULT_DELTA_MAX_BLOCKS: u32 = 12;
 
 /// Capture and restore worker count of a fault-tolerant run: the
 /// machine's available parallelism capped at 8 — page copy saturates
@@ -102,13 +102,8 @@ impl Default for CaptureConfig {
 }
 
 impl CaptureConfig {
-    /// Serial capture (the default).
-    pub fn serial() -> Self {
-        Self::default()
-    }
-
     /// Capture with `workers` threads.
-    pub fn with_workers(workers: usize) -> Self {
+    pub(crate) fn with_workers(workers: usize) -> Self {
         Self { workers: workers.max(1), ..Self::default() }
     }
 
@@ -190,7 +185,7 @@ pub struct DedupIndex {
 impl DedupIndex {
     /// Grow to track at least `pages` pages (amortized: grows to the
     /// high-water mark and stays).
-    pub fn ensure_capacity(&mut self, pages: u64) {
+    pub(crate) fn ensure_capacity(&mut self, pages: u64) {
         let need = pages as usize;
         if self.flags.len() < need {
             self.flags.resize(need, 0);
@@ -213,8 +208,9 @@ impl DedupIndex {
         self.flags[lo..hi].fill(0);
     }
 
-    /// Pages with a valid baseline (diagnostics).
-    pub fn valid_pages(&self) -> u64 {
+    /// Pages with a valid baseline.
+    #[cfg(test)]
+    pub(crate) fn valid_pages(&self) -> u64 {
         self.flags.iter().filter(|&&f| f & DEDUP_VALID != 0).count() as u64
     }
 }
@@ -867,7 +863,7 @@ mod tests {
         assert_eq!(c.zero_ranges, vec![(4, 1), (6, 2)]);
         // The elision is a pure size optimization: ~4 KB avoided per
         // fresh page.
-        assert!(c.encoded_len() < 2 * PAGE_SIZE as usize);
+        assert!(c.encode().len() < 2 * PAGE_SIZE as usize);
     }
 
     #[test]
@@ -1071,7 +1067,7 @@ mod tests {
         );
         // Nonzero content over a zero baseline: below the crossover it
         // delta-encodes against the zero page.
-        assert!(g2.payload_pages() == 1 || g2.delta_pages() == 1);
+        assert!(g2.payload_pages() == 1 || g2.delta_records.len() == 1);
         s.write_page_data(4, &[0u8; PAGE_SIZE as usize]).unwrap();
         let g3 = capture_incremental_with(
             &s,

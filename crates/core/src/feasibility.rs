@@ -48,7 +48,7 @@ impl FeasibilityReport {
     }
 
     /// Analyze `stats` against arbitrary devices.
-    pub fn against(stats: IbStats, devices: &[(&str, DevicePreset)]) -> Self {
+    pub(crate) fn against(stats: IbStats, devices: &[(&str, DevicePreset)]) -> Self {
         let verdicts = devices
             .iter()
             .map(|(name, preset)| {

@@ -15,19 +15,6 @@
 use ickpt_sim::SimDuration;
 
 /// Inputs of the interval optimization.
-///
-/// ```
-/// use ickpt_core::interval::IntervalModel;
-/// use ickpt_sim::SimDuration;
-///
-/// // A 413 MB incremental checkpoint over a 320 MB/s disk, on a
-/// // machine failing hourly (the paper's §1 projection):
-/// let m = IntervalModel::from_bandwidth(
-///     413_000_000, 320_000_000, SimDuration::from_secs(3600));
-/// let t = m.young_interval();
-/// assert!(t.as_secs_f64() > 60.0 && t.as_secs_f64() < 120.0);
-/// assert!(m.optimal_efficiency() > 0.95);
-/// ```
 #[derive(Debug, Clone, Copy)]
 pub struct IntervalModel {
     /// Time to write one checkpoint to stable storage.
@@ -39,14 +26,6 @@ pub struct IntervalModel {
 }
 
 impl IntervalModel {
-    /// Build from the paper's quantities: an incremental checkpoint of
-    /// `checkpoint_bytes` over a `bandwidth` (bytes/s) path, with the
-    /// restart reading the same data back.
-    pub fn from_bandwidth(checkpoint_bytes: u64, bandwidth: u64, mtbf: SimDuration) -> Self {
-        let cost = SimDuration::for_transfer(checkpoint_bytes, bandwidth);
-        Self { checkpoint_cost: cost, restart_cost: cost, mtbf }
-    }
-
     /// Young's first-order optimal interval: `sqrt(2 C M)`.
     pub fn young_interval(&self) -> SimDuration {
         let c = self.checkpoint_cost.as_secs_f64();
@@ -85,133 +64,6 @@ impl IntervalModel {
         let cycle = t + c;
         let waste_fail = (cycle / m) * (cycle / 2.0 + r);
         ((t - waste_fail) / cycle).clamp(0.0, 1.0)
-    }
-
-    /// Efficiency at Young's optimum.
-    pub fn optimal_efficiency(&self) -> f64 {
-        self.efficiency(self.young_interval())
-    }
-}
-
-/// One level of a multilevel checkpointing hierarchy.
-///
-/// Level `i` writes checkpoints of cost `C_i` and absorbs the failure
-/// class it is provisioned for (rate `λ_i`, failures per second): the
-/// node-local tier handles process crashes, partner/XOR redundancy
-/// handles single-node losses, and the shared array handles anything
-/// that takes the redundancy group down with it.
-#[derive(Debug, Clone, Copy)]
-pub struct TierLevel {
-    /// Time to complete one checkpoint at this level.
-    pub checkpoint_cost: SimDuration,
-    /// Time to restart from this level's most recent checkpoint.
-    pub restart_cost: SimDuration,
-    /// Rate of failures this level must recover from (per second).
-    /// Must be positive: a tier nobody fails to is not a tier.
-    pub failure_rate: f64,
-}
-
-impl TierLevel {
-    /// Young's first-order optimal interval for this level alone:
-    /// `T_i = sqrt(2·C_i / λ_i)`.
-    pub fn young_interval(&self) -> SimDuration {
-        let c = self.checkpoint_cost.as_secs_f64();
-        SimDuration::from_secs_f64((2.0 * c / self.failure_rate).sqrt())
-    }
-}
-
-/// First-order multilevel extension of Young's model.
-///
-/// With `L` levels, level `i` checkpointing every `T_i` at cost `C_i`
-/// and absorbing failures of rate `λ_i` with restart cost `R_i`, the
-/// expected overhead fraction is the sum of each level's checkpoint
-/// duty cycle and its expected failure waste:
-///
-/// `E = 1 − Σ_i [ C_i/T_i + λ_i·(T_i/2 + R_i) ]`
-///
-/// Each term is the single-level first-order model; levels compose
-/// additively because (to first order) failure classes are disjoint
-/// and rework after a class-`i` failure is bounded by level `i`'s own
-/// interval. Minimizing each term independently recovers
-/// `T_i = sqrt(2·C_i/λ_i)` per level — the multilevel Young optimum.
-///
-/// ```
-/// use ickpt_core::interval::{MultilevelIntervalModel, TierLevel};
-/// use ickpt_sim::SimDuration;
-///
-/// // Cheap node-local checkpoints soak up frequent process crashes;
-/// // rare node losses are covered by partner copies; the slow shared
-/// // array only has to handle catastrophic multi-node failures.
-/// let m = MultilevelIntervalModel::new(vec![
-///     TierLevel {
-///         checkpoint_cost: SimDuration::from_secs_f64(0.5),
-///         restart_cost: SimDuration::from_secs_f64(0.5),
-///         failure_rate: 1.0 / 3_600.0,
-///     },
-///     TierLevel {
-///         checkpoint_cost: SimDuration::from_secs_f64(2.0),
-///         restart_cost: SimDuration::from_secs_f64(4.0),
-///         failure_rate: 1.0 / 36_000.0,
-///     },
-///     TierLevel {
-///         checkpoint_cost: SimDuration::from_secs_f64(30.0),
-///         restart_cost: SimDuration::from_secs_f64(60.0),
-///         failure_rate: 1.0 / 360_000.0,
-///     },
-/// ]);
-/// assert!(m.optimal_efficiency() > 0.95);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MultilevelIntervalModel {
-    levels: Vec<TierLevel>,
-}
-
-impl MultilevelIntervalModel {
-    /// Build a model from per-level costs and failure rates.
-    ///
-    /// # Panics
-    /// If `levels` is empty or any level has a non-positive
-    /// `failure_rate` or zero `checkpoint_cost`.
-    pub fn new(levels: Vec<TierLevel>) -> Self {
-        assert!(!levels.is_empty(), "at least one level");
-        for (i, l) in levels.iter().enumerate() {
-            assert!(l.failure_rate > 0.0, "level {i}: failure_rate must be positive");
-            assert!(!l.checkpoint_cost.is_zero(), "level {i}: checkpoint_cost must be positive");
-        }
-        Self { levels }
-    }
-
-    /// The levels, fastest first.
-    pub fn levels(&self) -> &[TierLevel] {
-        &self.levels
-    }
-
-    /// Per-level Young-optimal intervals `T_i = sqrt(2·C_i/λ_i)`.
-    pub fn young_intervals(&self) -> Vec<SimDuration> {
-        self.levels.iter().map(TierLevel::young_interval).collect()
-    }
-
-    /// Expected efficiency when level `i` checkpoints every
-    /// `intervals[i]`, clamped to `[0, 1]`.
-    ///
-    /// # Panics
-    /// If `intervals.len()` differs from the number of levels or any
-    /// interval is zero.
-    pub fn efficiency(&self, intervals: &[SimDuration]) -> f64 {
-        assert_eq!(intervals.len(), self.levels.len(), "one interval per level");
-        let mut overhead = 0.0;
-        for (l, t) in self.levels.iter().zip(intervals) {
-            let t = t.as_secs_f64();
-            assert!(t > 0.0, "intervals must be positive");
-            overhead += l.checkpoint_cost.as_secs_f64() / t
-                + l.failure_rate * (t / 2.0 + l.restart_cost.as_secs_f64());
-        }
-        (1.0 - overhead).clamp(0.0, 1.0)
-    }
-
-    /// Efficiency with every level at its Young optimum.
-    pub fn optimal_efficiency(&self) -> f64 {
-        self.efficiency(&self.young_intervals())
     }
 }
 
@@ -266,124 +118,16 @@ mod tests {
     fn efficiency_degrades_with_failure_rate() {
         let good = model(30.0, 100_000.0);
         let bad = model(30.0, 1_000.0);
-        assert!(good.optimal_efficiency() > bad.optimal_efficiency());
-    }
-
-    #[test]
-    fn from_bandwidth_uses_transfer_time() {
-        // 780 MB full image over 320 MB/s disk ≈ 2.44 s per checkpoint.
-        let m =
-            IntervalModel::from_bandwidth(780_000_000, 320_000_000, SimDuration::from_secs(3600));
-        assert!((m.checkpoint_cost.as_secs_f64() - 2.4375).abs() < 0.01);
-        // The paper's scenario: with such cheap checkpoints, a
-        // once-an-hour-failure machine still runs at ~96%+ efficiency.
-        assert!(m.optimal_efficiency() > 0.94);
+        assert!(good.efficiency(good.young_interval()) > bad.efficiency(bad.young_interval()));
     }
 
     #[test]
     fn incremental_checkpoints_raise_efficiency() {
-        let mtbf = SimDuration::from_secs(3600); // BlueGene/L-ish
-                                                 // Full image: 780 MB; incremental at a 132 s Young interval:
-                                                 // IB ≈ 12 MB/s * 132 s is bounded by the working set, call it
-                                                 // 413 MB — still nearly 2x cheaper.
-        let full = IntervalModel::from_bandwidth(780_000_000, 320_000_000, mtbf);
-        let incr = IntervalModel::from_bandwidth(413_000_000, 320_000_000, mtbf);
-        assert!(incr.optimal_efficiency() > full.optimal_efficiency());
+        // BlueGene/L-ish hourly failures, 320 MB/s disk: a 780 MB full
+        // image costs 2.44 s, a 413 MB incremental one 1.29 s.
+        let full = model(780.0 / 320.0, 3600.0);
+        let incr = model(413.0 / 320.0, 3600.0);
+        assert!(incr.efficiency(incr.young_interval()) > full.efficiency(full.young_interval()));
         assert!(incr.young_interval() < full.young_interval());
-    }
-
-    fn tier(c: f64, r: f64, mtbf: f64) -> TierLevel {
-        TierLevel {
-            checkpoint_cost: SimDuration::from_secs_f64(c),
-            restart_cost: SimDuration::from_secs_f64(r),
-            failure_rate: 1.0 / mtbf,
-        }
-    }
-
-    #[test]
-    fn single_level_matches_young_formula() {
-        // C = 50 s, M = 10000 s: T = sqrt(2·C/λ) = sqrt(2·C·M) = 1000 s.
-        let m = MultilevelIntervalModel::new(vec![tier(50.0, 50.0, 10_000.0)]);
-        let t = m.young_intervals();
-        assert_eq!(t.len(), 1);
-        assert!((t[0].as_secs_f64() - 1000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn single_level_agrees_with_flat_model_to_first_order() {
-        // For cheap checkpoints (C << T) the multilevel formula and
-        // the flat cycle-based one must agree closely.
-        let flat = model(5.0, 100_000.0);
-        let multi = MultilevelIntervalModel::new(vec![tier(5.0, 5.0, 100_000.0)]);
-        let t = flat.young_interval();
-        assert!((flat.efficiency(t) - multi.efficiency(&[t])).abs() < 1e-3);
-    }
-
-    #[test]
-    fn young_intervals_minimize_each_level() {
-        let m = MultilevelIntervalModel::new(vec![
-            tier(0.5, 0.5, 3_600.0),
-            tier(30.0, 60.0, 360_000.0),
-        ]);
-        let opt = m.young_intervals();
-        let e_opt = m.efficiency(&opt);
-        // Perturbing either level's interval can only hurt.
-        for (i, _) in opt.iter().enumerate() {
-            for scale in [4u64, 1] {
-                let mut t = opt.clone();
-                t[i] = if scale == 1 { t[i] / 4 } else { t[i] * scale };
-                assert!(m.efficiency(&t) <= e_opt + 1e-12, "level {i} scale {scale}");
-            }
-        }
-    }
-
-    #[test]
-    fn fast_tier_absorbing_frequent_failures_beats_flat_durable() {
-        // All failures to the slow durable tier (30 s checkpoints,
-        // failures every 2000 s) vs a hierarchy where the cheap local
-        // tier absorbs 90% of them and the durable tier sees only the
-        // remaining 10%.
-        let rate = 1.0 / 2_000.0;
-        let flat = MultilevelIntervalModel::new(vec![TierLevel {
-            checkpoint_cost: SimDuration::from_secs(30),
-            restart_cost: SimDuration::from_secs(60),
-            failure_rate: rate,
-        }]);
-        let tiered = MultilevelIntervalModel::new(vec![
-            TierLevel {
-                checkpoint_cost: SimDuration::from_secs_f64(0.5),
-                restart_cost: SimDuration::from_secs_f64(1.0),
-                failure_rate: rate * 0.9,
-            },
-            TierLevel {
-                checkpoint_cost: SimDuration::from_secs(30),
-                restart_cost: SimDuration::from_secs(60),
-                failure_rate: rate * 0.1,
-            },
-        ]);
-        assert!(
-            tiered.optimal_efficiency() > flat.optimal_efficiency() + 0.05,
-            "tiered {} vs flat {}",
-            tiered.optimal_efficiency(),
-            flat.optimal_efficiency()
-        );
-    }
-
-    #[test]
-    fn efficiency_clamps_in_hopeless_regimes() {
-        // Failures every 40 s against 100 s checkpoints: no interval
-        // can win, efficiency pins to zero instead of going negative.
-        let m = MultilevelIntervalModel::new(vec![tier(100.0, 100.0, 40.0)]);
-        assert_eq!(m.optimal_efficiency(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "failure_rate must be positive")]
-    fn zero_failure_rate_rejected() {
-        MultilevelIntervalModel::new(vec![TierLevel {
-            checkpoint_cost: SimDuration::from_secs(1),
-            restart_cost: SimDuration::from_secs(1),
-            failure_rate: 0.0,
-        }]);
     }
 }

@@ -32,9 +32,11 @@
 //!   paper's introduction projects (BlueGene/L failing every few
 //!   hours).
 
+#![deny(unreachable_pub)]
+
 pub mod checkpoint;
 pub mod coordinator;
-pub mod error;
+mod error;
 pub mod feasibility;
 pub mod interval;
 pub mod metrics;
@@ -44,17 +46,7 @@ pub mod trace;
 pub mod tracked_space;
 pub mod tracker;
 
-pub use checkpoint::{capture_full, capture_incremental};
-pub use coordinator::{CheckpointPlanner, CheckpointPolicy, PlannedCheckpoint, VoteFlags};
+pub use coordinator::CheckpointPolicy;
 pub use error::CoreError;
-pub use feasibility::{FeasibilityReport, FeasibilityVerdict};
-pub use interval::IntervalModel;
-pub use metrics::{IbStats, IwsSample};
-pub use policy::{detect_bursts, detect_period, BurstReport};
-pub use restore::{
-    latest_committed_generation, restore_rank, restore_rank_sequential, restore_rank_with,
-    RestoreConfig, RestoreReport,
-};
-pub use trace::{RankTrace, TraceSlice};
-pub use tracked_space::{ContentWrite, TrackedSpace};
+pub use tracked_space::TrackedSpace;
 pub use tracker::{TrackerConfig, WriteTracker};

@@ -37,18 +37,18 @@ pub struct IwsSample {
 
 impl IwsSample {
     /// IWS size in MB (10⁶ bytes).
-    pub fn iws_mb(&self) -> f64 {
+    pub(crate) fn iws_mb(&self) -> f64 {
         self.iws_pages as f64 * PAGE_BYTES / MB
     }
 
     /// Footprint in MB.
-    pub fn footprint_mb(&self) -> f64 {
+    pub(crate) fn footprint_mb(&self) -> f64 {
         self.footprint_pages as f64 * PAGE_BYTES / MB
     }
 
     /// IWS-to-footprint ratio in percent (Fig 4). Zero footprint yields
     /// zero.
-    pub fn iws_ratio_percent(&self) -> f64 {
+    pub(crate) fn iws_ratio_percent(&self) -> f64 {
         if self.footprint_pages == 0 {
             0.0
         } else {
@@ -142,7 +142,7 @@ pub struct SampleSummary {
 
 impl SampleSummary {
     /// Fold one window sample into the summary.
-    pub fn absorb(&mut self, s: &IwsSample) {
+    pub(crate) fn absorb(&mut self, s: &IwsSample) {
         self.windows = self.windows.saturating_add(1);
         self.total_iws_pages = self.total_iws_pages.saturating_add(s.iws_pages);
         self.max_iws_pages = self.max_iws_pages.max(s.iws_pages);
@@ -239,11 +239,6 @@ impl TierSummary {
         } else {
             100.0 * self.redundancy_mb / self.local_mb
         }
-    }
-
-    /// Total recovery traffic, MB, across all tiers.
-    pub fn recovery_mb(&self) -> f64 {
-        self.recovery_local_mb + self.recovery_net_mb + self.recovery_durable_mb
     }
 }
 
@@ -383,7 +378,6 @@ mod tests {
         assert!((s.recovery_net_mb - 1.0).abs() < 1e-9);
         assert!((s.recovery_durable_mb - 0.25).abs() < 1e-9);
         assert!((s.recovery_s - 3.0).abs() < 1e-12);
-        assert!((s.recovery_mb() - 1.75).abs() < 1e-9);
         // Partner-style replication: redundancy ≈ 100% of local volume.
         assert!((s.redundancy_overhead_percent() - 100.0).abs() < 1e-9);
     }

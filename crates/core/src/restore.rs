@@ -59,11 +59,6 @@ impl Default for RestoreConfig {
 }
 
 impl RestoreConfig {
-    /// Serial restore (the default).
-    pub fn serial() -> Self {
-        Self::default()
-    }
-
     /// Restore with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
         Self { workers: workers.max(1), ..Self::default() }

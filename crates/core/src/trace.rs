@@ -7,10 +7,10 @@
 //! A [`RankTrace`] is the per-rank recording: for every fine timeslice
 //! (the *trace resolution*) the coalesced dirty-page ranges at the
 //! alarm, the ranges memory exclusion unmapped during the slice, the
-//! footprint at the alarm, and the bytes received. [`RankTrace::rebin`]
-//! derives the exact sample sequence a direct run at any timeslice
-//! `k × resolution` would have produced, by replaying the slices in
-//! order into an accumulator:
+//! footprint at the alarm, and the bytes received. Re-binning
+//! ([`RankTrace::rebin_with_flush`]) derives the exact sample sequence
+//! a direct run at any timeslice `k × resolution` would have produced,
+//! by replaying the slices in order into an accumulator:
 //!
 //! ```text
 //! acc := (acc \ unmapped_j) ∪ dirty_j        for each fine slice j
@@ -31,9 +31,9 @@
 //! every coarse window boundary (a multiple of `k × resolution`) is
 //! also a fine boundary. This is property-tested against the direct
 //! simulation (the executable reference, as everywhere in this repo)
-//! in `crates/bench/tests/rebin_props.rs`.
+//! in `crates/bench/src/rebin_props.rs`.
 
-use ickpt_mem::{DirtyBitmap, FlatDirtyBitmap, PageRange};
+use ickpt_mem::{DirtyBitmap, PageRange};
 use ickpt_sim::{SimDuration, SimTime};
 
 use crate::metrics::IwsSample;
@@ -62,13 +62,6 @@ pub struct TraceSlice {
     /// flush emits (its contents duplicate the final boundary residue,
     /// so replay skips it).
     pub is_flush: bool,
-}
-
-impl TraceSlice {
-    /// Dirty pages in this slice (sum of coalesced range lengths).
-    pub fn iws_pages(&self) -> u64 {
-        self.dirty.iter().map(|r| r.len).sum()
-    }
 }
 
 /// The fine-window state at one iteration boundary: everything the
@@ -111,7 +104,7 @@ pub struct RankTrace {
 
 impl RankTrace {
     /// Whether `timeslice` can be derived from this trace.
-    pub fn supports(&self, timeslice: SimDuration) -> bool {
+    pub(crate) fn supports(&self, timeslice: SimDuration) -> bool {
         !timeslice.is_zero() && timeslice.0.is_multiple_of(self.resolution.0)
     }
 
@@ -126,21 +119,15 @@ impl RankTrace {
     /// touch of a page in a window is exactly one fault there — which
     /// differs from the direct count only when a page is unmapped,
     /// re-mapped and re-touched within one window.
-    pub fn rebin(&self, timeslice: SimDuration, stop: SimTime) -> Vec<IwsSample> {
+    #[cfg(test)]
+    pub(crate) fn rebin(&self, timeslice: SimDuration, stop: SimTime) -> Vec<IwsSample> {
         let mut acc = DirtyBitmap::new(self.capacity_pages);
         self.replay(timeslice, stop, &mut acc).0
     }
 
-    /// [`RankTrace::rebin`] over the flat reference bitmap — the
-    /// executable reference for the replay itself (the hierarchical
-    /// and flat bitmaps must agree; unit tests below compare them).
-    pub fn rebin_reference(&self, timeslice: SimDuration, stop: SimTime) -> Vec<IwsSample> {
-        let mut acc = FlatDirtyBitmap::new(self.capacity_pages);
-        self.replay(timeslice, stop, &mut acc).0
-    }
-
-    /// [`RankTrace::rebin`] plus the trailing partial flush sample a
-    /// direct run finishing at `stop` would emit. `stop` must be an
+    /// The full windows of a direct run at `timeslice` (a multiple of
+    /// the resolution) that finished at `stop`, plus the trailing
+    /// partial flush sample that run would emit. `stop` must be an
     /// iteration boundary with a recorded [`BoundaryResidue`]: the
     /// flush window's dirty set is the leftover replay accumulator
     /// (fine slices past the last coarse alarm) with the residue
@@ -223,8 +210,8 @@ impl RankTrace {
     }
 }
 
-/// The bitmap operations re-binning needs, so the hierarchical and
-/// flat implementations share one replay loop.
+/// The bitmap operations re-binning needs, so the hierarchical bitmap
+/// and the tests' reference page set share one replay loop.
 trait RebinSet {
     fn set_range(&mut self, r: PageRange);
     fn clear_range(&mut self, r: PageRange);
@@ -247,24 +234,33 @@ impl RebinSet for DirtyBitmap {
     }
 }
 
-impl RebinSet for FlatDirtyBitmap {
-    fn set_range(&mut self, r: PageRange) {
-        FlatDirtyBitmap::set_range(self, r);
-    }
-    fn clear_range(&mut self, r: PageRange) {
-        FlatDirtyBitmap::clear_range(self, r);
-    }
-    fn count(&self) -> u64 {
-        FlatDirtyBitmap::count(self)
-    }
-    fn clear_all(&mut self) {
-        FlatDirtyBitmap::clear_all(self);
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeSet;
+
     use super::*;
+
+    /// The reference accumulator: a plain ordered page set.
+    impl RebinSet for BTreeSet<u64> {
+        fn set_range(&mut self, r: PageRange) {
+            self.extend(r.iter());
+        }
+        fn clear_range(&mut self, r: PageRange) {
+            self.retain(|p| !r.contains(*p));
+        }
+        fn count(&self) -> u64 {
+            self.len() as u64
+        }
+        fn clear_all(&mut self) {
+            self.clear();
+        }
+    }
+
+    /// [`RankTrace::rebin`] over the reference page set — the
+    /// executable specification of the replay itself.
+    fn rebin_reference(t: &RankTrace, timeslice: SimDuration, stop: SimTime) -> Vec<IwsSample> {
+        t.replay(timeslice, stop, &mut BTreeSet::new()).0
+    }
 
     fn s(secs: u64) -> SimTime {
         SimTime::from_secs(secs)
@@ -358,7 +354,7 @@ mod tests {
     }
 
     #[test]
-    fn hier_and_flat_rebin_agree() {
+    fn bitmap_and_reference_rebin_agree() {
         let t = trace(vec![
             slice(1, &[(0, 30), (40, 9)], &[]),
             slice(2, &[(20, 30)], &[(0, 5)]),
@@ -368,7 +364,7 @@ mod tests {
         for ts in [1u64, 2, 4] {
             assert_eq!(
                 t.rebin(SimDuration::from_secs(ts), s(4)),
-                t.rebin_reference(SimDuration::from_secs(ts), s(4)),
+                rebin_reference(&t, SimDuration::from_secs(ts), s(4)),
                 "timeslice {ts}"
             );
         }

@@ -68,17 +68,20 @@ impl<'a, S: AddressSpace + ContentWrite> TrackedSpace<'a, S> {
     }
 
     /// The underlying space (read-only).
-    pub fn space(&self) -> &S {
+    #[cfg(test)]
+    pub(crate) fn space(&self) -> &S {
         self.space
     }
 
     /// The tracker (read-only).
-    pub fn tracker(&self) -> &WriteTracker {
+    #[cfg(test)]
+    pub(crate) fn tracker(&self) -> &WriteTracker {
         self.tracker
     }
 
     /// The tracker (mutable, for sampling control by the engine).
-    pub fn tracker_mut(&mut self) -> &mut WriteTracker {
+    #[cfg(test)]
+    pub(crate) fn tracker_mut(&mut self) -> &mut WriteTracker {
         self.tracker
     }
 }
@@ -180,11 +183,11 @@ mod tests {
     #[test]
     fn backed_touch_writes_content() {
         let mut space = BackedSpace::new(layout());
-        let before = ickpt_mem::space::PageSource::read_page(&space, 0).unwrap().to_vec();
+        let before = ickpt_mem::PageSource::read_page(&space, 0).unwrap().to_vec();
         let mut tracker = tracker_for(&space);
         let mut ts = TrackedSpace::new(&mut space, &mut tracker);
         ts.touch(PageRange::new(0, 1), 1);
-        let after = ickpt_mem::space::PageSource::read_page(&space, 0).unwrap();
+        let after = ickpt_mem::PageSource::read_page(&space, 0).unwrap();
         assert_ne!(before.as_slice(), after, "touch must change backed content");
     }
 
@@ -194,9 +197,9 @@ mod tests {
         let mut tracker = tracker_for(&space);
         let mut ts = TrackedSpace::new(&mut space, &mut tracker);
         ts.touch(PageRange::new(0, 1), 1);
-        let v1 = ickpt_mem::space::PageSource::read_page(ts.space(), 0).unwrap().to_vec();
+        let v1 = ickpt_mem::PageSource::read_page(ts.space(), 0).unwrap().to_vec();
         ts.touch(PageRange::new(0, 1), 2);
-        let v2 = ickpt_mem::space::PageSource::read_page(ts.space(), 0).unwrap();
+        let v2 = ickpt_mem::PageSource::read_page(ts.space(), 0).unwrap();
         assert_ne!(v1.as_slice(), v2, "subsequent writes produce new content");
     }
 

@@ -6,7 +6,7 @@
 //! * All data pages are write-protected. The first write to a protected
 //!   page raises a fault; the handler records the page as dirty and
 //!   unprotects it, so later writes in the same timeslice are free.
-//!   Here "protected" is a clear bit in [`WriteTracker::window`] and
+//!   Here "protected" is a clear bit in `WriteTracker::window` and
 //!   "fault" is [`WriteTracker::touch_range`] reporting a newly set bit.
 //! * An alarm fires every *checkpoint timeslice*: it records the memory
 //!   footprint and the count of dirty pages (the IWS), resets the dirty
@@ -238,11 +238,6 @@ impl WriteTracker {
         }
     }
 
-    /// The configured timeslice.
-    pub fn timeslice(&self) -> SimDuration {
-        self.cfg.timeslice
-    }
-
     /// When the next alarm fires. The runner splits compute phases at
     /// this boundary so every touch lands in the right window.
     pub fn next_alarm_time(&self) -> SimTime {
@@ -376,7 +371,7 @@ impl WriteTracker {
     /// but they *do* enter the checkpoint set: their content changed
     /// to zeros, and a restore from an older base would otherwise
     /// resurrect whatever bytes a previous mapping left there.
-    pub fn on_map(&mut self, range: PageRange) {
+    pub(crate) fn on_map(&mut self, range: PageRange) {
         self.footprint_pages += range.len;
         if let Some(ckpt) = &mut self.ckpt {
             ckpt.set_range(range);
@@ -386,7 +381,7 @@ impl WriteTracker {
     /// A range was unmapped (heap shrink or `munmap`): memory exclusion
     /// drops its pages from every dirty set (§4.2 — "pages belonging to
     /// unmapped areas are not taken into account").
-    pub fn on_unmap(&mut self, range: PageRange) {
+    pub(crate) fn on_unmap(&mut self, range: PageRange) {
         debug_assert!(self.footprint_pages >= range.len);
         self.footprint_pages -= range.len;
         self.window.clear_range(range);
@@ -444,7 +439,8 @@ impl WriteTracker {
     }
 
     /// Pages currently pending in the checkpoint set.
-    pub fn checkpoint_set_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn checkpoint_set_pages(&self) -> u64 {
         self.ckpt.as_ref().map_or(0, |b| b.count())
     }
 
@@ -555,7 +551,8 @@ impl WriteTracker {
     }
 
     /// Total bytes received.
-    pub fn total_bytes_received(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_bytes_received(&self) -> u64 {
         self.total_bytes_received
     }
 

@@ -25,9 +25,9 @@
 //! paper's own data motivates this: Table 3's IWS per timeslice is 1–3
 //! orders of magnitude below the footprint.
 //!
-//! [`FlatDirtyBitmap`] preserves the previous single-level
-//! implementation as an executable reference: the property tests prove
-//! the two observationally equivalent.
+//! The test build keeps the previous single-level implementation,
+//! `FlatDirtyBitmap`, as an executable reference: the property tests in
+//! `prop.rs` prove the two observationally equivalent.
 
 use crate::page::PageRange;
 
@@ -67,22 +67,10 @@ impl DirtyBitmap {
         Self { words: vec![0; nwords], summary: vec![0; summary_len(nwords)], pages, set_count: 0 }
     }
 
-    /// Number of pages the bitmap covers.
-    #[inline]
-    pub fn capacity(&self) -> u64 {
-        self.pages
-    }
-
     /// Number of set (dirty) bits.
     #[inline]
     pub fn count(&self) -> u64 {
         self.set_count
-    }
-
-    /// Whether no bit is set.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.set_count == 0
     }
 
     #[inline]
@@ -96,8 +84,8 @@ impl DirtyBitmap {
     }
 
     /// Test a single page.
-    #[inline]
-    pub fn get(&self, page: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn get(&self, page: u64) -> bool {
         debug_assert!(page < self.pages, "page {page} out of range {}", self.pages);
         let w = (page / WORD_BITS) as usize;
         let b = page % WORD_BITS;
@@ -106,8 +94,8 @@ impl DirtyBitmap {
 
     /// Set a single page; returns `true` if the bit was previously clear
     /// (i.e. this write would have taken a page fault).
-    #[inline]
-    pub fn set(&mut self, page: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn set(&mut self, page: u64) -> bool {
         debug_assert!(page < self.pages, "page {page} out of range {}", self.pages);
         let w = (page / WORD_BITS) as usize;
         let mask = 1u64 << (page % WORD_BITS);
@@ -120,8 +108,8 @@ impl DirtyBitmap {
     }
 
     /// Clear a single page; returns `true` if the bit was previously set.
-    #[inline]
-    pub fn clear(&mut self, page: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn clear(&mut self, page: u64) -> bool {
         debug_assert!(page < self.pages);
         let w = (page / WORD_BITS) as usize;
         let mask = 1u64 << (page % WORD_BITS);
@@ -229,7 +217,8 @@ impl DirtyBitmap {
     }
 
     /// Count the set bits inside `range` without modifying anything.
-    pub fn count_range(&self, range: PageRange) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn count_range(&self, range: PageRange) -> u64 {
         if range.is_empty() {
             return 0;
         }
@@ -253,7 +242,8 @@ impl DirtyBitmap {
     ///
     /// Touches only the words in which `other` has bits, so folding a
     /// sparse timeslice delta into a large accumulator is O(delta).
-    pub fn union_with(&mut self, other: &DirtyBitmap) {
+    #[cfg(test)]
+    pub(crate) fn union_with(&mut self, other: &DirtyBitmap) {
         assert_eq!(self.pages, other.pages, "bitmap capacity mismatch");
         for w in other.nonzero_words_in(0, other.words.len()) {
             let old = self.words[w];
@@ -274,7 +264,8 @@ impl DirtyBitmap {
     }
 
     /// Iterate over the indices of set pages in ascending order.
-    pub fn iter_set(&self) -> SetBits<'_> {
+    #[cfg(test)]
+    pub(crate) fn iter_set(&self) -> SetBits<'_> {
         SetBits {
             words: &self.words,
             nonzero: NonzeroWords::new(&self.summary, 0, self.words.len()),
@@ -322,39 +313,6 @@ impl DirtyBitmap {
             out.push(PageRange::new(s, e - s));
         }
         out
-    }
-
-    /// Grow (or shrink) the bitmap to cover `pages` pages. New pages are
-    /// clear; on shrink, truncated set bits are removed from the count.
-    /// Needed because Sage's data segment grows and shrinks at run time.
-    pub fn resize(&mut self, pages: u64) {
-        let nwords = pages.div_ceil(WORD_BITS) as usize;
-        if pages < self.pages {
-            // Drop any set bits past the new end.
-            let dropped = self.count_range(PageRange::new(pages, self.pages - pages));
-            self.set_count -= dropped;
-            self.words.truncate(nwords);
-            if !pages.is_multiple_of(WORD_BITS) {
-                if let Some(wlast) = self.words.last_mut() {
-                    *wlast &= mask_to(pages % WORD_BITS - 1);
-                }
-            }
-            self.summary.truncate(summary_len(nwords));
-            // Re-derive the summary bits for the (possibly emptied)
-            // trailing words of the last summary word.
-            if let Some(last_s) = self.summary.len().checked_sub(1) {
-                let from = last_s * WORD_BITS as usize;
-                let mut sw = 0u64;
-                for (i, w) in self.words[from..].iter().enumerate() {
-                    sw |= ((*w != 0) as u64) << i;
-                }
-                self.summary[last_s] = sw;
-            }
-        } else {
-            self.words.resize(nwords, 0);
-            self.summary.resize(summary_len(nwords), 0);
-        }
-        self.pages = pages;
     }
 
     /// Set summary bits for words `first..=last`.
@@ -449,13 +407,15 @@ impl Iterator for NonzeroWords<'_> {
 }
 
 /// Iterator over set bit indices.
-pub struct SetBits<'a> {
+#[cfg(test)]
+pub(crate) struct SetBits<'a> {
     words: &'a [u64],
     nonzero: NonzeroWords<'a>,
     word_base: u64,
     current: u64,
 }
 
+#[cfg(test)]
 impl Iterator for SetBits<'_> {
     type Item = u64;
 
@@ -477,42 +437,37 @@ impl Iterator for SetBits<'_> {
 /// The previous single-level bitmap, kept as an executable reference.
 ///
 /// Same observable behaviour as [`DirtyBitmap`] (the property tests in
-/// `crates/mem/tests/prop.rs` drive both through arbitrary op sequences
-/// and require identical answers); iteration and clearing walk every
-/// word. Benchmarks use it as the baseline the hierarchical bitmap is
-/// measured against.
+/// `prop.rs` drive both through arbitrary op sequences and require
+/// identical answers); iteration and clearing walk every word.
+#[cfg(test)]
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FlatDirtyBitmap {
+pub(crate) struct FlatDirtyBitmap {
     words: Vec<u64>,
     pages: u64,
     set_count: u64,
 }
 
+#[cfg(test)]
 impl FlatDirtyBitmap {
     /// Create a flat bitmap covering `pages` pages, all clear.
-    pub fn new(pages: u64) -> Self {
+    pub(crate) fn new(pages: u64) -> Self {
         let nwords = pages.div_ceil(WORD_BITS) as usize;
         Self { words: vec![0; nwords], pages, set_count: 0 }
     }
 
-    /// Number of pages the bitmap covers.
-    pub fn capacity(&self) -> u64 {
-        self.pages
-    }
-
     /// Number of set bits.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.set_count
     }
 
     /// Test a single page.
-    pub fn get(&self, page: u64) -> bool {
+    pub(crate) fn get(&self, page: u64) -> bool {
         let w = (page / WORD_BITS) as usize;
         (self.words[w] >> (page % WORD_BITS)) & 1 == 1
     }
 
     /// Set a single page; returns whether it was clear.
-    pub fn set(&mut self, page: u64) -> bool {
+    pub(crate) fn set(&mut self, page: u64) -> bool {
         debug_assert!(page < self.pages);
         let w = (page / WORD_BITS) as usize;
         let mask = 1u64 << (page % WORD_BITS);
@@ -524,7 +479,7 @@ impl FlatDirtyBitmap {
     }
 
     /// Clear a single page; returns whether it was set.
-    pub fn clear(&mut self, page: u64) -> bool {
+    pub(crate) fn clear(&mut self, page: u64) -> bool {
         debug_assert!(page < self.pages);
         let w = (page / WORD_BITS) as usize;
         let mask = 1u64 << (page % WORD_BITS);
@@ -536,7 +491,7 @@ impl FlatDirtyBitmap {
     }
 
     /// Set every page in `range`; returns the newly set count.
-    pub fn set_range(&mut self, range: PageRange) -> u64 {
+    pub(crate) fn set_range(&mut self, range: PageRange) -> u64 {
         if range.is_empty() {
             return 0;
         }
@@ -549,7 +504,7 @@ impl FlatDirtyBitmap {
     }
 
     /// Clear every page in `range`; returns the dropped count.
-    pub fn clear_range(&mut self, range: PageRange) -> u64 {
+    pub(crate) fn clear_range(&mut self, range: PageRange) -> u64 {
         if range.is_empty() {
             return 0;
         }
@@ -562,18 +517,18 @@ impl FlatDirtyBitmap {
     }
 
     /// Clear every bit by rewriting all words.
-    pub fn clear_all(&mut self) {
+    pub(crate) fn clear_all(&mut self) {
         self.words.fill(0);
         self.set_count = 0;
     }
 
     /// Count set bits in `range`.
-    pub fn count_range(&self, range: PageRange) -> u64 {
+    pub(crate) fn count_range(&self, range: PageRange) -> u64 {
         range.iter().filter(|&p| self.get(p)).count() as u64
     }
 
     /// OR `other` into `self`.
-    pub fn union_with(&mut self, other: &FlatDirtyBitmap) {
+    pub(crate) fn union_with(&mut self, other: &FlatDirtyBitmap) {
         assert_eq!(self.pages, other.pages);
         let mut count = 0u64;
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -584,7 +539,7 @@ impl FlatDirtyBitmap {
     }
 
     /// Set pages in ascending order (walks every word).
-    pub fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn iter_set(&self) -> impl Iterator<Item = u64> + '_ {
         let pages = self.pages;
         self.words
             .iter()
@@ -604,7 +559,7 @@ impl FlatDirtyBitmap {
     }
 
     /// Maximal runs of set pages, in ascending order.
-    pub fn dirty_ranges(&self) -> Vec<PageRange> {
+    pub(crate) fn dirty_ranges(&self) -> Vec<PageRange> {
         let mut out = Vec::new();
         let mut run_start: Option<u64> = None;
         let mut prev = 0u64;
@@ -797,53 +752,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.iter_set().collect::<Vec<_>>(), vec![0, 500_000, 1_000_000]);
         a.check_invariants();
-    }
-
-    #[test]
-    fn resize_grow_preserves_and_shrink_drops() {
-        let mut bm = DirtyBitmap::new(70);
-        bm.set(0);
-        bm.set(69);
-        bm.resize(200);
-        assert_eq!(bm.count(), 2);
-        assert!(bm.get(69));
-        bm.set(150);
-        bm.resize(100);
-        assert_eq!(bm.count(), 2, "bit 150 dropped by shrink");
-        bm.resize(40);
-        assert_eq!(bm.count(), 1, "bit 69 dropped");
-        assert!(bm.get(0));
-        bm.check_invariants();
-    }
-
-    #[test]
-    fn resize_to_word_boundary() {
-        let mut bm = DirtyBitmap::new(128);
-        bm.set(127);
-        bm.set(64);
-        bm.resize(64);
-        assert_eq!(bm.count(), 0);
-        bm.resize(128);
-        assert!(!bm.get(64), "regrown pages start clear");
-        bm.check_invariants();
-    }
-
-    #[test]
-    fn resize_across_summary_words() {
-        // > 4096 pages so the summary itself has multiple words.
-        let mut bm = DirtyBitmap::new(20_000);
-        bm.set(19_999);
-        bm.set(5000);
-        bm.set(3);
-        bm.resize(4097);
-        assert_eq!(bm.count(), 1);
-        bm.check_invariants();
-        bm.resize(40_000);
-        assert!(bm.get(3));
-        assert!(!bm.get(5000));
-        bm.set(39_999);
-        assert_eq!(bm.count(), 2);
-        bm.check_invariants();
     }
 
     #[test]

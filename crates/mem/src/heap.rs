@@ -12,47 +12,33 @@ use crate::page::PageRange;
 
 /// A `brk`-style heap confined to the layout's heap region.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Heap {
+pub(crate) struct Heap {
     region: PageRange,
     /// Current break, in pages from `region.start` (0 = empty heap).
     brk_pages: u64,
-    /// High-water mark, in pages.
-    peak_pages: u64,
 }
 
 impl Heap {
     /// An empty heap within `region`.
-    pub fn new(region: PageRange) -> Self {
-        Self { region, brk_pages: 0, peak_pages: 0 }
-    }
-
-    /// The heap's maximum extent.
-    #[inline]
-    pub fn region(&self) -> PageRange {
-        self.region
+    pub(crate) fn new(region: PageRange) -> Self {
+        Self { region, brk_pages: 0 }
     }
 
     /// Currently mapped heap pages (from the region start to the break).
     #[inline]
-    pub fn mapped(&self) -> PageRange {
+    pub(crate) fn mapped(&self) -> PageRange {
         PageRange::new(self.region.start, self.brk_pages)
     }
 
     /// Current size in pages.
     #[inline]
-    pub fn size_pages(&self) -> u64 {
+    pub(crate) fn size_pages(&self) -> u64 {
         self.brk_pages
-    }
-
-    /// High-water mark in pages.
-    #[inline]
-    pub fn peak_pages(&self) -> u64 {
-        self.peak_pages
     }
 
     /// Grow the heap by `pages` pages (`sbrk(+n)`); returns the newly
     /// mapped range.
-    pub fn grow(&mut self, pages: u64) -> Result<PageRange, MemError> {
+    pub(crate) fn grow(&mut self, pages: u64) -> Result<PageRange, MemError> {
         let new_brk = self.brk_pages + pages;
         if new_brk > self.region.len {
             return Err(MemError::HeapExhausted {
@@ -62,14 +48,13 @@ impl Heap {
         }
         let added = PageRange::new(self.region.start + self.brk_pages, pages);
         self.brk_pages = new_brk;
-        self.peak_pages = self.peak_pages.max(new_brk);
         Ok(added)
     }
 
     /// Shrink the heap by `pages` pages (`sbrk(-n)`); returns the
     /// now-unmapped range. Shrinking below zero is clamped like a real
     /// `brk` call that would fail: it is reported as an error.
-    pub fn shrink(&mut self, pages: u64) -> Result<PageRange, MemError> {
+    pub(crate) fn shrink(&mut self, pages: u64) -> Result<PageRange, MemError> {
         if pages > self.brk_pages {
             return Err(MemError::HeapExhausted {
                 requested_pages: pages,
@@ -80,20 +65,9 @@ impl Heap {
         Ok(PageRange::new(self.region.start + self.brk_pages, pages))
     }
 
-    /// Set the break to an absolute size in pages (`brk`); returns the
-    /// range that changed state (mapped on grow, unmapped on shrink)
-    /// along with whether it grew.
-    pub fn set_size(&mut self, pages: u64) -> Result<(PageRange, bool), MemError> {
-        if pages > self.brk_pages {
-            Ok((self.grow(pages - self.brk_pages)?, true))
-        } else {
-            Ok((self.shrink(self.brk_pages - pages)?, false))
-        }
-    }
-
     /// Whether `page` is currently mapped heap memory.
     #[inline]
-    pub fn is_mapped(&self, page: u64) -> bool {
+    pub(crate) fn is_mapped(&self, page: u64) -> bool {
         self.mapped().contains(page)
     }
 }
@@ -133,7 +107,6 @@ mod tests {
         let freed = h.shrink(5).unwrap();
         assert_eq!(freed, PageRange::new(115, 5));
         assert_eq!(h.size_pages(), 15);
-        assert_eq!(h.peak_pages(), 20, "peak is a high-water mark");
     }
 
     #[test]
@@ -142,17 +115,5 @@ mod tests {
         h.grow(3).unwrap();
         assert!(h.shrink(4).is_err());
         assert_eq!(h.size_pages(), 3);
-    }
-
-    #[test]
-    fn set_size_both_directions() {
-        let mut h = heap();
-        let (r, grew) = h.set_size(30).unwrap();
-        assert!(grew);
-        assert_eq!(r.len, 30);
-        let (r, grew) = h.set_size(12).unwrap();
-        assert!(!grew);
-        assert_eq!(r, PageRange::new(112, 18));
-        assert_eq!(h.size_pages(), 12);
     }
 }

@@ -40,13 +40,13 @@ impl DataLayout {
 
     /// Total byte capacity of the tracked segment.
     #[inline]
-    pub fn capacity_bytes(&self) -> u64 {
+    pub(crate) fn capacity_bytes(&self) -> u64 {
         self.capacity_pages() * crate::page::PAGE_SIZE
     }
 
     /// The region kind a given page belongs to, or `None` if the page is
     /// outside the layout.
-    pub fn region_of(&self, page: u64) -> Option<crate::space::RegionKind> {
+    pub(crate) fn region_of(&self, page: u64) -> Option<crate::space::RegionKind> {
         use crate::space::RegionKind;
         if self.static_data.contains(page) {
             Some(RegionKind::StaticData)

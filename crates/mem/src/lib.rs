@@ -14,36 +14,36 @@
 //!
 //! We reproduce that structure here as an explicit model:
 //!
-//! * [`page`] — 4 KiB pages and page-range arithmetic.
-//! * [`dirty`] — word-packed dirty bitmaps, the hot data structure of the
+//! * `page` — 4 KiB pages and page-range arithmetic.
+//! * `dirty` — word-packed dirty bitmaps, the hot data structure of the
 //!   write tracker.
-//! * [`layout`] — an Itanium-II-like data-segment layout (§4.1: data and
+//! * `layout` — an Itanium-II-like data-segment layout (§4.1: data and
 //!   BSS follow the text segment, the heap grows upward, `mmap` regions
 //!   live in their own arena, the stack grows down from a fixed address).
-//! * [`heap`] — `brk`/`sbrk` emulation.
-//! * [`mmap_area`] — a first-fit `mmap`/`munmap` arena allocator with
+//! * `heap` — `brk`/`sbrk` emulation.
+//! * `mmap_area` — a first-fit `mmap`/`munmap` arena allocator with
 //!   coalescing, so dynamic codes such as Sage exercise mapping churn.
-//! * [`space`] — two address-space implementations over one layout:
+//! * `space` — two address-space implementations over one layout:
 //!   [`space::SparseSpace`] tracks only *metadata* (mapping state), which
 //!   lets characterization experiments run with multi-gigabyte footprints,
 //!   and [`space::BackedSpace`] stores real page contents for
 //!   checkpoint/restore correctness tests.
 
-pub mod dirty;
-pub mod error;
-pub mod heap;
-pub mod layout;
-pub mod mmap_area;
-pub mod page;
-pub mod space;
+#![deny(unreachable_pub)]
 
-pub use dirty::{DirtyBitmap, FlatDirtyBitmap};
+mod dirty;
+mod error;
+mod heap;
+mod layout;
+mod mmap_area;
+mod page;
+mod space;
+
+#[cfg(test)]
+mod prop;
+
+pub use dirty::DirtyBitmap;
 pub use error::MemError;
-pub use heap::Heap;
 pub use layout::{DataLayout, LayoutBuilder};
-pub use mmap_area::MmapArea;
-pub use page::{pages_for_bytes, PageRange, PAGE_SHIFT, PAGE_SIZE};
-pub use space::{
-    AddressSpace, BackedSpace, PageSink, PageSource, ParallelPageWriter, RegionKind, SparseSpace,
-    WriteProfile,
-};
+pub use page::{pages_for_bytes, PageRange, PAGE_SIZE};
+pub use space::{AddressSpace, BackedSpace, PageSink, PageSource, SparseSpace, WriteProfile};

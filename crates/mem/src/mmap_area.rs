@@ -16,7 +16,7 @@ use crate::page::PageRange;
 
 /// An mmap arena covering a fixed page range.
 #[derive(Debug, Clone)]
-pub struct MmapArea {
+pub(crate) struct MmapArea {
     region: PageRange,
     /// Free blocks keyed by start page (BTreeMap gives us neighbor
     /// lookups for coalescing).
@@ -24,45 +24,32 @@ pub struct MmapArea {
     /// Live mappings keyed by start page.
     live: BTreeMap<u64, u64>,
     mapped_pages: u64,
-    peak_pages: u64,
 }
 
 impl MmapArea {
     /// A fully free arena covering `region`.
-    pub fn new(region: PageRange) -> Self {
+    pub(crate) fn new(region: PageRange) -> Self {
         let mut free = BTreeMap::new();
         if !region.is_empty() {
             free.insert(region.start, region.len);
         }
-        Self { region, free, live: BTreeMap::new(), mapped_pages: 0, peak_pages: 0 }
-    }
-
-    /// The arena's full extent.
-    #[inline]
-    pub fn region(&self) -> PageRange {
-        self.region
+        Self { region, free, live: BTreeMap::new(), mapped_pages: 0 }
     }
 
     /// Total pages currently mapped.
     #[inline]
-    pub fn mapped_pages(&self) -> u64 {
+    pub(crate) fn mapped_pages(&self) -> u64 {
         self.mapped_pages
-    }
-
-    /// High-water mark of mapped pages.
-    #[inline]
-    pub fn peak_pages(&self) -> u64 {
-        self.peak_pages
     }
 
     /// Total free pages (may be fragmented).
     #[inline]
-    pub fn free_pages(&self) -> u64 {
+    pub(crate) fn free_pages(&self) -> u64 {
         self.region.len - self.mapped_pages
     }
 
     /// Map `pages` pages (`mmap`), first-fit. Returns the new mapping.
-    pub fn map(&mut self, pages: u64) -> Result<PageRange, MemError> {
+    pub(crate) fn map(&mut self, pages: u64) -> Result<PageRange, MemError> {
         assert!(pages > 0, "mmap of zero pages");
         let found =
             self.free.iter().find(|(_, &len)| len >= pages).map(|(&start, &len)| (start, len));
@@ -76,14 +63,13 @@ impl MmapArea {
         }
         self.live.insert(start, pages);
         self.mapped_pages += pages;
-        self.peak_pages = self.peak_pages.max(self.mapped_pages);
         Ok(PageRange::new(start, pages))
     }
 
     /// Map the exact `range` (`mmap` with `MAP_FIXED`): used by restore
     /// to recreate a checkpointed layout, holes and all. Fails if any
     /// page of the range is not free.
-    pub fn map_fixed(&mut self, range: PageRange) -> Result<(), MemError> {
+    pub(crate) fn map_fixed(&mut self, range: PageRange) -> Result<(), MemError> {
         assert!(!range.is_empty(), "map_fixed of empty range");
         // Find the free block containing the range start.
         let (&fstart, &flen) =
@@ -107,14 +93,13 @@ impl MmapArea {
         }
         self.live.insert(range.start, range.len);
         self.mapped_pages += range.len;
-        self.peak_pages = self.peak_pages.max(self.mapped_pages);
         Ok(())
     }
 
     /// Unmap a previously returned mapping (`munmap`). The range must
     /// match a live mapping exactly, as the interception layer tracks
     /// whole mappings.
-    pub fn unmap(&mut self, range: PageRange) -> Result<(), MemError> {
+    pub(crate) fn unmap(&mut self, range: PageRange) -> Result<(), MemError> {
         match self.live.get(&range.start) {
             Some(&len) if len == range.len => {}
             _ => return Err(MemError::BadUnmap { range_start: range.start }),
@@ -146,22 +131,23 @@ impl MmapArea {
     }
 
     /// Whether `page` belongs to a live mapping.
-    pub fn is_mapped(&self, page: u64) -> bool {
+    pub(crate) fn is_mapped(&self, page: u64) -> bool {
         self.live.range(..=page).next_back().is_some_and(|(&start, &len)| page < start + len)
     }
 
     /// Iterate over live mappings in address order.
-    pub fn live_mappings(&self) -> impl Iterator<Item = PageRange> + '_ {
+    pub(crate) fn live_mappings(&self) -> impl Iterator<Item = PageRange> + '_ {
         self.live.iter().map(|(&s, &l)| PageRange::new(s, l))
     }
 
     /// Number of live mappings.
-    pub fn live_count(&self) -> usize {
+    pub(crate) fn live_count(&self) -> usize {
         self.live.len()
     }
 
     /// Number of distinct free blocks (fragmentation measure).
-    pub fn free_block_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn free_block_count(&self) -> usize {
         self.free.len()
     }
 }
@@ -284,15 +270,5 @@ mod tests {
     fn map_fixed_out_of_region_rejected() {
         let mut a = arena();
         assert!(a.map_fixed(PageRange::new(1095, 10)).is_err(), "crosses region end");
-    }
-
-    #[test]
-    fn peak_tracks_high_water() {
-        let mut a = arena();
-        let m1 = a.map(40).unwrap();
-        a.unmap(m1).unwrap();
-        a.map(10).unwrap();
-        assert_eq!(a.peak_pages(), 40);
-        assert_eq!(a.mapped_pages(), 10);
     }
 }

@@ -7,7 +7,7 @@
 //! Linux with 4 KiB base pages as well.
 
 /// log2 of the page size.
-pub const PAGE_SHIFT: u32 = 12;
+pub(crate) const PAGE_SHIFT: u32 = 12;
 
 /// Page size in bytes (4 KiB).
 pub const PAGE_SIZE: u64 = 1 << PAGE_SHIFT;
@@ -40,18 +40,6 @@ impl PageRange {
         Self { start, len }
     }
 
-    /// Create a range covering `bytes` bytes starting at page `start`.
-    #[inline]
-    pub const fn from_bytes(start: u64, bytes: u64) -> Self {
-        Self { start, len: pages_for_bytes(bytes) }
-    }
-
-    /// An empty range at page 0.
-    #[inline]
-    pub const fn empty() -> Self {
-        Self { start: 0, len: 0 }
-    }
-
     /// One past the last page of the range.
     #[inline]
     pub const fn end(&self) -> u64 {
@@ -64,12 +52,6 @@ impl PageRange {
         self.len == 0
     }
 
-    /// Size of the range in bytes.
-    #[inline]
-    pub const fn bytes(&self) -> u64 {
-        self.len * PAGE_SIZE
-    }
-
     /// Whether `page` falls inside the range.
     #[inline]
     pub const fn contains(&self, page: u64) -> bool {
@@ -77,47 +59,15 @@ impl PageRange {
     }
 
     /// Whether the two ranges share at least one page.
-    #[inline]
-    pub const fn overlaps(&self, other: &PageRange) -> bool {
+    #[cfg(test)]
+    pub(crate) const fn overlaps(&self, other: &PageRange) -> bool {
         self.start < other.end() && other.start < self.end()
-    }
-
-    /// The intersection of two ranges (empty if disjoint).
-    #[inline]
-    pub fn intersect(&self, other: &PageRange) -> PageRange {
-        let start = self.start.max(other.start);
-        let end = self.end().min(other.end());
-        if end > start {
-            PageRange::new(start, end - start)
-        } else {
-            PageRange::empty()
-        }
-    }
-
-    /// Whether `other` immediately follows or precedes this range
-    /// (used by the mmap arena to coalesce free blocks).
-    #[inline]
-    pub const fn adjacent(&self, other: &PageRange) -> bool {
-        self.end() == other.start || other.end() == self.start
     }
 
     /// Iterate over the page indices of the range.
     #[inline]
     pub fn iter(&self) -> impl Iterator<Item = u64> {
         self.start..self.end()
-    }
-
-    /// Split the range into chunks of at most `chunk` pages, preserving
-    /// order. Used by access-pattern generators to emit bounded touch
-    /// batches.
-    pub fn chunks(&self, chunk: u64) -> impl Iterator<Item = PageRange> + '_ {
-        assert!(chunk > 0, "chunk size must be positive");
-        let start = self.start;
-        let end = self.end();
-        (0..self.len.div_ceil(chunk)).map(move |i| {
-            let s = start + i * chunk;
-            PageRange::new(s, chunk.min(end - s))
-        })
     }
 }
 
@@ -138,60 +88,21 @@ mod tests {
     fn range_basics() {
         let r = PageRange::new(10, 5);
         assert_eq!(r.end(), 15);
-        assert_eq!(r.bytes(), 5 * PAGE_SIZE);
         assert!(r.contains(10));
         assert!(r.contains(14));
         assert!(!r.contains(15));
         assert!(!r.contains(9));
         assert!(!r.is_empty());
-        assert!(PageRange::empty().is_empty());
+        assert!(PageRange::new(3, 0).is_empty());
     }
 
     #[test]
-    fn range_from_bytes() {
-        let r = PageRange::from_bytes(4, 3 * PAGE_SIZE + 1);
-        assert_eq!(r.start, 4);
-        assert_eq!(r.len, 4);
-    }
-
-    #[test]
-    fn overlap_and_intersection() {
+    fn overlap() {
         let a = PageRange::new(0, 10);
         let b = PageRange::new(5, 10);
         let c = PageRange::new(10, 5);
         assert!(a.overlaps(&b));
         assert!(!a.overlaps(&c));
-        assert_eq!(a.intersect(&b), PageRange::new(5, 5));
-        assert!(a.intersect(&c).is_empty());
-        // Intersection is symmetric.
-        assert_eq!(a.intersect(&b), b.intersect(&a));
-    }
-
-    #[test]
-    fn adjacency() {
-        let a = PageRange::new(0, 10);
-        let b = PageRange::new(10, 5);
-        let c = PageRange::new(16, 2);
-        assert!(a.adjacent(&b));
-        assert!(b.adjacent(&a));
-        assert!(!a.adjacent(&c));
-    }
-
-    #[test]
-    fn chunk_iteration_covers_range_exactly() {
-        let r = PageRange::new(3, 10);
-        let chunks: Vec<_> = r.chunks(4).collect();
-        assert_eq!(chunks.len(), 3);
-        assert_eq!(chunks[0], PageRange::new(3, 4));
-        assert_eq!(chunks[1], PageRange::new(7, 4));
-        assert_eq!(chunks[2], PageRange::new(11, 2));
-        let total: u64 = chunks.iter().map(|c| c.len).sum();
-        assert_eq!(total, r.len);
-    }
-
-    #[test]
-    fn chunks_of_empty_range() {
-        assert_eq!(PageRange::empty().chunks(8).count(), 0);
     }
 
     #[test]

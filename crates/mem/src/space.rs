@@ -18,7 +18,7 @@ use crate::page::{PageRange, PAGE_SIZE};
 
 /// Which area of the data segment a page belongs to (§4.1 of the paper).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum RegionKind {
+pub(crate) enum RegionKind {
     /// Initialized data + BSS (always mapped).
     StaticData,
     /// `brk`/`sbrk` heap.
@@ -70,7 +70,7 @@ impl MappingState {
 /// Common behaviour of simulated address spaces.
 ///
 /// All page arguments are dense segment-relative indices (see
-/// [`crate::layout`]).
+/// `layout`).
 pub trait AddressSpace {
     /// The fixed layout of the tracked segment.
     fn layout(&self) -> &DataLayout;
@@ -116,13 +116,6 @@ impl SparseSpace {
     /// area.
     pub fn new(layout: DataLayout) -> Self {
         Self { state: MappingState::new(layout) }
-    }
-
-    /// Peak footprint observed so far, in pages.
-    pub fn peak_pages(&self) -> u64 {
-        self.state.layout.static_data.len
-            + self.state.heap.peak_pages()
-            + self.state.mmap.peak_pages()
     }
 }
 
@@ -232,13 +225,13 @@ impl BackedSpace {
         self.profile = profile;
     }
 
-    /// The active content model.
-    pub fn write_profile(&self) -> WriteProfile {
-        self.profile
-    }
-
     /// Write `data` at `offset` bytes within a mapped page.
-    pub fn write_bytes(&mut self, page: u64, offset: usize, data: &[u8]) -> Result<(), MemError> {
+    pub(crate) fn write_bytes(
+        &mut self,
+        page: u64,
+        offset: usize,
+        data: &[u8],
+    ) -> Result<(), MemError> {
         if !self.state.is_mapped(page) {
             return Err(MemError::Unmapped { page });
         }
@@ -387,7 +380,7 @@ impl BackedSpace {
     /// the exact set of live mmap blocks. Page contents are *not*
     /// touched: the mapped pages keep whatever bytes the arena held, and
     /// the caller restores them — written through [`PageSink`] or
-    /// [`ParallelPageWriter`], zeroed by
+    /// `ParallelPageWriter`, zeroed by
     /// [`BackedSpace::zero_mapped_outside`] — before anything reads them.
     pub fn restore_mapping_state(
         &mut self,
@@ -440,7 +433,7 @@ impl BackedSpace {
     /// borrow keeps every safe API of the space frozen while workers
     /// hold the handle, so the only aliasing left to rule out is
     /// between the workers themselves — the caller's obligation (see
-    /// [`ParallelPageWriter`]).
+    /// `ParallelPageWriter`).
     pub fn parallel_page_writer(&mut self) -> ParallelPageWriter<'_> {
         ParallelPageWriter {
             base: self.arena.as_mut_ptr(),
@@ -614,7 +607,6 @@ mod tests {
         s.munmap(m).unwrap();
         s.heap_shrink(3).unwrap();
         assert_eq!(s.mapped_pages(), 9);
-        assert_eq!(s.peak_pages(), 17);
     }
 
     #[test]

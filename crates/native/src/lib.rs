@@ -7,7 +7,7 @@
 //! 1. [`region::TrackedRegion`] `mmap`s an anonymous arena and
 //!    write-protects it (`mprotect(PROT_READ)`).
 //! 2. The first write to any page raises `SIGSEGV`; the process-global
-//!    handler installed by [`sigsegv`] finds the owning region, marks
+//!    handler installed by `sigsegv` finds the owning region, marks
 //!    the page dirty in an atomic bitmap, and re-enables writes on that
 //!    one page (`mprotect(PROT_READ|PROT_WRITE)`). Subsequent writes in
 //!    the same timeslice are free — exactly the paper's handler.
@@ -27,11 +27,13 @@
 //! `sigaction`; the repro notes for this paper call out exactly this
 //! route ("nix/libc crates expose mprotect and SIGSEGV handling").
 
+#![deny(unreachable_pub)]
+
 pub mod intrusiveness;
 pub mod maps;
-pub mod region;
-pub mod sampler;
-pub mod sigsegv;
+mod region;
+mod sampler;
+mod sigsegv;
 
 pub use region::TrackedRegion;
 pub use sampler::TimesliceSampler;

@@ -28,25 +28,20 @@ pub struct MapEntry {
 
 impl MapEntry {
     /// Size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.end - self.start
-    }
-
-    /// Whether the mapping is empty (never, in practice).
-    pub fn is_empty(&self) -> bool {
-        self.end <= self.start
     }
 
     /// Whether this is the kind of segment the paper's library tracks:
     /// writable, private, non-stack data (the stack cannot be
     /// protected, §4.2).
-    pub fn is_trackable_data(&self) -> bool {
+    pub(crate) fn is_trackable_data(&self) -> bool {
         self.write && self.private && self.path != "[stack]" && !self.exec
     }
 }
 
 /// Parse one line of `/proc/pid/maps` format.
-pub fn parse_line(line: &str) -> Option<MapEntry> {
+pub(crate) fn parse_line(line: &str) -> Option<MapEntry> {
     let mut parts = line.split_whitespace();
     let range = parts.next()?;
     let perms = parts.next()?;

@@ -72,19 +72,13 @@ impl TrackedRegion {
     }
 
     /// Region size in bytes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.pages * self.page_size
-    }
-
-    /// Whether the region is empty (never: construction requires ≥1
-    /// page).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Write-protect every page and clear the dirty set (the alarm
     /// handler's re-protect step).
-    pub fn protect_all(&self) {
+    pub(crate) fn protect_all(&self) {
         // SAFETY: protecting our own mapping.
         let rc =
             unsafe { libc::mprotect(self.base as *mut libc::c_void, self.len(), libc::PROT_READ) };
@@ -106,14 +100,16 @@ impl TrackedRegion {
     }
 
     /// Read one byte (never faults: pages stay readable).
-    pub fn read_byte(&self, page: usize, offset: usize) -> u8 {
+    #[cfg(test)]
+    fn read_byte(&self, page: usize, offset: usize) -> u8 {
         assert!(page < self.pages && offset < self.page_size);
         // SAFETY: in-bounds read of our mapping.
         unsafe { std::ptr::read_volatile(self.base.add(page * self.page_size + offset)) }
     }
 
     /// Fill every byte of a page (one fault, then free writes).
-    pub fn fill_page(&self, page: usize, value: u8) {
+    #[cfg(test)]
+    fn fill_page(&self, page: usize, value: u8) {
         assert!(page < self.pages);
         // SAFETY: in-bounds; the first store faults and unprotects.
         unsafe {
@@ -123,7 +119,7 @@ impl TrackedRegion {
     }
 
     /// Page faults taken on this region since it was mapped.
-    pub fn faults(&self) -> u64 {
+    pub(crate) fn faults(&self) -> u64 {
         sigsegv::faults(self.slot)
     }
 
@@ -169,7 +165,7 @@ impl TrackedRegion {
 
     /// Disable tracking: make the whole region plainly writable (used
     /// by the intrusiveness baseline).
-    pub fn untrack(&self) {
+    pub(crate) fn untrack(&self) {
         // SAFETY: protecting our own mapping.
         let rc = unsafe {
             libc::mprotect(

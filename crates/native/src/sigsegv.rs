@@ -10,7 +10,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Once;
 
 /// Maximum simultaneously registered regions.
-pub const MAX_REGIONS: usize = 64;
+pub(crate) const MAX_REGIONS: usize = 64;
 
 /// One registry slot. `bitmap` points at the owning region's
 /// `[AtomicU64]` dirty words; the region keeps that allocation alive
@@ -41,7 +41,7 @@ static SLOTS: [Slot; MAX_REGIONS] = [EMPTY_SLOT; MAX_REGIONS];
 static INSTALL: Once = Once::new();
 
 /// Install the SIGSEGV handler (idempotent).
-pub fn ensure_handler() {
+pub(crate) fn ensure_handler() {
     // SAFETY: sigaction with a zeroed struct and a handler whose
     // signature matches SA_SIGINFO; both calls are checked for failure
     // and Once guarantees single installation.
@@ -67,7 +67,7 @@ pub fn ensure_handler() {
 /// `bitmap` must point at `len.div_ceil(64 * page_size)`... i.e. enough
 /// `AtomicU64` words for `len / page_size` pages, and must outlive the
 /// registration.
-pub unsafe fn register(
+pub(crate) unsafe fn register(
     start: usize,
     len: usize,
     bitmap: *const AtomicU64,
@@ -88,7 +88,7 @@ pub unsafe fn register(
 }
 
 /// Unregister a slot previously returned by [`register`].
-pub fn unregister(slot: usize) {
+pub(crate) fn unregister(slot: usize) {
     let s = &SLOTS[slot];
     s.start.store(0, Ordering::Release);
     s.len.store(0, Ordering::Release);
@@ -99,7 +99,7 @@ pub fn unregister(slot: usize) {
 /// Page faults the handler has resolved for the region registered in
 /// `slot` (counted per registration, so concurrent regions never see
 /// each other's faults).
-pub fn faults(slot: usize) -> u64 {
+pub(crate) fn faults(slot: usize) -> u64 {
     SLOTS[slot].faults.load(Ordering::Relaxed)
 }
 

@@ -37,7 +37,7 @@ impl DeviceKind {
     }
 
     /// Inverse of [`DeviceKind::token`].
-    pub fn parse(tok: &str) -> Option<Self> {
+    pub(crate) fn parse(tok: &str) -> Option<Self> {
         match tok {
             "storage" => Some(DeviceKind::Storage),
             "local" => Some(DeviceKind::Local),
@@ -73,7 +73,7 @@ pub enum Lane {
 
 impl Lane {
     /// Stable track name, e.g. `rank3` or `dev:local:3`.
-    pub fn label(&self) -> String {
+    pub(crate) fn label(&self) -> String {
         match self {
             Lane::Run => "run".to_string(),
             Lane::Rank(r) => format!("rank{r}"),
@@ -85,7 +85,7 @@ impl Lane {
 
     /// Inverse of [`Lane::label`] — used to rebuild lanes (and
     /// therefore metrics) from a parsed JSONL export.
-    pub fn parse(label: &str) -> Option<Lane> {
+    pub(crate) fn parse(label: &str) -> Option<Lane> {
         match label {
             "run" => return Some(Lane::Run),
             "drain" => return Some(Lane::Drain),
@@ -163,7 +163,7 @@ impl RecoveryTier {
     }
 
     /// Inverse of [`RecoveryTier::token`].
-    pub fn parse(tok: &str) -> Option<Self> {
+    pub(crate) fn parse(tok: &str) -> Option<Self> {
         match tok {
             "local" => Some(RecoveryTier::Local),
             "reconstructed" => Some(RecoveryTier::Reconstructed),
@@ -193,7 +193,7 @@ impl CaptureKind {
     }
 
     /// Inverse of [`CaptureKind::token`].
-    pub fn parse(tok: &str) -> Option<Self> {
+    pub(crate) fn parse(tok: &str) -> Option<Self> {
         match tok {
             "full" => Some(CaptureKind::Full),
             "incremental" => Some(CaptureKind::Incremental),
@@ -485,7 +485,7 @@ impl Event {
     /// Append the event's argument object (`{"k":v,...}`) as JSON.
     /// Field order is fixed by this function, so serialization is
     /// byte-deterministic.
-    pub fn write_args(&self, out: &mut String) {
+    pub(crate) fn write_args(&self, out: &mut String) {
         out.push('{');
         match *self {
             Event::RunStart { ranks } => ints!(out, ""; ranks),

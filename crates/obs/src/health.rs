@@ -56,7 +56,7 @@ pub enum WindowField {
 
 impl WindowField {
     /// Read the field out of one window.
-    pub fn get(&self, w: &WindowAccum) -> u64 {
+    pub(crate) fn get(&self, w: &WindowAccum) -> u64 {
         match self {
             WindowField::EffectiveIbBytes => w.effective_ib_bytes,
             WindowField::DirtyIbBytes => w.dirty_ib_bytes,
@@ -134,7 +134,7 @@ pub struct HealthMonitor {
 
 impl HealthMonitor {
     /// A monitor with a custom rule set.
-    pub fn new(rules: Vec<SloRule>) -> Self {
+    pub(crate) fn new(rules: Vec<SloRule>) -> Self {
         Self { rules }
     }
 

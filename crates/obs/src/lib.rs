@@ -14,26 +14,23 @@
 //!
 //! Recording is *zero cost when disabled*: configs default to
 //! [`Recorder::disabled`], whose emit methods are an inlined
-//! test-and-return (perf/'s `obs.disabled_ns` measures it), and the
-//! [`ObsSink`] trait's [`NullSink`] compiles away entirely for
-//! statically-disabled call sites.
+//! test-and-return (perf/'s `obs.disabled_ns` measures it).
 
-pub mod event;
-pub mod export;
-pub mod health;
-pub mod log;
-pub mod metrics;
-pub mod summary;
+#![deny(unreachable_pub)]
+
+mod event;
+mod export;
+mod health;
+mod log;
+mod metrics;
+mod summary;
 
 pub use event::{CaptureKind, DeviceKind, Event, Lane, RecoveryTier, TimedEvent, TrackKey};
 pub use export::{chrome_trace, jsonl, parse_jsonl, validate_json, ParsedEvent};
-pub use health::{HealthMonitor, SloBreachRecord, SloCheck, SloRule, WindowField, WindowHist};
-pub use log::{
-    Counter, EventLog, FlightRecorder, NullSink, ObsSink, Recorder, Span, TraceSnapshot,
-    DEFAULT_TRACK_CAPACITY, MIN_TRACK_CAPACITY, TRACK_EVENT_BUDGET,
-};
+pub use health::HealthMonitor;
+pub use log::{EventLog, FlightRecorder, Recorder, TraceSnapshot};
 pub use metrics::{
-    bucket_bound, bucket_of, LogHistogram, MetaStats, MetricLabel, MetricsConfig, MetricsPlane,
-    MetricsView, WindowAccum, HIST_BUCKETS, METRICS_ENV,
+    bucket_of, LogHistogram, MetaStats, MetricLabel, MetricsConfig, MetricsPlane, MetricsView,
+    WindowAccum,
 };
-pub use summary::{DeviceStats, ObsSummary, RankStats, TenantStats, TierRecoveryStats};
+pub use summary::ObsSummary;

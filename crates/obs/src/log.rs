@@ -7,9 +7,7 @@
 //! return — the compiler sees a branch on a never-written pointer and
 //! hoists/eliminates it, so instrumented hot paths run at PR 4 speed
 //! unless a recorder is actually attached (perf/'s `obs.disabled_ns`
-//! measures the disabled path). For code generic over sinks, the [`ObsSink`] trait's
-//! [`NullSink`] impl is an empty inline body that compiles away
-//! entirely.
+//! measures the disabled path).
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -24,44 +22,17 @@ use crate::metrics::MetricsPlane;
 /// Default per-track ring capacity: enough for hours of 1 s tracker
 /// windows or tens of thousands of chunk transfers before the ring
 /// starts dropping its oldest entries.
-pub const DEFAULT_TRACK_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_TRACK_CAPACITY: usize = 1 << 16;
 
 /// Total retained-event budget [`FlightRecorder::for_ranks`] divides
 /// across per-rank tracks. At ~48 bytes per event this bounds the
 /// recorder near 50 MB however many ranks a run has, and keeps the
 /// JSONL/Perfetto exports of a 16k-rank trace loadable.
-pub const TRACK_EVENT_BUDGET: usize = 1 << 20;
+pub(crate) const TRACK_EVENT_BUDGET: usize = 1 << 20;
 
 /// Per-track floor for [`FlightRecorder::for_ranks`]: even at 16k+
 /// ranks every track keeps at least this much recent history.
-pub const MIN_TRACK_CAPACITY: usize = 64;
-
-/// Anything that can accept timed events. The workspace's hot paths
-/// are written against [`Recorder`] (dynamic on/off); this trait
-/// exists for code that wants the *static* no-op guarantee.
-pub trait ObsSink {
-    /// Record one event on one track.
-    fn record(&self, track: TrackKey, ev: TimedEvent);
-    /// Whether events are being kept (callers may skip preparing
-    /// expensive arguments when false).
-    fn is_recording(&self) -> bool {
-        true
-    }
-}
-
-/// The sink that throws everything away at compile time.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullSink;
-
-impl ObsSink for NullSink {
-    #[inline(always)]
-    fn record(&self, _track: TrackKey, _ev: TimedEvent) {}
-
-    #[inline(always)]
-    fn is_recording(&self) -> bool {
-        false
-    }
-}
+pub(crate) const MIN_TRACK_CAPACITY: usize = 64;
 
 /// One track's bounded ring of events. When full, the oldest event is
 /// dropped and counted — a flight recorder keeps the *recent* past.
@@ -94,13 +65,9 @@ impl EventLog {
     }
 
     /// Number of retained events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    fn len(&self) -> usize {
         self.events.len()
-    }
-
-    /// Whether the log holds no events.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
     }
 
     /// Events evicted because the ring was full.
@@ -207,14 +174,14 @@ impl FlightRecorder {
         })
     }
 
-    /// A recorder with [`DEFAULT_TRACK_CAPACITY`].
+    /// A recorder with `DEFAULT_TRACK_CAPACITY`.
     pub fn with_default_capacity() -> Arc<Self> {
         Self::new(DEFAULT_TRACK_CAPACITY)
     }
 
     /// A recorder sized for a run with `nranks` rank tracks: the
-    /// per-track ring capacity is [`TRACK_EVENT_BUDGET`]` / nranks`,
-    /// clamped to `[`[`MIN_TRACK_CAPACITY`]`, `[`DEFAULT_TRACK_CAPACITY`]`]`,
+    /// per-track ring capacity is `TRACK_EVENT_BUDGET / nranks`,
+    /// clamped to `[MIN_TRACK_CAPACITY, DEFAULT_TRACK_CAPACITY]`,
     /// so total retained events — and export size — stay bounded as
     /// rank counts grow from the paper's 64 to 16k.
     pub fn for_ranks(nranks: usize) -> Arc<Self> {
@@ -224,8 +191,14 @@ impl FlightRecorder {
     }
 
     /// Per-track ring capacity in events.
-    pub fn track_capacity(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn track_capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Append one event to `track`'s ring.
+    fn record(&self, track: TrackKey, ev: TimedEvent) {
+        self.tracks.lock().ring(track, self.capacity).push(ev);
     }
 
     /// Give `group` a human-readable name (experiment label, workload
@@ -274,12 +247,6 @@ impl fmt::Debug for FlightRecorder {
     }
 }
 
-impl ObsSink for FlightRecorder {
-    fn record(&self, track: TrackKey, ev: TimedEvent) {
-        self.tracks.lock().ring(track, self.capacity).push(ev);
-    }
-}
-
 /// The handle every instrumented config carries: either disabled
 /// (default — all emits are a test-and-return) or bound to a
 /// [`FlightRecorder`] and a run group, optionally teeing every event
@@ -325,11 +292,6 @@ impl Recorder {
         self.sink.is_some() || self.metrics.is_some()
     }
 
-    /// The group events land in.
-    pub fn group(&self) -> u32 {
-        self.group
-    }
-
     /// Record an instant on `lane` at `ts`.
     #[inline]
     pub fn emit(&self, lane: Lane, ts: SimTime, event: Event) {
@@ -357,18 +319,6 @@ impl Recorder {
             plane.ingest(self.group, lane, &ev);
         }
     }
-
-    /// Open a sim-time span starting at `begin`; finish it with
-    /// [`Span::end`]. Cheap even when disabled (two words copied).
-    #[inline]
-    pub fn span(&self, lane: Lane, begin: SimTime) -> Span {
-        Span { rec: self.clone(), lane, begin }
-    }
-
-    /// A named monotone counter emitting on `lane`.
-    pub fn counter(&self, lane: Lane, name: &'static str) -> Counter {
-        Counter { rec: self.clone(), lane, name, high_water: 0 }
-    }
 }
 
 impl fmt::Debug for Recorder {
@@ -379,62 +329,6 @@ impl fmt::Debug for Recorder {
             (false, true) => write!(f, "Recorder(metrics only, group {})", self.group),
             (true, true) => write!(f, "Recorder(enabled + metrics, group {})", self.group),
         }
-    }
-}
-
-/// An open interval of virtual time; [`Span::end`] stamps the event
-/// with `dur = now - begin` (saturating, so a clock that restarted at
-/// zero yields an instant instead of panicking).
-#[derive(Debug, Clone)]
-pub struct Span {
-    rec: Recorder,
-    lane: Lane,
-    begin: SimTime,
-}
-
-impl Span {
-    /// When the span opened.
-    pub fn begin(&self) -> SimTime {
-        self.begin
-    }
-
-    /// Close the span at `now`, recording `event` over it.
-    #[inline]
-    pub fn end(self, now: SimTime, event: Event) {
-        let dur = now.saturating_sub(self.begin);
-        self.rec.emit_span(self.lane, self.begin, dur, event);
-    }
-}
-
-/// A monotone counter: samples only ever move up, matching the
-/// trace-viewer expectation for cumulative quantities (bytes drained,
-/// chunks written). Non-monotone updates are clamped to the previous
-/// high-water mark.
-#[derive(Debug, Clone)]
-pub struct Counter {
-    rec: Recorder,
-    lane: Lane,
-    name: &'static str,
-    high_water: u64,
-}
-
-impl Counter {
-    /// Add `delta` and record the new value at `now`.
-    #[inline]
-    pub fn add(&mut self, now: SimTime, delta: u64) {
-        self.record(now, self.high_water.saturating_add(delta));
-    }
-
-    /// Record `value` at `now`, clamped to be monotone.
-    #[inline]
-    pub fn record(&mut self, now: SimTime, value: u64) {
-        self.high_water = self.high_water.max(value);
-        self.rec.emit(self.lane, now, Event::Counter { name: self.name, value: self.high_water });
-    }
-
-    /// The counter's current (monotone) value.
-    pub fn value(&self) -> u64 {
-        self.high_water
     }
 }
 
@@ -463,8 +357,12 @@ mod tests {
         let rec = Recorder::disabled();
         assert!(!rec.is_enabled());
         rec.emit(Lane::Run, SimTime(0), Event::RunStart { ranks: 4 });
-        let span = rec.span(Lane::Rank(0), SimTime(5));
-        span.end(SimTime(9), Event::CheckpointStall { generation: 1 });
+        rec.emit_span(
+            Lane::Rank(0),
+            SimTime(5),
+            SimDuration(4),
+            Event::CheckpointStall { generation: 1 },
+        );
         // Nothing to assert beyond "did not panic": there is no sink.
     }
 
@@ -505,35 +403,5 @@ mod tests {
             }
             other => panic!("unexpected events: {other:?}"),
         }
-    }
-
-    #[test]
-    fn span_saturates_backward_clocks() {
-        let fr = FlightRecorder::new(16);
-        let rec = Recorder::new(fr.clone());
-        rec.span(Lane::Rank(1), SimTime(100))
-            .end(SimTime(40), Event::Restore { generation: 1, chain: 1, pages: 1, bytes: 1 });
-        let snap = fr.snapshot();
-        assert_eq!(snap.tracks[0].1[0].dur, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn counter_is_monotone() {
-        let fr = FlightRecorder::new(16);
-        let mut c = Recorder::new(fr.clone()).counter(Lane::Drain, "drained_bytes");
-        c.record(SimTime(1), 10);
-        c.record(SimTime(2), 4); // clamped
-        c.add(SimTime(3), 5);
-        assert_eq!(c.value(), 15);
-        let snap = fr.snapshot();
-        let vals: Vec<u64> = snap.tracks[0]
-            .1
-            .iter()
-            .map(|ev| match ev.event {
-                Event::Counter { value, .. } => value,
-                _ => unreachable!(),
-            })
-            .collect();
-        assert_eq!(vals, vec![10, 10, 15]);
     }
 }

@@ -43,13 +43,13 @@ use crate::event::{DeviceKind, Event, Lane, RecoveryTier, TimedEvent, DENSE_LANE
 
 /// Environment knob controlling the metrics plane in the bench/repro
 /// binaries: `off` (default), `on` (1 s windows) or `window=<secs>`.
-pub const METRICS_ENV: &str = "ICKPT_METRICS";
+pub(crate) const METRICS_ENV: &str = "ICKPT_METRICS";
 
 /// Number of fixed histogram buckets: bucket 0 holds zeros, bucket
 /// `b ≥ 1` holds values in `[2^(b-1), 2^b - 1]`, up to bucket 64.
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
-/// Parsed [`METRICS_ENV`] setting.
+/// Parsed `ICKPT_METRICS` setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MetricsConfig {
     /// Whether a [`MetricsPlane`] should be attached at all.
@@ -66,7 +66,7 @@ impl Default for MetricsConfig {
 
 impl MetricsConfig {
     /// Parse a [`METRICS_ENV`] value (an [`ickpt_sim::env::Parser`]).
-    pub fn parse(raw: &str) -> Result<Self, &'static str> {
+    pub(crate) fn parse(raw: &str) -> Result<Self, &'static str> {
         // Whole seconds >= 1 whose nanosecond count fits a `SimDuration`.
         let window =
             |secs: &str| secs.parse().ok().filter(|s| (1..=u64::MAX / 1_000_000_000).contains(s));
@@ -80,7 +80,7 @@ impl MetricsConfig {
         }
     }
 
-    /// Read [`METRICS_ENV`] (a malformed value exits 2). Absent means
+    /// Read `ICKPT_METRICS` (a malformed value exits 2). Absent means
     /// disabled.
     pub fn from_env() -> Self {
         ickpt_sim::env::knob(METRICS_ENV, Self::parse).unwrap_or_default()
@@ -99,7 +99,7 @@ pub fn bucket_of(v: u64) -> usize {
 
 /// Inclusive upper bound of bucket `b` — the value a quantile lookup
 /// reports for samples that landed in it.
-pub fn bucket_bound(b: usize) -> u64 {
+pub(crate) fn bucket_bound(b: usize) -> u64 {
     match b {
         0 => 0,
         1..=63 => (1u64 << b) - 1,
@@ -165,11 +165,6 @@ impl LogHistogram {
         self.sum
     }
 
-    /// Smallest sample, or `None` when empty.
-    pub fn min(&self) -> Option<u64> {
-        (self.total > 0).then_some(self.min)
-    }
-
     /// Largest sample, or `None` when empty.
     pub fn max(&self) -> Option<u64> {
         (self.total > 0).then_some(self.max)
@@ -178,11 +173,6 @@ impl LogHistogram {
     /// Whether no samples were recorded.
     pub fn is_empty(&self) -> bool {
         self.total == 0
-    }
-
-    /// Raw bucket counts (index by [`bucket_of`]).
-    pub fn buckets(&self) -> &[u64; HIST_BUCKETS] {
-        &self.counts
     }
 
     /// Nearest-rank quantile at `pct` percent (1..=100), reported as
@@ -373,7 +363,7 @@ impl WindowAccum {
 
 /// One run group's metric state: the value behind a [`MetricsView`].
 #[derive(Debug, Clone, Default)]
-pub struct GroupMetrics {
+pub(crate) struct GroupMetrics {
     /// Counter cells by [`cell_at`], grown on demand up to
     /// `DENSE_CELLS`; a cell beyond is a key of `sparse`, so a device
     /// index never sizes the table.
@@ -904,7 +894,6 @@ mod tests {
         }
         assert_eq!(h.count(), 4);
         assert_eq!(h.sum(), 1060);
-        assert_eq!(h.min(), Some(10));
         assert_eq!(h.max(), Some(1000));
         // rank ceil(0.5*4)=2 → 20 lives in bucket 5 (16..=31) → 31.
         assert_eq!(h.quantile(50), Some(31));

@@ -243,7 +243,7 @@ impl ObsSummary {
 
     /// Utilization of `dev` over the observed horizon, in basis
     /// points (0..=10000); `None` with an empty horizon.
-    pub fn utilization_bp(&self, dev: &DeviceStats) -> Option<u64> {
+    pub(crate) fn utilization_bp(&self, dev: &DeviceStats) -> Option<u64> {
         if self.horizon_ns == 0 {
             return None;
         }

@@ -41,13 +41,6 @@ impl SimTime {
     pub fn saturating_sub(&self, other: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(other.0))
     }
-
-    /// Index of the timeslice window containing this instant, for a
-    /// given timeslice length.
-    pub fn window_index(&self, timeslice: SimDuration) -> u64 {
-        assert!(timeslice.0 > 0, "timeslice must be positive");
-        self.0 / timeslice.0
-    }
 }
 
 impl SimDuration {
@@ -85,7 +78,7 @@ impl SimDuration {
     }
 
     /// Duration needed to move `bytes` bytes at `bytes_per_sec`.
-    pub fn for_transfer(bytes: u64, bytes_per_sec: u64) -> Self {
+    pub(crate) fn for_transfer(bytes: u64, bytes_per_sec: u64) -> Self {
         assert!(bytes_per_sec > 0, "bandwidth must be positive");
         // Round up: a transfer is not done until the last byte lands.
         SimDuration((bytes as u128 * 1_000_000_000 / bytes_per_sec as u128) as u64)
@@ -208,14 +201,6 @@ mod tests {
         assert_eq!(d, SimDuration::from_millis(10));
         // Zero bytes take zero time.
         assert_eq!(SimDuration::for_transfer(0, 1), SimDuration::ZERO);
-    }
-
-    #[test]
-    fn window_index() {
-        let ts = SimDuration::from_secs(1);
-        assert_eq!(SimTime::from_secs_f64(0.5).window_index(ts), 0);
-        assert_eq!(SimTime::from_secs(1).window_index(ts), 1);
-        assert_eq!(SimTime::from_secs_f64(19.99).window_index(ts), 19);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl DevicePreset {
     }
 
     /// Fixed per-operation latency.
-    pub fn latency(&self) -> SimDuration {
+    pub(crate) fn latency(&self) -> SimDuration {
         match self {
             DevicePreset::QsNet2 => SimDuration::from_micros(2),
             DevicePreset::QsNet => SimDuration::from_micros(5),
@@ -88,8 +88,6 @@ pub struct BandwidthDevice {
     bytes_total: u64,
     /// Total time the device spent busy.
     busy_total: SimDuration,
-    /// Total time transfers waited behind earlier transfers.
-    queue_wait_total: SimDuration,
     /// Number of transfers issued.
     transfers: u64,
 }
@@ -105,19 +103,8 @@ impl BandwidthDevice {
             busy_until: SimTime::ZERO,
             bytes_total: 0,
             busy_total: SimDuration::ZERO,
-            queue_wait_total: SimDuration::ZERO,
             transfers: 0,
         }
-    }
-
-    /// Peak bandwidth in bytes/second.
-    pub fn bandwidth(&self) -> u64 {
-        self.bytes_per_sec
-    }
-
-    /// Fixed per-operation latency.
-    pub fn latency(&self) -> SimDuration {
-        self.latency
     }
 
     /// Issue a transfer of `bytes` at time `now`; returns the completion
@@ -137,7 +124,6 @@ impl BandwidthDevice {
         self.busy_until = done_on_wire;
         self.bytes_total += bytes;
         self.busy_total += xfer;
-        self.queue_wait_total += queue_wait;
         self.transfers += 1;
         Transfer {
             start,
@@ -146,11 +132,6 @@ impl BandwidthDevice {
             queue_wait,
             service: xfer + self.latency,
         }
-    }
-
-    /// When the device next becomes free.
-    pub fn busy_until(&self) -> SimTime {
-        self.busy_until
     }
 
     /// Total bytes transferred.
@@ -163,22 +144,9 @@ impl BandwidthDevice {
         self.busy_total
     }
 
-    /// Total time transfers spent queued behind earlier transfers.
-    pub fn queue_wait_total(&self) -> SimDuration {
-        self.queue_wait_total
-    }
-
     /// Number of transfers issued through the device.
     pub fn transfers(&self) -> u64 {
         self.transfers
-    }
-
-    /// Mean utilization over `[0, now]`, in `[0, 1]`.
-    pub fn utilization(&self, now: SimTime) -> f64 {
-        if now == SimTime::ZERO {
-            return 0.0;
-        }
-        (self.busy_total.as_secs_f64() / now.as_secs_f64()).min(1.0)
     }
 }
 
@@ -218,10 +186,9 @@ mod tests {
     }
 
     #[test]
-    fn utilization_accounting() {
+    fn byte_accounting() {
         let mut d = BandwidthDevice::new(1_000_000, SimDuration::ZERO);
         d.transfer(SimTime::ZERO, 500_000);
-        assert!((d.utilization(SimTime::from_secs(1)) - 0.5).abs() < 1e-9);
         assert_eq!(d.bytes_total(), 500_000);
     }
 
@@ -239,7 +206,6 @@ mod tests {
         assert_eq!(b.start, SimTime::from_secs_f64(0.5));
         assert_eq!(b.done_on_wire, SimTime::from_secs(1));
         assert_eq!(b.done, SimTime::from_secs(1) + SimDuration::from_micros(10));
-        assert_eq!(d.queue_wait_total(), SimDuration::from_secs_f64(0.5));
         assert_eq!(d.transfers(), 2);
     }
 
@@ -251,7 +217,6 @@ mod tests {
         assert_eq!(a.queue_wait, SimDuration::ZERO);
         assert_eq!(b.queue_wait, SimDuration::ZERO);
         assert_eq!(b.start, SimTime::from_secs(5));
-        assert_eq!(d.queue_wait_total(), SimDuration::ZERO);
         // Busy time only counts wire occupancy, not the idle gap.
         assert_eq!(d.busy_total(), SimDuration::from_secs_f64(0.2));
     }
@@ -266,6 +231,5 @@ mod tests {
             assert_eq!(done, det.done);
         }
         assert_eq!(a.bytes_total(), b.bytes_total());
-        assert_eq!(a.queue_wait_total(), b.queue_wait_total());
     }
 }

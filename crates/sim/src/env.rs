@@ -8,7 +8,7 @@
 //! README lists every name, its values, default and reader.
 
 /// A value parser: the parsed value, or what a valid value looks like.
-pub type Parser<T> = fn(&str) -> Result<T, &'static str>;
+pub(crate) type Parser<T> = fn(&str) -> Result<T, &'static str>;
 
 /// Parse `raw` as the value of knob `name`; the error is the message a
 /// malformed value aborts with.

@@ -11,35 +11,41 @@
 //!
 //! Pieces:
 //!
-//! * [`clock`] — `SimTime` / `SimDuration`, nanosecond-resolution fixed
+//! * `clock` — `SimTime` / `SimDuration`, nanosecond-resolution fixed
 //!   point.
-//! * [`device`] — bandwidth/latency device models (the QsNet NIC at
+//! * `device` — bandwidth/latency device models (the QsNet NIC at
 //!   900 MB/s and the SCSI disk at 320 MB/s from §3 of the paper are
 //!   provided as presets) with busy-until queuing.
-//! * [`rng`] — SplitMix64: tiny, seedable, no external dependency, used
+//! * `rng` — SplitMix64: tiny, seedable, no external dependency, used
 //!   wherever the workload models need reproducible pseudo-randomness.
-//! * [`sched`] — a deterministic calendar-queue event wheel: amortized
+//! * `sched` — a deterministic calendar-queue event wheel: amortized
 //!   O(1) insert/pop over bucketed `SimTime` with FIFO tie-break, the
 //!   backbone of the event-driven cluster engine.
 //! * [`reduce`] — hierarchical fan-in reduction (`tree_reduce`),
 //!   byte-identical to a flat fold for associative integer merges, and
 //!   the [`Combine`] operators collective rounds fold values with.
-//! * [`stripe`] — a striped multi-device array: round-robin stripe
+//! * `stripe` — a striped multi-device array: round-robin stripe
 //!   chunks over M FIFO devices, the storage shape of a shared
 //!   checkpoint service.
-//! * [`env`] — the one strict reader of the `ICKPT_*` environment knobs.
+//! * [`env`](mod@env) — the one strict reader of the `ICKPT_*` environment knobs.
+//! * [`net`] — MPI-like messaging and the QsNet interconnect model: the
+//!   mailbox matching rule, send/receive/collective costs and the typed
+//!   error a mismatched script ends in.
 
-pub mod clock;
-pub mod device;
+#![deny(unreachable_pub)]
+
+mod clock;
+mod device;
 pub mod env;
+pub mod net;
 pub mod reduce;
-pub mod rng;
-pub mod sched;
-pub mod stripe;
+mod rng;
+mod sched;
+mod stripe;
 
 pub use clock::{SimDuration, SimTime};
 pub use device::{BandwidthDevice, DevicePreset, Transfer};
-pub use reduce::{flat_reduce, tree_reduce, Combine};
+pub use reduce::{tree_reduce, Combine};
 pub use rng::SplitMix64;
 pub use sched::EventWheel;
-pub use stripe::{StripeTransfer, StripedArray};
+pub use stripe::StripedArray;

@@ -89,18 +89,6 @@ pub fn tree_reduce<T>(
     items.pop()
 }
 
-/// The flat reference: a plain left fold. Kept public so property
-/// tests (and callers wanting the simplest possible shape) can compare
-/// against [`tree_reduce`].
-pub fn flat_reduce<T>(items: Vec<T>, mut merge: impl FnMut(&mut T, T)) -> Option<T> {
-    let mut it = items.into_iter();
-    let mut acc = it.next()?;
-    for x in it {
-        merge(&mut acc, x);
-    }
-    Some(acc)
-}
-
 /// Fan-in group assignment: the group index each of `n` items belongs
 /// to at the given `arity` (contiguous groups, as [`tree_reduce`]'s
 /// first level forms them). Exposed so topology-aware consumers (the
@@ -112,6 +100,16 @@ pub fn fanin_group(index: usize, arity: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The flat reference: a plain left fold.
+    fn flat_reduce<T>(items: Vec<T>, mut merge: impl FnMut(&mut T, T)) -> Option<T> {
+        let mut it = items.into_iter();
+        let mut acc = it.next()?;
+        for x in it {
+            merge(&mut acc, x);
+        }
+        Some(acc)
+    }
 
     #[test]
     fn empty_and_single() {

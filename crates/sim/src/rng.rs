@@ -71,8 +71,8 @@ impl SplitMix64 {
     }
 
     /// Bernoulli draw with probability `p`.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn chance(&mut self, p: f64) -> bool {
         self.next_f64() < p
     }
 }

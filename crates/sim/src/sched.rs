@@ -34,7 +34,7 @@ use crate::clock::SimTime;
 /// Default bucket width: ~1 ms of virtual time (2^20 ns). Events of a
 /// bulk-synchronous round cluster far tighter than this, so a round
 /// drains as one sorted run.
-pub const DEFAULT_BUCKET_NS: u64 = 1 << 20;
+pub(crate) const DEFAULT_BUCKET_NS: u64 = 1 << 20;
 
 /// Ring doubling threshold: average entries per bucket.
 const OCCUPANCY: usize = 4;
@@ -52,8 +52,7 @@ struct Entry<T> {
 /// A deterministic calendar-queue priority queue over [`SimTime`].
 ///
 /// ```
-/// use ickpt_sim::sched::EventWheel;
-/// use ickpt_sim::SimTime;
+/// use ickpt_sim::{EventWheel, SimTime};
 ///
 /// let mut w = EventWheel::new();
 /// w.push(SimTime::from_secs(2), "late");
@@ -96,7 +95,7 @@ impl<T> EventWheel<T> {
 
     /// An empty wheel with buckets of `width_ns` virtual nanoseconds
     /// (rounded up to a power of two).
-    pub fn with_bucket_ns(width_ns: u64) -> Self {
+    pub(crate) fn with_bucket_ns(width_ns: u64) -> Self {
         let width = width_ns.max(1).next_power_of_two();
         Self {
             buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
@@ -155,14 +154,6 @@ impl<T> EventWheel<T> {
         let e = self.current.pop_front().expect("refill guarantees a run");
         self.len -= 1;
         Some((e.time, e.item))
-    }
-
-    /// The earliest pending event time, without removing it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        if self.current.is_empty() && !self.refill() {
-            return None;
-        }
-        self.current.front().map(|e| e.time)
     }
 
     /// Move the next non-empty year's entries into the sorted run.
@@ -298,15 +289,5 @@ mod tests {
             count += 1;
         }
         assert_eq!(count, n);
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut w = EventWheel::new();
-        assert_eq!(w.peek_time(), None);
-        w.push(SimTime::from_secs(3), ());
-        w.push(SimTime::from_secs(2), ());
-        assert_eq!(w.peek_time(), Some(SimTime::from_secs(2)));
-        assert_eq!(w.pop().unwrap().0, SimTime::from_secs(2));
     }
 }

@@ -10,21 +10,18 @@
 //! write parallelism while each device keeps the FIFO queuing (and
 //! therefore the determinism) of the single-device model.
 //!
-//! Two charging styles:
-//!
-//! * [`StripedArray::write`] — charge a whole logical write at once
-//!   (the drain queue's batched handoff); completion is the latest
-//!   chunk completion.
-//! * [`StripedArray::write_chunk`] — charge one stripe chunk and
-//!   return which device served it (the service scheduler's pipelined
-//!   path, where chunk completions are individual events).
+//! [`StripedArray::write_chunk`] charges one stripe chunk and returns
+//! which device served it: the service scheduler's pipelined path,
+//! where chunk completions are individual events. Splitting a request
+//! into chunks no larger than the stripe chunk is the caller's job.
 
 use crate::clock::{SimDuration, SimTime};
 use crate::device::{BandwidthDevice, Transfer};
 
 /// The whole-write breakdown returned by [`StripedArray::write`].
+#[cfg(test)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StripeTransfer {
+pub(crate) struct StripeTransfer {
     /// Earliest instant any chunk started service.
     pub start: SimTime,
     /// Latest chunk completion — when the logical write is durable.
@@ -47,7 +44,7 @@ pub struct StripedArray {
 impl StripedArray {
     /// An array of `devices` with `stripe_chunk`-byte striping.
     /// Panics on an empty device list or a zero chunk size.
-    pub fn new(devices: Vec<BandwidthDevice>, stripe_chunk: u64) -> Self {
+    pub(crate) fn new(devices: Vec<BandwidthDevice>, stripe_chunk: u64) -> Self {
         assert!(!devices.is_empty(), "striped array needs at least one device");
         assert!(stripe_chunk > 0, "stripe chunk must be positive");
         Self { devices, stripe_chunk, cursor: 0 }
@@ -66,20 +63,11 @@ impl StripedArray {
         )
     }
 
-    /// Number of devices in the stripe set.
-    pub fn width(&self) -> usize {
-        self.devices.len()
-    }
-
-    /// Configured stripe-chunk size in bytes.
-    pub fn stripe_chunk(&self) -> u64 {
-        self.stripe_chunk
-    }
-
     /// Split `bytes` into stripe-chunk units (the last one ragged).
     /// Zero-byte writes still occupy one (empty) chunk so latency is
     /// charged like the single-device model does.
-    pub fn chunk_sizes(&self, bytes: u64) -> impl Iterator<Item = u64> + '_ {
+    #[cfg(test)]
+    fn chunk_sizes(&self, bytes: u64) -> impl Iterator<Item = u64> + '_ {
         let full = bytes / self.stripe_chunk;
         let rem = bytes % self.stripe_chunk;
         let tail = if rem > 0 || bytes == 0 { 1 } else { 0 };
@@ -89,6 +77,7 @@ impl StripedArray {
     /// Charge one stripe chunk on the next device in round-robin
     /// order; returns the serving device's index and the transfer.
     pub fn write_chunk(&mut self, now: SimTime, bytes: u64) -> (usize, Transfer) {
+        debug_assert!(bytes <= self.stripe_chunk, "a chunk never exceeds the stripe chunk");
         let idx = self.cursor;
         self.cursor = (self.cursor + 1) % self.devices.len();
         (idx, self.devices[idx].transfer_detailed(now, bytes))
@@ -97,7 +86,8 @@ impl StripedArray {
     /// Charge a whole logical write: stripe it into chunks, issue all
     /// of them at `now` round-robin, and report the combined
     /// breakdown. The write is durable at `done` (the slowest chunk).
-    pub fn write(&mut self, now: SimTime, bytes: u64) -> StripeTransfer {
+    #[cfg(test)]
+    fn write(&mut self, now: SimTime, bytes: u64) -> StripeTransfer {
         let sizes: Vec<u64> = self.chunk_sizes(bytes).collect();
         let mut out = StripeTransfer {
             start: SimTime(u64::MAX),
@@ -125,24 +115,9 @@ impl StripedArray {
         self.devices.iter().map(|d| d.bytes_total()).collect()
     }
 
-    /// Total payload bytes across all devices.
-    pub fn bytes_total(&self) -> u64 {
-        self.devices.iter().map(|d| d.bytes_total()).sum()
-    }
-
     /// Total transfers serviced across all devices.
     pub fn transfers(&self) -> u64 {
         self.devices.iter().map(|d| d.transfers()).sum()
-    }
-
-    /// Total busy (service) time summed over devices.
-    pub fn busy_total(&self) -> SimDuration {
-        SimDuration(self.devices.iter().map(|d| d.busy_total().0).sum())
-    }
-
-    /// Latest instant any device is busy until.
-    pub fn busy_until(&self) -> SimTime {
-        self.devices.iter().map(|d| d.busy_until()).max().unwrap_or(SimTime::ZERO)
     }
 }
 

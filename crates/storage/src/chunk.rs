@@ -67,7 +67,7 @@ pub const CHUNK_PAGE_SIZE: usize = 4096;
 /// Encode advances the chunk CRC every time this many bytes have been
 /// appended: small enough that the block is still in L2 when the CRC
 /// kernel reads it back, large enough to amortize the kernel's set-up.
-pub const CRC_BLOCK: usize = 128 * 1024;
+pub(crate) const CRC_BLOCK: usize = 128 * 1024;
 
 /// The encode sink: appends to the output buffer and checksums each
 /// [`CRC_BLOCK`] as soon as it is full, so the CRC reads bytes the copy
@@ -143,7 +143,7 @@ pub struct DeltaRecord {
 
 impl DeltaRecord {
     /// Number of changed blocks carried by this record.
-    pub fn block_count(&self) -> u32 {
+    pub(crate) fn block_count(&self) -> u32 {
         self.mask.count_ones()
     }
 
@@ -204,12 +204,14 @@ impl Chunk {
     }
 
     /// Pages stored as sub-page deltas.
-    pub fn delta_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delta_pages(&self) -> u64 {
         self.delta_records.len() as u64
     }
 
     /// Bytes of changed-block payload across all delta records.
-    pub fn delta_payload_bytes(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn delta_payload_bytes(&self) -> u64 {
         self.delta_records.iter().map(|d| d.data.len() as u64).sum()
     }
 
@@ -219,7 +221,7 @@ impl Chunk {
     }
 
     /// Serialized size in bytes (header + records + CRC).
-    pub fn encoded_len(&self) -> usize {
+    pub(crate) fn encoded_len(&self) -> usize {
         HEADER_LEN
             + 16 * self.mmap_blocks.len()
             + 16 * self.zero_ranges.len()
@@ -243,7 +245,7 @@ impl Chunk {
     /// heap allocation at all (the buffer grows to the largest chunk
     /// seen and stays there). The contents are identical to
     /// [`Chunk::encode`]. The CRC is advanced block by block as the
-    /// bytes are appended ([`CRC_BLOCK`]), so encode sweeps the chunk
+    /// bytes are appended (`CRC_BLOCK`), so encode sweeps the chunk
     /// once, not once to copy and once more to checksum.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         out.clear();
@@ -326,7 +328,7 @@ pub struct RecordRef {
 
 impl RecordRef {
     /// Page span of the record as `(start_page, pages)`.
-    pub fn span(&self) -> (u64, u64) {
+    pub(crate) fn span(&self) -> (u64, u64) {
         (self.start_page, self.pages)
     }
 }
@@ -345,12 +347,12 @@ pub struct DeltaRef {
 
 impl DeltaRef {
     /// Number of changed blocks carried by this record.
-    pub fn block_count(&self) -> u32 {
+    pub(crate) fn block_count(&self) -> u32 {
         self.mask.count_ones()
     }
 
     /// Payload length in bytes.
-    pub fn payload_len(&self) -> usize {
+    pub(crate) fn payload_len(&self) -> usize {
         self.block_count() as usize * BLOCK_SIZE
     }
 }
@@ -361,7 +363,7 @@ impl DeltaRef {
 /// O(stored bytes) of memcpy even for pages a restore will never apply.
 /// A `ChunkView` parses the same format and verifies the same CRC, but
 /// keeps payloads in the encoded buffer and exposes them through
-/// [`RecordRef`]s, so the restore planner can read each *live* page
+/// `RecordRef`s, so the restore planner can read each *live* page
 /// exactly once and never touch superseded ones.
 #[derive(Debug)]
 pub struct ChunkView<'a> {
@@ -540,22 +542,19 @@ impl<'a> ChunkView<'a> {
 
     /// Total saved pages (stored content, excluding elided zeros and
     /// delta-encoded pages).
-    pub fn payload_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn payload_pages(&self) -> u64 {
         self.records.iter().map(|r| r.pages).sum()
     }
 
-    /// Pages stored as sub-page deltas.
-    pub fn delta_pages(&self) -> u64 {
-        self.delta_records.len() as u64
-    }
-
     /// Pages elided because they were all-zero.
-    pub fn zero_pages(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn zero_pages(&self) -> u64 {
         self.zero_ranges.iter().map(|&(_, len)| len).sum()
     }
 
     /// Materialize an owned [`Chunk`], copying payloads.
-    pub fn to_owned(&self) -> Chunk {
+    pub(crate) fn to_owned(&self) -> Chunk {
         Chunk {
             kind: self.kind,
             rank: self.rank,

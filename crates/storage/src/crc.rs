@@ -7,17 +7,17 @@
 //!
 //! The hot path is the capture pipeline: every checkpoint chunk is
 //! checksummed as it is encoded — `Chunk::encode_into` feeds a
-//! streaming [`Crc32`] one `CRC_BLOCK` at a time, right behind the copy
+//! streaming `Crc32` one `CRC_BLOCK` at a time, right behind the copy
 //! — so CRC throughput is directly on the paper's "available
 //! bandwidth" side of the feasibility ratio. The
 //! implementation here processes eight bytes per step through eight
 //! 256-entry tables (Sarwate's slice-by-8), which retires one table
 //! lookup per input byte but only one load/XOR dependency chain per
 //! *word* — typically 4–8× the classic one-byte-at-a-time loop, still
-//! with zero dependencies. [`crc32_bytewise`] keeps the old scalar loop
-//! as a reference for equivalence tests and benchmark baselines; both
-//! produce identical checksums, so the chunk format is unchanged and
-//! old readers stay compatible.
+//! with zero dependencies. The test build keeps the old scalar loop,
+//! `crc32_bytewise`, as the reference the equivalence tests compare
+//! against; both produce identical checksums, so the chunk format is
+//! unchanged and old readers stay compatible.
 
 /// Eight IEEE CRC-32 lookup tables, built at compile time.
 ///
@@ -87,7 +87,7 @@ pub(crate) fn update_slice8(mut state: u32, data: &[u8]) -> u32 {
 /// in cache, and [`Crc32::finalize`] seals the chunk. Arbitrary split
 /// points produce the same checksum as a one-shot pass.
 #[derive(Debug, Clone)]
-pub struct Crc32 {
+pub(crate) struct Crc32 {
     state: u32,
 }
 
@@ -99,42 +99,41 @@ impl Default for Crc32 {
 
 impl Crc32 {
     /// Fresh CRC state.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self { state: 0xFFFF_FFFF }
     }
 
     /// Feed bytes (through the dispatched kernel: PCLMULQDQ folding
     /// where the CPU has it, slice-by-8 otherwise — identical sums).
     #[inline]
-    pub fn update(&mut self, data: &[u8]) {
+    pub(crate) fn update(&mut self, data: &[u8]) {
         self.state = crate::kernels::crc32_advance(self.state, data);
     }
 
     /// Finish and return the checksum.
-    pub fn finalize(&self) -> u32 {
+    pub(crate) fn finalize(&self) -> u32 {
         self.state ^ 0xFFFF_FFFF
     }
 }
 
-/// One-shot CRC-32 of a byte slice (dispatched, like [`Crc32`]).
+/// One-shot CRC-32 of a byte slice (dispatched, like `Crc32`).
 pub fn crc32(data: &[u8]) -> u32 {
     crate::kernels::crc32_advance(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
-/// One-shot CRC-32 via slice-by-8, bypassing kernel dispatch.
-///
-/// The scalar backend's CRC kernel and the benchmark baseline the
-/// dispatched path is measured against.
-pub fn crc32_slice8(data: &[u8]) -> u32 {
+/// One-shot CRC-32 via slice-by-8, bypassing kernel dispatch: the
+/// scalar backend's CRC kernel, which the dispatched path must match.
+#[cfg(test)]
+fn crc32_slice8(data: &[u8]) -> u32 {
     update_slice8(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 
 /// One-shot CRC-32 via the scalar one-byte-at-a-time loop.
 ///
 /// Reference implementation: keeps the pre-optimization kernel alive so
-/// tests can prove the slice-by-8 path computes the identical function
-/// and benchmarks can report the speedup against it.
-pub fn crc32_bytewise(data: &[u8]) -> u32 {
+/// tests can prove the slice-by-8 path computes the identical function.
+#[cfg(test)]
+fn crc32_bytewise(data: &[u8]) -> u32 {
     update_bytewise(0xFFFF_FFFF, data) ^ 0xFFFF_FFFF
 }
 

@@ -72,7 +72,7 @@ pub(crate) fn finish_lanes(a0: u64, a1: u64, a2: u64, a3: u64, len: u64) -> u64 
 /// length is folded into the finalization so `b"ab"` and `b"ab\0"`
 /// hash differently.
 #[inline]
-pub fn hash64(data: &[u8]) -> u64 {
+pub(crate) fn hash64(data: &[u8]) -> u64 {
     let mut a0 = S0;
     let mut a1 = S1;
     let mut a2 = S2;
@@ -103,7 +103,8 @@ pub fn hash64(data: &[u8]) -> u64 {
 /// Straight-line reference implementation of the same function: one
 /// lane update at a time, no manual unrolling. Exists so the optimized
 /// kernel has an executable specification to be tested against.
-pub fn hash64_reference(data: &[u8]) -> u64 {
+#[cfg(test)]
+fn hash64_reference(data: &[u8]) -> u64 {
     const MULTS: [u64; 4] = [M0, M1, M2, M3];
     let mut acc = [S0, S1, S2, S3];
     let quads = data.len() / 32;
@@ -141,7 +142,7 @@ pub fn zero_block_hash() -> u64 {
 /// over the data — the block chains are independent and vectorize,
 /// while a full-page chain would be latency-bound. The digest is
 /// endianness-stable: big-endian hosts pay a small copy.
-pub fn page_hash_of_blocks(block_hashes: &[u64]) -> u64 {
+pub(crate) fn page_hash_of_blocks(block_hashes: &[u64]) -> u64 {
     #[cfg(target_endian = "little")]
     {
         // SAFETY: reinterpreting `u64`s as their 8 constituent bytes is
@@ -166,8 +167,8 @@ pub fn page_hash_of_blocks(block_hashes: &[u64]) -> u64 {
 /// Compute the [`BLOCKS_PER_PAGE`] block digests of one page into `out`.
 ///
 /// Panics if `page` is not exactly [`CHUNK_PAGE_SIZE`] bytes.
-#[inline]
-pub fn page_block_hashes(page: &[u8], out: &mut [u64; BLOCKS_PER_PAGE]) {
+#[cfg(test)]
+pub(crate) fn page_block_hashes(page: &[u8], out: &mut [u64; BLOCKS_PER_PAGE]) {
     assert_eq!(page.len(), CHUNK_PAGE_SIZE, "page_block_hashes needs a whole page");
     for (slot, block) in out.iter_mut().zip(page.chunks_exact(BLOCK_SIZE)) {
         *slot = hash64(block);

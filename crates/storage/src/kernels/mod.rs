@@ -9,17 +9,17 @@
 //! * [`fused_scan`] — the headline kernel: zero-page detection, all
 //!   per-256 B-block hashes, and the page hash (derived merkle-style
 //!   from the block digests, see
-//!   [`crate::hash::page_hash_of_blocks`]) in **one** pass over the
+//!   `crate::hash::page_hash_of_blocks`) in **one** pass over the
 //!   page, bit-identical to computing the triple separately.
-//! * [`is_zero`] / [`bytes_eq`] / [`xor_acc`] — vectorized zero scan,
+//! * [`is_zero`] / `bytes_eq` / `xor_acc` — vectorized zero scan,
 //!   silent-store block compare, and parity XOR accumulate.
-//! * [`crc32_advance`] — dispatched CRC-32 state advance (PCLMULQDQ
+//! * `crc32_advance` — dispatched CRC-32 state advance (PCLMULQDQ
 //!   folding on x86_64 when available, slice-by-8 otherwise).
 //!
 //! # Dispatch
 //!
 //! CPU features are detected once and resolved into a function-pointer
-//! table ([`Kernels`]) stored in a [`OnceLock`]. The tiers are:
+//! table (`Kernels`) stored in a [`OnceLock`]. The tiers are:
 //!
 //! | table      | arch          | requires                          |
 //! |------------|---------------|-----------------------------------|
@@ -33,7 +33,7 @@
 //!
 //! Every accelerated kernel computes the *identical function* to the
 //! scalar reference — same hashes, same CRC, same bytes — pinned by the
-//! property suite in `tests/kernel_props.rs` (misaligned slices, odd
+//! property suite in `kernel_props.rs` (misaligned slices, odd
 //! lengths, all-backends-agree). `ICKPT_KERNELS=scalar` forces the
 //! reference backend; `auto` (or unset) picks the best detected tier; a
 //! malformed value exits with status 2, like every `ICKPT_*` knob
@@ -50,7 +50,7 @@ pub(crate) mod scalar;
 pub(crate) mod x86;
 
 /// Environment knob selecting the kernel backend.
-pub const KERNELS_ENV: &str = "ICKPT_KERNELS";
+pub(crate) const KERNELS_ENV: &str = "ICKPT_KERNELS";
 
 /// Result of the fused single-pass page scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +58,7 @@ pub struct FusedScan {
     /// True iff every scanned byte was zero.
     pub is_zero: bool,
     /// Page identity digest, derived from the block digests
-    /// ([`crate::hash::page_hash_of_blocks`]).
+    /// (`crate::hash::page_hash_of_blocks`).
     pub page_hash: u64,
 }
 
@@ -68,7 +68,7 @@ pub struct FusedScan {
 /// instructions differ. The table is `Copy` so composite tiers (e.g.
 /// AVX2 hashing + PCLMULQDQ CRC) are built by overriding fields.
 #[derive(Debug, Clone, Copy)]
-pub struct Kernels {
+pub(crate) struct Kernels {
     /// Backend name, e.g. `"scalar"`, `"avx2+pclmul"`.
     pub name: &'static str,
     /// True iff the slice is all zero bytes.
@@ -88,7 +88,7 @@ pub struct Kernels {
 /// implementations, composed. `fused_scan` here really is the
 /// three-pass sequence — it *is* the executable specification the
 /// accelerated tiers are tested against.
-pub static SCALAR: Kernels = Kernels {
+pub(crate) static SCALAR: Kernels = Kernels {
     name: "scalar",
     is_zero: scalar::is_zero,
     fused_scan: scalar::fused_scan_threepass,
@@ -100,7 +100,7 @@ pub static SCALAR: Kernels = Kernels {
 /// Portable tier: scalar instructions, but the fused scan walks the
 /// page once (interleaved page/block hash chains + zero accumulate).
 /// The fallback on architectures with no SIMD backend.
-pub static PORTABLE: Kernels = Kernels {
+pub(crate) static PORTABLE: Kernels = Kernels {
     name: "portable",
     is_zero: scalar::is_zero,
     fused_scan: scalar::fused_scan_onepass,
@@ -111,7 +111,7 @@ pub static PORTABLE: Kernels = Kernels {
 
 /// Backend selection parsed from [`KERNELS_ENV`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BackendChoice {
+pub(crate) enum BackendChoice {
     /// Force the scalar reference backend.
     Scalar,
     /// Best tier the CPU supports (the default).
@@ -119,7 +119,7 @@ pub enum BackendChoice {
 }
 
 /// Parse an `ICKPT_KERNELS` value (an [`ickpt_sim::env::Parser`]).
-pub fn parse_backend(raw: &str) -> Result<BackendChoice, &'static str> {
+pub(crate) fn parse_backend(raw: &str) -> Result<BackendChoice, &'static str> {
     match raw {
         "scalar" => Ok(BackendChoice::Scalar),
         "auto" => Ok(BackendChoice::Auto),
@@ -145,7 +145,8 @@ fn best() -> Kernels {
 
 /// Every table that can run on this host, scalar reference first.
 /// Property tests iterate this to assert all-backends-agree.
-pub fn available() -> Vec<Kernels> {
+#[cfg(test)]
+pub(crate) fn available() -> Vec<Kernels> {
     let mut tables = vec![SCALAR, PORTABLE];
     #[cfg(target_arch = "x86_64")]
     tables.extend(x86::available());
@@ -159,7 +160,7 @@ static ACTIVE: OnceLock<Kernels> = OnceLock::new();
 /// The resolved dispatch table: detected once, then a plain indirect
 /// call per kernel invocation.
 #[inline]
-pub fn active() -> &'static Kernels {
+pub(crate) fn active() -> &'static Kernels {
     ACTIVE.get_or_init(|| match ickpt_sim::env::knob(KERNELS_ENV, parse_backend) {
         Some(BackendChoice::Scalar) => SCALAR,
         Some(BackendChoice::Auto) | None => best(),
@@ -202,7 +203,7 @@ pub fn fused_scan(data: &[u8], block_hashes: &mut [u64]) -> FusedScan {
 /// Panics unless the slices have equal length — callers slice to the
 /// overlap they mean to fold.
 #[inline]
-pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
+pub(crate) fn xor_acc(acc: &mut [u8], data: &[u8]) {
     assert_eq!(acc.len(), data.len(), "xor_acc needs equal-length slices");
     (active().xor_acc)(acc, data)
 }
@@ -210,14 +211,8 @@ pub fn xor_acc(acc: &mut [u8], data: &[u8]) {
 /// Advance a raw CRC-32 state (pre-inversion form, as stored in
 /// [`crate::crc::Crc32`]) over `data`.
 #[inline]
-pub fn crc32_advance(state: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_advance(state: u32, data: &[u8]) -> u32 {
     (active().crc32_advance)(state, data)
-}
-
-/// Vectorized slice equality — the silent-store block compare.
-#[inline]
-pub fn bytes_eq(a: &[u8], b: &[u8]) -> bool {
-    (active().bytes_eq)(a, b)
 }
 
 /// Vectorized equality of two hash arrays (the per-page silent-store

@@ -13,53 +13,55 @@
 //!   hot paths (fused single-pass page scan, zero detection, XOR
 //!   accumulate, CRC folding, block compare), bit-identical to the
 //!   scalar reference at every backend; `ICKPT_KERNELS=scalar|auto`.
-//! * [`chunk`] — the on-disk checkpoint chunk format: a header
+//! * `chunk` — the on-disk checkpoint chunk format: a header
 //!   describing rank/generation/lineage and the mapping state, followed
 //!   by page records, closed with a CRC.
-//! * [`store`] — the [`store::StableStorage`] trait with an in-memory
+//! * `store` — the [`StableStorage`] trait with an in-memory
 //!   backend ([`store::MemStore`]) and a real filesystem backend
 //!   ([`store::FileStore`]).
-//! * [`manifest`] — the commit records that make a set of per-rank
+//! * `manifest` — the commit records that make a set of per-rank
 //!   chunks a globally consistent checkpoint generation.
-//! * [`throttle`] — virtual-time bandwidth accounting used to charge
+//! * `throttle` — virtual-time bandwidth accounting used to charge
 //!   checkpoint writes against the paper's device models (900 MB/s
 //!   network, 320 MB/s disk, §3).
-//! * [`plan`] — latest-wins restore planning: walk a checkpoint chain
+//! * `plan` — latest-wins restore planning: walk a checkpoint chain
 //!   once and assign each live page to the single newest record that
 //!   contains it, so restore and compaction touch each page exactly
 //!   once regardless of chain length.
 //! * [`gc`] — checkpoint-chain compaction: bounded-length incremental
 //!   chains by executing the restore plan into a new base in one pass.
-//! * [`redundancy`] — multilevel redundant storage: per-rank node-local
+//! * `redundancy` — multilevel redundant storage: per-rank node-local
 //!   tiers protected by partner replication or XOR parity groups over
 //!   the interconnect, with an asynchronous drain to the shared array
 //!   and tiered recovery (local → reconstruction → durable).
 
-pub mod chunk;
+#![deny(unreachable_pub)]
+
+mod chunk;
 pub mod crc;
 pub mod gc;
 pub mod hash;
 pub mod kernels;
-pub mod manifest;
-pub mod plan;
-pub mod redundancy;
-pub mod store;
-pub mod throttle;
+mod manifest;
+mod plan;
+mod redundancy;
+mod store;
+mod throttle;
+
+#[cfg(test)]
+mod kernel_props;
+#[cfg(test)]
+mod read_chunk_props;
 
 pub use chunk::{
-    peek_lineage, Chunk, ChunkKind, ChunkLineage, ChunkView, DeltaRecord, DeltaRef, PageRecord,
-    RecordRef, CHUNK_PAGE_SIZE,
+    peek_lineage, Chunk, ChunkKind, ChunkView, DeltaRecord, PageRecord, CHUNK_PAGE_SIZE,
 };
-pub use hash::{hash64, page_block_hashes, zero_block_hash, BLOCKS_PER_PAGE, BLOCK_SIZE};
-pub use kernels::FusedScan;
+pub use hash::{BLOCKS_PER_PAGE, BLOCK_SIZE};
 pub use manifest::{Manifest, RankEntry};
-pub use plan::{
-    shard_segments, ChunkPlanStats, DeltaBase, PlanSegment, PlanSource, RestorePlan, SegmentSource,
-};
+pub use plan::{shard_segments, DeltaBase, PlanSegment, RestorePlan, SegmentSource};
 pub use redundancy::{
-    xor_encode, xor_reconstruct, DrainQueue, DrainStats, DrainTopology, Partner, RecoveryPlan,
-    RecoverySource, RedundancyScheme, SchemeSpec, TierReader, TierTopology, TierUsage, TieredStore,
-    XorParity, PARITY_RANK_BASE,
+    xor_encode, xor_reconstruct, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
+    TierTopology, TierUsage, TieredStore, PARITY_RANK_BASE,
 };
 pub use store::{ChunkBuf, ChunkKey, FileStore, MemStore, StableStorage, StorageError};
-pub use throttle::{shared_device, SharedBandwidthDevice, ThrottledStore, TimedReads};
+pub use throttle::{shared_device, ThrottledStore};

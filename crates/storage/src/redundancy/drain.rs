@@ -111,7 +111,7 @@ struct DrainState {
 }
 
 /// See the module docs.
-pub struct DrainQueue {
+pub(crate) struct DrainQueue {
     nranks: usize,
     drain_every: u64,
     /// Array charging pattern; behind a lock because the queue is
@@ -129,7 +129,7 @@ pub struct DrainQueue {
 impl DrainQueue {
     /// Drain every `drain_every`-th committed generation (1 = every
     /// generation, the synchronous-durable limit).
-    pub fn new(nranks: usize, drain_every: u64) -> Self {
+    pub(crate) fn new(nranks: usize, drain_every: u64) -> Self {
         assert!(drain_every >= 1);
         Self {
             nranks,
@@ -142,29 +142,24 @@ impl DrainQueue {
 
     /// Select the array charging pattern (call before the run starts
     /// writing, like [`DrainQueue::attach_obs`]).
-    pub fn set_topology(&self, topology: DrainTopology) {
+    pub(crate) fn set_topology(&self, topology: DrainTopology) {
         *self.topology.lock() = topology;
     }
 
     /// The configured array charging pattern.
-    pub fn topology(&self) -> DrainTopology {
+    pub(crate) fn topology(&self) -> DrainTopology {
         *self.topology.lock()
     }
 
     /// Attach a flight recorder (call before the run starts writing).
-    pub fn attach_obs(&self, obs: Recorder) {
+    pub(crate) fn attach_obs(&self, obs: Recorder) {
         *self.obs.lock() = obs;
-    }
-
-    /// The configured drain period.
-    pub fn drain_every(&self) -> u64 {
-        self.drain_every
     }
 
     /// A rank's commit notification for `generation` at the (global)
     /// commit instant. The last notifier flushes if the generation is
     /// a drain target.
-    pub fn note_committed(
+    pub(crate) fn note_committed(
         &self,
         generation: u64,
         commit_time: SimTime,
@@ -302,7 +297,7 @@ impl DrainQueue {
     }
 
     /// Newest generation whose drain had fully completed by `t`.
-    pub fn fully_drained_before(&self, t: SimTime) -> Option<u64> {
+    pub(crate) fn fully_drained_before(&self, t: SimTime) -> Option<u64> {
         self.state
             .lock()
             .batches
@@ -317,7 +312,7 @@ impl DrainQueue {
     /// failure are deleted from the shared array (their writes never
     /// finished), and generations newer than the resume target are
     /// forgotten — re-execution will commit them again.
-    pub fn rollback(
+    pub(crate) fn rollback(
         &self,
         resume_gen: Option<u64>,
         fail_time: SimTime,
@@ -374,7 +369,7 @@ impl DrainQueue {
 
     /// Snapshot of the accounting (array-busy time is filled by the
     /// caller, which owns the device).
-    pub fn stats(&self) -> DrainStats {
+    pub(crate) fn stats(&self) -> DrainStats {
         self.state.lock().stats
     }
 }

@@ -43,17 +43,19 @@
 //! forward absorbed by the sender's NIC charge, which keeps every
 //! rank's clock a pure function of its own actions.
 
-pub mod drain;
-pub mod partner;
-pub mod tiered;
-pub mod xor;
+pub(crate) mod drain;
+pub(crate) mod partner;
+pub(crate) mod tiered;
+pub(crate) mod xor;
 
 use std::sync::Arc;
 
-pub use drain::{DrainQueue, DrainStats, DrainTopology};
-pub use partner::Partner;
-pub use tiered::{RecoveryPlan, RecoverySource, TierReader, TierTopology, TierUsage, TieredStore};
-pub use xor::{xor_encode, xor_reconstruct, XorParity, PARITY_RANK_BASE};
+pub(crate) use drain::DrainQueue;
+pub use drain::{DrainStats, DrainTopology};
+pub(crate) use partner::Partner;
+pub use tiered::{RecoverySource, TierTopology, TierUsage, TieredStore};
+pub(crate) use xor::XorParity;
+pub use xor::{xor_encode, xor_reconstruct, PARITY_RANK_BASE};
 
 use crate::store::{ChunkBuf, ChunkKey, StableStorage, StorageError};
 
@@ -100,7 +102,7 @@ impl SchemeSpec {
 /// The node-local stores of every rank, indexed by rank. A scheme
 /// reads survivors' stores and writes redundancy data into peers'
 /// stores through this slice.
-pub type LocalStores = [Arc<dyn StableStorage>];
+pub(crate) type LocalStores = [Arc<dyn StableStorage>];
 
 /// A cross-node redundancy scheme over the node-local tier.
 ///

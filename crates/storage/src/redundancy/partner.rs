@@ -14,7 +14,7 @@ use crate::store::{ChunkBuf, ChunkKey, StorageError};
 use super::{LocalStores, RedundancyScheme, SchemeSpec};
 
 /// See the module docs.
-pub struct Partner {
+pub(crate) struct Partner {
     nranks: usize,
     offset: usize,
 }
@@ -23,7 +23,7 @@ impl Partner {
     /// Partner scheme over `nranks` ranks with the given buddy
     /// distance (reduced mod `nranks`; an effective offset of zero is
     /// rejected because a rank cannot protect itself).
-    pub fn new(nranks: usize, offset: usize) -> Self {
+    pub(crate) fn new(nranks: usize, offset: usize) -> Self {
         let offset = offset % nranks.max(1);
         assert!(nranks >= 2, "partner replication needs at least two ranks");
         assert!(offset != 0, "partner offset must not reduce to zero");
@@ -31,7 +31,7 @@ impl Partner {
     }
 
     /// The rank holding `rank`'s copies.
-    pub fn partner_of(&self, rank: usize) -> usize {
+    pub(crate) fn partner_of(&self, rank: usize) -> usize {
         (rank + self.offset) % self.nranks
     }
 }

@@ -154,7 +154,7 @@ impl TierTopology {
     /// [`FileStore`](crate::FileStore) directories, so the tier layout
     /// is inspectable on disk).
     #[allow(clippy::too_many_arguments)]
-    pub fn with_local_stores(
+    pub(crate) fn with_local_stores(
         nranks: usize,
         spec: SchemeSpec,
         local_proto: BandwidthDevice,
@@ -201,16 +201,6 @@ impl TierTopology {
         self.obs.lock().clone()
     }
 
-    /// Number of ranks.
-    pub fn nranks(&self) -> usize {
-        self.nranks
-    }
-
-    /// The configured scheme.
-    pub fn spec(&self) -> SchemeSpec {
-        self.scheme.spec()
-    }
-
     /// A rank's write handle.
     pub fn handle(self: &Arc<Self>, rank: usize) -> TieredStore {
         assert!(rank < self.nranks);
@@ -229,13 +219,15 @@ impl TierTopology {
         }
     }
 
-    /// A rank's node-local store (inspection/tests).
-    pub fn local(&self, rank: usize) -> &Arc<dyn StableStorage> {
+    /// A rank's node-local store.
+    #[cfg(test)]
+    pub(crate) fn local(&self, rank: usize) -> &Arc<dyn StableStorage> {
         &self.locals[rank]
     }
 
     /// The durable shared store.
-    pub fn shared(&self) -> &Arc<dyn StableStorage> {
+    #[cfg(test)]
+    pub(crate) fn shared(&self) -> &Arc<dyn StableStorage> {
         &self.shared
     }
 
@@ -319,7 +311,7 @@ impl TierTopology {
     }
 
     /// Roll the drain back after a failure (see
-    /// [`DrainQueue::rollback`]).
+    /// `DrainQueue::rollback`).
     pub fn rollback_drain(
         &self,
         resume_gen: Option<u64>,

@@ -174,7 +174,7 @@ struct GroupSlot {
 }
 
 /// See the module docs.
-pub struct XorParity {
+pub(crate) struct XorParity {
     nranks: usize,
     group_size: usize,
     slots: Mutex<HashMap<(usize, u64), GroupSlot>>,
@@ -182,24 +182,24 @@ pub struct XorParity {
 
 impl XorParity {
     /// Parity groups of `group_size` consecutive ranks over `nranks`.
-    pub fn new(nranks: usize, group_size: usize) -> Self {
+    pub(crate) fn new(nranks: usize, group_size: usize) -> Self {
         assert!(group_size >= 2, "a parity group needs at least two members");
         assert!(nranks >= 2, "xor parity needs at least two ranks");
         Self { nranks, group_size, slots: Mutex::new(HashMap::new()) }
     }
 
     /// Number of groups.
-    pub fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.nranks.div_ceil(self.group_size)
     }
 
     /// Group index of a rank.
-    pub fn group_of(&self, rank: usize) -> usize {
+    pub(crate) fn group_of(&self, rank: usize) -> usize {
         rank / self.group_size
     }
 
     /// Member ranks of a group (the last group may be short).
-    pub fn members_of(&self, group: usize) -> std::ops::Range<usize> {
+    pub(crate) fn members_of(&self, group: usize) -> std::ops::Range<usize> {
         let start = group * self.group_size;
         start..((start + self.group_size).min(self.nranks))
     }
@@ -209,12 +209,12 @@ impl XorParity {
     /// whenever there is more than one group. With a single group the
     /// holder is unavoidably a member; losing that node then falls
     /// through to the durable tier.
-    pub fn holder_of(&self, group: usize) -> usize {
+    pub(crate) fn holder_of(&self, group: usize) -> usize {
         self.members_of((group + 1) % self.groups()).start
     }
 
     /// The storage key of a group's parity block for a generation.
-    pub fn parity_key(&self, group: usize, generation: u64) -> ChunkKey {
+    pub(crate) fn parity_key(&self, group: usize, generation: u64) -> ChunkKey {
         ChunkKey::new(PARITY_RANK_BASE | group as u32, generation)
     }
 }

@@ -78,7 +78,7 @@ pub struct ChunkBuf(Arc<Vec<u8>>);
 impl ChunkBuf {
     /// The bytes as an owned `Vec`: moved out when this is the only
     /// reference, copied when the buffer is still shared.
-    pub fn into_vec(self) -> Vec<u8> {
+    pub(crate) fn into_vec(self) -> Vec<u8> {
         Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.to_vec())
     }
 }
@@ -150,8 +150,9 @@ impl MemStore {
         Self::default()
     }
 
-    /// Total bytes held (for capacity accounting in diskless setups).
-    pub fn total_bytes(&self) -> u64 {
+    /// Total bytes held.
+    #[cfg(test)]
+    pub(crate) fn total_bytes(&self) -> u64 {
         self.chunks.read().values().map(|v| v.len() as u64).sum::<u64>()
             + self.manifests.read().values().map(|v| v.len() as u64).sum::<u64>()
     }
@@ -222,11 +223,6 @@ impl FileStore {
 
     fn manifest_path(&self, generation: u64) -> PathBuf {
         self.dir.join(format!("manifest_g{generation:08}.mf"))
-    }
-
-    /// The root directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
     }
 
     fn write_atomic(&self, path: &Path, data: &[u8]) -> Result<(), StorageError> {

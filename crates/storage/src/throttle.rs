@@ -19,7 +19,7 @@ use crate::store::{ChunkBuf, ChunkKey, StableStorage, StorageError};
 /// A device handle that several `ThrottledStore`s can serialize on —
 /// the model of a *shared* storage path (one parallel-filesystem array
 /// serving every rank) as opposed to per-rank local disks.
-pub type SharedBandwidthDevice = Arc<Mutex<BandwidthDevice>>;
+pub(crate) type SharedBandwidthDevice = Arc<Mutex<BandwidthDevice>>;
 
 /// Wrap a device for sharing across ranks.
 pub fn shared_device(device: BandwidthDevice) -> SharedBandwidthDevice {
@@ -142,12 +142,14 @@ impl ThrottledStore {
     }
 
     /// Total bytes pushed through this path.
-    pub fn bytes_total(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn bytes_total(&self) -> u64 {
         self.device.lock().bytes_total()
     }
 
     /// The wrapped untimed store.
-    pub fn inner(&self) -> &Arc<dyn StableStorage> {
+    #[cfg(test)]
+    pub(crate) fn inner(&self) -> &Arc<dyn StableStorage> {
         &self.inner
     }
 
@@ -156,7 +158,7 @@ impl ThrottledStore {
     /// code written against plain `StableStorage` — the restore path —
     /// be charged device time per byte exactly like checkpoint writes,
     /// so restart-time verdicts use the same 320 MB/s disk model as
-    /// capture. Inspect the accumulated cost with [`TimedReads::now`].
+    /// capture. Inspect the accumulated cost with `TimedReads::now`.
     pub fn timed_reads(&self, start: SimTime) -> TimedReads<'_> {
         TimedReads { store: self, clock: Mutex::new(start) }
     }

@@ -70,7 +70,7 @@ pub struct TokenBucket {
 
 impl TokenBucket {
     /// A bucket that starts full.
-    pub fn new(rate: u64, cap: u64) -> Self {
+    pub(crate) fn new(rate: u64, cap: u64) -> Self {
         assert!(rate > 0, "refill rate must be positive");
         TokenBucket { rate, cap: cap.max(1), tokens: cap.max(1) as i128, last: SimTime::ZERO }
     }
@@ -107,7 +107,8 @@ impl TokenBucket {
     }
 
     /// Current balance in bytes (negative while in debt).
-    pub fn balance(&self) -> i128 {
+    #[cfg(test)]
+    fn balance(&self) -> i128 {
         self.tokens
     }
 }

@@ -89,13 +89,9 @@ impl Scheduler {
         }
     }
 
-    /// The configured policy.
-    pub fn policy(&self) -> SchedPolicy {
-        self.policy
-    }
-
     /// Chunks waiting (not yet picked).
-    pub fn queued(&self) -> u64 {
+    #[cfg(test)]
+    fn queued(&self) -> u64 {
         self.queued
     }
 

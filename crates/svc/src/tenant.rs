@@ -42,7 +42,7 @@ impl TenantProfile {
     /// The request size for request number `n`, jittered ±25% around
     /// the mean with this tenant's deterministic stream (tenants keep
     /// their stream whatever their neighbours do).
-    pub fn jittered_request_bytes(&self, rng: &mut SplitMix64, _n: u64) -> u64 {
+    pub(crate) fn jittered_request_bytes(&self, rng: &mut SplitMix64, _n: u64) -> u64 {
         let span = (self.request_bytes / 2).max(1);
         let base = self.request_bytes - self.request_bytes / 4;
         base + rng.next_u64() % span

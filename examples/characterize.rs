@@ -13,12 +13,12 @@
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
-use ickpt::analysis::ascii_plot;
 use ickpt::apps::Workload;
 use ickpt::cluster::{characterize, CharacterizationConfig};
 use ickpt::core::metrics::iws_series;
 use ickpt::core::policy::{detect_bursts, detect_period, suggest_checkpoint_windows};
 use ickpt::sim::SimDuration;
+use ickpt_bench::analysis::ascii_plot;
 
 fn main() {
     let arg = std::env::args().nth(1).unwrap_or_else(|| "sage100".into());

@@ -195,6 +195,7 @@ run cargo test -q --workspace
 determinism_suites
 run cargo fmt --check
 run cargo clippy --workspace --all-targets -- -D warnings
+run env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 bench_smoke
 
 echo "verify: OK"

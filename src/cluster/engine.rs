@@ -55,8 +55,8 @@ use ickpt_core::coordinator::VoteFlags;
 use ickpt_core::tracked_space::{ContentWrite, TrackedSpace};
 use ickpt_core::tracker::WriteTracker;
 use ickpt_mem::{pages_for_bytes, AddressSpace, BackedSpace, DataLayout, PageRange, SparseSpace};
-use ickpt_net::{Mailbox, Msg, NetConfig, NetError};
 use ickpt_obs::{Event, Lane, Recorder};
+use ickpt_sim::net::{Mailbox, Msg, NetConfig, NetError};
 use ickpt_sim::{env, BandwidthDevice, Combine, EventWheel, SimDuration, SimTime};
 
 use super::ft::{self, FtParams, FtRank};

@@ -40,8 +40,8 @@ use ickpt_core::coordinator::{CheckpointPlanner, PlannedCheckpoint, VoteFlags};
 use ickpt_core::restore::{record_restore, restore_rank_with, RestoreConfig, RestoreReport};
 use ickpt_core::tracker::{SampleMode, TrackerConfig, WriteTracker};
 use ickpt_mem::{AddressSpace, BackedSpace};
-use ickpt_net::NetConfig;
 use ickpt_obs::{Event, Lane, Recorder};
+use ickpt_sim::net::NetConfig;
 use ickpt_sim::{SimDuration, SimTime};
 use ickpt_storage::{
     ChunkKey, ChunkKind, Manifest, RankEntry, StableStorage, StorageError, ThrottledStore,

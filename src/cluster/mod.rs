@@ -40,11 +40,11 @@
 
 mod engine;
 mod ft;
-pub mod report;
+mod report;
 pub mod tenant;
 
 pub use report::{reduce_reports, ClusterAggregate, ReportDetail, DEFAULT_REDUCE_ARITY};
-pub use tenant::{fleet_profiles, mixed_fleet, TenantHandle, TenantStall, TenantStallAccount};
+pub use tenant::{fleet_profiles, mixed_fleet};
 
 use std::sync::{Arc, Mutex};
 
@@ -53,12 +53,12 @@ use ickpt_apps::Workload;
 use ickpt_core::checkpoint::{default_workers, CaptureConfig, CaptureScratch, ContentStats};
 use ickpt_core::coordinator::{CheckpointPlanner, CheckpointPolicy};
 use ickpt_core::metrics::{IwsSample, SampleSummary};
-use ickpt_core::restore::{latest_committed_generation, RestoreConfig};
+use ickpt_core::restore::RestoreConfig;
 use ickpt_core::trace::RankTrace;
 use ickpt_core::tracker::{EpochSample, IterationSample, SampleMode, TrackerConfig, WriteTracker};
 use ickpt_mem::{AddressSpace, BackedSpace, DataLayout, WriteProfile};
-use ickpt_net::NetConfig;
 use ickpt_obs::{DeviceKind, Event, Lane, Recorder, RecoveryTier};
+use ickpt_sim::net::NetConfig;
 use ickpt_sim::{DevicePreset, SimDuration, SimTime};
 use ickpt_storage::{
     shared_device, ChunkKey, ChunkView, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
@@ -73,7 +73,7 @@ use ft::{CkptStore, FtParams, FtRank};
 pub enum RunError {
     /// The communication script cannot complete: a receive nobody
     /// sends to, a collective not every rank enters.
-    Net(ickpt_net::NetError),
+    Net(ickpt_sim::net::NetError),
     /// Memory model failure (layout too small, bad unmap).
     Mem(ickpt_mem::MemError),
     /// Checkpoint/restore failure.
@@ -95,8 +95,8 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-impl From<ickpt_net::NetError> for RunError {
-    fn from(e: ickpt_net::NetError) -> Self {
+impl From<ickpt_sim::net::NetError> for RunError {
+    fn from(e: ickpt_sim::net::NetError) -> Self {
         RunError::Net(e)
     }
 }
@@ -464,19 +464,6 @@ pub struct RedundancyConfig {
     pub drain_topology: DrainTopology,
 }
 
-impl RedundancyConfig {
-    /// SCR-style defaults: partner replication on the neighbour node
-    /// over a RAM-disk-class local tier, draining every 4th generation.
-    pub fn partner() -> Self {
-        Self {
-            scheme: SchemeSpec::Partner { offset: 1 },
-            local_device: DevicePreset::NodeLocal,
-            drain_every: 4,
-            drain_topology: DrainTopology::Flat,
-        }
-    }
-}
-
 /// Configuration of a fault-tolerant run.
 pub struct FaultTolerantConfig {
     /// Number of ranks.
@@ -816,10 +803,4 @@ where
         recoveries: Vec::new(),
         drain: None,
     })
-}
-
-/// Find the newest committed generation in a store (delegates to
-/// `ickpt-core`, re-exported here for runner users).
-pub fn last_committed(store: &dyn StableStorage, nranks: u32) -> Option<u64> {
-    latest_committed_generation(store, nranks).ok().flatten()
 }

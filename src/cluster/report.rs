@@ -50,7 +50,7 @@ impl ReportDetail {
 
     /// Whether this rank keeps full detail under this policy.
     /// Rank 0 and traced ranks always do.
-    pub fn rank_is_full(&self, rank: usize, trace_ranks: usize) -> bool {
+    pub(crate) fn rank_is_full(&self, rank: usize, trace_ranks: usize) -> bool {
         matches!(self, ReportDetail::Full) || rank == 0 || rank < trace_ranks
     }
 }

@@ -7,7 +7,7 @@
 //! (Sage footprints down to NAS kernels) with deterministic
 //! pseudo-random QoS weights, so a fleet of N is reproducible from
 //! `(n, scale, seed)` alone — and, because each
-//! [`TenantProfile`](ickpt_svc::TenantProfile) keys its jitter and
+//! [`TenantProfile`] keys its jitter and
 //! stagger off its own tenant id, growing the fleet never perturbs the
 //! tenants already in it.
 //!
@@ -17,12 +17,11 @@
 //! its time it actually computed, and its share of the drained bytes.
 
 use ickpt_apps::Workload;
-use ickpt_obs::Lane;
 use ickpt_sim::{SimDuration, SplitMix64};
 use ickpt_svc::{ServiceReport, TenantProfile};
 
 /// Weights assigned by [`mixed_fleet`] span 1..=MAX_FLEET_WEIGHT.
-pub const MAX_FLEET_WEIGHT: u32 = 4;
+pub(crate) const MAX_FLEET_WEIGHT: u32 = 4;
 
 /// One tenant's identity within a fleet.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -33,16 +32,9 @@ pub struct TenantHandle {
     pub profile: TenantProfile,
 }
 
-impl TenantHandle {
-    /// The flight-recorder lane this tenant's service events land on.
-    pub fn lane(&self) -> Lane {
-        Lane::Tenant(self.id)
-    }
-}
-
 /// A deterministic mixed fleet of `n` tenants at memory scale `scale`:
 /// workloads cycle through [`Workload::ALL`], weights are drawn from
-/// `1..=`[`MAX_FLEET_WEIGHT`] by a stream keyed on `(seed, id)` only.
+/// `1..=``MAX_FLEET_WEIGHT` by a stream keyed on `(seed, id)` only.
 pub fn mixed_fleet(n: usize, scale: f64, seed: u64) -> Vec<TenantHandle> {
     (0..n)
         .map(|id| {

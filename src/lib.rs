@@ -11,18 +11,20 @@
 //! commodity networks and disks provide — so automatic, user-
 //! transparent, frequent checkpointing is feasible.
 //!
-//! This workspace rebuilds the whole stack (see `DESIGN.md`):
+//! This workspace rebuilds the whole stack in nine crates (see
+//! `DESIGN.md`):
 //!
 //! | crate | role |
 //! |---|---|
 //! | [`mem`] | simulated UNIX address space (pages, heap, mmap, dirty bitmaps) |
-//! | [`sim`] | virtual time, bandwidth devices, deterministic PRNG |
-//! | [`net`] | MPI-like messaging + QsNet model |
+//! | [`sim`] | virtual time, bandwidth devices, deterministic PRNG, event wheel, knob reader, and [`net`]: MPI-like messaging + QsNet model |
 //! | [`apps`] | Sage / Sweep3D / NAS BT,SP,LU,FT memory-access models |
-//! | [`storage`] | checkpoint chunks, manifests, stores, throttling |
+//! | [`storage`] | checkpoint chunks, manifests, stores, throttling, redundancy tiers, capture kernels |
+//! | [`obs`] | virtual-time flight recorder, metrics plane, trace exporters |
 //! | [`core`] | **the contribution**: write tracking, IWS/IB metrics, checkpoint/restore, coordination, feasibility |
 //! | [`native`] | the real `mprotect`/`SIGSEGV` mechanism via libc |
-//! | [`analysis`] | series/stats/tables/plots for the experiment harness |
+//! | [`svc`] | multi-tenant checkpoint store service: admission, fair-share scheduling, striped drain |
+//! | `ickpt-bench` | the experiment harness (`repro`, `inspect`, `redundancy_smoke`) with its statistics, tables and plots; built on this facade, not re-exported |
 //!
 //! This facade crate adds [`cluster`]: the runner that executes
 //! application models as rank state machines over virtual time, with
@@ -55,14 +57,15 @@
 //! assert!(stats.avg_mbps > 0.0);
 //! ```
 
-pub use ickpt_analysis as analysis;
+#![deny(unreachable_pub)]
+
 pub use ickpt_apps as apps;
 pub use ickpt_core as core;
 pub use ickpt_mem as mem;
 pub use ickpt_native as native;
-pub use ickpt_net as net;
 pub use ickpt_obs as obs;
 pub use ickpt_sim as sim;
+pub use ickpt_sim::net;
 pub use ickpt_storage as storage;
 pub use ickpt_svc as svc;
 

@@ -38,7 +38,7 @@ impl AppModel for ScriptApp {
 
     fn init(&mut self, space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
         space.heap_grow(4)?;
-        Ok(Phase::continuing(vec![]))
+        Ok(Phase { steps: vec![], ends_iteration: false })
     }
 
     fn next_phase(&mut self, _space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
@@ -67,7 +67,7 @@ impl AppModel for ScriptApp {
             }
         }
         self.done += 1;
-        Ok(Phase::ending(steps))
+        Ok(Phase { steps, ends_iteration: true })
     }
 
     fn iterations_done(&self) -> u64 {

@@ -547,7 +547,7 @@ impl ickpt::apps::AppModel for Deadlocks {
         space: &mut dyn ickpt::mem::AddressSpace,
     ) -> Result<ickpt::apps::step::Phase, ickpt::mem::MemError> {
         space.heap_grow(8)?;
-        Ok(ickpt::apps::step::Phase::continuing(vec![]))
+        Ok(ickpt::apps::step::Phase { steps: vec![], ends_iteration: false })
     }
 
     fn next_phase(
@@ -561,7 +561,7 @@ impl ickpt::apps::AppModel for Deadlocks {
             (0, Stuck::LoneBarrier) => vec![Step::Barrier],
             _ => vec![],
         };
-        Ok(ickpt::apps::step::Phase::ending(steps))
+        Ok(ickpt::apps::step::Phase { steps, ends_iteration: true })
     }
 
     fn iterations_done(&self) -> u64 {

@@ -644,7 +644,7 @@ fn random_lane(rng: &mut SplitMix64) -> Lane {
 }
 
 fn random_event(rng: &mut SplitMix64, kind: u64) -> Event {
-    let capture = if rng.chance(0.5) { CaptureKind::Full } else { CaptureKind::Incremental };
+    let capture = if rng.next_f64() < 0.5 { CaptureKind::Full } else { CaptureKind::Incremental };
     let tier = TIERS[rng.next_below(4) as usize];
     match kind {
         0 => Event::RunStart { ranks: small(rng) },
@@ -739,7 +739,7 @@ fn random_stream(seed: u64, n: usize) -> Vec<(u32, Lane, TimedEvent)> {
                 1 => rng.next_below(40) * WINDOW_NS / 4,
                 _ => rng.next_below(30 * WINDOW_NS),
             };
-            let dur = if rng.chance(0.5) { 0 } else { val(&mut rng) >> 30 };
+            let dur = if rng.next_f64() < 0.5 { 0 } else { val(&mut rng) >> 30 };
             let event = random_event(&mut rng, i as u64 % 26);
             let ev = TimedEvent { ts: SimTime(ts), dur: SimDuration(dur), event };
             (group, random_lane(&mut rng), ev)

@@ -219,7 +219,7 @@ impl AppModel for BurstExchange {
     fn init(&mut self, space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
         let heap = space.heap_grow(64)?;
         self.heap = Some(heap);
-        Ok(Phase::continuing(vec![sweep(heap, SimDuration::from_millis(10))]))
+        Ok(Phase { steps: vec![sweep(heap, SimDuration::from_millis(10))], ends_iteration: false })
     }
 
     fn next_phase(&mut self, _space: &mut dyn AddressSpace) -> Result<Phase, MemError> {
@@ -244,7 +244,7 @@ impl AppModel for BurstExchange {
             }
         }
         self.iter += 1;
-        Ok(Phase::ending(steps))
+        Ok(Phase { steps, ends_iteration: true })
     }
 
     fn iterations_done(&self) -> u64 {
