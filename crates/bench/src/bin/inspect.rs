@@ -26,21 +26,13 @@
 //! verifies every chunk's CRC by decoding it. Broken parent links and
 //! incomplete manifests are reported. Exit status is nonzero if any
 //! integrity problem is found.
-//!
-//! **Tiered layouts** are detected automatically: a directory holding
-//! `local-<rank>/` subdirectories (node-local tiers) plus `shared/`
-//! (the durable array) gets a per-tier overview — own generations,
-//! partner copies and XOR parity blocks each node holds — before the
-//! shared tier is inspected as usual.
 
 #![deny(unreachable_pub)]
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
 use ickpt::obs::ParsedEvent;
-use ickpt::storage::{
-    Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage, PARITY_RANK_BASE,
-};
+use ickpt::storage::{Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage};
 use ickpt::svc::percentile_ns;
 use ickpt_bench::analysis::table::fnum;
 use ickpt_bench::analysis::TextTable;
@@ -49,91 +41,6 @@ use ickpt_bench::analysis::TextTable;
 /// still cover every rank; an explicit "… N more" line replaces the
 /// tables, never silent truncation). `--rank N` always lists rank N.
 const MAX_LISTED_RANKS: usize = 8;
-
-/// If `dir` is a tiered layout, print the node-local tier overview and
-/// return the shared tier's path to inspect; otherwise return `dir`.
-fn tiered_overview(dir: &str) -> String {
-    let mut locals: Vec<(u32, std::path::PathBuf)> = Vec::new();
-    if let Ok(entries) = std::fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(rank) = name.strip_prefix("local-").and_then(|r| r.parse().ok()) {
-                if entry.path().is_dir() {
-                    locals.push((rank, entry.path()));
-                }
-            }
-        }
-    }
-    let shared = std::path::Path::new(dir).join("shared");
-    if locals.is_empty() || !shared.is_dir() {
-        return dir.to_string();
-    }
-    locals.sort_unstable_by_key(|(r, _)| *r);
-    let nranks = locals.len() as u32;
-
-    println!("tiered layout: {} node-local tiers + shared array", locals.len());
-    let mut t = TextTable::new("node-local tiers").header(&[
-        "tier",
-        "own gens",
-        "peer copies",
-        "parity blocks",
-        "manifests",
-        "MB",
-    ]);
-    for (i, (rank, path)) in locals.iter().enumerate() {
-        if i >= MAX_LISTED_RANKS {
-            t.row(vec![
-                format!("… {} more tiers elided", locals.len() - MAX_LISTED_RANKS),
-                "".into(),
-                "".into(),
-                "".into(),
-                "".into(),
-                "".into(),
-            ]);
-            break;
-        }
-        let Ok(local) = FileStore::open(path) else {
-            t.row(vec![
-                format!("local-{rank}"),
-                "?".into(),
-                "?".into(),
-                "?".into(),
-                "?".into(),
-                "unreadable".into(),
-            ]);
-            continue;
-        };
-        let own = local.list_generations(*rank).map(|g| g.len()).unwrap_or(0);
-        let mut peer = 0usize;
-        let mut parity = 0usize;
-        let mut bytes = 0u64;
-        for r in 0..nranks {
-            let gens = |rk| local.list_generations(rk).unwrap_or_default();
-            if r != *rank {
-                peer += gens(r).len();
-            }
-            parity += gens(PARITY_RANK_BASE | r).len();
-            for rk in [r, PARITY_RANK_BASE | r] {
-                for g in gens(rk) {
-                    bytes +=
-                        local.get_chunk(ChunkKey::new(rk, g)).map(|d| d.len() as u64).unwrap_or(0);
-                }
-            }
-        }
-        let manifests = local.list_manifests().map(|m| m.len()).unwrap_or(0);
-        t.row(vec![
-            format!("local-{rank}"),
-            own.to_string(),
-            peer.to_string(),
-            parity.to_string(),
-            manifests.to_string(),
-            fnum(bytes as f64 / 1e6, 2),
-        ]);
-    }
-    println!("{}", t.render());
-    println!("shared durable tier: {}", shared.display());
-    shared.to_string_lossy().into_owned()
-}
 
 /// Read and parse a JSONL flight-recorder export (`repro --trace-out`,
 /// `redundancy_smoke --trace-out`). Exits 2 if the file cannot be
@@ -536,7 +443,6 @@ fn main() {
         .position(|a| a == "--rank")
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok());
-    let dir = &tiered_overview(dir);
 
     let store = match FileStore::open(dir) {
         Ok(s) => s,

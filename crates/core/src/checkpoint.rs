@@ -355,10 +355,9 @@ fn build_records_into<S: PageSource>(
             let content = space
                 .read_page(page)
                 .unwrap_or_else(|| panic!("checkpoint of unmapped page {page}"));
-            // One fused sweep per page when the content layer needs
-            // hashes anyway (zero probe + page hash + 16 block hashes,
-            // each byte touched once); a plain dispatched zero scan
-            // with early exit when it does not.
+            // The page scan (16 block hashes, page hash, zero probe)
+            // when the content layer needs hashes anyway; a plain
+            // dispatched zero scan with early exit when it does not.
             let page_is_zero = if dedup.is_some() {
                 kernels::fused_scan(content, &mut fresh).is_zero
             } else {

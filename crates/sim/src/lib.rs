@@ -18,9 +18,9 @@
 //!   provided as presets) with busy-until queuing.
 //! * `rng` — SplitMix64: tiny, seedable, no external dependency, used
 //!   wherever the workload models need reproducible pseudo-randomness.
-//! * `sched` — a deterministic calendar-queue event wheel: amortized
-//!   O(1) insert/pop over bucketed `SimTime` with FIFO tie-break, the
-//!   backbone of the event-driven cluster engine.
+//! * `sched` — a deterministic event wheel: a binary heap over one
+//!   packed `(SimTime, push seq)` key, so ties pop FIFO; the backbone
+//!   of the event-driven cluster engine and the store service.
 //! * [`reduce`] — hierarchical fan-in reduction (`tree_reduce`),
 //!   byte-identical to a flat fold for associative integer merges, and
 //!   the [`Combine`] operators collective rounds fold values with.

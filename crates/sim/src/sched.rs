@@ -1,55 +1,49 @@
-//! Calendar-queue event scheduling: the [`EventWheel`].
+//! Deterministic event scheduling: the [`EventWheel`].
 //!
-//! The event-driven cluster engine needs a priority queue over
-//! [`SimTime`] that stays cheap at tens of thousands of pending events.
-//! A binary heap is `O(log n)` per operation and — worse for
-//! determinism — provides no stable order for equal keys. The classic
-//! calendar queue (Brown, CACM 1988) buckets events by time so insert
-//! and pop are amortized `O(1)`, and a global sequence number gives a
-//! deterministic FIFO tie-break within a timestamp: two events pushed
-//! at the same `SimTime` pop in push order, always, regardless of
-//! bucket layout or resize history.
-//!
-//! Implementation notes:
-//!
-//! * Buckets are a power-of-two ring over *years* (`time / width`); an
-//!   entry lives in bucket `year & mask`. Popping scans from the
-//!   current year; a whole lap without a hit falls back to a direct
-//!   min-year scan, so sparse far-future schedules don't spin.
-//! * The entries of the year being drained are sorted once into a run
-//!   (`current`) and popped from the front. Pushes that land at or
-//!   before the scan horizon binary-insert into the run, so
-//!   out-of-order ("past") pushes are legal and still pop in exact
-//!   `(time, seq)` order — the property the scheduler tests pin against
-//!   a [`std::collections::BinaryHeap`] reference model.
-//! * The ring doubles when occupancy exceeds [`OCCUPANCY`] entries per
-//!   bucket, keeping the amortized cost constant as the engine scales
-//!   from 16 to 16k ranks. Nothing here consults wall-clock time or
-//!   randomness: the wheel is bit-for-bit deterministic.
+//! The event-driven cluster engine and the store service need a
+//! priority queue over [`SimTime`] whose pop order is fully determined
+//! by the pushes: two events pushed at the same `SimTime` pop in push
+//! order, always. The wheel is a [`std::collections::BinaryHeap`] keyed
+//! on one packed `u128`, `(time << 64) | seq`, where `seq` counts
+//! pushes. Comparing the packed key is comparing `(time, seq)`, so ties
+//! break FIFO and pushes into the already-popped past are legal: they
+//! simply become the next to pop. Nothing here consults wall-clock
+//! time or randomness.
 
-use std::collections::VecDeque;
+use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 use crate::clock::SimTime;
 
-/// Default bucket width: ~1 ms of virtual time (2^20 ns). Events of a
-/// bulk-synchronous round cluster far tighter than this, so a round
-/// drains as one sorted run.
-pub(crate) const DEFAULT_BUCKET_NS: u64 = 1 << 20;
-
-/// Ring doubling threshold: average entries per bucket.
-const OCCUPANCY: usize = 4;
-
-/// Minimum ring size (power of two).
-const MIN_BUCKETS: usize = 16;
-
 #[derive(Debug)]
 struct Entry<T> {
-    time: SimTime,
-    seq: u64,
+    /// `(time << 64) | seq`.
+    key: u128,
     item: T,
 }
 
-/// A deterministic calendar-queue priority queue over [`SimTime`].
+impl<T> PartialEq for Entry<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key == other.key
+    }
+}
+
+impl<T> Eq for Entry<T> {}
+
+impl<T> PartialOrd for Entry<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for Entry<T> {
+    /// Reversed, so the max-heap pops the smallest key first.
+    fn cmp(&self, other: &Self) -> Ordering {
+        other.key.cmp(&self.key)
+    }
+}
+
+/// A deterministic priority queue over [`SimTime`].
 ///
 /// ```
 /// use ickpt_sim::{EventWheel, SimTime};
@@ -65,19 +59,7 @@ struct Entry<T> {
 /// ```
 #[derive(Debug)]
 pub struct EventWheel<T> {
-    /// Ring of per-slot entry lists; an entry's slot is
-    /// `(time / width) & mask`.
-    buckets: Vec<Vec<Entry<T>>>,
-    mask: u64,
-    /// Bucket width in virtual nanoseconds (power of two).
-    width: u64,
-    /// Next year the pop scan will visit. Everything strictly before
-    /// this year has been moved into `current`.
-    cursor_year: u64,
-    /// The sorted run being drained: entries with
-    /// `year < cursor_year`, ascending `(time, seq)`.
-    current: VecDeque<Entry<T>>,
-    len: usize,
+    heap: BinaryHeap<Entry<T>>,
     seq: u64,
 }
 
@@ -88,128 +70,34 @@ impl<T> Default for EventWheel<T> {
 }
 
 impl<T> EventWheel<T> {
-    /// An empty wheel with the default ~1 ms bucket width.
+    /// An empty wheel.
     pub fn new() -> Self {
-        Self::with_bucket_ns(DEFAULT_BUCKET_NS)
-    }
-
-    /// An empty wheel with buckets of `width_ns` virtual nanoseconds
-    /// (rounded up to a power of two).
-    pub(crate) fn with_bucket_ns(width_ns: u64) -> Self {
-        let width = width_ns.max(1).next_power_of_two();
-        Self {
-            buckets: (0..MIN_BUCKETS).map(|_| Vec::new()).collect(),
-            mask: MIN_BUCKETS as u64 - 1,
-            width,
-            cursor_year: 0,
-            current: VecDeque::new(),
-            len: 0,
-            seq: 0,
-        }
+        Self { heap: BinaryHeap::new(), seq: 0 }
     }
 
     /// Pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// Whether no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    #[inline]
-    fn year_of(&self, time: SimTime) -> u64 {
-        time.0 / self.width
+        self.heap.is_empty()
     }
 
     /// Schedule `item` at `time`. Events at equal times pop in push
     /// order (FIFO). Pushing earlier than already-popped times is
     /// allowed; such events simply become the next to pop.
     pub fn push(&mut self, time: SimTime, item: T) {
-        let seq = self.seq;
+        let key = (u128::from(time.0) << 64) | u128::from(self.seq);
         self.seq += 1;
-        let entry = Entry { time, seq, item };
-        let year = self.year_of(time);
-        if year < self.cursor_year {
-            // At or before the scan horizon: merge into the sorted run
-            // so global (time, seq) order is preserved.
-            let key = (entry.time, entry.seq);
-            let at = self.current.partition_point(|e| (e.time, e.seq) < key);
-            self.current.insert(at, entry);
-        } else {
-            let slot = (year & self.mask) as usize;
-            self.buckets[slot].push(entry);
-        }
-        self.len += 1;
-        self.maybe_grow();
+        self.heap.push(Entry { key, item });
     }
 
     /// Remove and return the earliest event as `(time, item)`; ties pop
     /// in push order.
     pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        if self.current.is_empty() && !self.refill() {
-            return None;
-        }
-        let e = self.current.pop_front().expect("refill guarantees a run");
-        self.len -= 1;
-        Some((e.time, e.item))
-    }
-
-    /// Move the next non-empty year's entries into the sorted run.
-    /// Returns false when the wheel is empty.
-    fn refill(&mut self) -> bool {
-        if self.len == 0 {
-            return false;
-        }
-        let nbuckets = self.buckets.len() as u64;
-        // Scan at most one lap from the cursor; beyond that the
-        // schedule is sparse, so jump straight to the minimum year.
-        let mut year = self.cursor_year;
-        let lap_end = self.cursor_year + nbuckets;
-        loop {
-            if year == lap_end {
-                year = self.min_year().expect("len > 0 but no bucket entry");
-            }
-            let slot = (year & self.mask) as usize;
-            if self.buckets[slot].iter().any(|e| self.year_key(e) == year) {
-                break;
-            }
-            year += 1;
-        }
-        let slot = (year & self.mask) as usize;
-        let bucket = std::mem::take(&mut self.buckets[slot]);
-        let (mut run, keep): (Vec<_>, Vec<_>) =
-            bucket.into_iter().partition(|e| e.time.0 / self.width == year);
-        self.buckets[slot] = keep;
-        run.sort_by_key(|e| (e.time, e.seq));
-        self.current = run.into();
-        self.cursor_year = year + 1;
-        true
-    }
-
-    #[inline]
-    fn year_key(&self, e: &Entry<T>) -> u64 {
-        e.time.0 / self.width
-    }
-
-    fn min_year(&self) -> Option<u64> {
-        self.buckets.iter().flatten().map(|e| self.year_key(e)).min()
-    }
-
-    fn maybe_grow(&mut self) {
-        if self.len - self.current.len() <= self.buckets.len() * OCCUPANCY {
-            return;
-        }
-        let new_n = (self.buckets.len() * 2).next_power_of_two();
-        let mut buckets: Vec<Vec<Entry<T>>> = (0..new_n).map(|_| Vec::new()).collect();
-        let mask = new_n as u64 - 1;
-        for e in self.buckets.drain(..).flatten() {
-            let slot = ((e.time.0 / self.width) & mask) as usize;
-            buckets[slot].push(e);
-        }
-        self.buckets = buckets;
-        self.mask = mask;
+        self.heap.pop().map(|e| (SimTime((e.key >> 64) as u64), e.item))
     }
 }
 
@@ -264,8 +152,7 @@ mod tests {
 
     #[test]
     fn same_bucket_different_times_sort() {
-        // Entries within one bucket year must still sort by exact time.
-        let mut w = EventWheel::with_bucket_ns(1 << 30); // ~1 s buckets
+        let mut w = EventWheel::new();
         w.push(SimTime(800_000_000), "late");
         w.push(SimTime(100_000_000), "early");
         assert_eq!(w.pop().unwrap().1, "early");

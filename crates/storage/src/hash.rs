@@ -28,24 +28,22 @@ pub const BLOCK_SIZE: usize = 256;
 pub const BLOCKS_PER_PAGE: usize = CHUNK_PAGE_SIZE / BLOCK_SIZE;
 
 /// Per-lane multipliers (odd constants: golden ratio and friends).
-/// `pub(crate)` so the SIMD kernel backends compute the identical
-/// function (see [`crate::kernels`]).
-pub(crate) const M0: u64 = 0x9E37_79B9_7F4A_7C15;
-pub(crate) const M1: u64 = 0xC2B2_AE3D_27D4_EB4F;
-pub(crate) const M2: u64 = 0x1656_67B1_9E37_79F9;
-pub(crate) const M3: u64 = 0xD6E8_FEB8_6659_FD93;
+const M0: u64 = 0x9E37_79B9_7F4A_7C15;
+const M1: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const M2: u64 = 0x1656_67B1_9E37_79F9;
+const M3: u64 = 0xD6E8_FEB8_6659_FD93;
 
 /// Lane seeds: distinct so an all-zero input still produces non-trivial
 /// lane states.
-pub(crate) const S0: u64 = 0x243F_6A88_85A3_08D3;
-pub(crate) const S1: u64 = 0x1319_8A2E_0370_7344;
-pub(crate) const S2: u64 = 0xA409_3822_299F_31D0;
-pub(crate) const S3: u64 = 0x082E_FA98_EC4E_6C89;
+const S0: u64 = 0x243F_6A88_85A3_08D3;
+const S1: u64 = 0x1319_8A2E_0370_7344;
+const S2: u64 = 0xA409_3822_299F_31D0;
+const S3: u64 = 0x082E_FA98_EC4E_6C89;
 
 /// Final avalanche (the SplitMix64 finalizer): a single flipped input
 /// bit must be able to flip any output bit.
 #[inline]
-pub(crate) fn mix(mut x: u64) -> u64 {
+fn mix(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x ^= x >> 27;
@@ -54,15 +52,13 @@ pub(crate) fn mix(mut x: u64) -> u64 {
 }
 
 #[inline]
-pub(crate) fn lane(acc: u64, word: u64, mult: u64) -> u64 {
+fn lane(acc: u64, word: u64, mult: u64) -> u64 {
     (acc ^ word).wrapping_mul(mult).rotate_left(23)
 }
 
 /// Combine four lane accumulators into the final digest of `len` bytes.
-/// Every backend — scalar, fused single-pass, SIMD — funnels through
-/// this exact finalization so digests are bit-identical across them.
 #[inline]
-pub(crate) fn finish_lanes(a0: u64, a1: u64, a2: u64, a3: u64, len: u64) -> u64 {
+fn finish_lanes(a0: u64, a1: u64, a2: u64, a3: u64, len: u64) -> u64 {
     mix(a0 ^ a1.rotate_left(17) ^ a2.rotate_left(31) ^ a3.rotate_left(47) ^ len)
 }
 

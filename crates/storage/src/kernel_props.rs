@@ -5,10 +5,11 @@
 //! every length class and alignment. The suite drives deterministic
 //! SplitMix64-filled buffers through each table from
 //! `kernels::available()` — on an AVX-512 x86_64 host that exercises
-//! scalar, portable, sse2(+pclmul), avx2(+pclmul), and
-//! avx512vl(+pclmul).
+//! scalar, sse2(+pclmul), avx2(+pclmul), and avx512vl(+pclmul). The
+//! page scan has no per-tier variant; its facade is checked against
+//! the separately computed triple.
 
-use crate::hash::{hash64, page_block_hashes, page_hash_of_blocks, BLOCKS_PER_PAGE, BLOCK_SIZE};
+use crate::hash::{page_block_hashes, page_hash_of_blocks, BLOCKS_PER_PAGE, BLOCK_SIZE};
 use crate::kernels::{self, BackendChoice};
 use crate::CHUNK_PAGE_SIZE;
 
@@ -125,60 +126,23 @@ fn all_backends_agree_crc32() {
 }
 
 #[test]
-fn all_backends_agree_fused_scan() {
-    for table in kernels::available() {
-        // Block counts that hit the AVX2 pair loop (even), the odd
-        // trailing block, the empty input, and full pages.
-        for &blocks in &[0usize, 1, 2, 3, 4, 7, 15, 16, 64] {
-            for &off in OFFSETS {
-                let len = blocks * BLOCK_SIZE;
-                let buf = splitmix_buf(0xF5D ^ blocks as u64, len + off);
-                let data = &buf[off..];
-                let mut got = vec![0u64; blocks];
-                let scan = (table.fused_scan)(data, &mut got);
-                let mut want = vec![0u64; blocks];
-                let want_scan = (kernels::SCALAR.fused_scan)(data, &mut want);
-                assert_eq!(got, want, "{}: blocks {blocks} off {off}", table.name);
-                assert_eq!(scan, want_scan, "{}: blocks {blocks} off {off}", table.name);
-                // And against the primitive calls directly.
-                assert_eq!(scan.page_hash, page_hash_of_blocks(&want), "{}", table.name);
-                assert_eq!(scan.is_zero, data.iter().all(|&b| b == 0), "{}", table.name);
-                for (i, h) in got.iter().enumerate() {
-                    assert_eq!(
-                        *h,
-                        hash64(&data[i * BLOCK_SIZE..(i + 1) * BLOCK_SIZE]),
-                        "{}: block {i}",
-                        table.name
-                    );
-                }
-            }
-        }
-    }
-}
-
-#[test]
 fn fused_scan_zero_pages_report_zero() {
-    for table in kernels::available() {
-        let zeros = vec![0u8; CHUNK_PAGE_SIZE];
-        let mut hashes = vec![0u64; BLOCKS_PER_PAGE];
-        let scan = (table.fused_scan)(&zeros, &mut hashes);
-        assert!(scan.is_zero, "{}", table.name);
-        assert_eq!(scan.page_hash, page_hash_of_blocks(&hashes), "{}", table.name);
-        // One bit anywhere flips is_zero, including in the last block
-        // (the odd-tail path on SIMD backends with odd block counts).
-        for pos in [0usize, 255, 256, 4095] {
-            let mut page = zeros.clone();
-            page[pos] = 2;
-            let scan = (table.fused_scan)(&page, &mut hashes);
-            assert!(!scan.is_zero, "{}: bit at {pos}", table.name);
-        }
+    let zeros = vec![0u8; CHUNK_PAGE_SIZE];
+    let mut hashes = vec![0u64; BLOCKS_PER_PAGE];
+    let scan = kernels::fused_scan(&zeros, &mut hashes);
+    assert!(scan.is_zero);
+    assert_eq!(scan.page_hash, page_hash_of_blocks(&hashes));
+    // One bit anywhere flips is_zero, including in the last block.
+    for pos in [0usize, 255, 256, 4095] {
+        let mut page = zeros.clone();
+        page[pos] = 2;
+        assert!(!kernels::fused_scan(&page, &mut hashes).is_zero, "bit at {pos}");
     }
 }
 
-/// The satellite contract verbatim: fused-scan output equals the
-/// (zero-scan, `page_hash_of_blocks`, `page_block_hashes`) triple on
-/// whole pages, through the public facade (whatever backend is
-/// active).
+/// The page scan equals the (zero-scan, `page_hash_of_blocks`,
+/// `page_block_hashes`) triple on whole pages, through the public
+/// facade (whatever backend is active).
 #[test]
 fn facade_fused_scan_matches_the_triple() {
     for seed in 0..8u64 {

@@ -1,16 +1,17 @@
 //! Runtime-dispatched byte-touching kernels for the capture hot path.
 //!
-//! Every captured page used to be swept several times — zero scan, page
-//! hash, 16 block hashes, CRC inside chunk encode, XOR for parity — and
-//! every sweep was scalar. This module makes each sweep run at hardware
-//! speed and, where it matters most, fuses them so each byte is touched
-//! once:
+//! Every captured page is swept several times — zero scan, block
+//! hashes, CRC inside chunk encode, XOR for parity. This module runs
+//! the sweeps whose SIMD form measurably beats scalar through a
+//! dispatch table, and keeps the page scan on the plain scalar hash:
 //!
-//! * [`fused_scan`] — the headline kernel: zero-page detection, all
-//!   per-256 B-block hashes, and the page hash (derived merkle-style
-//!   from the block digests, see
-//!   `crate::hash::page_hash_of_blocks`) in **one** pass over the
-//!   page, bit-identical to computing the triple separately.
+//! * [`fused_scan`] — a page's identity triple: all per-256 B-block
+//!   hashes, the page hash derived merkle-style from them (see
+//!   `crate::hash::page_hash_of_blocks`), and zero-page detection.
+//!   It is the three separate passes, in that order; only the zero
+//!   scan is dispatched. Per 4 KiB page of a buffer larger than the
+//!   caches, the scalar hash outran every hand-fused SIMD variant
+//!   (DESIGN.md §15).
 //! * [`is_zero`] / `bytes_eq` / `xor_acc` — vectorized zero scan,
 //!   silent-store block compare, and parity XOR accumulate.
 //! * `crc32_advance` — dispatched CRC-32 state advance (PCLMULQDQ
@@ -24,7 +25,6 @@
 //! | table      | arch          | requires                          |
 //! |------------|---------------|-----------------------------------|
 //! | `scalar`   | any           | nothing — the reference backend   |
-//! | `portable` | any           | nothing (single-pass fused scan)  |
 //! | `sse2`     | x86_64        | baseline (always present)         |
 //! | `avx2`     | x86_64        | runtime `avx2`                    |
 //! | `avx512vl` | x86_64        | runtime `avx512f`+`dq`+`bw`+`vl`  |
@@ -32,16 +32,16 @@
 //! | `neon`     | aarch64       | baseline (always present)         |
 //!
 //! Every accelerated kernel computes the *identical function* to the
-//! scalar reference — same hashes, same CRC, same bytes — pinned by the
-//! property suite in `kernel_props.rs` (misaligned slices, odd
-//! lengths, all-backends-agree). `ICKPT_KERNELS=scalar` forces the
-//! reference backend; `auto` (or unset) picks the best detected tier; a
-//! malformed value exits with status 2, like every `ICKPT_*` knob
+//! scalar reference — same CRC, same bytes — pinned by the property
+//! suite in `kernel_props.rs` (misaligned slices, odd lengths,
+//! all-backends-agree). `ICKPT_KERNELS=scalar` forces the reference
+//! backend; `auto` (or unset) picks the best detected tier; a malformed
+//! value exits with status 2, like every `ICKPT_*` knob
 //! ([`ickpt_sim::env`]).
 
 use std::sync::OnceLock;
 
-use crate::hash::BLOCK_SIZE;
+use crate::hash::{hash64, page_hash_of_blocks, BLOCK_SIZE};
 
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
@@ -52,7 +52,7 @@ pub(crate) mod x86;
 /// Environment knob selecting the kernel backend.
 pub(crate) const KERNELS_ENV: &str = "ICKPT_KERNELS";
 
-/// Result of the fused single-pass page scan.
+/// Result of the page scan.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FusedScan {
     /// True iff every scanned byte was zero.
@@ -73,9 +73,6 @@ pub(crate) struct Kernels {
     pub name: &'static str,
     /// True iff the slice is all zero bytes.
     pub is_zero: fn(&[u8]) -> bool,
-    /// Fused zero + page hash + block hashes; `data.len()` must equal
-    /// `out.len() * BLOCK_SIZE` (checked by the [`fused_scan`] facade).
-    pub fused_scan: fn(&[u8], &mut [u64]) -> FusedScan,
     /// `acc[i] ^= data[i]` over two equal-length slices.
     pub xor_acc: fn(&mut [u8], &[u8]),
     /// Advance a raw (pre-finalize) CRC-32 state over `data`.
@@ -84,26 +81,12 @@ pub(crate) struct Kernels {
     pub bytes_eq: fn(&[u8], &[u8]) -> bool,
 }
 
-/// The always-available reference backend: the existing scalar
-/// implementations, composed. `fused_scan` here really is the
-/// three-pass sequence — it *is* the executable specification the
-/// accelerated tiers are tested against.
+/// The always-available reference backend: the scalar
+/// implementations every other tier is tested against, and the table
+/// of architectures with no SIMD backend.
 pub(crate) static SCALAR: Kernels = Kernels {
     name: "scalar",
     is_zero: scalar::is_zero,
-    fused_scan: scalar::fused_scan_threepass,
-    xor_acc: scalar::xor_acc,
-    crc32_advance: crate::crc::update_slice8,
-    bytes_eq: scalar::bytes_eq,
-};
-
-/// Portable tier: scalar instructions, but the fused scan walks the
-/// page once (interleaved page/block hash chains + zero accumulate).
-/// The fallback on architectures with no SIMD backend.
-pub(crate) static PORTABLE: Kernels = Kernels {
-    name: "portable",
-    is_zero: scalar::is_zero,
-    fused_scan: scalar::fused_scan_onepass,
     xor_acc: scalar::xor_acc,
     crc32_advance: crate::crc::update_slice8,
     bytes_eq: scalar::bytes_eq,
@@ -139,7 +122,7 @@ fn best() -> Kernels {
     }
     #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
     {
-        PORTABLE
+        SCALAR
     }
 }
 
@@ -147,7 +130,7 @@ fn best() -> Kernels {
 /// Property tests iterate this to assert all-backends-agree.
 #[cfg(test)]
 pub(crate) fn available() -> Vec<Kernels> {
-    let mut tables = vec![SCALAR, PORTABLE];
+    let mut tables = vec![SCALAR];
     #[cfg(target_arch = "x86_64")]
     tables.extend(x86::available());
     #[cfg(target_arch = "aarch64")]
@@ -178,11 +161,9 @@ pub fn is_zero(data: &[u8]) -> bool {
     (active().is_zero)(data)
 }
 
-/// Fused single-pass page scan: zero detection, one block hash per
-/// [`BLOCK_SIZE`] bytes, and the derived page hash, touching each data
-/// byte once.
-///
-/// Bit-identical to the separate calls it replaces:
+/// Page scan: one block hash per [`BLOCK_SIZE`] bytes into
+/// `block_hashes`, the page hash derived from them, and the dispatched
+/// zero check, in three passes:
 /// `out[i] == hash64(&data[i*256..][..256])`,
 /// `page_hash == page_hash_of_blocks(out)`,
 /// `is_zero == data.iter().all(|b| *b == 0)`.
@@ -195,7 +176,11 @@ pub fn fused_scan(data: &[u8], block_hashes: &mut [u64]) -> FusedScan {
         block_hashes.len() * BLOCK_SIZE,
         "fused_scan needs one hash slot per {BLOCK_SIZE}-byte block"
     );
-    (active().fused_scan)(data, block_hashes)
+    for (slot, block) in block_hashes.iter_mut().zip(data.chunks_exact(BLOCK_SIZE)) {
+        *slot = hash64(block);
+    }
+    let page_hash = page_hash_of_blocks(block_hashes);
+    FusedScan { is_zero: is_zero(data), page_hash }
 }
 
 /// XOR-accumulate `data` into `acc` (`acc[i] ^= data[i]`).
@@ -246,9 +231,7 @@ mod tests {
 
     #[test]
     fn scalar_table_is_always_available() {
-        let tables = available();
-        assert_eq!(tables[0].name, "scalar");
-        assert!(tables.len() >= 2, "portable tier always rides along");
+        assert_eq!(available()[0].name, "scalar");
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //!
 //! NEON (ASIMD) is part of the aarch64 baseline, so no runtime
 //! detection is needed — the table is always usable on this
-//! architecture. The hash chains stay on the scalar multiplier (the
-//! portable single-pass fused scan): aarch64 NEON has no 64×64→64
-//! vector multiply either, and the scalar `mul` pipe is already the
-//! binding resource, so vectorizing it would be emulation for its own
-//! sake. The byte-parallel kernels (zero scan, XOR, compare) are where
-//! NEON pays.
+//! architecture. The byte-parallel kernels (zero scan, XOR, compare)
+//! are where NEON pays; block hashing stays on the scalar multiplier
+//! like on every other host (`super::fused_scan`).
 
 #![allow(unsafe_code)]
 
@@ -20,7 +17,6 @@ pub(crate) fn table() -> Kernels {
     Kernels {
         name: "neon",
         is_zero: is_zero_neon,
-        fused_scan: scalar::fused_scan_onepass,
         xor_acc: xor_acc_neon,
         crc32_advance: crate::crc::update_slice8,
         bytes_eq: bytes_eq_neon,

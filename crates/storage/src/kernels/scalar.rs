@@ -1,16 +1,5 @@
-//! Scalar kernel backends: the always-available reference tier plus
-//! the portable single-pass fused scan.
-//!
-//! `fused_scan_threepass` is the executable specification — it *is*
-//! the pre-kernel capture sequence (zero scan, then block hashes, then
-//! the derived page hash), composed from the original scalar
-//! implementations. Every other backend is property-tested
-//! bit-identical to it.
-
-use super::FusedScan;
-use crate::hash::{
-    finish_lanes, hash64, lane, page_hash_of_blocks, BLOCK_SIZE, M0, M1, M2, M3, S0, S1, S2, S3,
-};
+//! Scalar kernel backend: the always-available reference tier every
+//! SIMD backend is property-tested bit-identical to.
 
 /// Word-at-a-time zero scan with a 64-byte early-exit stride.
 ///
@@ -30,45 +19,6 @@ pub(crate) fn is_zero(data: &[u8]) -> bool {
         }
     }
     chunks.remainder().iter().all(|&b| b == 0)
-}
-
-/// Reference fused scan: literally the three separate passes — block
-/// digests, zero scan, then the page hash derived from the digests.
-pub(crate) fn fused_scan_threepass(data: &[u8], out: &mut [u64]) -> FusedScan {
-    for (slot, block) in out.iter_mut().zip(data.chunks_exact(BLOCK_SIZE)) {
-        *slot = hash64(block);
-    }
-    FusedScan { is_zero: is_zero(data), page_hash: page_hash_of_blocks(out) }
-}
-
-/// Portable single-pass fused scan: one sweep maintains the four block
-/// hash lanes and an OR-accumulated zero probe together, so each byte
-/// is loaded once; the page hash is derived from the block digests.
-///
-/// Each block chain finalizes through [`finish_lanes`] exactly as
-/// `hash64` would — bit-identical output.
-pub(crate) fn fused_scan_onepass(data: &[u8], out: &mut [u64]) -> FusedScan {
-    debug_assert_eq!(data.len(), out.len() * BLOCK_SIZE);
-    let mut zacc = 0u64;
-    for (slot, block) in out.iter_mut().zip(data.chunks_exact(BLOCK_SIZE)) {
-        let mut b0 = S0;
-        let mut b1 = S1;
-        let mut b2 = S2;
-        let mut b3 = S3;
-        for quad in block.chunks_exact(32) {
-            let w0 = u64::from_le_bytes(quad[0..8].try_into().unwrap());
-            let w1 = u64::from_le_bytes(quad[8..16].try_into().unwrap());
-            let w2 = u64::from_le_bytes(quad[16..24].try_into().unwrap());
-            let w3 = u64::from_le_bytes(quad[24..32].try_into().unwrap());
-            zacc |= w0 | w1 | w2 | w3;
-            b0 = lane(b0, w0, M0);
-            b1 = lane(b1, w1, M1);
-            b2 = lane(b2, w2, M2);
-            b3 = lane(b3, w3, M3);
-        }
-        *slot = finish_lanes(b0, b1, b2, b3, BLOCK_SIZE as u64);
-    }
-    FusedScan { is_zero: zacc == 0, page_hash: page_hash_of_blocks(out) }
 }
 
 /// Byte-wise XOR accumulate (`acc[i] ^= data[i]`).

@@ -7,69 +7,45 @@
 //! are guaranteed present. SSE2 needs no detection — it is part of the
 //! x86_64 baseline ABI.
 //!
-//! The fused scans are the interesting kernels. The hash is four
-//! independent multiply-xor-rotate lanes per 256-byte block chain, and
-//! the chains are independent across blocks, so a page's whole
-//! identity triple (zero flag, block digests, derived page hash)
-//! vectorizes freely. The multiply is 64-bit, which AVX2 lacks
-//! (`vpmullq` is AVX-512), so the AVX2 tier emulates it with three
-//! 32×32→64 `vpmuludq` multiplies per step:
-//!
-//! ```text
-//! lo64(x · m) = (x_lo·m_lo) + ((x_lo·m_hi + x_hi·m_lo) << 32)
-//! ```
-//!
-//! That chain is ~13 cycles of latency, so four block chains run
-//! interleaved to hide it. The AVX-512VL tier replaces the whole
-//! emulation with native `vpmullq`/`vprolq` (three instructions per
-//! step) across eight interleaved chains.
+//! Block hashing has no tier here: per 4 KiB page of a buffer larger
+//! than the caches, the scalar hash is faster than a fused SIMD scan
+//! (DESIGN.md §15).
 
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::{
-    __m128i, __m256i, _mm256_add_epi64, _mm256_castsi256_si128, _mm256_extracti128_si256,
-    _mm256_loadu_si256, _mm256_mul_epu32, _mm256_mullo_epi64, _mm256_or_si256, _mm256_rol_epi64,
-    _mm256_setr_epi64x, _mm256_setzero_si256, _mm256_slli_epi64, _mm256_srli_epi64,
-    _mm256_storeu_si256, _mm256_testz_si256, _mm256_xor_si256, _mm512_loadu_si512,
-    _mm512_mask_storeu_epi8, _mm512_storeu_si512, _mm512_xor_si512, _mm_and_si128,
-    _mm_clmulepi64_si128, _mm_cmpeq_epi8, _mm_cvtsi128_si64, _mm_cvtsi32_si128, _mm_extract_epi32,
-    _mm_extract_epi64, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_set_epi32,
+    __m128i, _mm256_loadu_si256, _mm256_or_si256, _mm256_storeu_si256, _mm256_testz_si256,
+    _mm256_xor_si256, _mm512_loadu_si512, _mm512_mask_storeu_epi8, _mm512_storeu_si512,
+    _mm512_xor_si512, _mm_and_si128, _mm_clmulepi64_si128, _mm_cmpeq_epi8, _mm_cvtsi32_si128,
+    _mm_extract_epi32, _mm_loadu_si128, _mm_movemask_epi8, _mm_or_si128, _mm_set_epi32,
     _mm_set_epi64x, _mm_setzero_si128, _mm_srli_si128, _mm_storeu_si128, _mm_xor_si128,
 };
 
-use super::{scalar, FusedScan, Kernels, PORTABLE};
-use crate::hash::{
-    finish_lanes, hash64, page_hash_of_blocks, BLOCK_SIZE, M0, M1, M2, M3, S0, S1, S2, S3,
-};
+use super::{scalar, Kernels};
 
 /// SSE2 tier: vectorized zero scan / XOR / compare (baseline on
-/// x86_64), portable single-pass fused scan, slice-by-8 CRC.
+/// x86_64), slice-by-8 CRC.
 pub(crate) static SSE2: Kernels = Kernels {
     name: "sse2",
     is_zero: is_zero_sse2,
-    fused_scan: scalar::fused_scan_onepass,
     xor_acc: xor_acc_sse2,
     crc32_advance: crate::crc::update_slice8,
     bytes_eq: bytes_eq_sse2,
 };
 
-/// AVX2 tier: 32-byte-wide everything plus the fused SIMD scan.
+/// AVX2 tier: 32-byte-wide zero scan, XOR and compare.
 static AVX2: Kernels = Kernels {
     name: "avx2",
     is_zero: is_zero_avx2,
-    fused_scan: fused_scan_avx2,
     xor_acc: xor_acc_avx2,
     crc32_advance: crate::crc::update_slice8,
     bytes_eq: bytes_eq_avx2,
 };
 
-/// AVX-512VL tier: AVX2 data movement, but the fused scan's 64-bit
-/// multiply and rotate become single native instructions
-/// (`vpmullq`/`vprolq`) on 256-bit vectors.
+/// AVX-512VL tier: the AVX2 zero scan and compare, zmm XOR.
 static AVX512: Kernels = Kernels {
     name: "avx512vl",
     is_zero: is_zero_avx2,
-    fused_scan: fused_scan_avx512,
     xor_acc: xor_acc_avx512,
     crc32_advance: crate::crc::update_slice8,
     bytes_eq: bytes_eq_avx2,
@@ -109,7 +85,7 @@ pub(crate) fn available() -> Vec<Kernels> {
 
 /// Best tier for this host.
 pub(crate) fn best() -> Kernels {
-    available().pop().unwrap_or(PORTABLE)
+    available().pop().unwrap_or(SSE2)
 }
 
 // ---------------------------------------------------------------- SSE2
@@ -259,101 +235,6 @@ unsafe fn bytes_eq_avx2_impl(a: &[u8], b: &[u8]) -> bool {
     a[i..] == b[i..]
 }
 
-fn fused_scan_avx2(data: &[u8], out: &mut [u64]) -> FusedScan {
-    // SAFETY: only installed after runtime AVX2 detection (`available`).
-    unsafe { fused_scan_avx2_impl(data, out) }
-}
-
-/// One block-lane hash step on four packed 64-bit lanes:
-/// `rotl23(lo64((acc ^ w) · m))` with the multiply emulated as three
-/// 32×32→64 `vpmuludq` products.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn lane_step_avx2(acc: __m256i, w: __m256i, m: __m256i, m_hi: __m256i) -> __m256i {
-    let x = _mm256_xor_si256(acc, w);
-    let lo = _mm256_mul_epu32(x, m);
-    let mid_a = _mm256_mul_epu32(x, m_hi);
-    let mid_b = _mm256_mul_epu32(_mm256_srli_epi64(x, 32), m);
-    let mid = _mm256_slli_epi64(_mm256_add_epi64(mid_a, mid_b), 32);
-    let prod = _mm256_add_epi64(lo, mid);
-    _mm256_or_si256(_mm256_slli_epi64(prod, 23), _mm256_srli_epi64(prod, 64 - 23))
-}
-
-/// Finalize one block chain: extract the four lanes and funnel through
-/// the shared scalar finalization.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[inline]
-#[target_feature(enable = "avx2")]
-unsafe fn finish_block_avx2(acc: __m256i) -> u64 {
-    let lo = _mm256_castsi256_si128(acc);
-    let hi = _mm256_extracti128_si256::<1>(acc);
-    let a0 = _mm_cvtsi128_si64(lo) as u64;
-    let a1 = _mm_extract_epi64::<1>(lo) as u64;
-    let a2 = _mm_cvtsi128_si64(hi) as u64;
-    let a3 = _mm_extract_epi64::<1>(hi) as u64;
-    finish_lanes(a0, a1, a2, a3, BLOCK_SIZE as u64)
-}
-
-/// # Safety
-/// Caller must ensure the CPU supports AVX2.
-#[target_feature(enable = "avx2")]
-unsafe fn fused_scan_avx2_impl(data: &[u8], out: &mut [u64]) -> FusedScan {
-    debug_assert_eq!(data.len(), out.len() * BLOCK_SIZE);
-    let m = _mm256_setr_epi64x(M0 as i64, M1 as i64, M2 as i64, M3 as i64);
-    let m_hi = _mm256_srli_epi64(m, 32);
-    let seeds = _mm256_setr_epi64x(S0 as i64, S1 as i64, S2 as i64, S3 as i64);
-    let mut zacc = _mm256_setzero_si256();
-    let mut tail_nonzero = false;
-    let blocks = out.len();
-    let mut bi = 0;
-    while bi + 4 <= blocks {
-        let pa = data.as_ptr().add(bi * BLOCK_SIZE);
-        let pb = pa.add(BLOCK_SIZE);
-        let pc = pa.add(2 * BLOCK_SIZE);
-        let pd = pa.add(3 * BLOCK_SIZE);
-        let mut a = seeds;
-        let mut b = seeds;
-        let mut c = seeds;
-        let mut d = seeds;
-        let mut off = 0;
-        // Four interleaved block chains hide the ~13-cycle emulated
-        // multiply latency; the OR into `zacc` rides the same loads.
-        while off < BLOCK_SIZE {
-            let wa = _mm256_loadu_si256(pa.add(off).cast());
-            let wb = _mm256_loadu_si256(pb.add(off).cast());
-            let wc = _mm256_loadu_si256(pc.add(off).cast());
-            let wd = _mm256_loadu_si256(pd.add(off).cast());
-            let zab = _mm256_or_si256(wa, wb);
-            let zcd = _mm256_or_si256(wc, wd);
-            zacc = _mm256_or_si256(zacc, _mm256_or_si256(zab, zcd));
-            a = lane_step_avx2(a, wa, m, m_hi);
-            b = lane_step_avx2(b, wb, m, m_hi);
-            c = lane_step_avx2(c, wc, m, m_hi);
-            d = lane_step_avx2(d, wd, m, m_hi);
-            off += 32;
-        }
-        out[bi] = finish_block_avx2(a);
-        out[bi + 1] = finish_block_avx2(b);
-        out[bi + 2] = finish_block_avx2(c);
-        out[bi + 3] = finish_block_avx2(d);
-        bi += 4;
-    }
-    while bi < blocks {
-        // Trailing blocks: portable path, same math.
-        let block = &data[bi * BLOCK_SIZE..(bi + 1) * BLOCK_SIZE];
-        out[bi] = hash64(block);
-        tail_nonzero |= !scalar::is_zero(block);
-        bi += 1;
-    }
-    let is_zero = !tail_nonzero && _mm256_testz_si256(zacc, zacc) != 0;
-    FusedScan { is_zero, page_hash: page_hash_of_blocks(out) }
-}
-
 // ----------------------------------------------------------- AVX-512VL
 
 fn xor_acc_avx512(acc: &mut [u8], data: &[u8]) {
@@ -413,69 +294,6 @@ unsafe fn xor_acc_avx512_impl(acc: &mut [u8], data: &[u8]) {
         i += 64;
     }
     xor_acc_avx2_impl(&mut acc[i..n], &data[i..n]);
-}
-
-fn fused_scan_avx512(data: &[u8], out: &mut [u64]) -> FusedScan {
-    // SAFETY: only installed after runtime AVX-512F/DQ/BW/VL detection
-    // (`available`).
-    unsafe { fused_scan_avx512_impl(data, out) }
-}
-
-/// One block-lane hash step on four packed 64-bit lanes, natively:
-/// `vprolq(vpmullq(acc ^ w, m), 23)`. Three instructions against the
-/// eleven of the AVX2 emulation.
-///
-/// # Safety
-/// Caller must ensure the CPU supports AVX-512F/DQ/VL.
-#[inline]
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn lane_step_avx512(acc: __m256i, w: __m256i, m: __m256i) -> __m256i {
-    _mm256_rol_epi64::<23>(_mm256_mullo_epi64(_mm256_xor_si256(acc, w), m))
-}
-
-/// # Safety
-/// Caller must ensure the CPU supports AVX-512F/DQ/VL.
-#[target_feature(enable = "avx512f,avx512dq,avx512vl")]
-unsafe fn fused_scan_avx512_impl(data: &[u8], out: &mut [u64]) -> FusedScan {
-    debug_assert_eq!(data.len(), out.len() * BLOCK_SIZE);
-    let m = _mm256_setr_epi64x(M0 as i64, M1 as i64, M2 as i64, M3 as i64);
-    let seeds = _mm256_setr_epi64x(S0 as i64, S1 as i64, S2 as i64, S3 as i64);
-    let mut zacc = _mm256_setzero_si256();
-    let mut tail_nonzero = false;
-    let blocks = out.len();
-    let mut bi = 0;
-    while bi + 8 <= blocks {
-        let base = data.as_ptr().add(bi * BLOCK_SIZE);
-        // Eight interleaved block chains: `vpmullq` is a multi-uop
-        // instruction with double-digit latency, so we keep eight
-        // independent multiplies in flight (AVX-512VL gives the
-        // compiler ymm16..31 to hold them all).
-        let mut accs = [seeds; 8];
-        let mut off = 0;
-        while off < BLOCK_SIZE {
-            let mut j = 0;
-            while j < 8 {
-                let w = _mm256_loadu_si256(base.add(j * BLOCK_SIZE + off).cast());
-                zacc = _mm256_or_si256(zacc, w);
-                accs[j] = lane_step_avx512(accs[j], w, m);
-                j += 1;
-            }
-            off += 32;
-        }
-        for (j, acc) in accs.iter().enumerate() {
-            out[bi + j] = finish_block_avx2(*acc);
-        }
-        bi += 8;
-    }
-    while bi < blocks {
-        // Trailing blocks: portable path, same math.
-        let block = &data[bi * BLOCK_SIZE..(bi + 1) * BLOCK_SIZE];
-        out[bi] = hash64(block);
-        tail_nonzero |= !scalar::is_zero(block);
-        bi += 1;
-    }
-    let is_zero = !tail_nonzero && _mm256_testz_si256(zacc, zacc) != 0;
-    FusedScan { is_zero, page_hash: page_hash_of_blocks(out) }
 }
 
 // ------------------------------------------------------------- PCLMULQDQ

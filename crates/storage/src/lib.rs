@@ -61,7 +61,7 @@ pub use manifest::{Manifest, RankEntry};
 pub use plan::{shard_segments, DeltaBase, PlanSegment, RestorePlan, SegmentSource};
 pub use redundancy::{
     xor_encode, xor_reconstruct, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
-    TierTopology, TierUsage, TieredStore, PARITY_RANK_BASE,
+    TierTopology, TierUsage, TieredStore,
 };
 pub use store::{ChunkBuf, ChunkKey, FileStore, MemStore, StableStorage, StorageError};
 pub use throttle::{shared_device, ThrottledStore};

@@ -1,13 +1,13 @@
-//! `StableStorage::read_chunk` is `get_chunk` without the copy: on every
-//! implementor the two return the same bytes and the same errors, and
-//! through the virtual-time readers they cost the same device time and
-//! emit the same events.
+//! `StableStorage::get_chunk` is `read_chunk` plus an owned copy: on
+//! every implementor the two return the same bytes and the same errors,
+//! and through the virtual-time readers they cost the same device time
+//! and emit the same events.
 
 use std::sync::Arc;
 
 use crate::{
-    Chunk, ChunkBuf, ChunkKey, ChunkKind, FileStore, MemStore, PageRecord, SchemeSpec,
-    StableStorage, StorageError, ThrottledStore, TierTopology, CHUNK_PAGE_SIZE,
+    Chunk, ChunkBuf, ChunkKey, ChunkKind, DrainTopology, FileStore, MemStore, PageRecord,
+    SchemeSpec, StableStorage, StorageError, ThrottledStore, TierTopology, CHUNK_PAGE_SIZE,
 };
 use ickpt_obs::{FlightRecorder, Recorder, TimedEvent, TrackKey};
 use ickpt_sim::{BandwidthDevice, SimDuration, SimTime};
@@ -145,8 +145,9 @@ fn tier_reader_charges_and_records_both_fetch_paths_alike() {
             BandwidthDevice::new(320 * MB, SimDuration::ZERO),
             Arc::new(MemStore::new()),
             1,
+            DrainTopology::Flat,
+            Recorder::new(sink.clone()),
         );
-        topo.attach_obs(Recorder::new(sink.clone()));
         for gen in 0..2u64 {
             let now = SimTime::from_secs(gen + 1);
             for rank in 0..4usize {

@@ -33,9 +33,12 @@ use ickpt_sim::reduce::fanin_group;
 use ickpt_sim::{SimDuration, SimTime};
 
 use crate::store::{ChunkKey, StableStorage, StorageError};
-use crate::throttle::SharedBandwidthDevice;
+use crate::throttle::{charge_device, SharedBandwidthDevice};
 
 use super::LocalStores;
+
+/// The flight-recorder lane of the shared array's drain transfers.
+const ARRAY_LANE: Lane = Lane::Device(DeviceKind::Array, 0);
 
 /// How drain traffic reaches the shared array.
 ///
@@ -114,46 +117,28 @@ struct DrainState {
 pub(crate) struct DrainQueue {
     nranks: usize,
     drain_every: u64,
-    /// Array charging pattern; behind a lock because the queue is
-    /// already shared (inside an `Arc`ed topology) when the run
-    /// config picks the topology.
-    topology: Mutex<DrainTopology>,
+    /// Array charging pattern.
+    topology: DrainTopology,
     state: Mutex<DrainState>,
     /// Flight recorder for batch lifecycle / queue-depth events. The
     /// flush runs in whichever notification came last, but always
     /// under the state lock in canonical order, so its events are
     /// deterministic; they land on the dedicated drain lane.
-    obs: Mutex<Recorder>,
+    obs: Recorder,
 }
 
 impl DrainQueue {
     /// Drain every `drain_every`-th committed generation (1 = every
-    /// generation, the synchronous-durable limit).
-    pub(crate) fn new(nranks: usize, drain_every: u64) -> Self {
+    /// generation, the synchronous-durable limit), charging the array
+    /// in the `topology` pattern and recording through `obs`.
+    pub(crate) fn new(
+        nranks: usize,
+        drain_every: u64,
+        topology: DrainTopology,
+        obs: Recorder,
+    ) -> Self {
         assert!(drain_every >= 1);
-        Self {
-            nranks,
-            drain_every,
-            topology: Mutex::new(DrainTopology::Flat),
-            state: Mutex::new(DrainState::default()),
-            obs: Mutex::new(Recorder::disabled()),
-        }
-    }
-
-    /// Select the array charging pattern (call before the run starts
-    /// writing, like [`DrainQueue::attach_obs`]).
-    pub(crate) fn set_topology(&self, topology: DrainTopology) {
-        *self.topology.lock() = topology;
-    }
-
-    /// The configured array charging pattern.
-    pub(crate) fn topology(&self) -> DrainTopology {
-        *self.topology.lock()
-    }
-
-    /// Attach a flight recorder (call before the run starts writing).
-    pub(crate) fn attach_obs(&self, obs: Recorder) {
-        *self.obs.lock() = obs;
+        Self { nranks, drain_every, topology, state: Mutex::new(DrainState::default()), obs }
     }
 
     /// A rank's commit notification for `generation` at the (global)
@@ -175,15 +160,14 @@ impl DrainQueue {
         }
         state.arrivals.remove(&generation);
         state.undrained.insert(generation);
-        let obs = self.obs.lock().clone();
-        obs.emit(
+        self.obs.emit(
             Lane::Drain,
             commit_time,
             Event::DrainQueueDepth { depth: state.undrained.len() as u64 },
         );
         if (generation + 1).is_multiple_of(self.drain_every) {
-            self.flush(&mut state, generation, commit_time, locals, shared, array, &obs)?;
-            obs.emit(
+            self.flush(&mut state, generation, commit_time, locals, shared, array)?;
+            self.obs.emit(
                 Lane::Drain,
                 commit_time,
                 Event::DrainQueueDepth { depth: state.undrained.len() as u64 },
@@ -196,7 +180,6 @@ impl DrainQueue {
     /// the shared array, in canonical (generation, rank) order, then
     /// the target's manifest. Charges the array device from
     /// `commit_time`.
-    #[allow(clippy::too_many_arguments)]
     fn flush(
         &self,
         state: &mut DrainState,
@@ -205,9 +188,7 @@ impl DrainQueue {
         locals: &LocalStores,
         shared: &Arc<dyn StableStorage>,
         array: &SharedBandwidthDevice,
-        obs: &Recorder,
     ) -> Result<(), StorageError> {
-        let topology = self.topology();
         let gens: Vec<u64> = state.undrained.range(..=target).copied().collect();
         let mut flushed = Vec::new();
         let mut batch_chunks = 0u64;
@@ -234,13 +215,13 @@ impl DrainQueue {
             // Store every chunk, but charge the array according to
             // the topology: flat = one transfer per rank, tree = one
             // batched transfer per contiguous aggregator group.
-            let group_of = |rank: usize| match topology {
+            let group_of = |rank: usize| match self.topology {
                 DrainTopology::Flat => rank,
                 DrainTopology::Tree { arity } => fanin_group(rank, arity),
             };
             let mut pending_group: Option<(usize, u64)> = None;
             let mut charge = |state: &mut DrainState, bytes: u64| {
-                charge_array(array, obs, commit_time, bytes);
+                charge_device(array, &self.obs, ARRAY_LANE, commit_time, bytes);
                 state.stats.drained_bytes += bytes;
                 batch_bytes += bytes;
             };
@@ -274,11 +255,12 @@ impl DrainQueue {
             // The batch is durable once its manifest lands: on the FIFO
             // array the manifest, charged last, completes after every
             // chunk of the batch.
-            let done = charge_array(array, obs, commit_time, manifest.len() as u64);
-            state.stats.drained_bytes += manifest.len() as u64;
-            batch_bytes += manifest.len() as u64;
+            let bytes = manifest.len() as u64;
+            let done = charge_device(array, &self.obs, ARRAY_LANE, commit_time, bytes).done;
+            state.stats.drained_bytes += bytes;
+            batch_bytes += bytes;
             state.stats.last_drained = Some(target);
-            obs.emit_span(
+            self.obs.emit_span(
                 Lane::Drain,
                 commit_time,
                 done.saturating_sub(commit_time),
@@ -318,7 +300,6 @@ impl DrainQueue {
         fail_time: SimTime,
         shared: &Arc<dyn StableStorage>,
     ) -> Result<(), StorageError> {
-        let obs = self.obs.lock().clone();
         let mut state = self.state.lock();
         state.arrivals.clear();
         let in_flight: Vec<u64> = state
@@ -337,7 +318,7 @@ impl DrainQueue {
             state.stats.drained_generations -= batch.generations.len() as u64;
             state.stats.torn_bytes += batch.bytes;
             state.stats.torn_generations += batch.generations.len() as u64;
-            obs.emit(
+            self.obs.emit(
                 Lane::Drain,
                 fail_time,
                 Event::DrainTorn {
@@ -374,25 +355,6 @@ impl DrainQueue {
     }
 }
 
-/// Charge `bytes` of drain traffic on the shared array from
-/// `commit_time`, one flight-recorder span per transfer; returns the
-/// completion instant.
-fn charge_array(
-    array: &SharedBandwidthDevice,
-    obs: &Recorder,
-    commit_time: SimTime,
-    bytes: u64,
-) -> SimTime {
-    let t = array.lock().transfer_detailed(commit_time, bytes);
-    obs.emit_span(
-        Lane::Device(DeviceKind::Array, 0),
-        t.start,
-        t.service,
-        Event::DeviceTransfer { bytes, queue_wait_ns: t.queue_wait.0, service_ns: t.service.0 },
-    );
-    t.done
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -424,7 +386,7 @@ mod tests {
     fn drains_every_kth_generation_with_lineage() {
         let (locals, shared) = setup(2);
         let array = shared_device(BandwidthDevice::new(1_000_000, SimDuration::ZERO));
-        let q = DrainQueue::new(2, 2);
+        let q = DrainQueue::new(2, 2, DrainTopology::Flat, Recorder::disabled());
         for gen in 0..4u64 {
             commit_gen(&locals, gen, 1000);
             let t = SimTime::from_secs(gen + 1);
@@ -446,7 +408,7 @@ mod tests {
         let (locals, shared) = setup(2);
         // 1 kB/s: draining 2 kB takes 2 virtual seconds.
         let array = shared_device(BandwidthDevice::new(1_000, SimDuration::ZERO));
-        let q = DrainQueue::new(2, 1);
+        let q = DrainQueue::new(2, 1, DrainTopology::Flat, Recorder::disabled());
         commit_gen(&locals, 0, 1000);
         for _ in 0..2 {
             q.note_committed(0, SimTime::from_secs(10), &locals, &shared, &array).unwrap();
@@ -459,7 +421,7 @@ mod tests {
     fn rollback_removes_in_flight_batches() {
         let (locals, shared) = setup(2);
         let array = shared_device(BandwidthDevice::new(1_000, SimDuration::ZERO));
-        let q = DrainQueue::new(2, 1);
+        let q = DrainQueue::new(2, 1, DrainTopology::Flat, Recorder::disabled());
         commit_gen(&locals, 0, 1000);
         for _ in 0..2 {
             q.note_committed(0, SimTime::from_secs(10), &locals, &shared, &array).unwrap();
@@ -484,9 +446,7 @@ mod tests {
     fn drain_once(topology: DrainTopology) -> (Arc<dyn StableStorage>, DrainStats, u64, SimTime) {
         let (locals, shared) = setup(4);
         let array = shared_device(BandwidthDevice::new(1_000_000, SimDuration::from_millis(1)));
-        let q = DrainQueue::new(4, 1);
-        q.set_topology(topology);
-        assert_eq!(q.topology(), topology);
+        let q = DrainQueue::new(4, 1, topology, Recorder::disabled());
         commit_gen(&locals, 0, 1000);
         for _ in 0..4 {
             q.note_committed(0, SimTime::ZERO, &locals, &shared, &array).unwrap();
@@ -541,9 +501,8 @@ mod tests {
     fn rollback_moves_batches_from_drained_to_torn() {
         let (locals, shared) = setup(2);
         let array = shared_device(BandwidthDevice::new(1_000, SimDuration::ZERO));
-        let q = DrainQueue::new(2, 1);
         let fr = ickpt_obs::FlightRecorder::new(64);
-        q.attach_obs(Recorder::new(fr.clone()));
+        let q = DrainQueue::new(2, 1, DrainTopology::Flat, Recorder::new(fr.clone()));
         commit_gen(&locals, 0, 1000);
         for _ in 0..2 {
             q.note_committed(0, SimTime::from_secs(10), &locals, &shared, &array).unwrap();
@@ -588,7 +547,7 @@ mod tests {
     fn abandons_generations_with_wiped_sources() {
         let (locals, shared) = setup(2);
         let array = shared_device(BandwidthDevice::new(1_000_000, SimDuration::ZERO));
-        let q = DrainQueue::new(2, 2);
+        let q = DrainQueue::new(2, 2, DrainTopology::Flat, Recorder::disabled());
         commit_gen(&locals, 0, 100);
         for _ in 0..2 {
             q.note_committed(0, SimTime::ZERO, &locals, &shared, &array).unwrap();

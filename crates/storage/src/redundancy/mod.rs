@@ -55,7 +55,7 @@ pub use drain::{DrainStats, DrainTopology};
 pub(crate) use partner::Partner;
 pub use tiered::{RecoverySource, TierTopology, TierUsage, TieredStore};
 pub(crate) use xor::XorParity;
-pub use xor::{xor_encode, xor_reconstruct, PARITY_RANK_BASE};
+pub use xor::{xor_encode, xor_reconstruct};
 
 use crate::store::{ChunkBuf, ChunkKey, StableStorage, StorageError};
 

@@ -30,11 +30,11 @@ use parking_lot::Mutex;
 use std::sync::Arc;
 
 use ickpt_obs::{DeviceKind, Event, Lane, Recorder, RecoveryTier};
-use ickpt_sim::{BandwidthDevice, SimDuration, SimTime};
+use ickpt_sim::{BandwidthDevice, SimDuration, SimTime, Transfer};
 
 use crate::chunk::{peek_lineage, ChunkKind};
 use crate::store::{ChunkBuf, ChunkKey, MemStore, StableStorage, StorageError};
-use crate::throttle::{shared_device, SharedBandwidthDevice};
+use crate::throttle::{charge_device, shared_device, SharedBandwidthDevice};
 
 use super::{DrainQueue, DrainStats, DrainTopology, RedundancyScheme, SchemeSpec};
 
@@ -121,12 +121,16 @@ pub struct TierTopology {
     array: SharedBandwidthDevice,
     drain: DrainQueue,
     counters: Vec<Mutex<TierUsage>>,
-    obs: Mutex<Recorder>,
+    obs: Recorder,
 }
 
 impl TierTopology {
     /// Build a topology with in-memory node-local stores (the
-    /// simulation default: a RAM-disk class cache per node).
+    /// simulation default: a RAM-disk class cache per node). Drain
+    /// traffic is charged on the shared array in the `drain_topology`
+    /// pattern; rank handles, the drain queue and recovery readers all
+    /// record through `obs`.
+    #[allow(clippy::too_many_arguments)]
     pub fn new(
         nranks: usize,
         spec: SchemeSpec,
@@ -135,41 +139,16 @@ impl TierTopology {
         array_proto: BandwidthDevice,
         shared: Arc<dyn StableStorage>,
         drain_every: u64,
-    ) -> Arc<Self> {
-        let locals =
-            (0..nranks).map(|_| Arc::new(MemStore::new()) as Arc<dyn StableStorage>).collect();
-        Self::with_local_stores(
-            nranks,
-            spec,
-            local_proto,
-            nic_proto,
-            array_proto,
-            shared,
-            drain_every,
-            locals,
-        )
-    }
-
-    /// Build over caller-provided node-local stores (e.g. per-rank
-    /// [`FileStore`](crate::FileStore) directories, so the tier layout
-    /// is inspectable on disk).
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn with_local_stores(
-        nranks: usize,
-        spec: SchemeSpec,
-        local_proto: BandwidthDevice,
-        nic_proto: BandwidthDevice,
-        array_proto: BandwidthDevice,
-        shared: Arc<dyn StableStorage>,
-        drain_every: u64,
-        locals: Vec<Arc<dyn StableStorage>>,
+        drain_topology: DrainTopology,
+        obs: Recorder,
     ) -> Arc<Self> {
         assert!(nranks >= 1);
-        assert_eq!(locals.len(), nranks);
         Arc::new(Self {
             nranks,
             scheme: spec.build(nranks),
-            locals,
+            locals: (0..nranks)
+                .map(|_| Arc::new(MemStore::new()) as Arc<dyn StableStorage>)
+                .collect(),
             local_devices: (0..nranks).map(|_| shared_device(local_proto.clone())).collect(),
             nics: (0..nranks).map(|_| shared_device(nic_proto.clone())).collect(),
             local_proto,
@@ -177,28 +156,10 @@ impl TierTopology {
             array_proto: array_proto.clone(),
             shared,
             array: shared_device(array_proto),
-            drain: DrainQueue::new(nranks, drain_every),
+            drain: DrainQueue::new(nranks, drain_every, drain_topology, obs.clone()),
             counters: (0..nranks).map(|_| Mutex::new(TierUsage::default())).collect(),
-            obs: Mutex::new(Recorder::disabled()),
+            obs,
         })
-    }
-
-    /// Attach a flight recorder to every tier (call before the run
-    /// starts writing): rank handles, the drain queue, and recovery
-    /// readers all record through it.
-    pub fn attach_obs(&self, obs: Recorder) {
-        self.drain.attach_obs(obs.clone());
-        *self.obs.lock() = obs;
-    }
-
-    /// Select how drain traffic is charged on the shared array (call
-    /// before the run starts writing, like [`TierTopology::attach_obs`]).
-    pub fn set_drain_topology(&self, topology: DrainTopology) {
-        self.drain.set_topology(topology);
-    }
-
-    fn obs(&self) -> Recorder {
-        self.obs.lock().clone()
     }
 
     /// A rank's write handle.
@@ -353,6 +314,18 @@ impl TieredStore {
         &self.topo
     }
 
+    /// Charge `bytes` on this rank's node-local device.
+    fn charge_local(&self, now: SimTime, bytes: u64) -> Transfer {
+        let lane = Lane::Device(DeviceKind::Local, self.rank as u32);
+        charge_device(&self.topo.local_devices[self.rank], &self.topo.obs, lane, now, bytes)
+    }
+
+    /// Charge `bytes` on this rank's NIC rail.
+    fn charge_nic(&self, now: SimTime, bytes: u64) -> Transfer {
+        let lane = Lane::Device(DeviceKind::Nic, self.rank as u32);
+        charge_device(&self.topo.nics[self.rank], &self.topo.obs, lane, now, bytes)
+    }
+
     /// Write a chunk at virtual time `now`: node-local write and
     /// redundancy publish proceed in parallel; returns the later
     /// completion.
@@ -363,33 +336,13 @@ impl TieredStore {
         data: &[u8],
     ) -> Result<SimTime, StorageError> {
         let t = &*self.topo;
-        let obs = t.obs();
+        let obs = &t.obs;
         let rank_lane = Lane::Rank(self.rank as u32);
         t.locals[self.rank].put_chunk(key, data)?;
-        let local = t.local_devices[self.rank].lock().transfer_detailed(now, data.len() as u64);
-        obs.emit_span(
-            Lane::Device(DeviceKind::Local, self.rank as u32),
-            local.start,
-            local.service,
-            Event::DeviceTransfer {
-                bytes: data.len() as u64,
-                queue_wait_ns: local.queue_wait.0,
-                service_ns: local.service.0,
-            },
-        );
+        let local = self.charge_local(now, data.len() as u64);
         let sent = t.scheme.publish(&t.locals, self.rank, key, data)?;
         let t_net = if sent > 0 {
-            let net = t.nics[self.rank].lock().transfer_detailed(now, sent);
-            obs.emit_span(
-                Lane::Device(DeviceKind::Nic, self.rank as u32),
-                net.start,
-                net.service,
-                Event::DeviceTransfer {
-                    bytes: sent,
-                    queue_wait_ns: net.queue_wait.0,
-                    service_ns: net.service.0,
-                },
-            );
+            let net = self.charge_nic(now, sent);
             obs.emit_span(
                 rank_lane,
                 now,
@@ -429,40 +382,14 @@ impl TieredStore {
         data: &[u8],
     ) -> Result<SimTime, StorageError> {
         let t = &*self.topo;
-        let obs = t.obs();
         for local in &t.locals {
             local.put_manifest(generation, data)?;
         }
-        let local = t.local_devices[self.rank].lock().transfer_detailed(now, data.len() as u64);
-        obs.emit_span(
-            Lane::Device(DeviceKind::Local, self.rank as u32),
-            local.start,
-            local.service,
-            Event::DeviceTransfer {
-                bytes: data.len() as u64,
-                queue_wait_ns: local.queue_wait.0,
-                service_ns: local.service.0,
-            },
-        );
+        let local = self.charge_local(now, data.len() as u64);
         let push = data.len() as u64 * (t.nranks as u64 - 1);
-        let t_net = if push > 0 {
-            let net = t.nics[self.rank].lock().transfer_detailed(now, push);
-            obs.emit_span(
-                Lane::Device(DeviceKind::Nic, self.rank as u32),
-                net.start,
-                net.service,
-                Event::DeviceTransfer {
-                    bytes: push,
-                    queue_wait_ns: net.queue_wait.0,
-                    service_ns: net.service.0,
-                },
-            );
-            net.done
-        } else {
-            now
-        };
+        let t_net = if push > 0 { self.charge_nic(now, push).done } else { now };
         let done = local.done.max(t_net);
-        obs.emit_span(
+        t.obs.emit_span(
             Lane::Rank(self.rank as u32),
             now,
             done.saturating_sub(now),
@@ -530,7 +457,7 @@ impl TierReader {
         // Spans land on the rank lane with the reader's own clock —
         // the fresh per-reader devices keep them deterministic even
         // when the live run devices were mid-transfer at the failure.
-        self.topo.obs().emit_span(
+        self.topo.obs.emit_span(
             Lane::Rank(self.rank as u32),
             now,
             t.done.saturating_sub(now),
@@ -552,10 +479,6 @@ impl StableStorage for TierReader {
         Ok(())
     }
 
-    fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
-        self.read_chunk(key).map(ChunkBuf::into_vec)
-    }
-
     fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
         let t = &*self.topo;
         if let Ok(data) = t.locals[self.rank].read_chunk(key) {
@@ -564,7 +487,7 @@ impl StableStorage for TierReader {
         }
         if let Ok((data, pulled)) = t.scheme.reconstruct(&t.locals, key) {
             self.charge(ServedBy::Net, pulled);
-            t.obs().emit(
+            t.obs.emit(
                 Lane::Rank(self.rank as u32),
                 self.now(),
                 Event::RedundancyReconstruct {
@@ -645,6 +568,8 @@ mod tests {
             BandwidthDevice::new(320 * MB, SimDuration::ZERO),
             Arc::new(MemStore::new()),
             drain_every,
+            DrainTopology::Flat,
+            Recorder::disabled(),
         )
     }
 
@@ -739,6 +664,8 @@ mod tests {
             BandwidthDevice::new(100_000, SimDuration::ZERO),
             Arc::new(MemStore::new()),
             2,
+            DrainTopology::Flat,
+            Recorder::disabled(),
         );
         // Gens 0..=3; targets are 1 and 3. Fail right after gen 3's
         // commit, while its drain is still in flight on the slow
@@ -831,7 +758,8 @@ mod tests {
                     topo.handle(rank).note_committed(gen, now).unwrap();
                 }
             }
-            let parity = topo.local(2).get_chunk(ChunkKey::new(super::super::PARITY_RANK_BASE, 1));
+            let parity =
+                topo.local(2).get_chunk(ChunkKey::new(super::super::xor::PARITY_RANK_BASE, 1));
             (times, parity.unwrap(), topo.drain_stats())
         };
         assert_eq!(run(false), run(true));

@@ -43,7 +43,7 @@ const VERSION: u16 = 1;
 
 /// Parity blocks are keyed under a tagged rank namespace so they can
 /// never collide with real rank chunks: `PARITY_RANK_BASE | group`.
-pub const PARITY_RANK_BASE: u32 = 0x8000_0000;
+pub(crate) const PARITY_RANK_BASE: u32 = 0x8000_0000;
 
 /// Encode the parity block of one group generation. `members` are
 /// `(rank, chunk bytes)` pairs; order does not affect the parity

@@ -105,16 +105,17 @@ pub trait StableStorage: Send + Sync {
     /// Persist an encoded chunk (overwrites an existing key).
     fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError>;
 
-    /// Fetch an encoded chunk as an owned copy.
-    fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError>;
+    /// Fetch an encoded chunk for reading only. A store that holds its
+    /// chunks in memory hands out a reference instead of a copy. A
+    /// later `put_chunk` of the same key replaces the stored buffer and
+    /// leaves the ones readers still hold untouched.
+    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError>;
 
-    /// Fetch an encoded chunk for reading only. Same bytes, errors,
-    /// charges and events as [`StableStorage::get_chunk`]; a store that
-    /// holds its chunks in memory hands out a reference instead of a
-    /// copy. A later `put_chunk` of the same key replaces the stored
-    /// buffer and leaves the ones readers still hold untouched.
-    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
-        self.get_chunk(key).map(ChunkBuf::from)
+    /// Fetch an encoded chunk as an owned `Vec`. Same bytes, errors,
+    /// charges and events as [`StableStorage::read_chunk`]; the bytes
+    /// are copied only when the buffer is still shared.
+    fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
+        self.read_chunk(key).map(ChunkBuf::into_vec)
     }
 
     /// Delete a chunk (no-op if missing).
@@ -162,10 +163,6 @@ impl StableStorage for MemStore {
     fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
         self.chunks.write().insert(key, ChunkBuf::from(data.to_vec()));
         Ok(())
-    }
-
-    fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
-        self.read_chunk(key).map(ChunkBuf::into_vec)
     }
 
     fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
@@ -255,8 +252,8 @@ impl StableStorage for FileStore {
         self.write_atomic(&self.chunk_path(key), data)
     }
 
-    fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
-        read_file(&self.chunk_path(key), StorageError::NotFound(key))
+    fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
+        read_file(&self.chunk_path(key), StorageError::NotFound(key)).map(ChunkBuf::from)
     }
 
     fn delete_chunk(&self, key: ChunkKey) -> Result<(), StorageError> {

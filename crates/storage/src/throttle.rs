@@ -26,6 +26,26 @@ pub fn shared_device(device: BandwidthDevice) -> SharedBandwidthDevice {
     Arc::new(Mutex::new(device))
 }
 
+/// Charge `bytes` on `device` from `now` and record the transfer as one
+/// `DeviceTransfer` occupancy span on `lane`; returns the breakdown for
+/// the caller's own traffic event.
+pub(crate) fn charge_device(
+    device: &SharedBandwidthDevice,
+    obs: &Recorder,
+    lane: Lane,
+    now: SimTime,
+    bytes: u64,
+) -> Transfer {
+    let t = device.lock().transfer_detailed(now, bytes);
+    obs.emit_span(
+        lane,
+        t.start,
+        t.service,
+        Event::DeviceTransfer { bytes, queue_wait_ns: t.queue_wait.0, service_ns: t.service.0 },
+    );
+    t
+}
+
 /// A bandwidth-limited path to stable storage.
 ///
 /// Each rank owns its own `ThrottledStore`. With [`ThrottledStore::new`]
@@ -71,18 +91,11 @@ impl ThrottledStore {
         self
     }
 
-    /// Record one device transfer on the device lane (occupancy span)
-    /// and return the breakdown for the caller's traffic event.
+    /// Charge one transfer on this path's device, recorded on its
+    /// device lane.
     #[inline]
-    fn charge_device(&self, now: SimTime, bytes: u64) -> Transfer {
-        let t = self.device.lock().transfer_detailed(now, bytes);
-        self.obs.emit_span(
-            self.dev_lane,
-            t.start,
-            t.service,
-            Event::DeviceTransfer { bytes, queue_wait_ns: t.queue_wait.0, service_ns: t.service.0 },
-        );
-        t
+    fn charge(&self, now: SimTime, bytes: u64) -> Transfer {
+        charge_device(&self.device, &self.obs, self.dev_lane, now, bytes)
     }
 
     /// Write a chunk at virtual time `now`; returns the instant the
@@ -94,7 +107,7 @@ impl ThrottledStore {
         data: &[u8],
     ) -> Result<SimTime, StorageError> {
         self.inner.put_chunk(key, data)?;
-        let t = self.charge_device(now, data.len() as u64);
+        let t = self.charge(now, data.len() as u64);
         self.obs.emit_span(
             self.rank_lane,
             now,
@@ -117,7 +130,7 @@ impl ThrottledStore {
         data: &[u8],
     ) -> Result<SimTime, StorageError> {
         self.inner.put_manifest(generation, data)?;
-        let t = self.charge_device(now, data.len() as u64);
+        let t = self.charge(now, data.len() as u64);
         self.obs.emit_span(
             self.rank_lane,
             now,
@@ -137,7 +150,7 @@ impl ThrottledStore {
         generation: u64,
     ) -> Result<(Vec<u8>, SimTime), StorageError> {
         let data = self.inner.get_manifest(generation)?;
-        let t = self.charge_device(now, data.len() as u64);
+        let t = self.charge(now, data.len() as u64);
         Ok((data, t.done))
     }
 
@@ -179,7 +192,7 @@ impl TimedReads<'_> {
     fn charge(&self, bytes: u64) -> (SimTime, Transfer) {
         let mut clock = self.clock.lock();
         let now = *clock;
-        let t = self.store.charge_device(now, bytes);
+        let t = self.store.charge(now, bytes);
         *clock = t.done;
         (now, t)
     }
@@ -201,10 +214,6 @@ impl StableStorage for TimedReads<'_> {
             },
         );
         Ok(())
-    }
-
-    fn get_chunk(&self, key: ChunkKey) -> Result<Vec<u8>, StorageError> {
-        self.read_chunk(key).map(ChunkBuf::into_vec)
     }
 
     fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {

@@ -4,9 +4,9 @@
 //! Each rank is an explicit state machine ([`RankSm`]) over its address
 //! space ([`SparseSpace`] for characterization, [`BackedSpace`] for
 //! fault-tolerant runs), stepped by at most `workers` threads and
-//! scheduled through the calendar-queue [`EventWheel`]. A blocked rank
-//! consumes no worker, so the rank count is bounded by memory, not by
-//! OS threads.
+//! scheduled through the [`EventWheel`] (FIFO on time ties). A blocked
+//! rank consumes no worker, so the rank count is bounded by memory, not
+//! by OS threads.
 //!
 //! ## Determinism at any worker count
 //!

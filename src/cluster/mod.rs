@@ -554,14 +554,10 @@ where
             cfg.device.build(),
             cfg.store.clone(),
             r.drain_every,
+            r.drain_topology,
+            cfg.obs.clone(),
         )
     });
-    if let Some(t) = &topo {
-        t.attach_obs(cfg.obs.clone());
-        if let Some(r) = &cfg.redundancy {
-            t.set_drain_topology(r.drain_topology);
-        }
-    }
     cfg.obs.emit(Lane::Run, SimTime::ZERO, Event::RunStart { ranks: cfg.nranks as u32 });
     let mut attempt = 0u32;
     let mut resume_from: Option<u64> = None;

@@ -1,8 +1,10 @@
 //! Scheduler and aggregation properties behind the 16k-rank engine:
 //!
-//! * The calendar-queue [`EventWheel`] pops in exactly the order a
-//!   binary-heap reference would, under randomized schedules with
-//!   interleaved pushes and pops (including pushes into the past).
+//! * The packed-key [`EventWheel`] pops in exactly the `(time, seq)`
+//!   order of a tuple-keyed binary-heap model, under randomized
+//!   schedules with interleaved pushes and pops (including pushes into
+//!   the past, and times at and near `u64::MAX`, where a packing that
+//!   truncates or mis-shifts the time half would show).
 //! * Tree-reduction of rank reports is byte-identical to the flat fold
 //!   at any fan-in arity.
 //! * The event-driven cluster engine produces byte-identical rank
@@ -30,13 +32,14 @@ use ickpt::sim::{EventWheel, SimDuration, SimTime, SplitMix64};
 // ---------------------------------------------------------------------
 
 /// Drive the wheel and a `BinaryHeap` through the same randomized
-/// push/pop schedule and compare every popped `(time, seq)` pair.
-fn wheel_vs_heap(seed: u64, ops: usize, horizon_ns: u64) {
+/// push/pop schedule starting at virtual time `start` and compare every
+/// popped `(time, seq)` pair. Push times saturate at `u64::MAX`.
+fn wheel_vs_heap(seed: u64, ops: usize, start: u64, horizon_ns: u64) {
     let mut rng = SplitMix64::new(seed);
     let mut wheel: EventWheel<u64> = EventWheel::new();
     let mut heap: BinaryHeap<Reverse<(SimTime, u64)>> = BinaryHeap::new();
     let mut seq = 0u64;
-    let mut base = 0u64;
+    let mut base = start;
     for _ in 0..ops {
         match rng.next_below(3) {
             // Push twice as often as we pop so the queue stays busy.
@@ -46,7 +49,7 @@ fn wheel_vs_heap(seed: u64, ops: usize, horizon_ns: u64) {
                 let t = if rng.next_below(8) == 0 {
                     SimTime(base.saturating_sub(rng.next_below(horizon_ns / 4)))
                 } else {
-                    SimTime(base + rng.next_below(horizon_ns))
+                    SimTime(base.saturating_add(rng.next_below(horizon_ns)))
                 };
                 wheel.push(t, seq);
                 heap.push(Reverse((t, seq)));
@@ -73,11 +76,14 @@ fn wheel_vs_heap(seed: u64, ops: usize, horizon_ns: u64) {
 #[test]
 fn event_wheel_matches_binary_heap_reference() {
     for seed in [1u64, 42, 0xDEAD, 0x1DC4_2004] {
-        // Horizons straddling the default bucket width (1 MiB ns)
-        // exercise intra-bucket sorting, year wraps and far jumps.
-        wheel_vs_heap(seed, 4000, 1 << 10);
-        wheel_vs_heap(seed, 4000, 1 << 21);
-        wheel_vs_heap(seed, 2000, 1 << 34);
+        // Dense ties, round-scale spreads and far jumps.
+        wheel_vs_heap(seed, 4000, 0, 1 << 10);
+        wheel_vs_heap(seed, 4000, 0, 1 << 21);
+        wheel_vs_heap(seed, 2000, 0, 1 << 34);
+        // Every time >= 2^63 and about half the pushes tied at
+        // `SimTime(u64::MAX)`: the top bit of the time half and the
+        // seq half must both survive the packing.
+        wheel_vs_heap(seed, 4000, u64::MAX - (1 << 20), 1 << 21);
     }
 }
 
