@@ -43,7 +43,9 @@ pub enum SampleMode {
     /// (stride-doubling decimation: always windows 0, s, 2s, … for the
     /// smallest power-of-two stride that fits) plus the exact
     /// [`SampleSummary`]. At 16k ranks the full series would cost
-    /// gigabytes; the reservoir keeps report memory flat per rank.
+    /// gigabytes; the reservoir keeps report memory flat per rank. Its
+    /// buffer is reserved once, at `reservoir` entries, when the
+    /// tracker is built, and never grows past that.
     Compact {
         /// Maximum samples retained (clamped to at least 2).
         reservoir: usize,
@@ -206,6 +208,10 @@ impl WriteTracker {
         let iter_set = cfg.track_iterations.then(|| DirtyBitmap::new(capacity_pages));
         let next_alarm = SimTime::ZERO + cfg.timeslice;
         let next_epoch_end = SimTime::ZERO + cfg.epoch.unwrap_or(SimDuration(u64::MAX / 2));
+        let samples = match cfg.sample_mode {
+            SampleMode::Full => Vec::new(),
+            SampleMode::Compact { reservoir } => Vec::with_capacity(reservoir.max(2)),
+        };
         Self {
             cfg,
             window: DirtyBitmap::new(capacity_pages),
@@ -223,7 +229,7 @@ impl WriteTracker {
             total_bytes_received: 0,
             overhead: SimDuration::ZERO,
             excluded_pages: 0,
-            samples: Vec::new(),
+            samples,
             summary: SampleSummary::default(),
             window_index: 0,
             sample_stride: 1,
@@ -311,21 +317,25 @@ impl WriteTracker {
     /// Record one closed window: fold it into the exact summary, then
     /// retain it per the sample mode. In `Full` mode this is a plain
     /// push (byte-identical to the historical series). In `Compact`
-    /// mode the reservoir keeps every `stride`-th window; when it
-    /// fills, the stride doubles and the reservoir is re-decimated, so
-    /// retention stays `O(reservoir)` over any run length.
+    /// mode the reservoir keeps every `stride`-th window; when a window
+    /// on the stride finds it full, the stride doubles and the
+    /// reservoir is re-decimated *before* the push, which then happens
+    /// only if the window is still on the new stride. Retention stays
+    /// `O(reservoir)` over any run length and the buffer reserved at
+    /// build never reallocates.
     fn record_sample(&mut self, s: IwsSample) {
         self.summary.absorb(&s);
         match self.cfg.sample_mode {
             SampleMode::Full => self.samples.push(s),
             SampleMode::Compact { reservoir } => {
-                let cap = reservoir.max(2);
                 if s.window.is_multiple_of(self.sample_stride) {
-                    self.samples.push(s);
-                    if self.samples.len() > cap {
+                    if self.samples.len() == reservoir.max(2) {
                         self.sample_stride *= 2;
                         let stride = self.sample_stride;
                         self.samples.retain(|x| x.window.is_multiple_of(stride));
+                    }
+                    if s.window.is_multiple_of(self.sample_stride) {
+                        self.samples.push(s);
                     }
                 }
             }
@@ -531,13 +541,27 @@ impl WriteTracker {
     }
 
     /// Per-epoch unique-page samples.
-    pub fn epoch_samples(&self) -> &[EpochSample] {
+    #[cfg(test)]
+    pub(crate) fn epoch_samples(&self) -> &[EpochSample] {
         &self.epoch_samples
     }
 
     /// Per-iteration unique-page samples (ground truth).
-    pub fn iteration_samples(&self) -> &[IterationSample] {
+    #[cfg(test)]
+    pub(crate) fn iteration_samples(&self) -> &[IterationSample] {
         &self.iteration_samples
+    }
+
+    /// Consume the tracker into its three sample series — per window,
+    /// per epoch, per iteration — handing the buffers over instead of
+    /// copying them. Each is shrunk to its length, so the Compact
+    /// reservoir reserved at build holds no more than it retained.
+    pub fn into_samples(self) -> (Vec<IwsSample>, Vec<EpochSample>, Vec<IterationSample>) {
+        let Self { mut samples, mut epoch_samples, mut iteration_samples, .. } = self;
+        samples.shrink_to_fit();
+        epoch_samples.shrink_to_fit();
+        iteration_samples.shrink_to_fit();
+        (samples, epoch_samples, iteration_samples)
     }
 
     /// Current footprint in pages.
@@ -817,6 +841,72 @@ mod tests {
             assert_eq!(&full.samples()[s.window as usize], s);
         }
         assert_eq!(compact.samples()[0].window, 0, "window 0 always survives decimation");
+    }
+
+    /// Reference reservoir: push, and when that overfills the cap,
+    /// double the stride and re-decimate. It retains the same windows
+    /// as `record_sample`, but its `Vec` briefly holds `cap + 1`
+    /// entries, which doubles the allocation.
+    struct PushThenDecimate {
+        kept: Vec<IwsSample>,
+        stride: u64,
+        cap: usize,
+    }
+
+    impl PushThenDecimate {
+        fn record(&mut self, s: IwsSample) {
+            if s.window.is_multiple_of(self.stride) {
+                self.kept.push(s);
+                if self.kept.len() > self.cap {
+                    self.stride *= 2;
+                    let stride = self.stride;
+                    self.kept.retain(|x| x.window.is_multiple_of(stride));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compact_reservoir_matches_push_then_decimate_within_its_cap() {
+        let mut rng = ickpt_sim::SplitMix64::new(0x7E5E_2F01);
+        for cap in [2, 3, 16, 100, 128] {
+            for trial in 0..8 {
+                let windows = rng.next_below(2_001);
+                let flush = trial % 2 == 1;
+                let mk = |sample_mode| {
+                    WriteTracker::new(64, 64, TrackerConfig { sample_mode, ..cfg_1s() })
+                };
+                let mut full = mk(SampleMode::Full);
+                let mut compact = mk(SampleMode::Compact { reservoir: cap });
+                let mut reference = PushThenDecimate { kept: Vec::new(), stride: 1, cap };
+                for w in 0..windows {
+                    let r = PageRange::new(rng.next_below(60), 1 + rng.next_below(4));
+                    for t in [&mut full, &mut compact] {
+                        t.touch_range(r);
+                        t.advance_to(SimTime::from_secs(w + 1));
+                    }
+                    reference.record(*full.samples().last().expect("one sample per window"));
+                    assert_eq!(compact.samples(), reference.kept, "cap {cap}, window {w}");
+                    assert!(compact.samples.capacity() <= cap, "cap {cap}, window {w}");
+                }
+                let end = SimTime::from_secs(windows) + SimDuration::from_millis(500);
+                if flush {
+                    full.touch_range(PageRange::new(0, 2));
+                    compact.touch_range(PageRange::new(0, 2));
+                }
+                full.finish(end);
+                compact.finish(end);
+                assert_eq!(full.samples().len() as u64, windows + u64::from(flush));
+                if flush {
+                    reference.record(*full.samples().last().expect("the flush sample"));
+                }
+                assert_eq!(compact.samples(), reference.kept, "cap {cap}, flush");
+                assert!(compact.samples.capacity() <= cap, "cap {cap}, flush");
+                let (samples, ..) = compact.into_samples();
+                assert_eq!(samples, reference.kept);
+                assert_eq!(samples.capacity(), samples.len(), "handed over shrunk");
+            }
+        }
     }
 
     #[test]

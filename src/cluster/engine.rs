@@ -644,11 +644,11 @@ impl<S: RankSpace> RankSm<S> {
         let trace = self.tracker.records_trace().then(|| self.tracker.take_trace());
         let ft = self.ft.take();
         let ckpt = ft.as_deref();
-        let report = RankReport {
+        let mut report = RankReport {
             rank: self.rank,
-            samples: self.tracker.samples().to_vec(),
-            epoch_samples: self.tracker.epoch_samples().to_vec(),
-            iteration_samples: self.tracker.iteration_samples().to_vec(),
+            samples: Vec::new(),
+            epoch_samples: Vec::new(),
+            iteration_samples: Vec::new(),
             total_faults: self.tracker.total_faults(),
             overhead: self.tracker.overhead(),
             started_at: self.started_at,
@@ -669,6 +669,9 @@ impl<S: RankSpace> RankSm<S> {
             trace,
             tier: None,
         };
+        // The sample series move into the report; nothing is copied.
+        (report.samples, report.epoch_samples, report.iteration_samples) =
+            self.tracker.into_samples();
         (report, ft)
     }
 }
@@ -807,7 +810,7 @@ pub(super) fn characterize_event<F>(
     build: &F,
 ) -> RunReport
 where
-    F: Fn(usize) -> Box<dyn AppModel> + Sync,
+    F: Fn(usize) -> Box<dyn AppModel>,
 {
     assert!(cfg.nranks > 0, "characterization needs at least one rank");
     let workers = resolve_workers(cfg.workers);
@@ -821,7 +824,7 @@ where
         obs: &cfg.obs,
         ft: None,
     };
-    let mut sms = build_ranks(cfg, layout, build, workers);
+    let mut sms = build_ranks(cfg, layout, build);
     if let Err(e) = run(&ctx, &mut sms, workers) {
         panic!("characterization run failed: {e}");
     }
@@ -836,43 +839,33 @@ where
     }
 }
 
-/// Construct all rank state machines, fanning the (allocation-heavy)
-/// builds across the worker pool at high rank counts.
+/// Construct all rank state machines on the calling thread. Every
+/// buffer a rank keeps for the whole run (bitmaps, the sample
+/// reservoir, mapping tables) is allocated here, so all of them come
+/// from one malloc arena: a buffer allocated on a worker thread lives
+/// in that thread's arena, which a later single-worker run in the same
+/// process cannot reuse (DESIGN.md §14).
 fn build_ranks<F>(
     cfg: &CharacterizationConfig,
     layout: DataLayout,
     build: &F,
-    workers: usize,
 ) -> Vec<Mutex<RankSm<SparseSpace>>>
 where
-    F: Fn(usize) -> Box<dyn AppModel> + Sync,
+    F: Fn(usize) -> Box<dyn AppModel>,
 {
-    let mk = |rank: usize| {
-        let space = SparseSpace::new(layout);
-        let tracker = WriteTracker::new(
-            layout.capacity_pages(),
-            space.mapped_pages(),
-            cfg.tracker_config(rank),
-        );
-        let compact = !cfg.detail.rank_is_full(rank, cfg.trace_ranks);
-        let nic = cfg.net.build_nic();
-        Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, compact, None))
-    };
-    if workers <= 1 || cfg.nranks < 256 {
-        return (0..cfg.nranks).map(mk).collect();
-    }
-    let chunk = cfg.nranks.div_ceil(workers);
-    std::thread::scope(|s| {
-        let mk = &mk;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                let lo = (w * chunk).min(cfg.nranks);
-                let hi = ((w + 1) * chunk).min(cfg.nranks);
-                s.spawn(move || (lo..hi).map(mk).collect::<Vec<_>>())
-            })
-            .collect();
-        handles.into_iter().flat_map(|h| h.join().expect("rank build panicked")).collect()
-    })
+    (0..cfg.nranks)
+        .map(|rank| {
+            let space = SparseSpace::new(layout);
+            let tracker = WriteTracker::new(
+                layout.capacity_pages(),
+                space.mapped_pages(),
+                cfg.tracker_config(rank),
+            );
+            let compact = !cfg.detail.rank_is_full(rank, cfg.trace_ranks);
+            let nic = cfg.net.build_nic();
+            Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, compact, None))
+        })
+        .collect()
 }
 
 // Tests for the engine live in `tests/` (worker-count byte-identity and

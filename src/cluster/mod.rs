@@ -360,7 +360,7 @@ pub fn characterize_model<F>(
     build: F,
 ) -> RunReport
 where
-    F: Fn(usize) -> Box<dyn AppModel> + Sync,
+    F: Fn(usize) -> Box<dyn AppModel>,
 {
     engine::characterize_event(cfg, layout, &build)
 }
