@@ -30,6 +30,7 @@
 //!   benches and examples.
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 mod calib;
 pub mod codec;

@@ -18,6 +18,7 @@
 //! through [`ickpt::sim::env`].
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 pub mod analysis;
 pub mod engine;

@@ -39,11 +39,9 @@ use ickpt_storage::{kernels, Chunk, ChunkKind, DeltaRecord, PageRecord, CHUNK_PA
 
 /// Whether a page's content is entirely zero (zero-page elision test).
 ///
-/// Routed through the dispatched kernel facade (`ickpt-storage::
-/// kernels`): SIMD zero scan with early exit where the CPU has it, the
-/// word-at-a-time scan otherwise. When dedup is on, capture does not
-/// call this at all — the fused scan answers it as a byproduct of
-/// hashing.
+/// The word-at-a-time scan of `ickpt-storage::kernels`, which stops at
+/// the first non-zero 64 bytes. When dedup is on, capture does not call
+/// this at all — the page scan answers it as a byproduct of hashing.
 #[inline]
 fn is_zero_page(content: &[u8]) -> bool {
     kernels::is_zero(content)
@@ -356,8 +354,8 @@ fn build_records_into<S: PageSource>(
                 .read_page(page)
                 .unwrap_or_else(|| panic!("checkpoint of unmapped page {page}"));
             // The page scan (16 block hashes, page hash, zero probe)
-            // when the content layer needs hashes anyway; a plain
-            // dispatched zero scan with early exit when it does not.
+            // when the content layer needs hashes anyway; a plain zero
+            // scan with early exit when it does not.
             let page_is_zero = if dedup.is_some() {
                 kernels::fused_scan(content, &mut fresh).is_zero
             } else {

@@ -33,6 +33,7 @@
 //!   hours).
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 pub mod checkpoint;
 pub mod coordinator;

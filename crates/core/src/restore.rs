@@ -22,11 +22,13 @@
 //!   ([`ickpt_storage::peek_lineage`]) over buffers the store shares
 //!   rather than copies out ([`StableStorage::read_chunk`]), then every
 //!   fetched chunk is CRC-verified — in parallel, in byte-balanced
-//!   groups — before a single page is applied. Plan execution fans
-//!   page-span shards out over the same scoped-thread machinery capture
-//!   uses, and the mapped pages no chunk stores are zeroed; no page is
-//!   zeroed first and overwritten after. The restored image and digest
-//!   are byte-identical to the sequential replay (see
+//!   groups — before a single page is applied. Plan execution cuts the
+//!   plan into page-span shards, hands each shard its own disjoint
+//!   `&mut [u8]` view of the arena ([`BackedSpace::page_spans_mut`])
+//!   and fills the views on scoped threads (one shard, inline, for a
+//!   serial restore), and the mapped pages no chunk stores are zeroed;
+//!   no page is zeroed first and overwritten after. The restored image
+//!   and digest are byte-identical to the sequential replay (see
 //!   `tests/restore_props.rs`).
 
 use ickpt_mem::{AddressSpace, BackedSpace, PageRange, PageSink};
@@ -300,20 +302,33 @@ pub fn restore_rank_with(
         plan.segments.iter().map(|seg| PageRange::new(seg.start_page, seg.pages)),
     );
 
-    // Every planned page is mapped (the keep predicate) and segments
-    // are disjoint, which is the writer's safety contract.
-    let writer = space.parallel_page_writer();
-    let apply = |segments: &[PlanSegment]| {
+    // One covering span per shard: shards are contiguous runs of the
+    // sorted, disjoint segments, so the spans ascend without overlap
+    // and each shard writes only its own view. Every planned page is
+    // mapped (the keep predicate), so the spans lie inside the arena.
+    let workers = if plan.applied_pages() < cfg.parallel_threshold_pages { 1 } else { cfg.workers };
+    let (shards, spans): (Vec<Vec<PlanSegment>>, Vec<PageRange>) =
+        shard_segments(&plan.segments, workers)
+            .into_iter()
+            .filter_map(|shard| {
+                let (first, last) = (shard.first()?, shard.last()?);
+                let span = PageRange::new(
+                    first.start_page,
+                    last.start_page + last.pages - first.start_page,
+                );
+                Some((shard, span))
+            })
+            .unzip();
+    let apply = |shard: &[PlanSegment], base_page: u64, view: &mut [u8]| {
         let mut page_buf = [0u8; CHUNK_PAGE_SIZE];
-        for seg in segments {
+        for seg in shard {
+            let at = (seg.start_page - base_page) as usize * CHUNK_PAGE_SIZE;
+            let dst = &mut view[at..at + seg.pages as usize * CHUNK_PAGE_SIZE];
             match seg.source {
-                // SAFETY: disjoint planned spans, bounds within arena.
-                SegmentSource::Zero => unsafe { writer.zero_pages(seg.start_page, seg.pages) },
-                SegmentSource::Record { rec, rec_page_offset } => {
-                    let bytes = views[seg.chunk].record_pages(rec, rec_page_offset, seg.pages);
-                    // SAFETY: as above.
-                    unsafe { writer.write_pages(seg.start_page, bytes) };
-                }
+                SegmentSource::Zero => dst.fill(0),
+                SegmentSource::Record { rec, rec_page_offset } => dst.copy_from_slice(
+                    views[seg.chunk].record_pages(rec, rec_page_offset, seg.pages),
+                ),
                 SegmentSource::Delta { rec, base } => {
                     // Materialize the base page (an older whole record
                     // or a zero run — the alternation rule guarantees
@@ -338,20 +353,19 @@ pub fn restore_rank_with(
                             off += BLOCK_SIZE;
                         }
                     }
-                    // SAFETY: as above.
-                    unsafe { writer.write_pages(seg.start_page, &page_buf) };
+                    dst.copy_from_slice(&page_buf);
                 }
             }
         }
     };
-    if cfg.workers <= 1 || plan.applied_pages() < cfg.parallel_threshold_pages {
-        apply(&plan.segments);
+    let work = shards.iter().zip(&spans).zip(space.page_spans_mut(&spans));
+    if spans.len() <= 1 {
+        work.for_each(|((shard, span), view)| apply(shard, span.start, view));
     } else {
-        let shards = shard_segments(&plan.segments, cfg.workers);
-        let apply_ref = &apply;
+        let apply = &apply;
         std::thread::scope(|scope| {
-            for shard in &shards {
-                scope.spawn(move || apply_ref(shard));
+            for ((shard, span), view) in work {
+                scope.spawn(move || apply(shard, span.start, view));
             }
         });
     }

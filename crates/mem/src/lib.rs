@@ -30,6 +30,7 @@
 //!   checkpoint/restore correctness tests.
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 mod dirty;
 mod error;

@@ -380,7 +380,7 @@ impl BackedSpace {
     /// the exact set of live mmap blocks. Page contents are *not*
     /// touched: the mapped pages keep whatever bytes the arena held, and
     /// the caller restores them — written through [`PageSink`] or
-    /// `ParallelPageWriter`, zeroed by
+    /// [`BackedSpace::page_spans_mut`], zeroed by
     /// [`BackedSpace::zero_mapped_outside`] — before anything reads them.
     pub fn restore_mapping_state(
         &mut self,
@@ -428,76 +428,33 @@ impl BackedSpace {
         &self.arena
     }
 
-    /// A writer handle that several restore workers can share to fill
-    /// disjoint page spans of the arena concurrently. The `&mut self`
-    /// borrow keeps every safe API of the space frozen while workers
-    /// hold the handle, so the only aliasing left to rule out is
-    /// between the workers themselves — the caller's obligation (see
-    /// `ParallelPageWriter`).
-    pub fn parallel_page_writer(&mut self) -> ParallelPageWriter<'_> {
-        ParallelPageWriter {
-            base: self.arena.as_mut_ptr(),
-            len: self.arena.len(),
-            _borrow: std::marker::PhantomData,
+    /// Disjoint mutable views of the arena, one per span of `spans`, in
+    /// order, so restore workers can fill them from several threads.
+    /// The spans must ascend without overlapping and lie inside the
+    /// arena; anything else panics. Like [`BackedSpace::arena`], the
+    /// views bypass the mapping check of [`PageSink`]: a restore plan is
+    /// built against the restored mapping state, so every planned page
+    /// is mapped by construction.
+    pub fn page_spans_mut(&mut self, spans: &[PageRange]) -> Vec<&mut [u8]> {
+        let page = PAGE_SIZE as usize;
+        let mut views = Vec::with_capacity(spans.len());
+        // The arena from page `rest_start` on, not yet handed out.
+        let mut rest: &mut [u8] = &mut self.arena;
+        let mut rest_start = 0;
+        for span in spans {
+            assert!(
+                span.start >= rest_start,
+                "page span {span:?} overlaps or precedes the span before it"
+            );
+            let skip = (span.start - rest_start) as usize * page;
+            let len = span.len as usize * page;
+            assert!(skip + len <= rest.len(), "page span {span:?} runs past the arena");
+            let (view, tail) = std::mem::take(&mut rest)[skip..].split_at_mut(len);
+            views.push(view);
+            rest = tail;
+            rest_start = span.end();
         }
-    }
-}
-
-/// Shared write access to a [`BackedSpace`] arena for plan-driven
-/// parallel restore.
-///
-/// Restore plans partition the image into disjoint page spans, so each
-/// worker thread writes memory no other worker touches; this type
-/// encodes that hand-off. It deliberately bypasses the mapping-state
-/// check of [`PageSink`]: the plan is built against the restored
-/// mapping state, so every planned page is mapped by construction.
-pub struct ParallelPageWriter<'a> {
-    base: *mut u8,
-    len: usize,
-    _borrow: std::marker::PhantomData<&'a mut BackedSpace>,
-}
-
-// SAFETY: the raw pointer is only dereferenced inside the `unsafe`
-// write methods, whose contract requires callers on different threads
-// to target disjoint pages; the lifetime ties the handle to an
-// exclusive borrow of the owning space.
-unsafe impl Send for ParallelPageWriter<'_> {}
-// SAFETY: as for Send — shared references only expose the unsafe write
-// methods, whose disjoint-pages contract is the caller's obligation.
-unsafe impl Sync for ParallelPageWriter<'_> {}
-
-impl ParallelPageWriter<'_> {
-    /// Copy whole pages of `data` into the arena starting at
-    /// `start_page`.
-    ///
-    /// # Safety
-    /// Concurrent callers must write disjoint pages (a restore plan's
-    /// segments guarantee this); `data` must be a whole number of
-    /// pages.
-    pub unsafe fn write_pages(&self, start_page: u64, data: &[u8]) {
-        assert_eq!(data.len() % PAGE_SIZE as usize, 0, "write_pages takes whole pages");
-        let base = (start_page * PAGE_SIZE) as usize;
-        assert!(base + data.len() <= self.len, "write beyond arena");
-        // SAFETY: bounds asserted above; disjointness is the caller's
-        // contract.
-        unsafe {
-            std::ptr::copy_nonoverlapping(data.as_ptr(), self.base.add(base), data.len());
-        }
-    }
-
-    /// Zero-fill `pages` pages starting at `start_page`.
-    ///
-    /// # Safety
-    /// Concurrent callers must write disjoint pages.
-    pub unsafe fn zero_pages(&self, start_page: u64, pages: u64) {
-        let base = (start_page * PAGE_SIZE) as usize;
-        let bytes = (pages * PAGE_SIZE) as usize;
-        assert!(base + bytes <= self.len, "zero beyond arena");
-        // SAFETY: bounds asserted above; disjointness is the caller's
-        // contract.
-        unsafe {
-            std::ptr::write_bytes(self.base.add(base), 0, bytes);
-        }
+        views
     }
 }
 
@@ -510,13 +467,13 @@ impl BackedSpace {
     fn zero_range(&mut self, range: PageRange) {
         let base = (range.start * PAGE_SIZE) as usize;
         let end = (range.end() * PAGE_SIZE) as usize;
-        // Page-granular skip-if-already-zero through the dispatched
-        // zero-scan kernel: a freshly grown arena (and any remapped
-        // page that was never dirtied) already reads as zeros, so the
-        // common case is a read-only SIMD sweep instead of a
-        // guaranteed write sweep; a nonzero page bails on its first
-        // nonzero word and is memset as before. Byte-identical
-        // outcome either way.
+        // Page-granular skip-if-already-zero through the word-scan
+        // zero kernel: a freshly grown arena (and any remapped page
+        // that was never dirtied) already reads as zeros, so the
+        // common case is a read-only sweep instead of a guaranteed
+        // write sweep; a nonzero page bails on its first nonzero 64
+        // bytes and is memset as before. Byte-identical outcome either
+        // way.
         for page in self.arena[base..end].chunks_exact_mut(PAGE_SIZE as usize) {
             if !ickpt_storage::kernels::is_zero(page) {
                 page.fill(0);
@@ -789,43 +746,50 @@ mod tests {
     }
 
     #[test]
-    fn parallel_writer_fills_disjoint_spans_from_threads() {
+    fn page_spans_fill_disjoint_spans_from_threads() {
         let mut b = BackedSpace::new(small_layout());
         b.heap_grow(8).unwrap();
         for p in 4..12 {
             b.fill_page(p, 99).unwrap(); // stale content to overwrite
         }
-        let writer = b.parallel_page_writer();
+        let spans = [PageRange::new(4, 2), PageRange::new(6, 1), PageRange::new(9, 3)];
+        let views = b.page_spans_mut(&spans);
+        assert_eq!(
+            views.iter().map(|v| v.len()).collect::<Vec<_>>(),
+            [2, 1, 3].map(|n| n * PAGE_SIZE as usize)
+        );
         std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let data = vec![0x11; 2 * PAGE_SIZE as usize];
-                // SAFETY: pages 4..6, disjoint from the other worker.
-                unsafe { writer.write_pages(4, &data) };
-            });
-            scope.spawn(|| {
-                let data = vec![0x22; PAGE_SIZE as usize];
-                // SAFETY: pages 6..7 and 7..12, disjoint from above.
-                unsafe {
-                    writer.write_pages(6, &data);
-                    writer.zero_pages(7, 5);
-                }
-            });
+            for (view, fill) in views.into_iter().zip([0x11u8, 0x22, 0]) {
+                scope.spawn(move || view.fill(fill));
+            }
         });
-        assert!(b.read_page(4).unwrap().iter().all(|&x| x == 0x11));
-        assert!(b.read_page(5).unwrap().iter().all(|&x| x == 0x11));
-        assert!(b.read_page(6).unwrap().iter().all(|&x| x == 0x22));
-        for p in 7..12 {
-            assert!(b.read_page(p).unwrap().iter().all(|&x| x == 0));
+        for (p, want) in [(4, 0x11), (5, 0x11), (6, 0x22), (9, 0), (10, 0), (11, 0)] {
+            assert!(b.read_page(p).unwrap().iter().all(|&x| x == want), "page {p}");
+        }
+        // The gap between spans keeps its stale bytes.
+        for p in 7..9 {
+            assert!(b.read_page(p).unwrap().iter().any(|&x| x != 0), "page {p}");
         }
     }
 
     #[test]
-    #[should_panic(expected = "write beyond arena")]
-    fn parallel_writer_bounds_checked() {
+    #[should_panic(expected = "runs past the arena")]
+    fn page_spans_past_the_arena_panic() {
         let mut b = BackedSpace::new(small_layout());
-        let writer = b.parallel_page_writer();
-        let data = vec![0u8; PAGE_SIZE as usize];
-        // SAFETY: single-threaded; the call must panic on bounds.
-        unsafe { writer.write_pages(1_000_000, &data) };
+        b.page_spans_mut(&[PageRange::new(1_000_000, 1)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps or precedes")]
+    fn page_spans_that_overlap_panic() {
+        let mut b = BackedSpace::new(small_layout());
+        b.page_spans_mut(&[PageRange::new(0, 4), PageRange::new(3, 2)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "overlaps or precedes")]
+    fn page_spans_that_descend_panic() {
+        let mut b = BackedSpace::new(small_layout());
+        b.page_spans_mut(&[PageRange::new(6, 1), PageRange::new(2, 1)]);
     }
 }

@@ -17,6 +17,7 @@
 //! test-and-return (perf/'s `obs.disabled_ns` measures it).
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 mod event;
 mod export;

@@ -33,6 +33,7 @@
 //!   error a mismatched script ends in.
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 mod clock;
 mod device;

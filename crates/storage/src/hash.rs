@@ -133,31 +133,18 @@ pub fn zero_block_hash() -> u64 {
 /// encoding of the page's block digests (merkle-style).
 ///
 /// Deriving the page hash from the block hashes instead of rehashing
-/// the raw page means a fused scan produces the whole identity triple
+/// the raw page means a page scan produces the whole identity triple
 /// (zero flag, page hash, block hashes) without a second serial chain
 /// over the data — the block chains are independent and vectorize,
-/// while a full-page chain would be latency-bound. The digest is
-/// endianness-stable: big-endian hosts pay a small copy.
-pub(crate) fn page_hash_of_blocks(block_hashes: &[u64]) -> u64 {
-    #[cfg(target_endian = "little")]
-    {
-        // SAFETY: reinterpreting `u64`s as their 8 constituent bytes is
-        // always valid (no alignment or validity constraints on u8),
-        // and on a little-endian host the in-memory order matches the
-        // `to_le_bytes` encoding the digest is defined over.
-        let bytes = unsafe {
-            std::slice::from_raw_parts(block_hashes.as_ptr().cast::<u8>(), block_hashes.len() * 8)
-        };
-        hash64(bytes)
+/// while a full-page chain would be latency-bound. The encoding is
+/// spelled out with `to_le_bytes`, so the digest is the same on every
+/// host.
+pub(crate) fn page_hash_of_blocks(block_hashes: &[u64; BLOCKS_PER_PAGE]) -> u64 {
+    let mut bytes = [0u8; BLOCKS_PER_PAGE * 8];
+    for (out, h) in bytes.chunks_exact_mut(8).zip(block_hashes) {
+        out.copy_from_slice(&h.to_le_bytes());
     }
-    #[cfg(target_endian = "big")]
-    {
-        let mut bytes = Vec::with_capacity(block_hashes.len() * 8);
-        for h in block_hashes {
-            bytes.extend_from_slice(&h.to_le_bytes());
-        }
-        hash64(&bytes)
-    }
+    hash64(&bytes)
 }
 
 /// Compute the [`BLOCKS_PER_PAGE`] block digests of one page into `out`.
@@ -257,6 +244,16 @@ mod tests {
         let before = page_hash_of_blocks(&hashes);
         hashes[7] ^= 1;
         assert_ne!(page_hash_of_blocks(&hashes), before);
+    }
+
+    /// Pins the page-hash encoding to a literal: a changed block hash,
+    /// byte order or merkle step fails here on any host.
+    #[test]
+    fn page_hash_of_a_fixed_page_is_pinned() {
+        let page = splitmix_buf(0x5EED, CHUNK_PAGE_SIZE);
+        let mut hashes = [0u64; BLOCKS_PER_PAGE];
+        page_block_hashes(&page, &mut hashes);
+        assert_eq!(page_hash_of_blocks(&hashes), 0x9e2e_77a1_c6c4_7db5);
     }
 
     #[test]

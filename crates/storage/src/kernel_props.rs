@@ -1,17 +1,23 @@
-//! Property suite for the dispatched kernels (`crate::kernels`).
+//! Property suite for the page kernels (`crate::kernels`).
 //!
-//! The contract is bit-identity: every backend the host can run must
-//! compute exactly the function the scalar reference computes, on
-//! every length class and alignment. The suite drives deterministic
-//! SplitMix64-filled buffers through each table from
-//! `kernels::available()` — on an AVX-512 x86_64 host that exercises
-//! scalar, sse2(+pclmul), avx2(+pclmul), and avx512vl(+pclmul). The
-//! page scan has no per-tier variant; its facade is checked against
-//! the separately computed triple.
+//! The contract is bit-identity on every length class and alignment.
+//! The zero scan, hash compare and XOR accumulate are checked against
+//! their naive definitions; the CRC, the one dispatched kernel, is
+//! checked on every backend `kernels::available()` returns (scalar,
+//! plus PCLMULQDQ on an x86_64 host that has it) against the scalar
+//! reference. The page scan is checked against the separately
+//! computed triple.
 
 use crate::hash::{page_block_hashes, page_hash_of_blocks, BLOCKS_PER_PAGE, BLOCK_SIZE};
 use crate::kernels::{self, BackendChoice};
 use crate::CHUNK_PAGE_SIZE;
+
+fn splitmix_words(seed: u64, len: usize) -> Vec<u64> {
+    splitmix_buf(seed, len * 8)
+        .chunks_exact(8)
+        .map(|w| u64::from_le_bytes(w.try_into().unwrap()))
+        .collect()
+}
 
 fn splitmix_buf(seed: u64, len: usize) -> Vec<u8> {
     let mut state = seed;
@@ -39,64 +45,55 @@ const LENGTHS: &[usize] = &[
 const OFFSETS: &[usize] = &[0, 1, 3, 8, 13];
 
 #[test]
-fn all_backends_agree_is_zero_and_bytes_eq() {
-    for table in kernels::available() {
-        for &len in LENGTHS {
-            for &off in OFFSETS {
-                let buf = splitmix_buf(0xA11 ^ len as u64, len + off);
-                let data = &buf[off..];
-                // Random data: equality with itself, not with a flipped copy.
-                assert!(!(table.is_zero)(data) || data.iter().all(|&b| b == 0));
-                assert!((table.bytes_eq)(data, data), "{}: self-eq len {len}", table.name);
-                let zeros = vec![0u8; len + off];
-                assert!((table.is_zero)(&zeros[off..]), "{}: zeros len {len}", table.name);
-                if len > 0 {
-                    // Flip one byte at every stride boundary the SIMD
-                    // loops care about, front, middle and back.
-                    for pos in [0, len / 2, len - 1, len.saturating_sub(17).min(len - 1)] {
-                        let mut one = zeros.clone();
-                        one[off + pos] = 1;
-                        assert!(
-                            !(table.is_zero)(&one[off..]),
-                            "{}: missed byte at {pos}/{len}",
-                            table.name
-                        );
-                        let mut other = buf.clone();
-                        other[off + pos] ^= 0x80;
-                        assert!(
-                            !(table.bytes_eq)(data, &other[off..]),
-                            "{}: missed diff at {pos}/{len}",
-                            table.name
-                        );
-                    }
+fn is_zero_and_hashes_eq_match_naive() {
+    let naive_zero = |d: &[u8]| d.iter().all(|b| *b == 0);
+    for &len in LENGTHS {
+        for &off in OFFSETS {
+            let buf = splitmix_buf(0xA11 ^ len as u64, len + off);
+            let data = &buf[off..];
+            assert_eq!(kernels::is_zero(data), naive_zero(data), "random len {len} off {off}");
+            let zeros = vec![0u8; len + off];
+            assert!(kernels::is_zero(&zeros[off..]), "zeros len {len} off {off}");
+            // Digest arrays of `len` words at a word offset.
+            let words = splitmix_words(0xB17 ^ len as u64, len + off);
+            let a = &words[off..];
+            let same = words.clone();
+            assert!(kernels::hashes_eq(a, &same[off..]), "self-eq len {len}");
+            if len > 0 {
+                // Flip front, middle, back, and inside the last
+                // 64-byte stride of the zero scan.
+                for pos in [0, len / 2, len - 1, len.saturating_sub(17).min(len - 1)] {
+                    let mut one = zeros.clone();
+                    one[off + pos] = 1;
+                    assert!(!kernels::is_zero(&one[off..]), "missed byte at {pos}/{len}");
+                    let mut other = words.clone();
+                    other[off + pos] ^= 0x80;
+                    let b = &other[off..];
+                    assert!(a != b && !kernels::hashes_eq(a, b), "missed diff at {pos}/{len}");
                 }
                 // Length mismatch is never equal.
-                if len > 0 {
-                    assert!(!(table.bytes_eq)(data, &data[..len - 1]), "{}", table.name);
-                }
+                assert!(!kernels::hashes_eq(a, &a[..len - 1]), "len {len}");
             }
         }
     }
 }
 
 #[test]
-fn all_backends_agree_xor_acc() {
-    for table in kernels::available() {
-        for &len in LENGTHS {
-            for &off in OFFSETS {
-                let acc0 = splitmix_buf(0xACC ^ len as u64, len + off);
-                let data = splitmix_buf(0xDA7A ^ len as u64, len + off);
-                let mut got = acc0.clone();
-                (table.xor_acc)(&mut got[off..], &data[off..]);
-                let mut want = acc0.clone();
-                for i in off..off + len {
-                    want[i] ^= data[i];
-                }
-                assert_eq!(got, want, "{}: xor len {len} off {off}", table.name);
-                // XOR twice round-trips to the original.
-                (table.xor_acc)(&mut got[off..], &data[off..]);
-                assert_eq!(got, acc0, "{}: xor involution len {len}", table.name);
+fn xor_acc_matches_naive() {
+    for &len in LENGTHS {
+        for &off in OFFSETS {
+            let acc0 = splitmix_buf(0xACC ^ len as u64, len + off);
+            let data = splitmix_buf(0xDA7A ^ len as u64, len + off);
+            let mut got = acc0.clone();
+            kernels::xor_acc(&mut got[off..], &data[off..]);
+            let mut want = acc0.clone();
+            for i in off..off + len {
+                want[i] ^= data[i];
             }
+            assert_eq!(got, want, "xor len {len} off {off}");
+            // XOR twice round-trips to the original.
+            kernels::xor_acc(&mut got[off..], &data[off..]);
+            assert_eq!(got, acc0, "xor involution len {len}");
         }
     }
 }
@@ -108,15 +105,15 @@ fn all_backends_agree_crc32() {
             for &off in OFFSETS {
                 let buf = splitmix_buf(0xC4C ^ len as u64, len + off);
                 let data = &buf[off..];
-                let want = (kernels::SCALAR.crc32_advance)(0xFFFF_FFFF, data);
-                let got = (table.crc32_advance)(0xFFFF_FFFF, data);
+                let want = (kernels::SCALAR.advance)(0xFFFF_FFFF, data);
+                let got = (table.advance)(0xFFFF_FFFF, data);
                 assert_eq!(got, want, "{}: crc len {len} off {off}", table.name);
                 // Streaming splits must agree with one-shot, at split
                 // points that land mid-way through the folding strides.
                 for split in [1usize, 15, 16, 63, 64, 65, 129] {
                     if split <= len {
-                        let s1 = (table.crc32_advance)(0xFFFF_FFFF, &data[..split]);
-                        let s2 = (table.crc32_advance)(s1, &data[split..]);
+                        let s1 = (table.advance)(0xFFFF_FFFF, &data[..split]);
+                        let s2 = (table.advance)(s1, &data[split..]);
                         assert_eq!(s2, want, "{}: split {split} len {len}", table.name);
                     }
                 }
@@ -128,7 +125,7 @@ fn all_backends_agree_crc32() {
 #[test]
 fn fused_scan_zero_pages_report_zero() {
     let zeros = vec![0u8; CHUNK_PAGE_SIZE];
-    let mut hashes = vec![0u64; BLOCKS_PER_PAGE];
+    let mut hashes = [0u64; BLOCKS_PER_PAGE];
     let scan = kernels::fused_scan(&zeros, &mut hashes);
     assert!(scan.is_zero);
     assert_eq!(scan.page_hash, page_hash_of_blocks(&hashes));
@@ -160,16 +157,14 @@ fn facade_fused_scan_matches_the_triple() {
 
 #[test]
 fn facade_rejects_mismatched_fused_lengths() {
-    let data = [0u8; BLOCK_SIZE];
-    let mut out = [0u64; 2];
-    let err = std::panic::catch_unwind(move || {
-        let mut out = out;
-        kernels::fused_scan(&data, &mut out);
-    });
-    assert!(err.is_err(), "one block of data cannot fill two hash slots");
-    let mut one = [0u64; 1];
-    kernels::fused_scan(&data, &mut one);
-    let _ = &mut out;
+    for len in [0, BLOCK_SIZE, CHUNK_PAGE_SIZE - 1, CHUNK_PAGE_SIZE + 1] {
+        let data = vec![0u8; len];
+        let err = std::panic::catch_unwind(|| {
+            kernels::fused_scan(&data, &mut [0u64; BLOCKS_PER_PAGE]);
+        });
+        assert!(err.is_err(), "{len} bytes are not one page");
+    }
+    kernels::fused_scan(&[0u8; CHUNK_PAGE_SIZE], &mut [0u64; BLOCKS_PER_PAGE]);
 }
 
 #[test]

@@ -1,55 +1,45 @@
-//! Runtime-dispatched byte-touching kernels for the capture hot path.
+//! Byte-touching kernels for the capture hot path.
 //!
 //! Every captured page is swept several times — zero scan, block
-//! hashes, CRC inside chunk encode, XOR for parity. This module runs
-//! the sweeps whose SIMD form measurably beats scalar through a
-//! dispatch table, and keeps the page scan on the plain scalar hash:
+//! hashes, CRC inside chunk encode, XOR for parity. All of them are
+//! plain safe Rust except the CRC, the one sweep whose hand-written
+//! SIMD form separates from scalar on perf/ (DESIGN.md §15):
 //!
 //! * [`fused_scan`] — a page's identity triple: all per-256 B-block
 //!   hashes, the page hash derived merkle-style from them (see
-//!   `crate::hash::page_hash_of_blocks`), and zero-page detection.
-//!   It is the three separate passes, in that order; only the zero
-//!   scan is dispatched. Per 4 KiB page of a buffer larger than the
-//!   caches, the scalar hash outran every hand-fused SIMD variant
-//!   (DESIGN.md §15).
-//! * [`is_zero`] / `bytes_eq` / `xor_acc` — vectorized zero scan,
-//!   silent-store block compare, and parity XOR accumulate.
-//! * `crc32_advance` — dispatched CRC-32 state advance (PCLMULQDQ
-//!   folding on x86_64 when available, slice-by-8 otherwise).
+//!   `crate::hash::page_hash_of_blocks`), and zero-page detection, in
+//!   that order.
+//! * [`is_zero`] / [`hashes_eq`] / `xor_acc` — word-at-a-time zero
+//!   scan, silent-store block compare, and parity XOR accumulate.
+//! * `crc32_advance` — the one dispatched kernel: PCLMULQDQ folding on
+//!   x86_64 when the CPU has it, slice-by-8 otherwise.
 //!
 //! # Dispatch
 //!
-//! CPU features are detected once and resolved into a function-pointer
-//! table (`Kernels`) stored in a [`OnceLock`]. The tiers are:
+//! CPU features are detected once and resolved into a `CrcBackend`
+//! stored in a [`OnceLock`]:
 //!
-//! | table      | arch          | requires                          |
-//! |------------|---------------|-----------------------------------|
-//! | `scalar`   | any           | nothing — the reference backend   |
-//! | `sse2`     | x86_64        | baseline (always present)         |
-//! | `avx2`     | x86_64        | runtime `avx2`                    |
-//! | `avx512vl` | x86_64        | runtime `avx512f`+`dq`+`bw`+`vl`  |
-//! | `+pclmul`  | x86_64        | runtime `pclmulqdq` + `sse4.1`    |
-//! | `neon`     | aarch64       | baseline (always present)         |
+//! | backend  | arch   | requires                        |
+//! |----------|--------|---------------------------------|
+//! | `scalar` | any    | nothing — slice-by-8, the reference |
+//! | `pclmul` | x86_64 | runtime `pclmulqdq` + `sse4.1`  |
 //!
-//! Every accelerated kernel computes the *identical function* to the
-//! scalar reference — same CRC, same bytes — pinned by the property
-//! suite in `kernel_props.rs` (misaligned slices, odd lengths,
-//! all-backends-agree). `ICKPT_KERNELS=scalar` forces the reference
-//! backend; `auto` (or unset) picks the best detected tier; a malformed
-//! value exits with status 2, like every `ICKPT_*` knob
-//! ([`ickpt_sim::env`]).
+//! Both compute the identical CRC, pinned by the property suite in
+//! `kernel_props.rs` (misaligned slices, odd lengths, streaming
+//! splits). `ICKPT_KERNELS=scalar` forces the reference; `auto` (or
+//! unset) picks the best detected backend; a malformed value exits
+//! with status 2, like every `ICKPT_*` knob ([`ickpt_sim::env`]).
 
 use std::sync::OnceLock;
 
-use crate::hash::{hash64, page_hash_of_blocks, BLOCK_SIZE};
+use crate::hash::{hash64, page_hash_of_blocks, BLOCKS_PER_PAGE, BLOCK_SIZE};
+use crate::CHUNK_PAGE_SIZE;
 
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon;
-pub(crate) mod scalar;
 #[cfg(target_arch = "x86_64")]
-pub(crate) mod x86;
+#[allow(unsafe_code)]
+mod x86;
 
-/// Environment knob selecting the kernel backend.
+/// Environment knob selecting the CRC backend.
 pub(crate) const KERNELS_ENV: &str = "ICKPT_KERNELS";
 
 /// Result of the page scan.
@@ -62,42 +52,26 @@ pub struct FusedScan {
     pub page_hash: u64,
 }
 
-/// One resolved backend: a table of kernel function pointers.
-///
-/// All entries compute bit-identical results across backends; only the
-/// instructions differ. The table is `Copy` so composite tiers (e.g.
-/// AVX2 hashing + PCLMULQDQ CRC) are built by overriding fields.
+/// One CRC backend. Every backend computes the identical CRC; only
+/// the instructions differ.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Kernels {
-    /// Backend name, e.g. `"scalar"`, `"avx2+pclmul"`.
+pub(crate) struct CrcBackend {
+    /// Backend name: `"scalar"` or `"pclmul"`.
     pub name: &'static str,
-    /// True iff the slice is all zero bytes.
-    pub is_zero: fn(&[u8]) -> bool,
-    /// `acc[i] ^= data[i]` over two equal-length slices.
-    pub xor_acc: fn(&mut [u8], &[u8]),
     /// Advance a raw (pre-finalize) CRC-32 state over `data`.
-    pub crc32_advance: fn(u32, &[u8]) -> u32,
-    /// Slice equality (length + bytes).
-    pub bytes_eq: fn(&[u8], &[u8]) -> bool,
+    pub advance: fn(u32, &[u8]) -> u32,
 }
 
-/// The always-available reference backend: the scalar
-/// implementations every other tier is tested against, and the table
-/// of architectures with no SIMD backend.
-pub(crate) static SCALAR: Kernels = Kernels {
-    name: "scalar",
-    is_zero: scalar::is_zero,
-    xor_acc: scalar::xor_acc,
-    crc32_advance: crate::crc::update_slice8,
-    bytes_eq: scalar::bytes_eq,
-};
+/// The always-available reference backend: slice-by-8.
+pub(crate) static SCALAR: CrcBackend =
+    CrcBackend { name: "scalar", advance: crate::crc::update_slice8 };
 
 /// Backend selection parsed from [`KERNELS_ENV`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum BackendChoice {
     /// Force the scalar reference backend.
     Scalar,
-    /// Best tier the CPU supports (the default).
+    /// Best backend the CPU supports (the default).
     Auto,
 }
 
@@ -110,72 +84,63 @@ pub(crate) fn parse_backend(raw: &str) -> Result<BackendChoice, &'static str> {
     }
 }
 
-/// Best table the host supports, ignoring the env knob.
-fn best() -> Kernels {
+/// Every backend that can run on this host, scalar reference first.
+/// Property tests iterate this to assert all backends agree.
+pub(crate) fn available() -> Vec<CrcBackend> {
     #[cfg(target_arch = "x86_64")]
-    {
-        x86::best()
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        neon::table()
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        SCALAR
-    }
+    let pclmul = x86::pclmul();
+    #[cfg(not(target_arch = "x86_64"))]
+    let pclmul = None;
+    std::iter::once(SCALAR).chain(pclmul).collect()
 }
 
-/// Every table that can run on this host, scalar reference first.
-/// Property tests iterate this to assert all-backends-agree.
-#[cfg(test)]
-pub(crate) fn available() -> Vec<Kernels> {
-    let mut tables = vec![SCALAR];
-    #[cfg(target_arch = "x86_64")]
-    tables.extend(x86::available());
-    #[cfg(target_arch = "aarch64")]
-    tables.push(neon::table());
-    tables
-}
+static ACTIVE: OnceLock<CrcBackend> = OnceLock::new();
 
-static ACTIVE: OnceLock<Kernels> = OnceLock::new();
-
-/// The resolved dispatch table: detected once, then a plain indirect
-/// call per kernel invocation.
+/// The resolved CRC backend: detected once, then a plain indirect call
+/// per CRC update.
 #[inline]
-pub(crate) fn active() -> &'static Kernels {
+fn active() -> &'static CrcBackend {
     ACTIVE.get_or_init(|| match ickpt_sim::env::knob(KERNELS_ENV, parse_backend) {
         Some(BackendChoice::Scalar) => SCALAR,
-        Some(BackendChoice::Auto) | None => best(),
+        Some(BackendChoice::Auto) | None => *available().last().expect("scalar is always there"),
     })
 }
 
-/// Name of the active backend (for reports and logs).
+/// Name of the active CRC backend (for reports and logs).
 pub fn backend_name() -> &'static str {
     active().name
 }
 
 /// True iff `data` is entirely zero bytes.
-#[inline]
+///
+/// Word-at-a-time with a 64-byte early-exit stride: `chunks_exact(8)`
+/// with `from_le_bytes` compiles to plain 8-byte loads, and a non-zero
+/// page stops at its first non-zero 64 bytes.
 pub fn is_zero(data: &[u8]) -> bool {
-    (active().is_zero)(data)
+    let mut chunks = data.chunks_exact(64);
+    for chunk in &mut chunks {
+        let mut acc = 0u64;
+        for word in chunk.chunks_exact(8) {
+            acc |= u64::from_le_bytes(word.try_into().expect("chunks_exact(8) yields 8 bytes"));
+        }
+        if acc != 0 {
+            return false;
+        }
+    }
+    chunks.remainder().iter().all(|&b| b == 0)
 }
 
 /// Page scan: one block hash per [`BLOCK_SIZE`] bytes into
-/// `block_hashes`, the page hash derived from them, and the dispatched
-/// zero check, in three passes:
+/// `block_hashes`, the page hash derived from them, and the zero
+/// check, in three passes:
 /// `out[i] == hash64(&data[i*256..][..256])`,
 /// `page_hash == page_hash_of_blocks(out)`,
 /// `is_zero == data.iter().all(|b| *b == 0)`.
 ///
-/// Panics unless `data.len() == block_hashes.len() * BLOCK_SIZE`.
+/// Panics unless `data` is one whole page ([`CHUNK_PAGE_SIZE`] bytes).
 #[inline]
-pub fn fused_scan(data: &[u8], block_hashes: &mut [u64]) -> FusedScan {
-    assert_eq!(
-        data.len(),
-        block_hashes.len() * BLOCK_SIZE,
-        "fused_scan needs one hash slot per {BLOCK_SIZE}-byte block"
-    );
+pub fn fused_scan(data: &[u8], block_hashes: &mut [u64; BLOCKS_PER_PAGE]) -> FusedScan {
+    assert_eq!(data.len(), CHUNK_PAGE_SIZE, "fused_scan takes one whole page");
     for (slot, block) in block_hashes.iter_mut().zip(data.chunks_exact(BLOCK_SIZE)) {
         *slot = hash64(block);
     }
@@ -190,30 +155,23 @@ pub fn fused_scan(data: &[u8], block_hashes: &mut [u64]) -> FusedScan {
 #[inline]
 pub(crate) fn xor_acc(acc: &mut [u8], data: &[u8]) {
     assert_eq!(acc.len(), data.len(), "xor_acc needs equal-length slices");
-    (active().xor_acc)(acc, data)
+    for (a, b) in acc.iter_mut().zip(data) {
+        *a ^= b;
+    }
 }
 
 /// Advance a raw CRC-32 state (pre-inversion form, as stored in
 /// [`crate::crc::Crc32`]) over `data`.
 #[inline]
 pub(crate) fn crc32_advance(state: u32, data: &[u8]) -> u32 {
-    (active().crc32_advance)(state, data)
+    (active().advance)(state, data)
 }
 
-/// Vectorized equality of two hash arrays (the per-page silent-store
-/// check compares 16 block digests at once).
+/// Equality of two hash arrays (the per-page silent-store check
+/// compares 16 block digests at once).
 #[inline]
 pub fn hashes_eq(a: &[u64], b: &[u64]) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    // SAFETY: any initialized `u64` slice is a valid `u8` slice of 8×
-    // the length at the same address; alignment only loosens (8 → 1)
-    // and the lifetime is inherited from the borrow.
-    let ab = unsafe { std::slice::from_raw_parts(a.as_ptr().cast::<u8>(), a.len() * 8) };
-    // SAFETY: as above.
-    let bb = unsafe { std::slice::from_raw_parts(b.as_ptr().cast::<u8>(), b.len() * 8) };
-    (active().bytes_eq)(ab, bb)
+    a == b
 }
 
 #[cfg(test)]
@@ -224,7 +182,7 @@ mod tests {
     fn parse_backend_is_strict() {
         assert_eq!(parse_backend("scalar"), Ok(BackendChoice::Scalar));
         assert_eq!(parse_backend("auto"), Ok(BackendChoice::Auto));
-        for bad in ["", "Scalar", "AUTO", "avx2", "scalar,auto", "1", "simd"] {
+        for bad in ["", "Scalar", "AUTO", "avx2", "scalar,auto", "1", "simd", "pclmul"] {
             assert!(parse_backend(bad).is_err(), "{bad:?}");
         }
     }
@@ -236,6 +194,6 @@ mod tests {
 
     #[test]
     fn active_backend_has_a_name() {
-        assert!(!backend_name().is_empty());
+        assert!(["scalar", "pclmul"].contains(&backend_name()));
     }
 }

@@ -9,10 +9,10 @@
 //! * [`hash`] — the content layer's 4-lane multiply-xor 64-bit hash:
 //!   sub-page block digests that detect silent same-value writes and
 //!   drive delta encoding of partially-written pages.
-//! * [`kernels`] — runtime-dispatched SIMD kernels for the byte-touching
-//!   hot paths (fused single-pass page scan, zero detection, XOR
-//!   accumulate, CRC folding, block compare), bit-identical to the
-//!   scalar reference at every backend; `ICKPT_KERNELS=scalar|auto`.
+//! * [`kernels`] — the byte-touching hot paths (page scan, zero
+//!   detection, XOR accumulate, block compare) in safe Rust, plus the
+//!   one runtime-dispatched kernel, the CRC (PCLMULQDQ folding where the
+//!   CPU has it, slice-by-8 otherwise); `ICKPT_KERNELS=scalar|auto`.
 //! * `chunk` — the on-disk checkpoint chunk format: a header
 //!   describing rank/generation/lineage and the mapping state, followed
 //!   by page records, closed with a CRC.
@@ -36,6 +36,7 @@
 //!   and tiered recovery (local → reconstruction → durable).
 
 #![deny(unreachable_pub)]
+#![deny(unsafe_code)]
 
 mod chunk;
 pub mod crc;

@@ -33,6 +33,7 @@
 //! tree≡flat by the property suite.
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 mod admission;
 mod sched;

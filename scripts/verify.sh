@@ -61,9 +61,9 @@ KNOBS
     # /tmp/ickpt_diff/<id>/<variant index>/ for the checks after the table.
     #   table4        trace-once engine, serial vs parallel scheduler
     #   effib         content layer: dedup-off and dedup-on runs, scheduler
-    #   kernels       every capture artifact, SIMD tiers vs scalar reference
+    #   kernels       every capture artifact, PCLMUL CRC vs the slice-by-8 reference
     #   ablations     flight recorder with DedupSkip/DeltaEncode, scheduler
-    #   ablations-k   the same event stream on the scalar kernel tier
+    #   ablations-k   the same event stream on the slice-by-8 CRC
     #   ft, ft-smoke  one event engine for every fault-tolerant run
     #                 (forked mode, tiered partner/XOR under node loss)
     #   ext4k         the event engine at 4096 ranks (wall time on stderr)

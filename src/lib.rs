@@ -58,6 +58,7 @@
 //! ```
 
 #![deny(unreachable_pub)]
+#![forbid(unsafe_code)]
 
 pub use ickpt_apps as apps;
 pub use ickpt_core as core;
