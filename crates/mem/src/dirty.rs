@@ -84,7 +84,7 @@ impl DirtyBitmap {
     }
 
     /// Test a single page.
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn get(&self, page: u64) -> bool {
         debug_assert!(page < self.pages, "page {page} out of range {}", self.pages);
         let w = (page / WORD_BITS) as usize;
@@ -94,7 +94,7 @@ impl DirtyBitmap {
 
     /// Set a single page; returns `true` if the bit was previously clear
     /// (i.e. this write would have taken a page fault).
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn set(&mut self, page: u64) -> bool {
         debug_assert!(page < self.pages, "page {page} out of range {}", self.pages);
         let w = (page / WORD_BITS) as usize;
@@ -108,7 +108,7 @@ impl DirtyBitmap {
     }
 
     /// Clear a single page; returns `true` if the bit was previously set.
-    #[cfg(test)]
+    #[inline]
     pub(crate) fn clear(&mut self, page: u64) -> bool {
         debug_assert!(page < self.pages);
         let w = (page / WORD_BITS) as usize;

@@ -11,14 +11,14 @@ use crate::{AddressSpace, DirtyBitmap, LayoutBuilder, PageRange, SparseSpace, PA
 use std::collections::BTreeSet;
 
 /// Deterministic generator for property cases.
-struct Rng(u64);
+pub(crate) struct Rng(u64);
 
 impl Rng {
-    fn new(seed: u64) -> Self {
+    pub(crate) fn new(seed: u64) -> Self {
         Self(seed)
     }
 
-    fn next(&mut self) -> u64 {
+    pub(crate) fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.0;
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -27,12 +27,12 @@ impl Rng {
     }
 
     /// Uniform in `[0, n)`.
-    fn below(&mut self, n: u64) -> u64 {
+    pub(crate) fn below(&mut self, n: u64) -> u64 {
         self.next() % n.max(1)
     }
 
     /// Uniform in `[lo, hi)`.
-    fn range(&mut self, lo: u64, hi: u64) -> u64 {
+    pub(crate) fn range(&mut self, lo: u64, hi: u64) -> u64 {
         lo + self.below(hi - lo)
     }
 }

@@ -10,6 +10,7 @@
 //!   arena, which is what the checkpoint/restore machinery operates on
 //!   in correctness tests and the fault-tolerance examples.
 
+use crate::dirty::DirtyBitmap;
 use crate::error::MemError;
 use crate::heap::Heap;
 use crate::layout::DataLayout;
@@ -179,6 +180,10 @@ fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Class salt of [`WriteProfile::Scientific`]: distinct from every fill
+/// seed in the tree, and the seed of a partial or silent page's base.
+const VERSION_SALT: u64 = 0x5C1E_17F1_C0DE_D00D;
+
 /// How a versioned page touch materializes bytes — the content model
 /// backed cluster runs write through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -205,6 +210,14 @@ pub struct BackedSpace {
     arena: Vec<u8>,
     /// Content model for [`BackedSpace::write_versioned`].
     profile: WriteProfile,
+    /// The pages whose bytes are exactly what
+    /// `write_versioned(page, version[page])` wrote under `profile`.
+    /// Every other write into the arena clears the pages it covers.
+    versioned: DirtyBitmap,
+    /// Per capacity page, the version it was last written at by
+    /// [`BackedSpace::write_versioned`]; meaningful only where
+    /// `versioned` is set, so every `u64` stays a valid version.
+    version: Vec<u64>,
 }
 
 impl BackedSpace {
@@ -213,16 +226,21 @@ impl BackedSpace {
     /// megabytes, not the paper's full gigabyte).
     pub fn new(layout: DataLayout) -> Self {
         let bytes = layout.capacity_bytes() as usize;
+        let pages = layout.capacity_pages();
         Self {
             state: MappingState::new(layout),
             arena: vec![0u8; bytes],
             profile: WriteProfile::default(),
+            versioned: DirtyBitmap::new(pages),
+            version: vec![0; pages as usize],
         }
     }
 
-    /// Select the content model for versioned touches.
+    /// Select the content model for versioned touches. Forgets every
+    /// page's version: the bytes it names were the old profile's.
     pub fn set_write_profile(&mut self, profile: WriteProfile) {
         self.profile = profile;
+        self.versioned.clear_all();
     }
 
     /// Write `data` at `offset` bytes within a mapped page.
@@ -236,6 +254,7 @@ impl BackedSpace {
             return Err(MemError::Unmapped { page });
         }
         assert!(offset + data.len() <= PAGE_SIZE as usize, "write crosses page boundary");
+        self.versioned.clear(page);
         let base = (page * PAGE_SIZE) as usize + offset;
         self.arena[base..base + data.len()].copy_from_slice(data);
         Ok(())
@@ -243,17 +262,23 @@ impl BackedSpace {
 
     /// Fill an entire mapped page with deterministic content derived
     /// from `seed` (used by workload models to make runs replayable).
-    ///
-    /// Word `i` carries `mix(x0 + (i+1)·γ)` — a SplitMix64 stream,
-    /// but since each word depends only on its index the four-lane
-    /// unroll below computes the *identical* bytes while breaking the
-    /// multiply dependency chain (this fill runs on every simulated
-    /// page write, making it the hottest loop of the fault-tolerant
-    /// experiments).
     pub fn fill_page(&mut self, page: u64, seed: u64) -> Result<(), MemError> {
         if !self.state.is_mapped(page) {
             return Err(MemError::Unmapped { page });
         }
+        self.versioned.clear(page);
+        self.fill(page, seed);
+        Ok(())
+    }
+
+    /// The bytes of [`BackedSpace::fill_page`], unchecked.
+    ///
+    /// Word `i` carries `mix(x0 + (i+1)·γ)` — a SplitMix64 stream,
+    /// but since each word depends only on its index the four-lane
+    /// unroll below computes the *identical* bytes while breaking the
+    /// multiply dependency chain. Every full rewrite of
+    /// [`BackedSpace::write_versioned`] runs this loop.
+    fn fill(&mut self, page: u64, seed: u64) {
         const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
         #[inline(always)]
         fn mix(mut z: u64) -> u64 {
@@ -277,7 +302,6 @@ impl BackedSpace {
             chunk[24..32].copy_from_slice(&z3.to_le_bytes());
             x = x.wrapping_add(GAMMA.wrapping_mul(4));
         }
-        Ok(())
     }
 
     /// Write a mapped page at logical write `version`, materializing
@@ -290,32 +314,63 @@ impl BackedSpace {
     /// partial / silent) and its changed-block positions depend only on
     /// the page address, so a given page behaves consistently across
     /// versions the way a fixed variable does in a real code.
+    ///
+    /// Because the content is that pure function, the space remembers
+    /// the version each page was last written at here and writes only
+    /// what differs: nothing when the page already holds `version`;
+    /// under `Scientific`, only the version blocks of a partial page
+    /// and nothing of a silent page that holds any version. Every other
+    /// write into the arena (`fill_page`, [`PageSink`], heap growth and
+    /// `mmap`, [`BackedSpace::zero_mapped_outside`],
+    /// [`BackedSpace::page_spans_mut`], a profile switch) makes its
+    /// pages forget their version, so the bytes always equal a full
+    /// rewrite's.
     pub fn write_versioned(&mut self, page: u64, version: u64) -> Result<(), MemError> {
-        /// Class salt: distinct from every fill seed in the tree.
-        const SALT: u64 = 0x5C1E_17F1_C0DE_D00D;
+        if !self.state.is_mapped(page) {
+            return Err(MemError::Unmapped { page });
+        }
+        let held = self.versioned.get(page).then(|| self.version[page as usize]);
+        if held == Some(version) {
+            return Ok(());
+        }
         match self.profile {
-            WriteProfile::Uniform => self.fill_page(page, version),
-            WriteProfile::Scientific => match mix64(page ^ SALT) % 8 {
-                0..=2 => self.fill_page(page, version),
+            WriteProfile::Uniform => self.fill(page, version),
+            WriteProfile::Scientific => match mix64(page ^ VERSION_SALT) % 8 {
+                0..=2 => self.fill(page, version),
+                // Stable base plus a few version-dependent blocks: the
+                // sub-page delta case. A page holding any version holds
+                // the base, and its blocks sit where this version's go.
                 3..=5 => {
-                    // Stable base plus a few version-dependent blocks:
-                    // the sub-page delta case.
-                    self.fill_page(page, SALT)?;
-                    let blocks = 1 + mix64(page ^ SALT.rotate_left(17)) % 4;
-                    for i in 0..blocks {
-                        let b = (mix64(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i) % 16) as usize;
-                        let base = (page * PAGE_SIZE) as usize + b * 256;
-                        let mut x = mix64(page ^ version.wrapping_mul(SALT) ^ i);
-                        for word in self.arena[base..base + 256].chunks_exact_mut(8) {
-                            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                            word.copy_from_slice(&mix64(x).to_le_bytes());
-                        }
+                    if held.is_none() {
+                        self.fill(page, VERSION_SALT);
                     }
-                    Ok(())
+                    self.write_version_blocks(page, version);
                 }
                 // Silent store: same bytes every version.
-                _ => self.fill_page(page, SALT),
+                _ => {
+                    if held.is_none() {
+                        self.fill(page, VERSION_SALT);
+                    }
+                }
             },
+        }
+        self.versioned.set(page);
+        self.version[page as usize] = version;
+        Ok(())
+    }
+
+    /// The 1–4 version-dependent 256-byte blocks of a Scientific
+    /// partial-write page; their positions depend on the page alone.
+    fn write_version_blocks(&mut self, page: u64, version: u64) {
+        let blocks = 1 + mix64(page ^ VERSION_SALT.rotate_left(17)) % 4;
+        for i in 0..blocks {
+            let b = (mix64(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i) % 16) as usize;
+            let base = (page * PAGE_SIZE) as usize + b * 256;
+            let mut x = mix64(page ^ version.wrapping_mul(VERSION_SALT) ^ i);
+            for word in self.arena[base..base + 256].chunks_exact_mut(8) {
+                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                word.copy_from_slice(&mix64(x).to_le_bytes());
+            }
         }
     }
 
@@ -329,9 +384,9 @@ impl BackedSpace {
     /// mixes 64-bit words into four independent multiply-xor lanes —
     /// the lanes break the sequential multiply dependency chain that
     /// made the previous byte-at-a-time FNV-1a the dominant cost of
-    /// the availability/ablation experiments. Digests are only ever
-    /// compared against other digests from the same build, never
-    /// persisted as golden values.
+    /// the availability/ablation experiments. Runs compare digests
+    /// with digests of the same build; one unit test pins the digest
+    /// of a fixed Scientific write script to a literal.
     pub fn content_digest(&self) -> u64 {
         const M: [u64; 4] = [
             0x9E37_79B9_7F4A_7C15,
@@ -449,6 +504,7 @@ impl BackedSpace {
             let skip = (span.start - rest_start) as usize * page;
             let len = span.len as usize * page;
             assert!(skip + len <= rest.len(), "page span {span:?} runs past the arena");
+            self.versioned.clear_range(*span);
             let (view, tail) = std::mem::take(&mut rest)[skip..].split_at_mut(len);
             views.push(view);
             rest = tail;
@@ -465,6 +521,7 @@ impl BackedSpace {
     /// but never written must have the same (zero) content in the
     /// original run and after a restore.
     fn zero_range(&mut self, range: PageRange) {
+        self.versioned.clear_range(range);
         let base = (range.start * PAGE_SIZE) as usize;
         let end = (range.end() * PAGE_SIZE) as usize;
         // Page-granular skip-if-already-zero through the word-scan
@@ -791,5 +848,211 @@ mod tests {
     fn page_spans_that_descend_panic() {
         let mut b = BackedSpace::new(small_layout());
         b.page_spans_mut(&[PageRange::new(6, 1), PageRange::new(2, 1)]);
+    }
+
+    impl BackedSpace {
+        /// `write_versioned` without the version memo: every touch
+        /// rewrites the page in full. The reference the memo is checked
+        /// against.
+        fn write_versioned_reference(&mut self, page: u64, version: u64) -> Result<(), MemError> {
+            const SALT: u64 = VERSION_SALT;
+            match self.profile {
+                WriteProfile::Uniform => self.fill_page(page, version),
+                WriteProfile::Scientific => match mix64(page ^ SALT) % 8 {
+                    0..=2 => self.fill_page(page, version),
+                    3..=5 => {
+                        self.fill_page(page, SALT)?;
+                        let blocks = 1 + mix64(page ^ SALT.rotate_left(17)) % 4;
+                        for i in 0..blocks {
+                            let b =
+                                (mix64(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ i) % 16) as usize;
+                            let base = (page * PAGE_SIZE) as usize + b * 256;
+                            let mut x = mix64(page ^ version.wrapping_mul(SALT) ^ i);
+                            for word in self.arena[base..base + 256].chunks_exact_mut(8) {
+                                x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                                word.copy_from_slice(&mix64(x).to_le_bytes());
+                            }
+                        }
+                        Ok(())
+                    }
+                    _ => self.fill_page(page, SALT),
+                },
+            }
+        }
+    }
+
+    /// Ascending disjoint spans inside `0..pages`, up to three.
+    fn random_spans(rng: &mut crate::prop::Rng, pages: u64) -> Vec<PageRange> {
+        let mut spans = Vec::new();
+        let mut at = rng.below(pages / 2);
+        for _ in 0..1 + rng.below(3) {
+            if at >= pages {
+                break;
+            }
+            let len = rng.range(1, 6).min(pages - at);
+            spans.push(PageRange::new(at, len));
+            at += len + rng.below(6);
+        }
+        spans
+    }
+
+    fn random_page(rng: &mut crate::prop::Rng) -> Vec<u8> {
+        let mut page = vec![0u8; PAGE_SIZE as usize];
+        let seed = rng.next();
+        for (i, word) in page.chunks_exact_mut(8).enumerate() {
+            word.copy_from_slice(&mix64(seed ^ i as u64).to_le_bytes());
+        }
+        page
+    }
+
+    /// Both spaces map the same pages, and every mapped byte agrees.
+    fn assert_same_mapped_bytes(memo: &BackedSpace, reference: &BackedSpace, ctx: &str) {
+        assert_eq!(memo.mapped_ranges(), reference.mapped_ranges(), "{ctx}: mappings");
+        for range in memo.mapped_ranges() {
+            for p in range.start..range.end() {
+                assert!(memo.read_page(p) == reference.read_page(p), "{ctx}: page {p} differs");
+            }
+        }
+    }
+
+    /// The version memo is invisible: seeded random sequences of every
+    /// operation that writes the arena leave the memoized space and the
+    /// always-write reference with the same mapped bytes after every
+    /// step. Versions come from a set of four, `0` and `u64::MAX`
+    /// included, so repeated touches are common.
+    #[test]
+    fn version_memo_matches_always_write_reference() {
+        const VERSIONS: [u64; 4] = [0, 1, 2, u64::MAX];
+        for case in 0..48u64 {
+            let mut rng = crate::prop::Rng::new(0x3E30_C0DE ^ case);
+            let mut memo = BackedSpace::new(small_layout());
+            let pages = memo.layout().capacity_pages();
+            let mut reference = memo.clone();
+            let mut live: Vec<PageRange> = Vec::new();
+            for step in 0..250 {
+                let ctx = format!("case {case} step {step}");
+                match rng.below(20) {
+                    0..=7 => {
+                        // Mostly mapped pages, some beyond the mapping.
+                        let page = rng.below(pages);
+                        let version = VERSIONS[rng.below(4) as usize];
+                        assert_eq!(
+                            memo.write_versioned(page, version),
+                            reference.write_versioned_reference(page, version),
+                            "{ctx}: write_versioned({page}, {version})"
+                        );
+                    }
+                    8 => {
+                        let (page, seed) = (rng.below(pages), VERSIONS[rng.below(4) as usize]);
+                        assert_eq!(memo.fill_page(page, seed), reference.fill_page(page, seed));
+                    }
+                    9 => {
+                        let (page, data) = (rng.below(pages), random_page(&mut rng));
+                        assert_eq!(
+                            memo.write_page_data(page, &data),
+                            reference.write_page_data(page, &data)
+                        );
+                    }
+                    10 | 11 => {
+                        // A restore writing through the parallel views.
+                        let spans = random_spans(&mut rng, pages);
+                        let data: Vec<Vec<u8>> = spans
+                            .iter()
+                            .flat_map(|s| 0..s.len)
+                            .map(|_| random_page(&mut rng))
+                            .collect();
+                        for space in [&mut memo, &mut reference] {
+                            let views = space.page_spans_mut(&spans);
+                            let mut pages_in = data.iter();
+                            for view in views {
+                                for dst in view.chunks_exact_mut(PAGE_SIZE as usize) {
+                                    dst.copy_from_slice(pages_in.next().unwrap());
+                                }
+                            }
+                        }
+                    }
+                    12 => {
+                        let n = rng.range(1, 8);
+                        assert_eq!(memo.heap_grow(n), reference.heap_grow(n));
+                    }
+                    13 => {
+                        let n = rng.range(1, 8);
+                        assert_eq!(memo.heap_shrink(n), reference.heap_shrink(n));
+                    }
+                    14 => {
+                        let n = rng.range(1, 6);
+                        let got = memo.mmap(n);
+                        assert_eq!(got, reference.mmap(n));
+                        live.extend(got);
+                    }
+                    15 if !live.is_empty() => {
+                        let r = live.swap_remove(rng.below(live.len() as u64) as usize);
+                        assert_eq!(memo.munmap(r), reference.munmap(r));
+                    }
+                    16 => {
+                        // Restore a mapping (a subset of today's blocks,
+                        // any heap size), then zero what no segment covers.
+                        live.retain(|_| rng.below(2) == 0);
+                        live.sort_by_key(|r| r.start);
+                        let heap = rng.below(17);
+                        let covered = random_spans(&mut rng, pages);
+                        for space in [&mut memo, &mut reference] {
+                            space.restore_mapping_state(heap, &live).unwrap();
+                            space.zero_mapped_outside(covered.iter().copied());
+                        }
+                    }
+                    17 => {
+                        let profile = if rng.below(2) == 0 {
+                            WriteProfile::Uniform
+                        } else {
+                            WriteProfile::Scientific
+                        };
+                        memo.set_write_profile(profile);
+                        reference.set_write_profile(profile);
+                    }
+                    18 => {
+                        memo = memo.clone();
+                        reference = reference.clone();
+                    }
+                    _ => {}
+                }
+                assert_same_mapped_bytes(&memo, &reference, &ctx);
+            }
+        }
+    }
+
+    /// Pins the content model to a literal: a fixed script of repeated
+    /// and new versions, a `fill_page`, a restore through
+    /// `page_spans_mut` and a heap shrink and regrow on a small
+    /// Scientific space. A changed byte anywhere in the model, the memo
+    /// or the digest fails here on any host.
+    #[test]
+    fn scientific_write_script_digest_is_pinned() {
+        let mut s = BackedSpace::new(small_layout());
+        s.set_write_profile(WriteProfile::Scientific);
+        s.heap_grow(12).unwrap();
+        for version in [1, 1, 2] {
+            for p in 0..16 {
+                s.write_versioned(p, version).unwrap();
+            }
+        }
+        let checkpoint = s.clone();
+        for p in (0..16).step_by(3) {
+            s.write_versioned(p, 3).unwrap();
+        }
+        s.fill_page(4, 77).unwrap();
+        s.write_versioned(7, u64::MAX).unwrap();
+        // Roll pages 5..9 back to the checkpoint, then replay two.
+        let spans = [PageRange::new(5, 4)];
+        let at = (5 * PAGE_SIZE) as usize..(9 * PAGE_SIZE) as usize;
+        s.page_spans_mut(&spans)[0].copy_from_slice(&checkpoint.arena()[at]);
+        s.write_versioned(6, 3).unwrap();
+        s.write_versioned(8, 2).unwrap();
+        s.heap_shrink(5).unwrap();
+        s.heap_grow(3).unwrap();
+        for p in 9..14 {
+            s.write_versioned(p, 2).unwrap();
+        }
+        assert_eq!(s.content_digest(), 0x7968_e3f1_a91e_10c7);
     }
 }

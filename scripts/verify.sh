@@ -105,6 +105,19 @@ tenants|repro|Multi-tenant|y|$svc|ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
 metrics|repro|table 4|y|ICKPT_METRICS=on $small|ICKPT_BENCH_THREADS=1;ICKPT_BENCH_THREADS=4
 DIFFS
 
+    # The reproduction pinned to its numbers: every row above compares
+    # a run with itself, so a change that moves every number the same
+    # way passes them all. The full-scale `repro --out` report must
+    # match the checked-in golden byte for byte, serial and parallel.
+    local t
+    for t in 1 4; do
+        local report="/tmp/ickpt_diff/golden/threads-$t.md"
+        mkdir -p "$(dirname "$report")"
+        echo "==> golden: full repro --out at ICKPT_BENCH_THREADS=$t"
+        ICKPT_BENCH_THREADS=$t target/release/repro --out "$report" </dev/null >/dev/null 2>&1
+        run diff scripts/repro.golden.md "$report"
+    done
+
     local ablations_jsonl=/tmp/ickpt_diff/ablations/0/trace/ablations-checkpoint-system.jsonl
     run target/release/inspect --trace "$ablations_jsonl" >/dev/null
 

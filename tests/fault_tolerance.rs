@@ -11,7 +11,7 @@ use ickpt::cluster::{
     RedundancyConfig, RunOutcome, StoragePath,
 };
 use ickpt::core::coordinator::CheckpointPolicy;
-use ickpt::mem::{DataLayout, LayoutBuilder, PAGE_SIZE};
+use ickpt::mem::{DataLayout, LayoutBuilder, WriteProfile, PAGE_SIZE};
 use ickpt::net::NetConfig;
 use ickpt::sim::{DevicePreset, SimDuration, SimTime};
 use ickpt::storage::{DrainTopology, MemStore, RecoverySource, SchemeSpec};
@@ -443,6 +443,34 @@ fn process_failure_on_tiered_storage_restores_from_local() {
     assert_eq!(rec.source, RecoverySource::Local);
     let tier = recovered.ranks[2].tier.unwrap();
     assert!(tier.recovery_local_bytes > 0);
+}
+
+#[test]
+fn scientific_profile_node_loss_recovers_byte_identical() {
+    // The Scientific profile rewrites only the changed blocks of a
+    // partial page and nothing of a silent one, from the version the
+    // page last held; after a restore, the rebuilt pages must still
+    // replay to the failure-free bytes. Dedup on, XOR parity on the
+    // node-local tier, and nothing drained when node 1 is lost, so the
+    // restore reconstructs over the network.
+    let cfg = |failures| FaultTolerantConfig {
+        dedup: Some(true),
+        write_profile: WriteProfile::Scientific,
+        ..tiered_cfg(SchemeSpec::XorParity { group_size: 2 }, 4, failures)
+    };
+    let reference =
+        run_fault_tolerant(&cfg(vec![]), synthetic_layout(), build_synthetic(4)).unwrap();
+    assert_eq!(reference.outcome, RunOutcome::Completed);
+    let failures = vec![FailureSpec::node_loss(1, SimTime::from_secs(8))];
+    let recovered =
+        run_fault_tolerant(&cfg(failures), synthetic_layout(), build_synthetic(4)).unwrap();
+    assert_eq!(recovered.outcome, RunOutcome::Completed);
+    assert_eq!(recovered.attempts, 2);
+    assert_eq!(recovered.recoveries[0].source, RecoverySource::Reconstructed);
+    for (a, b) in reference.ranks.iter().zip(&recovered.ranks) {
+        assert!(a.content_digest.is_some());
+        assert_eq!(a.content_digest, b.content_digest, "rank {}", a.rank);
+    }
 }
 
 #[test]
