@@ -455,7 +455,10 @@ impl<'a> ChunkView<'a> {
         let app_offset = body.len() - b.remaining();
         let app_state = &body[app_offset..app_offset + app_state_len];
         b.advance(app_state_len);
-        let mut records = Vec::with_capacity(n_records);
+        // Header counts are untrusted until each entry is read: every
+        // record or delta header takes at least 16 bytes, so reserve no
+        // more entries than the remaining bytes can hold.
+        let mut records = Vec::with_capacity(n_records.min(b.remaining() / 16));
         for _ in 0..n_records {
             if b.remaining() < 16 {
                 return Err(StorageError::Corrupt("truncated record header".into()));
@@ -472,7 +475,7 @@ impl<'a> ChunkView<'a> {
             b.advance(nbytes);
             records.push(RecordRef { start_page, pages, payload_offset });
         }
-        let mut delta_records = Vec::with_capacity(n_delta);
+        let mut delta_records = Vec::with_capacity(n_delta.min(b.remaining() / 16));
         for _ in 0..n_delta {
             if b.remaining() < 16 {
                 return Err(StorageError::Corrupt("truncated delta header".into()));
@@ -908,6 +911,23 @@ mod tests {
             assert!(ChunkView::decode(&bad).is_err(), "flip at {pos} undetected");
         }
         assert!(ChunkView::decode(&enc[..40]).is_err());
+    }
+
+    #[test]
+    fn huge_header_counts_with_a_valid_crc_are_rejected() {
+        // n_records sits at header offset 52, n_delta at 72. A CRC-valid
+        // chunk claiming u32::MAX of either must fail decode, not
+        // reserve the claimed count up front.
+        let enc = sample_chunk(ChunkKind::Incremental).encode();
+        for offset in [52usize, 72] {
+            let mut bad = enc.clone();
+            bad[offset..offset + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+            let body = bad.len() - 4;
+            let crc = crate::crc::crc32(&bad[..body]);
+            bad[body..].copy_from_slice(&crc.to_le_bytes());
+            assert!(ChunkView::decode(&bad).is_err(), "count at offset {offset} accepted");
+            assert!(Chunk::decode(&bad).is_err(), "count at offset {offset} accepted");
+        }
     }
 
     #[test]
