@@ -21,9 +21,8 @@ use crate::{banner_string, bench_scale};
 /// Regenerate Figure 1 (both panels).
 pub(crate) fn report() -> ExperimentReport {
     let mut body = banner_string("Figure 1: Sage-1000MB IWS and data received per 1 s timeslice");
-    let report = run_fig1();
     let mut tb = TraceBuilder::begin();
-    tb.synthesize("sage1000/500s", &report);
+    let report = run_fig1(tb.recorder("sage1000/500s"));
     let r0 = &report.ranks[0];
     let rescale = 1.0 / bench_scale();
 

@@ -5,10 +5,8 @@
 //! The paper's §6.4.2 claim ("the number of processors doesn't have a
 //! significant influence on the IB") was measured up to 64 processors
 //! and argued to generalize; this experiment actually runs the model
-//! at BlueGene-class rank counts. Runs go through [`characterize`]
-//! directly (the trace-once cache only memoizes the paper's
-//! configurations) with [`ReportDetail::compact`], so per-rank state
-//! stays bounded at 16k ranks.
+//! at BlueGene-class rank counts. Runs use [`ReportDetail::compact`],
+//! so per-rank state stays bounded at 16k ranks.
 //!
 //! `ICKPT_BENCH_EXT_RANKS` picks the rank counts (see the README's knob
 //! table); stdout is byte-identical at any `ICKPT_SIM_WORKERS` (host
@@ -25,6 +23,7 @@ use ickpt::cluster::{
     DEFAULT_REDUCE_ARITY,
 };
 use ickpt::core::metrics::IbStats;
+use ickpt::obs::Recorder;
 use ickpt::sim::{env, SimDuration, SimTime};
 
 use crate::obs_glue::TraceBuilder;
@@ -46,14 +45,16 @@ pub(crate) fn ext_ranks() -> Vec<usize> {
     env::knob("ICKPT_BENCH_EXT_RANKS", env::counts).unwrap_or_else(|| DEFAULT_EXT_RANKS.to_vec())
 }
 
-/// One extended run: Sage under weak scaling at `nranks`.
-pub(crate) fn ext_run(nranks: usize) -> RunReport {
+/// One extended run: Sage under weak scaling at `nranks`, recording
+/// into `obs`.
+fn ext_run(nranks: usize, obs: Recorder) -> RunReport {
     let cfg = CharacterizationConfig {
         nranks,
         scale: EXT_SCALE,
         run_for: SimDuration::from_secs(EXT_SECONDS),
         timeslice: SimDuration::from_secs(1),
         seed: BENCH_SEED,
+        obs,
         detail: ReportDetail::compact(),
         ..Default::default()
     };
@@ -99,10 +100,9 @@ pub(crate) fn report() -> ExperimentReport {
     let mut tb = TraceBuilder::begin_scaled(ranks.iter().copied().max().unwrap_or(64));
     for &n in &ranks {
         let host_t0 = Instant::now();
-        let report = ext_run(n);
+        let report = ext_run(n, tb.recorder(&format!("{n}ranks")));
         let elapsed = host_t0.elapsed().as_secs_f64();
         host_timing(n, elapsed);
-        tb.synthesize(&format!("{n}ranks"), &report);
         let agg = reduce_reports(&report.ranks, DEFAULT_REDUCE_ARITY);
         let ib = ext_ib(&report);
         t.row(vec![

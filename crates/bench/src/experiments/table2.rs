@@ -22,11 +22,11 @@ pub(crate) fn report() -> ExperimentReport {
         TextTable::new("").header(&["Application", "Maximum", "Average", "paper max", "paper avg"]);
     let mut comparisons = Vec::new();
     let mut tb = TraceBuilder::begin();
-    let rows = parallel_map(&Workload::ALL, |&w| (w, run(w, 1)));
+    let runs: Vec<_> = Workload::ALL.iter().map(|&w| (w, tb.recorder(w.name()))).collect();
+    let rows = parallel_map(&runs, |(w, rec)| (*w, run(*w, 1, rec.clone())));
     for (w, report) in &rows {
         let w = *w;
         let (max, avg) = footprint_mb(report);
-        tb.synthesize(w.name(), report);
         let c = w.calib();
         table.row(vec![
             w.name().to_string(),

@@ -19,16 +19,17 @@ use crate::analysis::{Comparison, ExperimentReport, TextTable};
 use ickpt::apps::Workload;
 use ickpt::core::policy::detect_period;
 
-use ickpt::cluster::RunReport;
+use ickpt::obs::Recorder;
 
 use crate::engine::{detection_timeslice, parallel_map, run_table3};
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, skip_until};
 
-/// Run one workload with fine sampling + iteration tracking.
-fn measure(w: Workload) -> (RunReport, Option<f64>, f64) {
+/// Run one workload with fine sampling + iteration tracking: the
+/// detected period and the overwrite fraction.
+fn measure(w: Workload, obs: Recorder) -> (Option<f64>, f64) {
     let ts = detection_timeslice(w);
-    let report = run_table3(w);
+    let report = run_table3(w, obs);
     let r0 = &report.ranks[0];
     // Automatic period detection from the IWS series.
     let skip_windows = (skip_until(w).as_secs_f64() / ts.as_secs_f64()).ceil() as usize;
@@ -48,7 +49,7 @@ fn measure(w: Workload) -> (RunReport, Option<f64>, f64) {
             .collect();
         crate::analysis::stats::mean(&fracs)
     };
-    (report, period, overwrite)
+    (period, overwrite)
 }
 
 /// Regenerate Table 3.
@@ -63,9 +64,9 @@ pub(crate) fn report() -> ExperimentReport {
     ]);
     let mut comparisons = Vec::new();
     let mut tb = TraceBuilder::begin();
-    let rows = parallel_map(&Workload::ALL, |&w| (w, measure(w)));
-    for (w, (report, period, overwrite)) in rows {
-        tb.synthesize(w.name(), &report);
+    let runs: Vec<_> = Workload::ALL.iter().map(|&w| (w, tb.recorder(w.name()))).collect();
+    let rows = parallel_map(&runs, |(w, rec)| (*w, measure(*w, rec.clone())));
+    for (w, (period, overwrite)) in rows {
         let c = w.calib();
         let period_str = period.map_or("n/a".to_string(), |p| fnum(p, 2));
         table.row(vec![

@@ -32,11 +32,11 @@ pub(crate) fn report() -> ExperimentReport {
     let mut comparisons = Vec::new();
     let mut all_feasible = true;
     let mut tb = TraceBuilder::begin();
-    let rows = parallel_map(&Workload::ALL, |&w| (w, run(w, 1)));
+    let runs: Vec<_> = Workload::ALL.iter().map(|&w| (w, tb.recorder(w.name()))).collect();
+    let rows = parallel_map(&runs, |(w, rec)| (*w, run(*w, 1, rec.clone())));
     for (w, report) in &rows {
         let w = *w;
         let stats = ib_stats(w, report, 1);
-        tb.synthesize(w.name(), report);
         let feas = FeasibilityReport::against_paper_devices(stats);
         all_feasible &= feas.feasible_everywhere();
         let c = w.calib();

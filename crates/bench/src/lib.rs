@@ -25,14 +25,12 @@ pub mod engine;
 pub mod experiments;
 pub mod obs_glue;
 
-#[cfg(test)]
-mod rebin_props;
-
 pub use obs_glue::{set_trace_enabled, TraceBuilder};
 
 use ickpt::apps::Workload;
 use ickpt::cluster::RunReport;
 use ickpt::core::metrics::IbStats;
+use ickpt::obs::Recorder;
 use ickpt::sim::{env, SimDuration, SimTime};
 
 /// Seed used by every experiment (runs are pure functions of it).
@@ -77,12 +75,10 @@ pub(crate) fn skip_until(w: Workload) -> SimTime {
     SimTime::from_secs_f64(init_s + w.calib().period_s + 1.0)
 }
 
-/// Run a workload at a timeslice and return the full report. Served
-/// from the trace engine: the workload is simulated once at fine
-/// resolution and re-binned (property-tested bit-exact against the
-/// direct per-timeslice simulation in `rebin_props.rs`).
-pub(crate) fn run(w: Workload, timeslice_s: u64) -> RunReport {
-    engine::run_cached(w, timeslice_s)
+/// Run a workload at a timeslice on the bench cluster and return the
+/// report, recording into `obs`.
+pub(crate) fn run(w: Workload, timeslice_s: u64, obs: Recorder) -> RunReport {
+    engine::run_at(bench_ranks(), w, timeslice_s, obs)
 }
 
 /// Rank-0 IB statistics with the standard exclusion, rescaled back to

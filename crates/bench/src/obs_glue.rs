@@ -8,26 +8,22 @@
 //! order so group numbering — and therefore the exported bytes — is
 //! independent of which worker thread executes the run.
 //!
-//! Two capture styles coexist:
-//!
-//! * **Live** — fault-tolerant runs thread a [`Recorder`] straight into
-//!   [`FaultTolerantConfig::obs`](ickpt::cluster::FaultTolerantConfig::obs), so capture/stall/commit/drain/
-//!   recovery events come from the instrumented hot paths.
-//! * **Synthesized** — characterization experiments are served from the
-//!   memoized trace engine, which predates any recorder; their reports
-//!   carry everything the timeline needs (per-window samples, boundary
-//!   clock pairs), so `synthesize_into` replays them as events. The
-//!   result is indistinguishable in format from a live capture.
+//! Capture is live: every run threads a recorder from
+//! [`TraceBuilder::recorder`] into its config —
+//! [`CharacterizationConfig::obs`](ickpt::cluster::CharacterizationConfig::obs)
+//! or [`FaultTolerantConfig::obs`](ickpt::cluster::FaultTolerantConfig::obs)
+//! — so tracker windows, iteration boundaries and the
+//! capture/stall/commit/drain/recovery events come from the
+//! instrumented hot paths.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use crate::analysis::TraceArtifacts;
-use ickpt::cluster::{FailureKind, RunReport};
 use ickpt::sim::SimTime;
 use ickpt_obs::{
     chrome_trace, jsonl, Event, FlightRecorder, HealthMonitor, Lane, MetricsConfig, MetricsPlane,
-    ObsSummary, Recorder, RecoveryTier,
+    ObsSummary, Recorder,
 };
 
 static TRACE_ENABLED: AtomicBool = AtomicBool::new(false);
@@ -108,17 +104,6 @@ impl TraceBuilder {
         rec
     }
 
-    /// Replay a finished run's report as trace events under a new
-    /// group named `name` (for trace-engine-derived experiments with
-    /// no live instrumentation).
-    pub(crate) fn synthesize(&mut self, name: &str, report: &RunReport) {
-        if !self.enabled() {
-            return;
-        }
-        let rec = self.recorder(name);
-        synthesize_into(&rec, report);
-    }
-
     /// Snapshot, export and summarize everything recorded. With a
     /// metrics plane attached this first runs the standard
     /// [`HealthMonitor`] over every group (breach events land on each
@@ -177,64 +162,6 @@ impl TraceBuilder {
         };
         Some(TraceArtifacts { chrome_json, jsonl, summary, metrics })
     }
-}
-
-/// Replay a [`RunReport`] as flight-recorder events: run start, per-
-/// rank tracker windows (as timeslice spans ending at the sample
-/// instant) and iteration boundaries, plus any recovery records. Used
-/// for runs that executed without live instrumentation.
-pub(crate) fn synthesize_into(rec: &Recorder, report: &RunReport) {
-    if !rec.is_enabled() {
-        return;
-    }
-    rec.emit(Lane::Run, SimTime::ZERO, Event::RunStart { ranks: report.ranks.len() as u32 });
-    for rank in &report.ranks {
-        let lane = Lane::Rank(rank.rank as u32);
-        let mut prev_end = SimTime(rank.started_at.0);
-        for s in &rank.samples {
-            rec.emit_span(
-                lane,
-                prev_end,
-                s.end_time.saturating_sub(prev_end),
-                Event::TrackerWindow {
-                    index: s.window,
-                    iws_pages: s.iws_pages,
-                    footprint_pages: s.footprint_pages,
-                    faults: s.faults,
-                },
-            );
-            prev_end = s.end_time;
-        }
-        for (i, b) in rank.boundaries.iter().enumerate() {
-            rec.emit(lane, b.post, Event::IterationBoundary { iteration: i as u64 + 1 });
-        }
-    }
-    for r in &report.recoveries {
-        // Recovery timing is attempt-relative in the report; anchor the
-        // plan at the failed attempt's index on the run lane.
-        let at = SimTime(r.attempt as u64);
-        rec.emit(
-            Lane::Run,
-            at,
-            Event::Failure {
-                rank: r.rank as u32,
-                node_loss: (r.kind == FailureKind::NodeLoss) as u32,
-            },
-        );
-        rec.emit(
-            Lane::Run,
-            at,
-            Event::RecoveryPlan {
-                rank: r.rank as u32,
-                tier: source_tier(r),
-                generation: r.generation.unwrap_or(0),
-            },
-        );
-    }
-}
-
-fn source_tier(r: &ickpt::cluster::RecoveryRecord) -> RecoveryTier {
-    r.source.obs_tier()
 }
 
 /// Slug an experiment display name into a filename stem:

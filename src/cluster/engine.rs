@@ -60,7 +60,7 @@ use ickpt_sim::net::{Mailbox, Msg, NetConfig, NetError};
 use ickpt_sim::{env, BandwidthDevice, Combine, EventWheel, SimDuration, SimTime};
 
 use super::ft::{self, FtParams, FtRank};
-use super::{BoundaryRecord, CharacterizationConfig, RankReport, RunError, RunOutcome, RunReport};
+use super::{CharacterizationConfig, RankReport, RunError, RunOutcome, RunReport};
 
 /// An address space a rank can run over. The engine reads its
 /// execution policy from the type: a content-backed space moves real
@@ -146,7 +146,6 @@ pub(super) enum CollOp {
     /// The iteration-boundary vote allreduce (16 bytes, OR-combined).
     Vote {
         votes: u64,
-        pre: SimTime,
         iterations: u64,
     },
     /// Forked checkpoints: agree on the slowest background write
@@ -311,9 +310,6 @@ pub(super) struct RankSm<S> {
     pub(super) bytes_received: u64,
     pub(super) blocked: Blocked,
     completion: Option<RoundResult>,
-    boundaries: Vec<BoundaryRecord>,
-    /// Keep only the latest boundary record (compact report detail).
-    compact_boundaries: bool,
     /// Whether this rank is scheduled (or queued to be) in the wheel.
     in_wheel: bool,
     error: Option<RunError>,
@@ -330,7 +326,6 @@ impl<S: RankSpace> RankSm<S> {
         tracker: WriteTracker,
         model: Box<dyn AppModel>,
         nic: BandwidthDevice,
-        compact_boundaries: bool,
         ft: Option<Box<FtRank>>,
     ) -> Self {
         Self {
@@ -350,8 +345,6 @@ impl<S: RankSpace> RankSm<S> {
             bytes_received: 0,
             blocked: Blocked::Running,
             completion: None,
-            boundaries: Vec::new(),
-            compact_boundaries,
             in_wheel: false,
             error: None,
             ft,
@@ -445,7 +438,6 @@ impl<S: RankSpace> RankSm<S> {
     /// costs no extra communication round (§6.2). The second half runs
     /// in `complete_coll` when the round closes.
     fn begin_boundary(&mut self, ctx: &EngineCtx<'_>) {
-        let pre = self.clock;
         self.tracker.mark_iteration(self.clock);
         let iterations = self.model.iterations_done();
         let mut votes = VoteFlags::none();
@@ -457,7 +449,7 @@ impl<S: RankSpace> RankSm<S> {
         if let Some(ft) = &self.ft {
             votes = ft.vote(votes, self.clock);
         }
-        self.blocked = Blocked::Coll(CollOp::Vote { votes: votes.0, pre, iterations });
+        self.blocked = Blocked::Coll(CollOp::Vote { votes: votes.0, iterations });
     }
 
     fn exec_step(&mut self, step: &Step, ctx: &EngineCtx<'_>) {
@@ -579,28 +571,12 @@ impl<S: RankSpace> RankSm<S> {
                     ts.touch(r, version);
                 }
             }
-            CollOp::Vote { pre, iterations, .. } => {
+            CollOp::Vote { iterations, .. } => {
                 let recv = NetConfig::allreduce_recv_bytes(ctx.nranks, 16);
                 self.bytes_received += recv;
                 self.clock = ctx.net.allreduce_complete_time(res.time, ctx.nranks, 16);
                 self.tracker.advance_to(self.clock);
                 self.tracker.note_received(recv);
-                // Snapshot the boundary: a shorter run stopping here
-                // ends with exactly these clocks and counters
-                // (checkpoint work below only happens when the run
-                // continues or a checkpoint is due).
-                self.tracker.snapshot_residue(self.clock);
-                if self.compact_boundaries {
-                    self.boundaries.clear();
-                }
-                self.boundaries.push(BoundaryRecord {
-                    pre,
-                    post: self.clock,
-                    footprint_pages: self.tracker.footprint_pages(),
-                    total_faults: self.tracker.total_faults(),
-                    overhead: self.tracker.overhead(),
-                    bytes_received: self.bytes_received,
-                });
                 ctx.obs.emit(
                     Lane::Rank(self.rank as u32),
                     self.clock,
@@ -665,7 +641,6 @@ impl<S: RankSpace> RankSm<S> {
             content: ckpt.map_or_else(ContentStats::default, |c| c.content),
             last_committed: ckpt.and_then(|c| c.planner.last_committed()),
             summary: *self.tracker.sample_summary(),
-            boundaries: self.boundaries,
             trace,
             tier: None,
         };
@@ -861,9 +836,8 @@ where
                 space.mapped_pages(),
                 cfg.tracker_config(rank),
             );
-            let compact = !cfg.detail.rank_is_full(rank, cfg.trace_ranks);
             let nic = cfg.net.build_nic();
-            Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, compact, None))
+            Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, None))
         })
         .collect()
 }
@@ -899,8 +873,8 @@ mod tests {
         assert_ne!(a.sig(), b.sig());
         assert_ne!(CollOp::Barrier.sig(), a.sig());
         assert_eq!(
-            CollOp::Vote { votes: 1, pre: SimTime::ZERO, iterations: 0 }.sig(),
-            CollOp::Vote { votes: 9, pre: SimTime::ZERO, iterations: 4 }.sig(),
+            CollOp::Vote { votes: 1, iterations: 0 }.sig(),
+            CollOp::Vote { votes: 9, iterations: 4 }.sig(),
         );
         // The 8-byte settle allreduce is not an application allreduce
         // of 8 bytes, and not the commit gather either.
@@ -912,7 +886,7 @@ mod tests {
     #[test]
     fn round_folds_votes_with_or_and_gathers_commit_payloads() {
         let mut round = None;
-        let op = |v: u64| CollOp::Vote { votes: v, pre: SimTime::ZERO, iterations: 0 };
+        let op = |v: u64| CollOp::Vote { votes: v, iterations: 0 };
         join_round(&mut round, 0, 2, op(0b01), SimTime(5)).unwrap();
         join_round(&mut round, 1, 2, op(0b10), SimTime(3)).unwrap();
         let rd = round.take().unwrap();

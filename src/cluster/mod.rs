@@ -116,29 +116,6 @@ impl From<ickpt_storage::StorageError> for RunError {
     }
 }
 
-/// The clock pair of one iteration-boundary allreduce, with the exact
-/// counter values at that instant — everything a derived (re-binned)
-/// run report needs to reconstruct the end state of a shorter run that
-/// would have stopped at this boundary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundaryRecord {
-    /// Rank clock entering the boundary (the instant the STOP vote is
-    /// computed against `run_for`).
-    pub pre: SimTime,
-    /// Rank clock after the boundary allreduce completed — the final
-    /// time of a run that stops here.
-    pub post: SimTime,
-    /// Mapped footprint at the boundary, in pages.
-    pub footprint_pages: u64,
-    /// Cumulative page faults up to the boundary.
-    pub total_faults: u64,
-    /// Cumulative fault-handling overhead up to the boundary.
-    pub overhead: SimDuration,
-    /// Cumulative bytes received (messages + collectives, including
-    /// this boundary's allreduce) up to the boundary.
-    pub bytes_received: u64,
-}
-
 /// Per-rank results of a run.
 #[derive(Debug, Clone)]
 pub struct RankReport {
@@ -189,9 +166,6 @@ pub struct RankReport {
     pub summary: SampleSummary,
     /// Last globally committed generation (backed runs).
     pub last_committed: Option<u64>,
-    /// Clock pairs and counter snapshots of every iteration boundary,
-    /// in order — the stop-time oracle for trace re-binning.
-    pub boundaries: Vec<BoundaryRecord>,
     /// The recorded write trace (ranks `< trace_ranks` of a
     /// characterization run).
     pub trace: Option<RankTrace>,
@@ -280,8 +254,7 @@ pub struct CharacterizationConfig {
     pub seed: u64,
     /// Record a write trace ([`RankTrace`]) on the first `trace_ranks`
     /// ranks (0 = off). The paper's workloads are bulk-synchronous and
-    /// rank-symmetric, so rank 0's trace characterizes the cluster;
-    /// property tests trace every rank.
+    /// rank-symmetric, so rank 0's trace characterizes the cluster.
     pub trace_ranks: usize,
     /// Flight recorder; disabled by default (zero-cost no-op).
     pub obs: Recorder,
@@ -767,7 +740,7 @@ where
                 knobs.params.tracker_config(&cfg.obs, rank),
             );
             let nic = cfg.net.build_nic();
-            Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, false, Some(ft)))
+            Mutex::new(RankSm::new(rank, space, tracker, build(rank), nic, Some(ft)))
         })
         .collect();
     engine::run(&ctx, &mut sms, knobs.workers)?;

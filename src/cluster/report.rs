@@ -28,14 +28,13 @@ pub const DEFAULT_REDUCE_ARITY: usize = 32;
 /// How much per-rank detail a characterization run retains.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ReportDetail {
-    /// Every rank keeps its full sample series and boundary history.
+    /// Every rank keeps its full sample series.
     #[default]
     Full,
     /// Bounded per-rank state: ranks other than rank 0 and traced
     /// ranks keep a decimated reservoir of at most `reservoir` samples
-    /// (plus the exact [`SampleSummary`]) and only their latest
-    /// boundary record. Figure pipelines that read rank 0 are
-    /// unaffected.
+    /// (plus the exact [`SampleSummary`]). Figure pipelines that read
+    /// rank 0 are unaffected.
     Compact {
         /// Maximum samples per compacted rank.
         reservoir: usize,
