@@ -35,11 +35,8 @@ use crate::engine::parallel_map;
 use crate::obs_glue::TraceBuilder;
 use crate::{banner_string, bench_ranks, bench_scale, run_length, BENCH_SEED};
 
-/// Simulated slowdown of Sage-1000MB at a given timeslice. Stays on
-/// the direct simulation: a nonzero fault cost couples the clock to
-/// the timeslice, which is exactly what the trace engine's exactness
-/// argument excludes. These runs are live (not trace-derived), so the
-/// flight recorder instruments them directly when tracing is on.
+/// Simulated slowdown of Sage-1000MB at a given timeslice: a nonzero
+/// fault cost, with rank clocks stretched by the fault overhead.
 fn simulated_slowdown(ts: u64, obs: Recorder) -> f64 {
     let w = Workload::Sage1000;
     let cfg = CharacterizationConfig {

@@ -59,7 +59,7 @@ KNOBS
     # OUTDIR) and, with --trace-out, the exported trace / metrics files
     # against the first variant's. Outputs stay under
     # /tmp/ickpt_diff/<id>/<variant index>/ for the checks after the table.
-    #   table4        trace-once engine, serial vs parallel scheduler
+    #   table4        direct characterization, serial vs parallel scheduler
     #   effib         content layer: dedup-off and dedup-on runs, scheduler
     #   kernels       every capture artifact, PCLMUL CRC vs the slice-by-8 reference
     #   ablations     flight recorder with DedupSkip/DeltaEncode, scheduler
