@@ -132,7 +132,13 @@ impl MmapArea {
 
     /// Whether `page` belongs to a live mapping.
     pub(crate) fn is_mapped(&self, page: u64) -> bool {
-        self.live.range(..=page).next_back().is_some_and(|(&start, &len)| page < start + len)
+        self.mapping_of(page).is_some()
+    }
+
+    /// The live mapping `page` belongs to, if any.
+    pub(crate) fn mapping_of(&self, page: u64) -> Option<PageRange> {
+        let (&start, &len) = self.live.range(..=page).next_back()?;
+        (page < start + len).then(|| PageRange::new(start, len))
     }
 
     /// Iterate over live mappings in address order.

@@ -50,6 +50,23 @@ impl MappingState {
         }
     }
 
+    /// One step per mapping the range crosses, not one per page.
+    fn is_range_mapped(&self, range: PageRange) -> bool {
+        let mut next = range.start;
+        while next < range.end() {
+            next = match self.layout.region_of(next) {
+                Some(RegionKind::StaticData) => self.layout.static_data.end(),
+                Some(RegionKind::Heap) if self.heap.is_mapped(next) => self.heap.mapped().end(),
+                Some(RegionKind::Mmap) => match self.mmap.mapping_of(next) {
+                    Some(block) => block.end(),
+                    None => return false,
+                },
+                _ => return false,
+            };
+        }
+        true
+    }
+
     fn mapped_pages(&self) -> u64 {
         self.layout.static_data.len + self.heap.size_pages() + self.mmap.mapped_pages()
     }
@@ -78,6 +95,11 @@ pub trait AddressSpace {
 
     /// Whether `page` is currently mapped.
     fn is_mapped(&self, page: u64) -> bool;
+
+    /// Whether every page of `range` is currently mapped.
+    fn is_range_mapped(&self, range: PageRange) -> bool {
+        range.iter().all(|p| self.is_mapped(p))
+    }
 
     /// Current footprint in pages (static + heap + live mmap).
     fn mapped_pages(&self) -> u64;
@@ -127,6 +149,10 @@ impl AddressSpace for SparseSpace {
 
     fn is_mapped(&self, page: u64) -> bool {
         self.state.is_mapped(page)
+    }
+
+    fn is_range_mapped(&self, range: PageRange) -> bool {
+        self.state.is_range_mapped(range)
     }
 
     fn mapped_pages(&self) -> u64 {
@@ -548,6 +574,10 @@ impl AddressSpace for BackedSpace {
         self.state.is_mapped(page)
     }
 
+    fn is_range_mapped(&self, range: PageRange) -> bool {
+        self.state.is_range_mapped(range)
+    }
+
     fn mapped_pages(&self) -> u64 {
         self.state.mapped_pages()
     }
@@ -609,6 +639,27 @@ mod tests {
             .heap_capacity_bytes(16 * PAGE_SIZE)
             .mmap_capacity_bytes(16 * PAGE_SIZE)
             .build()
+    }
+
+    #[test]
+    fn range_query_matches_the_per_page_definition() {
+        fn check(mut s: impl AddressSpace) {
+            s.heap_grow(8).unwrap();
+            let _a = s.mmap(3).unwrap();
+            let hole = s.mmap(2).unwrap();
+            let _b = s.mmap(4).unwrap();
+            s.munmap(hole).unwrap();
+            let pages = s.layout().capacity_pages() + 2;
+            for start in 0..pages {
+                for len in 0..pages - start {
+                    let r = PageRange::new(start, len);
+                    let per_page = r.iter().all(|p| s.is_mapped(p));
+                    assert_eq!(s.is_range_mapped(r), per_page, "{r:?}");
+                }
+            }
+        }
+        check(SparseSpace::new(small_layout()));
+        check(BackedSpace::new(small_layout()));
     }
 
     #[test]
