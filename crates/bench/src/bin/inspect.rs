@@ -31,6 +31,8 @@
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
+use std::sync::Arc;
+
 use ickpt::obs::ParsedEvent;
 use ickpt::storage::{Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage};
 use ickpt::svc::percentile_ns;
@@ -61,9 +63,10 @@ fn trace_report(path: &str) -> i32 {
     let events = load_trace(path);
     println!("trace: {path}");
     // Per (run, track): count, busy (sum of span durations), extent.
-    let mut tracks: std::collections::BTreeMap<(String, String), (u64, u64, u64)> =
+    type RunTrack = (Arc<str>, Arc<str>);
+    let mut tracks: std::collections::BTreeMap<RunTrack, (u64, u64, u64)> =
         std::collections::BTreeMap::new();
-    let mut kinds: std::collections::BTreeMap<String, u64> = std::collections::BTreeMap::new();
+    let mut kinds: std::collections::BTreeMap<Arc<str>, u64> = std::collections::BTreeMap::new();
     for ev in &events {
         let e = tracks.entry((ev.run.clone(), ev.track.clone())).or_default();
         e.0 += 1;
@@ -74,8 +77,8 @@ fn trace_report(path: &str) -> i32 {
     let mut t = TextTable::new("tracks").header(&["run", "track", "events", "busy (s)", "end (s)"]);
     for ((run, track), (count, busy, end)) in &tracks {
         t.row(vec![
-            run.clone(),
-            track.clone(),
+            run.to_string(),
+            track.to_string(),
             count.to_string(),
             fnum(*busy as f64 / 1e9, 3),
             fnum(*end as f64 / 1e9, 3),
@@ -84,7 +87,7 @@ fn trace_report(path: &str) -> i32 {
     println!("{}", t.render());
     let mut k = TextTable::new("event types").header(&["event", "count"]);
     for (name, count) in &kinds {
-        k.row(vec![name.clone(), count.to_string()]);
+        k.row(vec![name.to_string(), count.to_string()]);
     }
     println!("{}", k.render());
     // Drain overview per run: batches, bytes, deepest queue and —
@@ -100,11 +103,11 @@ fn trace_report(path: &str) -> i32 {
         torn_bytes: u64,
     }
     let arg = |ev: &ParsedEvent, key: &str| ev.arg_u64(key).unwrap_or(0);
-    let mut drains: std::collections::BTreeMap<String, DrainAcc> =
+    let mut drains: std::collections::BTreeMap<Arc<str>, DrainAcc> =
         std::collections::BTreeMap::new();
-    for ev in events.iter().filter(|ev| ev.track == "drain") {
+    for ev in events.iter().filter(|ev| &*ev.track == "drain") {
         let a = drains.entry(ev.run.clone()).or_default();
-        match ev.name.as_str() {
+        match &*ev.name {
             "drain_batch" => {
                 a.batches += 1;
                 a.generations += arg(ev, "generations");
@@ -130,7 +133,7 @@ fn trace_report(path: &str) -> i32 {
         ]);
         for (run, a) in &drains {
             d.row(vec![
-                run.clone(),
+                run.to_string(),
                 a.batches.to_string(),
                 a.generations.to_string(),
                 fnum(a.bytes as f64 / 1e6, 2),
@@ -160,7 +163,7 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
 
     let events = load_trace(path);
     let plane = MetricsPlane::new(MetricsConfig::from_env().window);
-    let mut group_of: Vec<String> = Vec::new(); // index = group id
+    let mut group_of: Vec<Arc<str>> = Vec::new(); // index = group id
     let mut skipped = 0usize;
     for ev in &events {
         let Some((lane, timed)) = ev.to_timed() else {
@@ -345,7 +348,7 @@ fn tenants_report(path: &str) -> i32 {
         extent_ns: u64,
     }
     // (run, tenant id) → accumulator, from the tenant-lane events.
-    let mut tenants: std::collections::BTreeMap<(String, u32), Acc> =
+    let mut tenants: std::collections::BTreeMap<(Arc<str>, u32), Acc> =
         std::collections::BTreeMap::new();
     for ev in &events {
         let Some(id) = ev.track.strip_prefix("tenant").and_then(|t| t.parse().ok()) else {
@@ -353,7 +356,7 @@ fn tenants_report(path: &str) -> i32 {
         };
         let a = tenants.entry((ev.run.clone(), id)).or_default();
         a.extent_ns = a.extent_ns.max(ev.ts + ev.dur);
-        match ev.name.as_str() {
+        match &*ev.name {
             "admit" => a.admitted_bytes += ev.arg_u64("bytes").unwrap_or(0),
             "reject" => a.rejections += 1,
             "tenant_stall" => {
@@ -368,7 +371,8 @@ fn tenants_report(path: &str) -> i32 {
         println!("no tenant tracks in this trace (was the run multi-tenant?)");
         return 1;
     }
-    let runs: std::collections::BTreeSet<String> = tenants.keys().map(|(r, _)| r.clone()).collect();
+    let runs: std::collections::BTreeSet<Arc<str>> =
+        tenants.keys().map(|(r, _)| r.clone()).collect();
     for run in &runs {
         let in_run: Vec<(&u32, &Acc)> =
             tenants.iter().filter(|((r, _), _)| r == run).map(|((_, id), a)| (id, a)).collect();

@@ -7,7 +7,10 @@
 //! for a given seed regardless of `ICKPT_BENCH_THREADS`.
 
 use std::borrow::Cow;
-use std::fmt::Write;
+use std::collections::HashMap;
+use std::fmt::{self, Write};
+use std::ops::Range;
+use std::sync::Arc;
 
 use ickpt_sim::{SimDuration, SimTime};
 
@@ -148,21 +151,54 @@ pub fn jsonl(snap: &TraceSnapshot) -> String {
     out
 }
 
-/// One event read back from a JSONL export.
+/// One event read back from a JSONL export. `run`, `track` and `name`
+/// are shared with every event of the same [`parse_jsonl`] call that
+/// carries the same string, and the arguments sit in one text that
+/// call shares, so an event owns no allocation of its own.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParsedEvent {
     /// Run group name.
-    pub run: String,
+    pub run: Arc<str>,
     /// Track label (`rank0`, `dev:local:3`, `drain`, `run`).
-    pub track: String,
+    pub track: Arc<str>,
     /// Virtual start, ns.
     pub ts: u64,
     /// Virtual extent, ns (0 = instant).
     pub dur: u64,
     /// Event-type token.
-    pub name: String,
-    /// Argument key/value pairs; values kept as raw JSON tokens.
-    pub args: Vec<(String, String)>,
+    pub name: Arc<str>,
+    /// Its `args` members; [`ParsedEvent::arg`] decodes one when asked.
+    args: Args,
+}
+
+/// One event's `args` object members as the line wrote them, braces
+/// dropped (`"k":v,…`), checked by [`parse_jsonl`]: a span of the text
+/// every event of that call shares.
+#[derive(Clone)]
+struct Args {
+    /// `None` only while [`parse_jsonl`] is still reading lines.
+    text: Option<Arc<String>>,
+    span: Range<usize>,
+}
+
+impl Args {
+    fn as_str(&self) -> &str {
+        self.text.as_ref().map_or("", |text| &text[self.span.clone()])
+    }
+}
+
+impl PartialEq for Args {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for Args {}
+
+impl fmt::Debug for Args {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
 }
 
 /// `fields!(parsed, Variant { a, b })`: the event whose integer fields
@@ -175,9 +211,22 @@ macro_rules! fields {
 }
 
 impl ParsedEvent {
-    /// Raw value of argument `key`, if present.
-    pub fn arg(&self, key: &str) -> Option<&str> {
-        self.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.as_str())
+    /// Value of argument `key`, if present: a string's decoded body, or
+    /// an integer's digits without leading zeros (`007` reads as `7`).
+    pub fn arg(&self, key: &str) -> Option<Cow<'_, str>> {
+        let mut p = Cursor { s: self.args.as_str(), i: 0 };
+        while p.peek().is_some() {
+            if p.i > 0 {
+                p.expect(b',').ok()?;
+            }
+            let k = p.text().ok()?;
+            p.expect(b':').ok()?;
+            let v = p.value().ok()?;
+            if k == key {
+                return Some(v);
+            }
+        }
+        None
     }
 
     /// Integer value of argument `key`, if present and numeric.
@@ -193,14 +242,14 @@ impl ParsedEvent {
     /// return `None` — post-hoc metrics skip them.
     pub fn to_timed(&self) -> Option<(Lane, TimedEvent)> {
         let lane = Lane::parse(&self.track)?;
-        let event = match self.name.as_str() {
+        let event = match &*self.name {
             "run_start" => fields!(self, RunStart { ranks }),
             "iteration" => fields!(self, IterationBoundary { iteration }),
             "tracker_window" => {
                 fields!(self, TrackerWindow { index, iws_pages, footprint_pages, faults })
             }
             "capture" => Event::Capture {
-                kind: CaptureKind::parse(self.arg("kind")?)?,
+                kind: CaptureKind::parse(&self.arg("kind")?)?,
                 generation: self.arg_u64("generation")?,
                 pages: self.arg_u64("pages")?,
                 payload_bytes: self.arg_u64("payload_bytes")?,
@@ -222,12 +271,12 @@ impl ParsedEvent {
             "reject" => fields!(self, AdmissionReject { tenant, bytes, retry_ns }),
             "tenant_stall" => fields!(self, TenantStall { tenant, bytes }),
             "recovery_read" => Event::RecoveryRead {
-                tier: RecoveryTier::parse(self.arg("tier")?)?,
+                tier: RecoveryTier::parse(&self.arg("tier")?)?,
                 bytes: self.arg_u64("bytes")?,
             },
             "recovery_plan" => Event::RecoveryPlan {
                 rank: self.arg_u64("rank")?.try_into().ok()?,
-                tier: RecoveryTier::parse(self.arg("tier")?)?,
+                tier: RecoveryTier::parse(&self.arg("tier")?)?,
                 generation: self.arg_u64("generation")?,
             },
             "restore" => fields!(self, Restore { generation, chain, pages, bytes }),
@@ -240,83 +289,184 @@ impl ParsedEvent {
 
 /// Parse the exporter's own JSONL back into events — enough JSON for
 /// `inspect --trace` and the test suite without a serde dependency.
-/// Accepts exactly the flat shape [`jsonl`] writes.
+///
+/// Accepts exactly the flat shape [`jsonl`] writes: one object per
+/// line with the keys `run`, `track`, `ts`, `dur`, `name` and `args`,
+/// each once and in that order, and nothing after its closing brace;
+/// no whitespace inside it; strings with the escapes `jsonl` writes
+/// (`\"`, `\\`, `\n`, `\r`, `\t` and `\uXXXX` for one scalar value) and
+/// no raw control byte; unsigned 64-bit integers, leading zeros
+/// allowed; `args` members in any order, each a string or such an
+/// integer, no key twice. Blank lines are skipped. The first line that
+/// breaks a rule is the error, numbered from 1.
 pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedEvent>, String> {
-    let mut out = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
+    let mut out = Vec::with_capacity(text.matches('\n').count() + 1);
+    // The arguments are a part of the text, so its length bounds theirs:
+    // one reservation, of which only the part written is ever touched.
+    let mut lines = LineParser { args: String::with_capacity(text.len()), ..Default::default() };
+    // One pass over the whole text: the cursor ends each line at its
+    // `\n`, which no object can hold, so there is no split before it.
+    let mut p = Cursor { s: text, i: 0 };
+    for lineno in 1.. {
+        let start = p.skip_blanks();
+        if p.peek().is_some() {
+            let event = lines.parse(&mut p).and_then(|event| {
+                p.skip_blanks();
+                match p.peek() {
+                    None => Ok(event),
+                    Some(_) => {
+                        Err(format!("trailing bytes after the object at byte {}", p.i - start))
+                    }
+                }
+            });
+            out.push(event.map_err(|e| format!("line {lineno}: {e}"))?);
         }
-        out.push(parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+        if p.i == text.len() {
+            break;
+        }
+        p.i += 1; // '\n'
+    }
+    lines.args.shrink_to_fit();
+    let args = Arc::new(lines.args);
+    for ev in &mut out {
+        ev.args.text = Some(args.clone());
     }
     Ok(out)
 }
 
-fn parse_line(line: &str) -> Result<ParsedEvent, String> {
-    let mut p = Cursor { s: line, i: 0 };
-    p.expect(b'{')?;
-    let mut run = String::new();
-    let mut track = String::new();
-    let mut ts = 0u64;
-    let mut dur = 0u64;
-    let mut name = String::new();
-    let mut args = Vec::new();
-    loop {
-        // The fixed keys are matched on the borrowed slice.
-        let key = p.string()?;
-        p.expect(b':')?;
-        match &*key {
-            "run" => run = p.string()?.into_owned(),
-            "track" => track = p.string()?.into_owned(),
-            "ts" => ts = p.digits()?.1,
-            "dur" => dur = p.digits()?.1,
-            "name" => name = p.string()?.into_owned(),
-            "args" => {
-                p.expect(b'{')?;
-                if p.peek() == Some(b'}') {
-                    p.i += 1;
-                } else {
-                    loop {
-                        let k = p.string()?.into_owned();
-                        p.expect(b':')?;
-                        let v = p.raw_value()?;
-                        args.push((k, v));
-                        match p.next()? {
-                            b',' => continue,
-                            b'}' => break,
-                            c => return Err(format!("unexpected byte {:?} in args", c as char)),
-                        }
-                    }
-                }
-            }
-            other => return Err(format!("unknown key {other:?}")),
-        }
-        match p.next()? {
-            b',' => continue,
-            b'}' => break,
-            c => return Err(format!("unexpected byte {:?}", c as char)),
-        }
-    }
-    Ok(ParsedEvent { run, track, ts, dur, name, args })
+/// One shared string per distinct spelling, keyed by the body as the
+/// line wrote it, so a repeat is neither decoded nor copied. JSONL
+/// groups lines by track, and a track's events use a few names, so the
+/// last few spellings answer most lookups without hashing.
+#[derive(Default)]
+struct Interner<'a> {
+    recent: Vec<(&'a str, Arc<str>)>,
+    /// The `recent` slot the next miss replaces.
+    evict: usize,
+    seen: HashMap<&'a str, Arc<str>>,
 }
 
-/// A byte position in one line. Slices are cut only next to the ASCII
-/// bytes the grammar stops at, so they stay on `char` boundaries.
+impl<'a> Interner<'a> {
+    const RECENT: usize = 8;
+
+    fn get(&mut self, raw: &'a str) -> Result<Arc<str>, String> {
+        if let Some((_, shared)) = self.recent.iter().find(|(seen, _)| *seen == raw) {
+            return Ok(shared.clone());
+        }
+        let shared = match self.seen.get(raw) {
+            Some(shared) => shared.clone(),
+            None => {
+                let shared: Arc<str> = unescape(raw)?.into();
+                self.seen.insert(raw, shared.clone());
+                shared
+            }
+        };
+        if self.recent.len() < Self::RECENT {
+            self.recent.push((raw, shared.clone()));
+        } else {
+            self.recent[self.evict] = (raw, shared.clone());
+            self.evict = (self.evict + 1) % Self::RECENT;
+        }
+        Ok(shared)
+    }
+}
+
+/// The state one [`parse_jsonl`] call carries from line to line.
+#[derive(Default)]
+struct LineParser<'a> {
+    runs: Interner<'a>,
+    tracks: Interner<'a>,
+    names: Interner<'a>,
+    /// The current line's `args` keys, for the repeated-key check.
+    keys: Vec<Cow<'a, str>>,
+    /// Every line's `args` members so far, one after another.
+    args: String,
+}
+
+impl<'a> LineParser<'a> {
+    /// The object at `p`, which is left just past its closing brace.
+    fn parse(&mut self, p: &mut Cursor<'a>) -> Result<ParsedEvent, String> {
+        p.literal("{\"run\":")?;
+        let run = self.runs.get(p.string()?.0)?;
+        p.literal(",\"track\":")?;
+        let track = self.tracks.get(p.string()?.0)?;
+        p.literal(",\"ts\":")?;
+        let ts = p.digits()?.1;
+        p.literal(",\"dur\":")?;
+        let dur = p.digits()?.1;
+        p.literal(",\"name\":")?;
+        let name = self.names.get(p.string()?.0)?;
+        p.literal(",\"args\":")?;
+        let span = self.args(p)?;
+        p.expect(b'}')?;
+        Ok(ParsedEvent { run, track, ts, dur, name, args: Args { text: None, span } })
+    }
+
+    /// Check an `args` object and append its members' text to `args`.
+    fn args(&mut self, p: &mut Cursor<'a>) -> Result<Range<usize>, String> {
+        p.expect(b'{')?;
+        let start = p.i;
+        self.keys.clear();
+        if p.peek() != Some(b'}') {
+            loop {
+                let key = p.text()?;
+                p.expect(b':')?;
+                p.value()?;
+                if self.keys.contains(&key) {
+                    return Err(format!("repeated args key {key:?}"));
+                }
+                self.keys.push(key);
+                match p.peek() {
+                    Some(b',') => p.i += 1,
+                    Some(b'}') => break,
+                    Some(c) => return Err(format!("unexpected byte {:?} in args", c as char)),
+                    None => return Err("unexpected end of line".to_string()),
+                }
+            }
+        }
+        let at = self.args.len();
+        self.args.push_str(&p.s[start..p.i]);
+        p.i += 1; // '}'
+        Ok(at..self.args.len())
+    }
+}
+
+/// A byte position in a text, read one line at a time: a line ends at
+/// a `\n` or the end of the text. Slices are cut only next to the
+/// ASCII bytes the grammar stops at, so they stay on `char` boundaries.
 struct Cursor<'a> {
     s: &'a str,
     i: usize,
 }
 
 impl<'a> Cursor<'a> {
+    /// The next byte of this line.
     fn peek(&self) -> Option<u8> {
-        self.s.as_bytes().get(self.i).copied()
+        self.s.as_bytes().get(self.i).copied().filter(|&c| c != b'\n')
+    }
+
+    /// Step over spaces, tabs and carriage returns; returns where the
+    /// next byte is.
+    fn skip_blanks(&mut self) -> usize {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r')) {
+            self.i += 1;
+        }
+        self.i
     }
 
     fn next(&mut self) -> Result<u8, String> {
         let c = self.peek().ok_or("unexpected end of line")?;
         self.i += 1;
         Ok(c)
+    }
+
+    /// The bytes of `want`, which holds no `\n`.
+    fn literal(&mut self, want: &str) -> Result<(), String> {
+        if !self.s.as_bytes()[self.i..].starts_with(want.as_bytes()) {
+            return Err(format!("expected `{want}`"));
+        }
+        self.i += want.len();
+        Ok(())
     }
 
     fn expect(&mut self, want: u8) -> Result<(), String> {
@@ -327,61 +477,100 @@ impl<'a> Cursor<'a> {
         Ok(())
     }
 
-    /// A string literal's decoded body: the line's own bytes when it
-    /// holds no escape, else a copy made one unescaped run at a time.
-    fn string(&mut self) -> Result<Cow<'a, str>, String> {
+    /// A string literal's body as the line wrote it, and whether it
+    /// holds an escape for [`unescape`] to decode. A raw control byte
+    /// is an error here.
+    fn string(&mut self) -> Result<(&'a str, bool), String> {
         self.expect(b'"')?;
-        let mut decoded = String::new();
+        let start = self.i;
+        let mut escaped = false;
         loop {
-            let start = self.i;
-            while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
-                self.i += 1;
-            }
-            let run = &self.s[start..self.i];
-            if self.next()? == b'"' {
-                let whole = decoded.is_empty();
-                return Ok(if whole { Cow::Borrowed(run) } else { Cow::Owned(decoded + run) });
-            }
-            decoded.push_str(run);
-            decoded.push(match self.next()? {
-                b'"' => '"',
-                b'\\' => '\\',
-                b'n' => '\n',
-                b'r' => '\r',
-                b't' => '\t',
-                b'u' => {
-                    let hex = self.s.get(self.i..self.i + 4).ok_or("truncated \\u escape")?;
-                    self.i += 4;
-                    let code = hex.bytes().all(|b| b.is_ascii_hexdigit()).then_some(hex);
-                    code.and_then(|hex| char::from_u32(u32::from_str_radix(hex, 16).ok()?))
-                        .ok_or_else(|| format!("unsupported escape \\u{hex}"))?
+            match self.next()? {
+                b'"' => return Ok((&self.s[start..self.i - 1], escaped)),
+                b'\\' => {
+                    // The escaped byte cannot end the string.
+                    escaped = true;
+                    self.next()?;
                 }
-                c => return Err(format!("unsupported escape \\{}", c as char)),
-            });
+                c if c < 0x20 => return Err(format!("raw control byte {c:#04x} in string")),
+                _ => {}
+            }
+        }
+    }
+
+    /// A string literal, decoded.
+    fn text(&mut self) -> Result<Cow<'a, str>, String> {
+        match self.string()? {
+            (raw, false) => Ok(Cow::Borrowed(raw)),
+            (raw, true) => unescape(raw),
         }
     }
 
     /// The digits of an unsigned integer and its value.
     fn digits(&mut self) -> Result<(&'a str, u64), String> {
         let start = self.i;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+        let mut value = 0u64;
+        while let Some(digit) = self.peek().and_then(|c| c.checked_sub(b'0')).filter(|d| *d < 10) {
+            let next = value.checked_mul(10).and_then(|v| v.checked_add(u64::from(digit)));
+            value = next.ok_or("integer does not fit in 64 bits")?;
             self.i += 1;
         }
         if self.i == start {
             return Err("expected integer".to_string());
         }
-        let text = &self.s[start..self.i];
-        Ok((text, text.parse().map_err(|e| format!("bad integer: {e}"))?))
+        Ok((&self.s[start..self.i], value))
     }
 
-    /// A primitive value (string or integer) as its raw token text.
-    fn raw_value(&mut self) -> Result<String, String> {
+    /// A primitive value, decoded: a string's body, or an integer's
+    /// digits with leading zeros dropped (`007` is `7`).
+    fn value(&mut self) -> Result<Cow<'a, str>, String> {
         if self.peek() == Some(b'"') {
-            return Ok(self.string()?.into_owned());
+            return self.text();
         }
-        let (text, v) = self.digits()?;
-        // Canonical digits are the token; `007` is rewritten as `7`.
-        Ok(if text.len() == 1 || !text.starts_with('0') { text.to_string() } else { v.to_string() })
+        let digits = self.digits()?.0.trim_start_matches('0');
+        Ok(Cow::Borrowed(if digits.is_empty() { "0" } else { digits }))
+    }
+}
+
+/// Decode a string body: the body itself when it holds no escape,
+/// else a copy made one unescaped run at a time. The escapes are the
+/// ones [`jsonl`] writes; any other is an error, not a guess.
+fn unescape(raw: &str) -> Result<Cow<'_, str>, String> {
+    let Some(first) = raw.bytes().position(|b| b == b'\\') else {
+        return Ok(Cow::Borrowed(raw));
+    };
+    let mut decoded = String::with_capacity(raw.len());
+    let mut rest = raw;
+    let mut at = first;
+    loop {
+        decoded.push_str(&rest[..at]);
+        let escape = &rest[at + 1..];
+        let (c, len) = match escape.as_bytes().first() {
+            Some(b'"') => ('"', 1),
+            Some(b'\\') => ('\\', 1),
+            Some(b'n') => ('\n', 1),
+            Some(b'r') => ('\r', 1),
+            Some(b't') => ('\t', 1),
+            Some(b'u') => {
+                let hex = escape.get(1..5).ok_or("truncated \\u escape")?;
+                let code = hex.bytes().all(|b| b.is_ascii_hexdigit()).then_some(hex);
+                let c = code.and_then(|hex| char::from_u32(u32::from_str_radix(hex, 16).ok()?));
+                (c.ok_or_else(|| format!("unsupported escape \\u{hex}"))?, 5)
+            }
+            _ => {
+                let c = escape.chars().next().map_or(String::new(), String::from);
+                return Err(format!("unsupported escape \\{c}"));
+            }
+        };
+        decoded.push(c);
+        rest = &escape[len..];
+        match rest.find('\\') {
+            Some(next) => at = next,
+            None => {
+                decoded.push_str(rest);
+                return Ok(Cow::Owned(decoded));
+            }
+        }
     }
 }
 
@@ -405,8 +594,9 @@ struct Validator<'a> {
 }
 
 impl Validator<'_> {
+    /// RFC 8259 §2: space, tab, line feed and carriage return only.
     fn skip_ws(&mut self) {
-        while self.b.get(self.i).is_some_and(|c| c.is_ascii_whitespace()) {
+        while self.b.get(self.i).is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r')) {
             self.i += 1;
         }
     }
@@ -504,24 +694,48 @@ impl Validator<'_> {
                     self.i += 1;
                     return Ok(());
                 }
-                Some(b'\\') => {
-                    self.i += 2;
-                }
+                Some(b'\\') => self.escape()?,
+                Some(c) if c < 0x20 => return self.err("raw control byte in string"),
                 Some(_) => self.i += 1,
             }
         }
+    }
+
+    /// RFC 8259 §7: `\` and one of `"\/bfnrt`, or `u` and four hex digits.
+    #[cold]
+    fn escape(&mut self) -> Result<(), String> {
+        match self.b.get(self.i + 1) {
+            Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => self.i += 2,
+            Some(b'u') => {
+                let hex = self.b.get(self.i + 2..self.i + 6);
+                if !hex.is_some_and(|h| h.iter().all(u8::is_ascii_hexdigit)) {
+                    return self.err("bad \\u escape");
+                }
+                self.i += 6;
+            }
+            _ => return self.err("bad escape"),
+        }
+        Ok(())
     }
 
     fn number(&mut self) -> Result<(), String> {
         if self.peek() == Some(b'-') {
             self.i += 1;
         }
-        let start = self.i;
-        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if self.i == start {
-            return self.err("expected digits");
+        // RFC 8259 §6: `0` or a digit run that does not start with `0`.
+        match self.peek() {
+            Some(b'0') => {
+                self.i += 1;
+                if self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                    return self.err("leading zero");
+                }
+            }
+            Some(b'1'..=b'9') => {
+                while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                    self.i += 1;
+                }
+            }
+            _ => return self.err("expected digits"),
         }
         if self.peek() == Some(b'.') {
             self.i += 1;
@@ -602,12 +816,12 @@ mod tests {
         let text = jsonl(&snap);
         let events = parse_jsonl(&text).expect("parse own export");
         assert_eq!(events.len(), snap.event_count());
-        let cap = events.iter().find(|e| e.name == "capture").unwrap();
-        assert_eq!(cap.run, "demo");
-        assert_eq!(cap.track, "rank0");
+        let cap = events.iter().find(|e| &*e.name == "capture").unwrap();
+        assert_eq!(&*cap.run, "demo");
+        assert_eq!(&*cap.track, "rank0");
         assert_eq!(cap.ts, 1_500);
         assert_eq!(cap.dur, 2_250);
-        assert!(cap.args.iter().any(|(k, v)| k == "payload_bytes" && v == "4096"));
+        assert_eq!(cap.arg("payload_bytes").as_deref(), Some("4096"));
         // Every line is itself valid JSON.
         for line in text.lines() {
             validate_json(line).expect("jsonl line must be valid JSON");
@@ -695,7 +909,7 @@ mod tests {
         // Static-str payloads are deliberately not reconstructible.
         rec.emit(Lane::Run, SimTime(60), Event::Counter { name: "x", value: 1 });
         let parsed = parse_jsonl(&jsonl(&fr.snapshot())).unwrap();
-        let counter = parsed.iter().find(|p| p.name == "counter").unwrap();
+        let counter = parsed.iter().find(|p| &*p.name == "counter").unwrap();
         assert!(counter.to_timed().is_none());
     }
 
@@ -723,5 +937,38 @@ mod tests {
         assert!(validate_json("[1,2,]").is_err());
         assert!(validate_json("{} trailing").is_err());
         assert!(validate_json("{\"a\":1}").is_ok());
+        // RFC 8259 §§6–7: no leading zeros, only the listed escapes
+        // with four hex digits after `\u`, no raw control bytes in a
+        // string; §2: no whitespace but space, tab, LF and CR.
+        for bad in [
+            "[01]",
+            "[-01]",
+            "[00]",
+            "[-]",
+            "\"\\x\"",
+            "\"\\u12\"",
+            "\"\\u12g4\"",
+            "\"\\",
+            "\"a\nb\"",
+            "\"a\u{1}b\"",
+            "\"\t\"",
+            "[1,\u{c}2]",
+        ] {
+            assert!(validate_json(bad).is_err(), "{bad:?}");
+        }
+        for good in [
+            "0",
+            "-0",
+            "0.500",
+            "-1",
+            "1e5",
+            "10E-2",
+            "[0,10,-0.5]",
+            "\"\\/\\b\\f\\n\\r\\t\\\"\\\\\\u00e9\\uD800\"",
+            "\"idéntité\"",
+            " {\r\n\t\"a\" : [ 1 , 2 ] } ",
+        ] {
+            assert!(validate_json(good).is_ok(), "{good:?}");
+        }
     }
 }

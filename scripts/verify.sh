@@ -121,6 +121,20 @@ DIFFS
     local ablations_jsonl=/tmp/ickpt_diff/ablations/0/trace/ablations-checkpoint-system.jsonl
     run target/release/inspect --trace "$ablations_jsonl" >/dev/null
 
+    # A malformed trace is refused, not read as events with blanks: one
+    # line missing its keys must exit 1 and name that line on stderr.
+    local bad_jsonl=/tmp/ickpt_diff/malformed.jsonl
+    { head -n 2 "$ablations_jsonl"; echo '{"ts":5}'; tail -n 1 "$ablations_jsonl"; } >"$bad_jsonl"
+    echo "==> inspect --trace must refuse line 3 of $bad_jsonl"
+    set +e
+    err=$(target/release/inspect --trace "$bad_jsonl" 2>&1 >/dev/null)
+    rc=$?
+    set -e
+    if [[ "$rc" -ne 1 || "$err" != *"line 3:"* ]]; then
+        echo "expected exit 1 and 'line 3:' on stderr, got $rc: $err" >&2
+        exit 1
+    fi
+
     # Tenant lanes in the flight recorder: the multi-tenant trace must
     # carry per-tenant tracks, and `inspect --tenants` must fold them
     # into the per-tenant table without erroring.

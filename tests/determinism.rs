@@ -306,7 +306,7 @@ fn flight_recorder_export_is_deterministic() {
     let events = parse_jsonl(&jl_a).expect("exporter output parses back");
     let mut last: BTreeMap<&str, u64> = BTreeMap::new();
     for ev in &events {
-        let prev = last.entry(ev.track.as_str()).or_insert(0);
+        let prev = last.entry(&*ev.track).or_insert(0);
         assert!(ev.ts >= *prev, "track {} goes backwards: {} after {}", ev.track, ev.ts, prev);
         *prev = ev.ts;
     }
@@ -315,6 +315,6 @@ fn flight_recorder_export_is_deterministic() {
     }
     // The injected failure must surface as recovery events on the run
     // lane.
-    assert!(events.iter().any(|e| e.name == "failure"), "failure event recorded");
-    assert!(events.iter().any(|e| e.name == "recovery_plan"), "recovery plan recorded");
+    assert!(events.iter().any(|e| &*e.name == "failure"), "failure event recorded");
+    assert!(events.iter().any(|e| &*e.name == "recovery_plan"), "recovery plan recorded");
 }

@@ -1,10 +1,11 @@
 //! `ickpt-obs` against its reference model.
 //!
 //! Production keeps one implementation of the flight recorder, the
-//! metrics plane and the exporters: dense cell tables, a lane → ring
-//! index and `core::fmt`-free serializers. The map-keyed bodies they
-//! replaced live on here, as the model every observable output is
-//! compared with byte for byte:
+//! metrics plane, the exporters and the JSONL reader: dense cell
+//! tables, a lane → ring index, `core::fmt`-free serializers and a
+//! reader whose events share their strings. The map-keyed and
+//! allocating bodies they replaced live on here, as the model every
+//! observable output is compared with:
 //!
 //! * seeded random streams (all 26 event kinds, every lane kind, three
 //!   groups, shuffled and time-reversed, zero deltas, windows opened
@@ -14,7 +15,11 @@
 //! * FNV digests of the three export formats of one seeded
 //!   `run_service`, recorded before the dense implementation landed;
 //! * lane ids beyond the dense bound (they must never size an
-//!   allocation) and the JSONL string round trip.
+//!   allocation) and the JSONL string round trip;
+//! * `parse_jsonl` against the allocating reader on seeded exports,
+//!   respelled and broken line by line: the same events, arguments and
+//!   rebuilt typed events, the same refusals at the same line, and
+//!   no allocation per line.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -594,6 +599,180 @@ mod reference {
         }
         out
     }
+
+    /// One line as the allocating reader returned it: every string
+    /// owned, every argument a decoded `(key, value)` pair.
+    #[derive(Debug)]
+    pub struct ParsedLine {
+        pub run: String,
+        pub track: String,
+        pub ts: u64,
+        pub dur: u64,
+        pub name: String,
+        pub args: Vec<(String, String)>,
+    }
+
+    /// The keys of a JSONL line, in the order `jsonl` writes them.
+    pub const KEYS: [&str; 6] = ["run", "track", "ts", "dur", "name", "args"];
+
+    /// The JSONL reader production used before events shared their
+    /// strings and kept their arguments as text, with the grammar
+    /// `ickpt::obs::parse_jsonl` documents checked the plain way.
+    pub fn parse_jsonl(text: &str) -> Result<Vec<ParsedLine>, String> {
+        let mut out = Vec::new();
+        for (lineno, line) in text.lines().enumerate() {
+            let line = line.trim_matches([' ', '\t', '\r']);
+            if line.is_empty() {
+                continue;
+            }
+            out.push(parse_line(line).map_err(|e| format!("line {}: {e}", lineno + 1))?);
+        }
+        Ok(out)
+    }
+
+    fn parse_line(line: &str) -> Result<ParsedLine, String> {
+        let mut p = Cursor { s: line, i: 0 };
+        p.expect(b'{')?;
+        // Each key as written, quotes and escapes included.
+        let mut seen: Vec<&str> = Vec::new();
+        let mut out = ParsedLine {
+            run: String::new(),
+            track: String::new(),
+            ts: 0,
+            dur: 0,
+            name: String::new(),
+            args: Vec::new(),
+        };
+        loop {
+            let at = p.i;
+            let key = p.string()?;
+            seen.push(&line[at..p.i]);
+            p.expect(b':')?;
+            match key.as_str() {
+                "run" => out.run = p.string()?,
+                "track" => out.track = p.string()?,
+                "ts" => out.ts = p.digits()?.1,
+                "dur" => out.dur = p.digits()?.1,
+                "name" => out.name = p.string()?,
+                "args" => {
+                    p.expect(b'{')?;
+                    if p.peek() == Some(b'}') {
+                        p.i += 1;
+                    } else {
+                        loop {
+                            let k = p.string()?;
+                            p.expect(b':')?;
+                            let v = p.raw_value()?;
+                            if out.args.iter().any(|(seen, _)| *seen == k) {
+                                return Err(format!("repeated args key {k:?}"));
+                            }
+                            out.args.push((k, v));
+                            match p.next()? {
+                                b',' => continue,
+                                b'}' => break,
+                                c => {
+                                    return Err(format!("unexpected byte {:?} in args", c as char))
+                                }
+                            }
+                        }
+                    }
+                }
+                other => return Err(format!("unknown key {other:?}")),
+            }
+            match p.next()? {
+                b',' => continue,
+                b'}' => break,
+                c => return Err(format!("unexpected byte {:?}", c as char)),
+            }
+        }
+        if p.i != line.len() {
+            return Err(format!("trailing bytes after the object at byte {}", p.i));
+        }
+        // The keys `jsonl` writes, spelled as it writes them, in its order.
+        if seen != KEYS.map(|key| format!("\"{key}\"")) {
+            return Err(format!("keys {seen:?} are not {KEYS:?}"));
+        }
+        Ok(out)
+    }
+
+    struct Cursor<'a> {
+        s: &'a str,
+        i: usize,
+    }
+
+    impl Cursor<'_> {
+        fn peek(&self) -> Option<u8> {
+            self.s.as_bytes().get(self.i).copied()
+        }
+
+        fn next(&mut self) -> Result<u8, String> {
+            let c = self.peek().ok_or("unexpected end of line")?;
+            self.i += 1;
+            Ok(c)
+        }
+
+        fn expect(&mut self, want: u8) -> Result<(), String> {
+            let got = self.next()?;
+            if got != want {
+                return Err(format!("expected {:?}, got {:?}", want as char, got as char));
+            }
+            Ok(())
+        }
+
+        fn string(&mut self) -> Result<String, String> {
+            self.expect(b'"')?;
+            let mut out = String::new();
+            loop {
+                let start = self.i;
+                while !matches!(self.peek(), None | Some(b'"' | b'\\' | 0..=0x1f)) {
+                    self.i += 1;
+                }
+                out.push_str(&self.s[start..self.i]);
+                match self.next()? {
+                    b'"' => return Ok(out),
+                    b'\\' => {}
+                    c => return Err(format!("raw control byte {c:#04x} in string")),
+                }
+                out.push(match self.next()? {
+                    b'"' => '"',
+                    b'\\' => '\\',
+                    b'n' => '\n',
+                    b'r' => '\r',
+                    b't' => '\t',
+                    b'u' => {
+                        let hex = self.s.get(self.i..self.i + 4).ok_or("truncated \\u escape")?;
+                        self.i += 4;
+                        let code = hex.bytes().all(|b| b.is_ascii_hexdigit()).then_some(hex);
+                        code.and_then(|hex| char::from_u32(u32::from_str_radix(hex, 16).ok()?))
+                            .ok_or_else(|| format!("unsupported escape \\u{hex}"))?
+                    }
+                    c => return Err(format!("unsupported escape \\{}", c as char)),
+                });
+            }
+        }
+
+        fn digits(&mut self) -> Result<(String, u64), String> {
+            let start = self.i;
+            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+                self.i += 1;
+            }
+            if self.i == start {
+                return Err("expected integer".to_string());
+            }
+            let text = &self.s[start..self.i];
+            Ok((text.to_string(), text.parse().map_err(|e| format!("bad integer: {e}"))?))
+        }
+
+        /// A string's body, or an integer rewritten canonically (`007`
+        /// is `7`).
+        fn raw_value(&mut self) -> Result<String, String> {
+            if self.peek() == Some(b'"') {
+                return self.string();
+            }
+            let (text, v) = self.digits()?;
+            Ok(if text.len() == 1 || !text.starts_with('0') { text } else { v.to_string() })
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -882,7 +1061,7 @@ impl Both {
         let retained =
             snap.tracks.iter().flat_map(|(key, evs, _)| evs.iter().map(move |ev| (key, ev)));
         for (line, (key, ev)) in parsed.iter().zip(retained) {
-            assert_eq!(line.run, snap.group_name(key.group));
+            assert_eq!(*line.run, snap.group_name(key.group));
             match ev.event {
                 Event::Counter { .. } | Event::SloBreach { .. } => {
                     assert!(line.to_timed().is_none())
@@ -989,12 +1168,14 @@ fn export_formats_are_pinned() {
 // Lane ids beyond the dense bound
 // ---------------------------------------------------------------------
 
-/// Counts the bytes this thread has live, so a test can bound what a
-/// call allocated without other tests' threads disturbing it.
+/// Counts the bytes this thread has live and the allocations it made,
+/// so a test can bound what a call allocated without other tests'
+/// threads disturbing it.
 struct CountingAlloc;
 
 thread_local! {
     static LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
 }
 
 // SAFETY: every call is forwarded unchanged to `System`; the counter is
@@ -1003,6 +1184,7 @@ thread_local! {
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LIVE_BYTES.with(|b| b.set(b.get() + layout.size() as isize));
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
         // SAFETY: the caller upholds `GlobalAlloc::alloc`'s contract.
         unsafe { System.alloc(layout) }
     }
@@ -1083,12 +1265,290 @@ fn parse_jsonl_reads_back_every_string_jsonl_writes() {
     assert!(text.contains("\\u0001") && text.contains("idéntité"), "{text}");
     let events = parse_jsonl(&text).expect("parse own export");
     assert_eq!(events.len(), 2);
-    assert!(events.iter().all(|e| e.run == name), "{events:?}");
-    assert_eq!(events[1].arg("counter"), Some("drained_bytes"));
+    assert!(events.iter().all(|e| *e.run == *name), "{events:?}");
+    assert_eq!(events[1].arg("counter").as_deref(), Some("drained_bytes"));
     assert_eq!(events[1].arg_u64("value"), Some(9));
     // Escapes `jsonl` never writes are still refused, not guessed at.
     for bad in ["{\"run\":\"\\x\"}", "{\"run\":\"\\u12\"}", "{\"run\":\"\\ud800\"}", "{\"run\":\"a"]
     {
         assert!(parse_jsonl(bad).is_err(), "{bad}");
     }
+    // A line missing a key, holding one twice, or followed by more
+    // bytes is an error naming its line, not an event with blanks.
+    let good = "{\"run\":\"r\",\"track\":\"run\",\"ts\":5,\"dur\":0,\"name\":\"n\",\"args\":{}}";
+    assert_eq!(parse_jsonl(good).map(|evs| evs.len()), Ok(1));
+    for (bad, why) in [
+        ("{\"ts\":5}", "expected `{\"run\":`"),
+        (&good.replace("\"ts\":5,", "\"ts\":5,\"ts\":6,"), "expected `,\"dur\":`"),
+        (&good.replace("{}", "{\"a\":1,\"a\":2}"), "repeated args key \"a\""),
+        (&format!("{good}}}"), "trailing bytes"),
+        (&format!("{good} x"), "trailing bytes"),
+    ] {
+        let err = parse_jsonl(&format!("{good}\n\n{bad}\n{good}")).unwrap_err();
+        assert!(err.starts_with("line 3: ") && err.contains(why), "{bad}: {err}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The JSONL reader against the allocating reference
+// ---------------------------------------------------------------------
+
+/// A seeded export: every event kind on every lane kind, over a plain,
+/// an escaped and a non-ASCII group name, and the `(lane, event)` each
+/// line was written from.
+fn export_corpus(seed: u64, n: usize) -> (String, Vec<(Lane, TimedEvent)>) {
+    let ring = FlightRecorder::new(1 << 12);
+    for (group, name) in [(0, "model"), (7, "q\"uo\\te\n\u{1}é"), (3, "Größe ☃ 計算")] {
+        ring.name_group(group, name);
+    }
+    for (group, lane, ev) in random_stream(seed, n) {
+        Recorder::new(ring.clone()).with_group(group).emit_span(lane, ev.ts, ev.dur, ev.event);
+    }
+    let snap = ring.snapshot();
+    assert_eq!(snap.dropped(), 0);
+    let written =
+        snap.tracks.iter().flat_map(|(key, evs, _)| evs.iter().map(move |ev| (key.lane, *ev)));
+    (jsonl(&snap), written.collect())
+}
+
+/// A line `jsonl` wrote, split into its members' raw key and value
+/// text in the order written. Only an escaped quote can stand inside a
+/// string, so the next key's `,"key":` ends each value.
+fn members(line: &str) -> Vec<(String, String)> {
+    let mut rest = &line[1..line.len() - 1];
+    let mut out = Vec::new();
+    let keys = reference::KEYS;
+    for (i, key) in keys.iter().enumerate() {
+        rest = rest.strip_prefix(&format!("\"{key}\":")).expect("jsonl key order");
+        let end = keys.get(i + 1).map_or(rest.len(), |next| {
+            rest.find(&format!(",\"{next}\":")).expect("jsonl key order")
+        });
+        out.push((format!("\"{key}\""), rest[..end].to_string()));
+        rest = rest[end..].strip_prefix(',').unwrap_or("");
+    }
+    out
+}
+
+/// An `args` object's members. Argument strings are tokens and gauge
+/// names, with neither `,` nor `:` in them.
+fn split_args(args: &str) -> Vec<(String, String)> {
+    let inner = &args[1..args.len() - 1];
+    let pairs = inner.split(',').filter(|m| !m.is_empty());
+    pairs.map(|m| m.split_once(':').map(|(k, v)| (k.into(), v.into())).unwrap()).collect()
+}
+
+fn join(members: &[(String, String)]) -> String {
+    let inner: Vec<String> = members.iter().map(|(k, v)| format!("{k}:{v}")).collect();
+    format!("{{{}}}", inner.join(","))
+}
+
+fn pick(rng: &mut SplitMix64, n: usize) -> usize {
+    rng.next_below(n as u64) as usize
+}
+
+/// Rewrite a line without changing what it says: arguments reordered,
+/// leading zeros, a letter of a value or argument key spelled as a
+/// `\u` escape, or padding. Or empty its arguments, the one edit that
+/// does change it; the flag says whether the arguments survived.
+fn respell(line: &str, rng: &mut SplitMix64) -> (String, bool) {
+    let mut m = members(line);
+    let mut args = split_args(&m[5].1);
+    let mut kept_args = true;
+    match rng.next_below(6) {
+        0 => {}
+        1 => shuffle(&mut args, rng),
+        2 => {
+            let mut ints: Vec<&mut String> = vec![];
+            let (head, _) = m.split_at_mut(4);
+            ints.extend(head[2..].iter_mut().map(|(_, v)| v));
+            ints.extend(args.iter_mut().map(|(_, v)| v).filter(|v| !v.starts_with('"')));
+            let int = ints.swap_remove(pick(rng, ints.len()));
+            int.insert_str(0, ["0", "00", "000"][pick(rng, 3)]);
+        }
+        3 => {
+            let mut strings: Vec<&mut String> = vec![];
+            for (i, (_, v)) in m.iter_mut().enumerate() {
+                if matches!(i, 0 | 1 | 4) {
+                    strings.push(v);
+                }
+            }
+            for (k, v) in &mut args {
+                strings.push(k);
+                if v.starts_with('"') {
+                    strings.push(v);
+                }
+            }
+            // Letters outside any escape, so respelling one keeps the value.
+            strings.retain(|s| !s.contains('\\') && s.bytes().any(|b| b.is_ascii_alphabetic()));
+            let s = strings.swap_remove(pick(rng, strings.len()));
+            let letters: Vec<usize> = s
+                .bytes()
+                .enumerate()
+                .filter(|(_, b)| b.is_ascii_alphabetic())
+                .map(|(i, _)| i)
+                .collect();
+            let at = letters[pick(rng, letters.len())];
+            let code = u32::from(s.as_bytes()[at]);
+            let escape = if rng.next_below(2) == 0 {
+                format!("\\u{code:04x}")
+            } else {
+                format!("\\u{code:04X}")
+            };
+            s.replace_range(at..at + 1, &escape);
+        }
+        4 => {
+            args.clear();
+            kept_args = false;
+        }
+        _ => return (format!(" \t{line}\r"), true),
+    }
+    m[5].1 = join(&args);
+    (join(&m), kept_args)
+}
+
+/// Break a line so the grammar refuses it: a key missing, twice, out
+/// of order or escaped, an unknown key, bytes after the object, a cut,
+/// a bad escape or raw control byte, a number that is not an unsigned
+/// 64-bit integer, whitespace inside, or no event object at all.
+fn break_line(line: &str, rng: &mut SplitMix64) -> String {
+    let mut m = members(line);
+    let mut args = split_args(&m[5].1);
+    match rng.next_below(12) {
+        0 => drop(m.remove(pick(rng, 6))),
+        10 => m.rotate_left(1 + pick(rng, 5)),
+        11 => {
+            let key = &mut m[pick(rng, 6)].0;
+            let code = u32::from(key.as_bytes()[1]);
+            key.replace_range(1..2, &format!("\\u{code:04x}"));
+        }
+        1 => {
+            let twice = m[pick(rng, 6)].clone();
+            m.insert(pick(rng, 7), twice);
+        }
+        2 => {
+            let twice = args[pick(rng, args.len())].clone();
+            args.insert(pick(rng, args.len() + 1), twice);
+            m[5].1 = join(&args);
+        }
+        3 => return format!("{line}{}", ["x", "}", ",", " {}", "\u{1}", "\"\""][pick(rng, 6)]),
+        4 => {
+            let cut = (1..line.len()).nth(pick(rng, line.len() - 1)).unwrap();
+            let cut = (1..=cut).rev().find(|&c| line.is_char_boundary(c)).unwrap();
+            return line[..cut].to_string();
+        }
+        5 => m.insert(pick(rng, 7), ("\"extra\"".into(), "1".into())),
+        6 => {
+            let bodies = ["\\x", "\\u12", "\\ud800", "\\u00e", "a\u{1}b", "tab\there", "\\é"];
+            m[[0, 1, 4][pick(rng, 3)]].1 = format!("\"{}\"", bodies[pick(rng, bodies.len())]);
+        }
+        7 => {
+            let numbers = ["-1", "1.5", "1e3", "18446744073709551616", "true", "null", "", "[1]"];
+            let bad = numbers[pick(rng, numbers.len())].to_string();
+            if rng.next_below(2) == 0 {
+                m[2 + pick(rng, 2)].1 = bad;
+            } else {
+                let slot = pick(rng, args.len());
+                args[slot].1 = if bad == "true" { "{}".into() } else { bad };
+                m[5].1 = join(&args);
+            }
+        }
+        8 => m[pick(rng, 6)].1.insert(0, ' '),
+        _ => return ["[]", "\"x\"", "{", "{}", "null", "{\"run\":\"r\"}"][pick(rng, 6)].into(),
+    }
+    join(&m)
+}
+
+/// The reader and the reference read the same events, and every
+/// argument the reference decoded reads the same through `arg` and
+/// `arg_u64`; `to_timed` rebuilds the event the line was written from.
+fn assert_same_events(
+    text: &str,
+    want: &[Option<(Lane, TimedEvent)>],
+) -> Vec<ickpt::obs::ParsedEvent> {
+    let got = parse_jsonl(text).expect("reader accepts");
+    let model = reference::parse_jsonl(text).expect("reference accepts");
+    assert_eq!((got.len(), model.len()), (want.len(), want.len()));
+    for ((ev, line), want) in got.iter().zip(&model).zip(want) {
+        assert_eq!(
+            (&*ev.run, &*ev.track, ev.ts, ev.dur, &*ev.name),
+            (&*line.run, &*line.track, line.ts, line.dur, &*line.name)
+        );
+        for (key, value) in &line.args {
+            assert_eq!(ev.arg(key).as_deref(), Some(value.as_str()), "{ev:?}");
+            assert_eq!(ev.arg_u64(key), value.parse().ok(), "{ev:?}");
+        }
+        assert_eq!(ev.arg("absent"), None);
+        assert_eq!(ev.to_timed(), *want, "{ev:?}");
+    }
+    got
+}
+
+/// Both refuse `text`, naming the same line.
+fn assert_same_refusal(text: &str, lineno: usize) {
+    let want = format!("line {lineno}: ");
+    let got = parse_jsonl(text).expect_err("reader refuses");
+    let model = reference::parse_jsonl(text).expect_err("reference refuses");
+    assert!(got.starts_with(&want) && model.starts_with(&want), "{got} / {model} in {text:?}");
+}
+
+#[test]
+fn parse_jsonl_matches_the_allocating_reference() {
+    for seed in [1u64, 0x1DC4_2004, 0xFEED_5EED] {
+        let (text, written) = export_corpus(seed, 520);
+        let mut rng = SplitMix64::new(seed ^ 0x7E57);
+        let lines: Vec<&str> = text.lines().collect();
+        let kinds: std::collections::BTreeSet<&str> =
+            written.iter().map(|(_, ev)| ev.event.name()).collect();
+        assert_eq!(kinds.len(), 26, "every event kind");
+
+        // `to_timed` rebuilds every event but the `&'static str` ones.
+        let rebuilt = |&(lane, ev): &(Lane, TimedEvent)| {
+            let derived = matches!(ev.event, Event::Counter { .. } | Event::SloBreach { .. });
+            (!derived).then_some((lane, ev))
+        };
+        assert_same_events(&text, &written.iter().map(rebuilt).collect::<Vec<_>>());
+
+        // Every line respelled in one corpus, with blank lines and
+        // CRLF endings between.
+        let mut corpus = String::new();
+        let mut want = Vec::new();
+        for (line, written) in lines.iter().zip(&written) {
+            assert_eq!(join(&members(line)), *line);
+            let (respelled, kept_args) = respell(line, &mut rng);
+            if rng.next_below(8) == 0 {
+                corpus.push_str(" \t\n");
+            }
+            corpus.push_str(&respelled);
+            corpus.push_str(["\n", "\r\n"][pick(&mut rng, 2)]);
+            want.push(rebuilt(written).filter(|_| kept_args));
+        }
+        assert_same_events(&corpus, &want);
+
+        // Every line broken on its own, then one broken line somewhere
+        // in the respelled corpus.
+        for line in &lines {
+            assert_same_refusal(&break_line(line, &mut rng), 1);
+        }
+        let physical: Vec<&str> = corpus.split('\n').collect();
+        for _ in 0..40 {
+            let at = pick(&mut rng, physical.len());
+            let broken = break_line(lines[pick(&mut rng, lines.len())], &mut rng);
+            let mut text = physical.clone();
+            text.insert(at, &broken);
+            assert_same_refusal(&text.join("\n"), at + 1);
+        }
+    }
+}
+
+#[test]
+fn parse_jsonl_allocates_per_distinct_string_not_per_line() {
+    let (text, written) = export_corpus(0xA110_C8ED, 2600);
+    let before = ALLOCATIONS.with(Cell::get);
+    let events = parse_jsonl(&text).expect("parse own export");
+    let allocations = ALLOCATIONS.with(Cell::get) - before;
+    assert_eq!(events.len(), written.len());
+    // The output vector, the shared argument text and, once each, the
+    // 3 run names, 38 track labels and 26 event names with their
+    // interning tables: nothing for a line that repeats them.
+    assert!(allocations <= 128, "{} lines took {allocations} allocations", written.len());
 }
