@@ -79,14 +79,6 @@ pub struct CaptureConfig {
 /// 4 KiB) keeps a safety margin for the extra base-page read at restore.
 pub(crate) const DEFAULT_DELTA_MAX_BLOCKS: u32 = 12;
 
-/// Capture and restore worker count of a fault-tolerant run: the
-/// machine's available parallelism capped at 8 — page copy saturates
-/// memory bandwidth long before core count on wide machines. Captured
-/// chunks and restored images are byte-identical at any count.
-pub fn default_workers() -> usize {
-    std::thread::available_parallelism().map(|n| n.get().min(8)).unwrap_or(1)
-}
-
 impl Default for CaptureConfig {
     fn default() -> Self {
         Self {
@@ -100,16 +92,11 @@ impl Default for CaptureConfig {
 }
 
 impl CaptureConfig {
-    /// Capture with `workers` threads.
-    pub(crate) fn with_workers(workers: usize) -> Self {
-        Self { workers: workers.max(1), ..Self::default() }
-    }
-
-    /// [`default_workers`] threads, dedup from `ICKPT_DEDUP` (`1`/`true`
-    /// or `0`/`false`; a malformed value exits 2).
+    /// Serial capture, dedup from `ICKPT_DEDUP` (`1`/`true` or
+    /// `0`/`false`; a malformed value exits 2).
     pub fn from_env() -> Self {
         let dedup = env::knob("ICKPT_DEDUP", env::flag).unwrap_or(false);
-        Self { dedup, ..Self::with_workers(default_workers()) }
+        Self { dedup, ..Self::default() }
     }
 }
 
@@ -299,12 +286,6 @@ impl CaptureScratch {
     /// Encode `chunk` into the scratch's retained buffer and return it.
     pub fn encode_reusing(&mut self, chunk: &Chunk) -> &[u8] {
         chunk.encode_into(&mut self.encode_buf);
-        &self.encode_buf
-    }
-
-    /// The bytes the last [`CaptureScratch::encode_reusing`] produced,
-    /// for a write that happens after the chunk itself was recycled.
-    pub fn encoded(&self) -> &[u8] {
         &self.encode_buf
     }
 
@@ -1161,7 +1142,7 @@ mod tests {
     fn scratch_reuse_produces_identical_chunks() {
         let s = space();
         let dirty = vec![PageRange::new(0, 2), PageRange::new(4, 2)];
-        let cfg = CaptureConfig::with_workers(2);
+        let cfg = CaptureConfig { workers: 2, ..Default::default() };
         let mut scratch = CaptureScratch::new();
         let mut last: Option<Vec<u8>> = None;
         for _ in 0..3 {

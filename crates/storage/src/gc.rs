@@ -127,7 +127,7 @@ pub fn compact_rank_chain(
     }
     let merged = merge_chain(&chunks, keep);
     let upto = *chain_gens.last().unwrap();
-    store.put_chunk(ChunkKey::new(rank, upto), &merged.encode())?;
+    store.store_chunk(ChunkKey::new(rank, upto), merged.encode().into())?;
     let mut deleted = Vec::new();
     for &g in &chain_gens[..chain_gens.len() - 1] {
         store.delete_chunk(ChunkKey::new(rank, g))?;

@@ -153,7 +153,7 @@ fn tier_reader_charges_and_records_both_fetch_paths_alike() {
             for rank in 0..4usize {
                 let key = ChunkKey::new(rank as u32, gen);
                 let data = chunk(rank as u32, gen, 16 * gen as u8 + rank as u8 + 1);
-                topo.handle(rank).put_chunk_timed(now, key, &data).unwrap();
+                topo.handle(rank).put_chunk_timed(now, key, data.into()).unwrap();
             }
             topo.handle(0).put_manifest_timed(now, gen, b"manifest").unwrap();
             for rank in 0..4usize {

@@ -225,18 +225,20 @@ impl DrainQueue {
                 state.stats.drained_bytes += bytes;
                 batch_bytes += bytes;
             };
-            for (rank, data) in chunks.iter().enumerate() {
-                shared.put_chunk(ChunkKey::new(rank as u32, gen), data)?;
+            // The durable store shares each local buffer, no copy.
+            for (rank, data) in chunks.into_iter().enumerate() {
+                let len = data.len() as u64;
+                shared.store_chunk(ChunkKey::new(rank as u32, gen), data)?;
                 batch_chunks += 1;
                 match pending_group {
                     Some((group, bytes)) if group == group_of(rank) => {
-                        pending_group = Some((group, bytes + data.len() as u64));
+                        pending_group = Some((group, bytes + len));
                     }
                     Some((_, bytes)) => {
                         charge(state, bytes);
-                        pending_group = Some((group_of(rank), data.len() as u64));
+                        pending_group = Some((group_of(rank), len));
                     }
-                    None => pending_group = Some((group_of(rank), data.len() as u64)),
+                    None => pending_group = Some((group_of(rank), len)),
                 }
             }
             if let Some((_, bytes)) = pending_group {
@@ -401,6 +403,21 @@ mod tests {
         assert_eq!(stats.drained_generations, 4);
         assert_eq!(stats.last_drained, Some(3));
         assert!(stats.drained_bytes > 8000, "chunks plus manifests");
+    }
+
+    #[test]
+    fn drained_chunks_share_the_local_buffers() {
+        let (locals, shared) = setup(2);
+        let array = shared_device(BandwidthDevice::new(1_000_000, SimDuration::ZERO));
+        let q = DrainQueue::new(2, 1, DrainTopology::Tree { arity: 2 }, Recorder::disabled());
+        commit_gen(&locals, 0, 1000);
+        for _ in 0..2 {
+            q.note_committed(0, SimTime::ZERO, &locals, &shared, &array).unwrap();
+        }
+        for (rank, local) in locals.iter().enumerate() {
+            let key = ChunkKey::new(rank as u32, 0);
+            assert!(shared.read_chunk(key).unwrap().ptr_eq(&local.read_chunk(key).unwrap()));
+        }
     }
 
     #[test]

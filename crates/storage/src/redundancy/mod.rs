@@ -106,8 +106,9 @@ pub(crate) type LocalStores = [Arc<dyn StableStorage>];
 
 /// A cross-node redundancy scheme over the node-local tier.
 ///
-/// `publish` is called by the owning rank's thread right after the
-/// chunk landed in its own local store; `reconstruct` is called during
+/// `publish` is called by the owning rank's thread with the buffer it
+/// just stored in its own local store; the scheme keeps references to
+/// that buffer, never copies of it. `reconstruct` is called during
 /// recovery when the owner's local copy is gone.
 pub trait RedundancyScheme: Send + Sync {
     /// The spec this scheme was built from.
@@ -121,7 +122,7 @@ pub trait RedundancyScheme: Send + Sync {
         locals: &LocalStores,
         rank: usize,
         key: ChunkKey,
-        data: &[u8],
+        data: &ChunkBuf,
     ) -> Result<u64, StorageError>;
 
     /// Rebuild `key` (owned by the lost rank `key.rank`) from
@@ -153,7 +154,7 @@ impl RedundancyScheme for NoRedundancy {
         _locals: &LocalStores,
         _rank: usize,
         _key: ChunkKey,
-        _data: &[u8],
+        _data: &ChunkBuf,
     ) -> Result<u64, StorageError> {
         Ok(0)
     }
@@ -169,4 +170,45 @@ impl RedundancyScheme for NoRedundancy {
     fn held_ranks(&self, holder: usize) -> Vec<u32> {
         vec![holder as u32]
     }
+}
+
+/// Node-local stores that refuse the copying write, so a scheme that
+/// stores into them must hand each buffer over by value.
+#[cfg(test)]
+pub(crate) fn by_value_locals(n: usize) -> Vec<Arc<dyn StableStorage>> {
+    use crate::store::MemStore;
+
+    struct ByValueOnly(MemStore);
+
+    impl StableStorage for ByValueOnly {
+        fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
+            self.0.store_chunk(key, data)
+        }
+        fn put_chunk(&self, key: ChunkKey, _: &[u8]) -> Result<(), StorageError> {
+            panic!("chunk {key} was copied into a node-local store");
+        }
+        fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
+            self.0.read_chunk(key)
+        }
+        fn delete_chunk(&self, key: ChunkKey) -> Result<(), StorageError> {
+            self.0.delete_chunk(key)
+        }
+        fn list_generations(&self, rank: u32) -> Result<Vec<u64>, StorageError> {
+            self.0.list_generations(rank)
+        }
+        fn put_manifest(&self, generation: u64, data: &[u8]) -> Result<(), StorageError> {
+            self.0.put_manifest(generation, data)
+        }
+        fn get_manifest(&self, generation: u64) -> Result<Vec<u8>, StorageError> {
+            self.0.get_manifest(generation)
+        }
+        fn list_manifests(&self) -> Result<Vec<u64>, StorageError> {
+            self.0.list_manifests()
+        }
+        fn delete_manifest(&self, generation: u64) -> Result<(), StorageError> {
+            self.0.delete_manifest(generation)
+        }
+    }
+
+    (0..n).map(|_| Arc::new(ByValueOnly(MemStore::new())) as Arc<dyn StableStorage>).collect()
 }

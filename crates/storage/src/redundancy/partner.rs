@@ -46,9 +46,9 @@ impl RedundancyScheme for Partner {
         locals: &LocalStores,
         rank: usize,
         key: ChunkKey,
-        data: &[u8],
+        data: &ChunkBuf,
     ) -> Result<u64, StorageError> {
-        locals[self.partner_of(rank)].put_chunk(key, data)?;
+        locals[self.partner_of(rank)].store_chunk(key, data.clone())?;
         Ok(data.len() as u64)
     }
 
@@ -72,24 +72,20 @@ impl RedundancyScheme for Partner {
 
 #[cfg(test)]
 mod tests {
+    use super::super::by_value_locals as locals;
     use super::*;
-    use crate::store::MemStore;
-    use crate::StableStorage;
-    use std::sync::Arc;
-
-    fn locals(n: usize) -> Vec<Arc<dyn StableStorage>> {
-        (0..n).map(|_| Arc::new(MemStore::new()) as Arc<dyn StableStorage>).collect()
-    }
 
     #[test]
     fn copy_lands_on_partner_and_reconstructs() {
         let stores = locals(4);
         let p = Partner::new(4, 1);
         let key = ChunkKey::new(2, 7);
-        let sent = p.publish(&stores, 2, key, b"payload").unwrap();
+        let data = ChunkBuf::from(b"payload".to_vec());
+        let sent = p.publish(&stores, 2, key, &data).unwrap();
         assert_eq!(sent, 7);
-        // The copy lives on rank 3 under rank 2's key.
-        assert_eq!(stores[3].get_chunk(key).unwrap(), b"payload");
+        // The copy lives on rank 3 under rank 2's key, and it is the
+        // published buffer itself.
+        assert!(stores[3].read_chunk(key).unwrap().ptr_eq(&data));
         assert!(stores[2].get_chunk(key).is_err(), "publish only writes the partner copy");
         let (data, pulled) = p.reconstruct(&stores, key).unwrap();
         assert_eq!(&*data, b"payload");

@@ -328,19 +328,20 @@ impl TieredStore {
 
     /// Write a chunk at virtual time `now`: node-local write and
     /// redundancy publish proceed in parallel; returns the later
-    /// completion.
+    /// completion. The local tier and the scheme share `data`.
     pub fn put_chunk_timed(
         &self,
         now: SimTime,
         key: ChunkKey,
-        data: &[u8],
+        data: ChunkBuf,
     ) -> Result<SimTime, StorageError> {
         let t = &*self.topo;
         let obs = &t.obs;
         let rank_lane = Lane::Rank(self.rank as u32);
-        t.locals[self.rank].put_chunk(key, data)?;
-        let local = self.charge_local(now, data.len() as u64);
-        let sent = t.scheme.publish(&t.locals, self.rank, key, data)?;
+        let bytes = data.len() as u64;
+        t.locals[self.rank].store_chunk(key, data.clone())?;
+        let local = self.charge_local(now, bytes);
+        let sent = t.scheme.publish(&t.locals, self.rank, key, &data)?;
         let t_net = if sent > 0 {
             let net = self.charge_nic(now, sent);
             obs.emit_span(
@@ -360,13 +361,13 @@ impl TieredStore {
             done.saturating_sub(now),
             Event::ChunkPut {
                 generation: key.generation,
-                bytes: data.len() as u64,
+                bytes,
                 queue_wait_ns: local.queue_wait.0,
                 service_ns: local.service.0,
             },
         );
         let mut c = t.counters[self.rank].lock();
-        c.local_bytes += data.len() as u64;
+        c.local_bytes += bytes;
         c.redundancy_bytes += sent;
         Ok(done)
     }
@@ -473,9 +474,10 @@ impl TierReader {
 }
 
 impl StableStorage for TierReader {
-    fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
-        self.topo.locals[self.rank].put_chunk(key, data)?;
-        self.charge(ServedBy::Local, data.len() as u64);
+    fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
+        let bytes = data.len() as u64;
+        self.topo.locals[self.rank].store_chunk(key, data)?;
+        self.charge(ServedBy::Local, bytes);
         Ok(())
     }
 
@@ -498,7 +500,7 @@ impl StableStorage for TierReader {
             );
             // Re-populate the local tier: later incrementals, drains
             // and a second failure all need the chain back in place.
-            t.locals[self.rank].put_chunk(key, &data)?;
+            t.locals[self.rank].store_chunk(key, data.clone())?;
             return Ok(data);
         }
         let data = t.shared.read_chunk(key)?;
@@ -602,7 +604,7 @@ mod tests {
             h.put_chunk_timed(
                 now,
                 ChunkKey::new(rank as u32, gen),
-                &chunk(rank as u32, gen, parent, rank as u8 + 1),
+                chunk(rank as u32, gen, parent, rank as u8 + 1).into(),
             )
             .unwrap();
         }
@@ -642,14 +644,25 @@ mod tests {
             assert_eq!(plan.source, RecoverySource::Reconstructed, "{spec:?}");
             assert_eq!(plan.generation, Some(1));
             let reader = topo.reader(1, SimTime::ZERO);
-            let rebuilt = reader.get_chunk(ChunkKey::new(1, 1)).unwrap();
-            assert_eq!(rebuilt, original, "byte-identical reconstruction ({spec:?})");
+            let rebuilt = reader.read_chunk(ChunkKey::new(1, 1)).unwrap();
+            assert_eq!(*rebuilt, original, "byte-identical reconstruction ({spec:?})");
             assert!(reader.now() > SimTime::ZERO, "reconstruction costs virtual time");
             assert!(reader.get_manifest(1).is_ok(), "manifest from a survivor");
-            // The rebuilt chunk was deposited back into the local tier.
-            assert_eq!(topo.local(1).get_chunk(ChunkKey::new(1, 1)).unwrap(), original);
+            // The rebuilt buffer itself was deposited back into the
+            // local tier.
+            assert!(topo.local(1).read_chunk(ChunkKey::new(1, 1)).unwrap().ptr_eq(&rebuilt));
             assert!(topo.usage(1).recovery_net_bytes > 0);
         }
+    }
+
+    #[test]
+    fn tiers_share_one_buffer_per_chunk() {
+        let topo = topo(SchemeSpec::Partner { offset: 1 }, 1);
+        let key = ChunkKey::new(2, 0);
+        let data = ChunkBuf::from(chunk(2, 0, None, 3));
+        topo.handle(2).put_chunk_timed(SimTime::ZERO, key, data.clone()).unwrap();
+        assert!(topo.local(2).read_chunk(key).unwrap().ptr_eq(&data), "local copy");
+        assert!(topo.local(3).read_chunk(key).unwrap().ptr_eq(&data), "partner copy");
     }
 
     #[test]
@@ -735,12 +748,13 @@ mod tests {
                                     .put_chunk_timed(
                                         now,
                                         ChunkKey::new(rank as u32, gen),
-                                        &chunk(
+                                        chunk(
                                             rank as u32,
                                             gen,
                                             (gen > 0).then(|| gen - 1),
                                             rank as u8,
-                                        ),
+                                        )
+                                        .into(),
                                     )
                                     .unwrap();
                                 (rank, t)

@@ -229,21 +229,16 @@ impl RedundancyScheme for XorParity {
         locals: &LocalStores,
         rank: usize,
         key: ChunkKey,
-        data: &[u8],
+        data: &ChunkBuf,
     ) -> Result<u64, StorageError> {
         let group = self.group_of(rank);
         let members = self.members_of(group);
-        // `data` landed in the rank's own local store just before this
-        // call (the trait's contract): deposit that stored buffer, by
-        // reference where the store shares it, not another copy.
-        let deposit = locals[rank].read_chunk(key)?;
-        debug_assert_eq!(&*deposit, data, "publish follows the local put of the same bytes");
         let ready = {
             let mut slots = self.slots.lock();
             let slot = slots
                 .entry((group, key.generation))
                 .or_insert_with(|| GroupSlot { deposits: vec![None; members.len()] });
-            slot.deposits[rank - members.start] = Some(deposit);
+            slot.deposits[rank - members.start] = Some(data.clone());
             if slot.deposits.iter().all(Option::is_some) {
                 slots.remove(&(group, key.generation))
             } else {
@@ -261,7 +256,7 @@ impl RedundancyScheme for XorParity {
                 .collect();
             let block = xor_encode(group as u32, key.generation, &chunks);
             locals[self.holder_of(group)]
-                .put_chunk(self.parity_key(group, key.generation), &block)?;
+                .store_chunk(self.parity_key(group, key.generation), block.into())?;
         }
         // Each member pushes its chunk once toward the parity build.
         Ok(data.len() as u64)
@@ -304,14 +299,8 @@ impl RedundancyScheme for XorParity {
 
 #[cfg(test)]
 mod tests {
+    use super::super::by_value_locals as locals;
     use super::*;
-    use crate::store::MemStore;
-    use crate::StableStorage;
-    use std::sync::Arc;
-
-    fn locals(n: usize) -> Vec<Arc<dyn StableStorage>> {
-        (0..n).map(|_| Arc::new(MemStore::new()) as Arc<dyn StableStorage>).collect()
-    }
 
     #[test]
     fn encode_reconstruct_roundtrip_uneven_lengths() {
@@ -360,14 +349,31 @@ mod tests {
         let x = XorParity::new(4, 2);
         // Group 0 = {0, 1}, parity held by rank 2.
         for (r, data) in [(0usize, b"rank zero".as_slice()), (1, b"rank one, longer".as_slice())] {
-            stores[r].put_chunk(ChunkKey::new(r as u32, 7), data).unwrap();
-            x.publish(&stores, r, ChunkKey::new(r as u32, 7), data).unwrap();
+            let data = ChunkBuf::from(data.to_vec());
+            stores[r].store_chunk(ChunkKey::new(r as u32, 7), data.clone()).unwrap();
+            x.publish(&stores, r, ChunkKey::new(r as u32, 7), &data).unwrap();
         }
         assert!(stores[2].get_chunk(x.parity_key(0, 7)).is_ok(), "parity on the holder");
         // Lose rank 1: rebuild from rank 0 + parity.
         let (data, pulled) = x.reconstruct(&stores, ChunkKey::new(1, 7)).unwrap();
         assert_eq!(&*data, b"rank one, longer");
         assert!(pulled > data.len() as u64, "pulls survivors and the parity block");
+    }
+
+    #[test]
+    fn publish_keeps_the_published_buffers() {
+        // The deposits are the published buffers: nothing is read back
+        // from the members' local stores (left empty here), and the
+        // holder, which refuses copying writes, takes the parity block
+        // by value.
+        let stores = locals(4);
+        let x = XorParity::new(4, 2);
+        let a = ChunkBuf::from(b"rank zero".to_vec());
+        let b = ChunkBuf::from(b"rank one, longer".to_vec());
+        x.publish(&stores, 0, ChunkKey::new(0, 7), &a).unwrap();
+        x.publish(&stores, 1, ChunkKey::new(1, 7), &b).unwrap();
+        let parity = stores[2].read_chunk(x.parity_key(0, 7)).unwrap();
+        assert_eq!(*parity, xor_encode(0, 7, &[(0, &a), (1, &b)]));
     }
 
     #[test]

@@ -81,6 +81,12 @@ impl ChunkBuf {
     pub(crate) fn into_vec(self) -> Vec<u8> {
         Arc::try_unwrap(self.0).unwrap_or_else(|shared| shared.to_vec())
     }
+
+    /// Whether `self` and `other` are one allocation.
+    #[cfg(test)]
+    pub(crate) fn ptr_eq(&self, other: &ChunkBuf) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
 }
 
 impl From<Vec<u8>> for ChunkBuf {
@@ -102,8 +108,16 @@ impl Deref for ChunkBuf {
 ///
 /// Implementations must be safe to share across rank threads.
 pub trait StableStorage: Send + Sync {
-    /// Persist an encoded chunk (overwrites an existing key).
-    fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError>;
+    /// Persist an encoded chunk (overwrites an existing key). A store
+    /// that holds its chunks in memory keeps `data` itself, so every
+    /// tier handed the same buffer shares one allocation.
+    fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError>;
+
+    /// Persist a copy of `data`; otherwise the same as
+    /// [`StableStorage::store_chunk`].
+    fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
+        self.store_chunk(key, ChunkBuf::from(data.to_vec()))
+    }
 
     /// Fetch an encoded chunk for reading only. A store that holds its
     /// chunks in memory hands out a reference instead of a copy. A
@@ -160,8 +174,8 @@ impl MemStore {
 }
 
 impl StableStorage for MemStore {
-    fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
-        self.chunks.write().insert(key, ChunkBuf::from(data.to_vec()));
+    fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
+        self.chunks.write().insert(key, data);
         Ok(())
     }
 
@@ -248,6 +262,11 @@ fn read_file(path: &Path, missing: StorageError) -> Result<Vec<u8>, StorageError
 }
 
 impl StableStorage for FileStore {
+    fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
+        self.put_chunk(key, &data)
+    }
+
+    // Files take the bytes as they are: no owned copy first.
     fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
         self.write_atomic(&self.chunk_path(key), data)
     }

@@ -104,17 +104,18 @@ impl ThrottledStore {
         &self,
         now: SimTime,
         key: ChunkKey,
-        data: &[u8],
+        data: ChunkBuf,
     ) -> Result<SimTime, StorageError> {
-        self.inner.put_chunk(key, data)?;
-        let t = self.charge(now, data.len() as u64);
+        let bytes = data.len() as u64;
+        self.inner.store_chunk(key, data)?;
+        let t = self.charge(now, bytes);
         self.obs.emit_span(
             self.rank_lane,
             now,
             t.done.saturating_sub(now),
             Event::ChunkPut {
                 generation: key.generation,
-                bytes: data.len() as u64,
+                bytes,
                 queue_wait_ns: t.queue_wait.0,
                 service_ns: t.service.0,
             },
@@ -199,16 +200,17 @@ impl TimedReads<'_> {
 }
 
 impl StableStorage for TimedReads<'_> {
-    fn put_chunk(&self, key: ChunkKey, data: &[u8]) -> Result<(), StorageError> {
-        self.store.inner.put_chunk(key, data)?;
-        let (now, t) = self.charge(data.len() as u64);
+    fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
+        let bytes = data.len() as u64;
+        self.store.inner.store_chunk(key, data)?;
+        let (now, t) = self.charge(bytes);
         self.store.obs.emit_span(
             self.store.rank_lane,
             now,
             t.done.saturating_sub(now),
             Event::ChunkPut {
                 generation: key.generation,
-                bytes: data.len() as u64,
+                bytes,
                 queue_wait_ns: t.queue_wait.0,
                 service_ns: t.service.0,
             },
@@ -281,10 +283,14 @@ mod tests {
     #[test]
     fn writes_cost_virtual_time() {
         let s = throttled(1_000_000); // 1 MB/s
-        let done = s.put_chunk_timed(SimTime::ZERO, ChunkKey::new(0, 0), &[0u8; 500_000]).unwrap();
+        let done = s
+            .put_chunk_timed(SimTime::ZERO, ChunkKey::new(0, 0), vec![0u8; 500_000].into())
+            .unwrap();
         assert_eq!(done, SimTime::from_secs_f64(0.5));
         // A second write queues behind the first.
-        let done2 = s.put_chunk_timed(SimTime::ZERO, ChunkKey::new(0, 1), &[0u8; 500_000]).unwrap();
+        let done2 = s
+            .put_chunk_timed(SimTime::ZERO, ChunkKey::new(0, 1), vec![0u8; 500_000].into())
+            .unwrap();
         assert_eq!(done2, SimTime::from_secs(1));
         assert_eq!(s.bytes_total(), 1_000_000);
     }
@@ -292,7 +298,7 @@ mod tests {
     #[test]
     fn data_lands_in_inner_store() {
         let s = throttled(1_000_000);
-        s.put_chunk_timed(SimTime::ZERO, ChunkKey::new(1, 2), b"abc").unwrap();
+        s.put_chunk_timed(SimTime::ZERO, ChunkKey::new(1, 2), b"abc".to_vec().into()).unwrap();
         assert_eq!(s.inner().get_chunk(ChunkKey::new(1, 2)).unwrap(), b"abc");
     }
 
@@ -302,8 +308,12 @@ mod tests {
         let dev = shared_device(BandwidthDevice::new(1_000_000, SimDuration::ZERO));
         let a = ThrottledStore::with_shared_device(inner.clone(), dev.clone());
         let b = ThrottledStore::with_shared_device(inner, dev);
-        let t1 = a.put_chunk_timed(SimTime::ZERO, ChunkKey::new(0, 0), &[0u8; 500_000]).unwrap();
-        let t2 = b.put_chunk_timed(SimTime::ZERO, ChunkKey::new(1, 0), &[0u8; 500_000]).unwrap();
+        let t1 = a
+            .put_chunk_timed(SimTime::ZERO, ChunkKey::new(0, 0), vec![0u8; 500_000].into())
+            .unwrap();
+        let t2 = b
+            .put_chunk_timed(SimTime::ZERO, ChunkKey::new(1, 0), vec![0u8; 500_000].into())
+            .unwrap();
         assert_eq!(t1, SimTime::from_secs_f64(0.5));
         assert_eq!(t2, SimTime::from_secs(1), "second store queues on the shared array");
     }

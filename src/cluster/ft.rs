@@ -37,15 +37,15 @@ use ickpt_core::checkpoint::{
     capture_full_with, capture_incremental_with, CaptureConfig, CaptureScratch, ContentStats,
 };
 use ickpt_core::coordinator::{CheckpointPlanner, PlannedCheckpoint, VoteFlags};
-use ickpt_core::restore::{record_restore, restore_rank_with, RestoreConfig, RestoreReport};
+use ickpt_core::restore::{record_restore, restore_rank, RestoreReport};
 use ickpt_core::tracker::{SampleMode, TrackerConfig, WriteTracker};
 use ickpt_mem::{AddressSpace, BackedSpace};
 use ickpt_obs::{Event, Lane, Recorder};
 use ickpt_sim::net::NetConfig;
 use ickpt_sim::{SimDuration, SimTime};
 use ickpt_storage::{
-    ChunkKey, ChunkKind, Manifest, RankEntry, StableStorage, StorageError, ThrottledStore,
-    TieredStore,
+    ChunkBuf, ChunkKey, ChunkKind, Manifest, RankEntry, StableStorage, StorageError,
+    ThrottledStore, TieredStore,
 };
 
 use super::engine::{
@@ -59,7 +59,6 @@ const BACKED: &str = "fault-tolerant ranks run over a content-backed space";
 /// Run-wide checkpointing parameters, resolved once per run.
 pub(super) struct FtParams {
     pub mode: CheckpointMode,
-    pub restore: RestoreConfig,
     pub timeslice: SimDuration,
 }
 
@@ -92,7 +91,7 @@ impl CkptStore {
         &self,
         now: SimTime,
         key: ChunkKey,
-        data: &[u8],
+        data: ChunkBuf,
     ) -> Result<SimTime, StorageError> {
         match self {
             CkptStore::Flat(s) => s.put_chunk_timed(now, key, data),
@@ -135,13 +134,12 @@ impl CkptStore {
         generation: u64,
         nranks: usize,
         space: &mut BackedSpace,
-        cfg: &RestoreConfig,
     ) -> Result<(RestoreReport, SimDuration), RunError> {
         match self {
             CkptStore::Tiered(s) => {
                 let reader = s.topology().reader(rank, SimTime::ZERO);
                 validate_manifest(&reader.get_manifest(generation)?, generation, nranks)?;
-                let report = restore_rank_with(&reader, rank as u32, generation, space, cfg)?;
+                let report = restore_rank(&reader, rank as u32, generation, space)?;
                 let cost = reader.now().saturating_sub(SimTime::ZERO);
                 s.topology().note_recovery_time(rank, cost);
                 Ok((report, cost))
@@ -150,7 +148,7 @@ impl CkptStore {
                 let (manifest, t0) = s.get_manifest_timed(SimTime::ZERO, generation)?;
                 validate_manifest(&manifest, generation, nranks)?;
                 let reader = s.timed_reads(t0);
-                let report = restore_rank_with(&reader, rank as u32, generation, space, cfg)?;
+                let report = restore_rank(&reader, rank as u32, generation, space)?;
                 Ok((report, reader.now().saturating_sub(SimTime::ZERO)))
             }
         }
@@ -192,8 +190,8 @@ struct PendingCommit {
 /// Performed inline on the rank's own devices, by the resolver on a
 /// shared array.
 enum Io {
-    /// Write the chunk the scratch holds encoded.
-    Put { planned: PlannedCheckpoint, payload: u64, write_done: Option<SimTime> },
+    /// Write the encoded chunk `data`; every tier shares the buffer.
+    Put { planned: PlannedCheckpoint, payload: u64, data: ChunkBuf, write_done: Option<SimTime> },
     /// Read the chain ending at `generation` back into the space.
     Restore { generation: u64, read: Option<(RestoreReport, SimDuration)> },
 }
@@ -223,8 +221,8 @@ pub(super) struct FtRank {
     resume_from: Option<u64>,
     /// Capture tuning (dedup from `ICKPT_DEDUP` or the run config).
     capture_cfg: CaptureConfig,
-    /// Recycled capture/encode buffers: steady-state checkpoints are
-    /// allocation-free. Also owns the dedup baseline, reset whenever an
+    /// Recycled capture buffers (a checkpoint allocates only the chunk
+    /// the stores keep) and the dedup baseline, reset whenever an
     /// attempt starts so a rollback can never reuse a stale one.
     pub(super) scratch: CaptureScratch,
     pending: Option<PendingCommit>,
@@ -326,15 +324,13 @@ impl<S: RankSpace> RankSm<S> {
     pub(super) fn perform_io(&mut self, ctx: &EngineCtx<'_>) -> Result<(), RunError> {
         let ft = self.ft.as_deref_mut().expect(FT);
         match ft.io.as_mut().expect("a storage operation is staged") {
-            Io::Put { planned, write_done, .. } => {
+            Io::Put { planned, data, write_done, .. } => {
                 let key = ChunkKey::new(self.rank as u32, planned.generation);
-                *write_done =
-                    Some(ft.tstore.put_chunk_timed(self.clock, key, ft.scratch.encoded())?);
+                *write_done = Some(ft.tstore.put_chunk_timed(self.clock, key, data.clone())?);
             }
             Io::Restore { generation, read } => {
                 let space = self.space.backed().expect(BACKED);
-                let cfg = &ctx.ft_params().restore;
-                *read = Some(ft.tstore.restore(self.rank, *generation, ctx.nranks, space, cfg)?);
+                *read = Some(ft.tstore.restore(self.rank, *generation, ctx.nranks, space)?);
             }
         }
         Ok(())
@@ -353,8 +349,8 @@ impl<S: RankSpace> RankSm<S> {
     pub(super) fn finish_io(&mut self, ctx: &EngineCtx<'_>) -> Result<(), RunError> {
         const DONE: &str = "the storage operation was performed";
         match self.ft.as_deref_mut().expect(FT).io.take().expect(DONE) {
-            Io::Put { planned, payload, write_done } => {
-                self.after_put(planned, payload, write_done.expect(DONE), ctx)
+            Io::Put { planned, payload, data, write_done } => {
+                self.after_put(planned, payload, data.len() as u64, write_done.expect(DONE), ctx)
             }
             Io::Restore { generation, read } => {
                 let (report, cost) = read.expect(DONE);
@@ -572,11 +568,11 @@ impl<S: RankSpace> RankSm<S> {
         blob.put_u64(space.content_digest());
         chunk.app_state = blob.into_vec();
         let payload = chunk.payload_bytes();
-        ft.scratch.encode_reusing(&chunk);
-        // Return the chunk's buffers to the pool for the next capture;
-        // the encoded bytes stay in the scratch until they are written.
+        // A fresh buffer per chunk: the stores keep it, not a copy.
+        let data = ChunkBuf::from(chunk.encode());
+        // Return the chunk's buffers to the pool for the next capture.
         ft.scratch.recycle(chunk);
-        ft.io = Some(Io::Put { planned, payload, write_done: None });
+        ft.io = Some(Io::Put { planned, payload, data, write_done: None });
         self.start_io(ctx)
     }
 
@@ -586,12 +582,13 @@ impl<S: RankSpace> RankSm<S> {
         &mut self,
         planned: PlannedCheckpoint,
         payload: u64,
+        written: u64,
         write_done: SimTime,
         ctx: &EngineCtx<'_>,
     ) -> Result<(), RunError> {
         let ft = self.ft.as_deref_mut().expect(FT);
         let now = self.clock;
-        ft.bytes_written += ft.scratch.encoded().len() as u64;
+        ft.bytes_written += written;
         ft.count += 1;
         ft.pending = Some(PendingCommit {
             planned,

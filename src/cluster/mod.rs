@@ -50,10 +50,9 @@ use std::sync::{Arc, Mutex};
 
 use ickpt_apps::step::AppModel;
 use ickpt_apps::Workload;
-use ickpt_core::checkpoint::{default_workers, CaptureConfig, CaptureScratch, ContentStats};
+use ickpt_core::checkpoint::{CaptureConfig, CaptureScratch, ContentStats};
 use ickpt_core::coordinator::{CheckpointPlanner, CheckpointPolicy};
 use ickpt_core::metrics::{IwsSample, SampleSummary};
-use ickpt_core::restore::RestoreConfig;
 use ickpt_core::trace::RankTrace;
 use ickpt_core::tracker::{EpochSample, IterationSample, SampleMode, TrackerConfig, WriteTracker};
 use ickpt_mem::{AddressSpace, BackedSpace, DataLayout, WriteProfile};
@@ -500,7 +499,9 @@ where
 {
     assert!(cfg.max_attempts >= 1);
     // Every `ICKPT_*` knob of the run is read here, once: a malformed
-    // value exits 2 before any rank has started.
+    // value exits 2 before any rank has started. Capture and restore
+    // run serially inside each rank: the engine's worker pool is the
+    // run's one level of host parallelism.
     let mut capture = CaptureConfig::from_env();
     if let Some(dedup) = cfg.dedup {
         capture.dedup = dedup;
@@ -508,11 +509,7 @@ where
     capture.obs = cfg.obs.clone();
     let knobs = Knobs {
         capture,
-        params: FtParams {
-            mode: cfg.mode,
-            restore: RestoreConfig::with_workers(default_workers()),
-            timeslice: cfg.timeslice,
-        },
+        params: FtParams { mode: cfg.mode, timeslice: cfg.timeslice },
         workers: engine::resolve_workers(None),
     };
     // The tier topology outlives attempts: node-local data survives a
