@@ -4,22 +4,21 @@
 //! ```text
 //! cargo run --release -p ickpt-bench --bin inspect -- <dir> [--rank N]
 //! cargo run --release -p ickpt-bench --bin inspect -- --trace <file.jsonl>
+//! cargo run --release -p ickpt-bench --bin inspect -- --tenants <file.jsonl>
 //! cargo run --release -p ickpt-bench --bin inspect -- --metrics <file.jsonl> [--windows]
 //! ```
 //!
-//! `--trace` switches to flight-recorder mode: parse a JSONL trace
-//! written by `repro --trace-out` / `redundancy_smoke --trace-out` and
-//! print per-run, per-track event statistics (event counts, busy span
-//! time, virtual extent) plus an event-type histogram and a drain
-//! overview (batches, bytes, queue depth, torn rollbacks).
-//!
-//! `--metrics` replays the same JSONL into a fresh metrics plane
-//! ([`ickpt::obs::MetricsPlane`]) and prints each run's end-of-run
-//! metric totals, latency quantiles and SLO health verdicts;
-//! `--windows` adds the per-window rate series (IB, drain throughput,
-//! device busy fraction, stalls). `ICKPT_METRICS=window=<secs>` picks
-//! the window size (default 1 s). Output is deterministic for a given
-//! trace file.
+//! The three trace views read a JSONL export of `repro --trace-out` /
+//! `redundancy_smoke --trace-out` back once, replayed into a fresh
+//! metrics plane ([`ickpt::obs::MetricsPlane`]). `--trace` prints
+//! per-run, per-track event statistics (event counts, busy span time,
+//! virtual extent), an event-type histogram and a drain overview
+//! (batches, bytes, queue depth, torn rollbacks); `--tenants` the
+//! per-tenant service table; `--metrics` each run's end-of-run metric
+//! totals, latency quantiles and SLO health verdicts, and with
+//! `--windows` the per-window rate series. `ICKPT_METRICS=window=<secs>`
+//! picks the window size (default 1 s). Output is deterministic for a
+//! given trace file.
 //!
 //! Prints the committed generations (from manifests), each rank's
 //! chunk chain with kinds, payload/zero-page sizes and lineage, and
@@ -31,9 +30,13 @@
 // Terminal-facing target: printing is its job.
 #![allow(clippy::disallowed_macros)]
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use ickpt::obs::ParsedEvent;
+use ickpt::obs::{
+    Event, HealthMonitor, Lane, MetricLabel, MetricsConfig, MetricsPlane, MetricsView, ParsedEvent,
+    TimedEvent,
+};
 use ickpt::storage::{Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage};
 use ickpt::svc::percentile_ns;
 use ickpt_bench::analysis::table::fnum;
@@ -44,30 +47,69 @@ use ickpt_bench::analysis::TextTable;
 /// tables, never silent truncation). `--rank N` always lists rank N.
 const MAX_LISTED_RANKS: usize = 8;
 
-/// Read and parse a JSONL flight-recorder export (`repro --trace-out`,
-/// `redundancy_smoke --trace-out`). Exits 2 if the file cannot be
-/// read and 1 if it is malformed.
-fn load_trace(path: &str) -> Vec<ParsedEvent> {
+/// A JSONL flight-recorder export (`repro --trace-out`,
+/// `redundancy_smoke --trace-out`) read back once for every trace
+/// view: its lines, and the typed events among them replayed into a
+/// fresh metrics plane, one group per run in order of first
+/// appearance, so the output is deterministic for a given file.
+struct Replay {
+    /// Every line, file order.
+    lines: Vec<ParsedEvent>,
+    /// `(group, lane, event)` of each line that maps to a typed event;
+    /// the rest (`counter`, `slo_breach`) are derived and skipped.
+    typed: Vec<(u32, Lane, TimedEvent)>,
+    /// Run names, index = group id.
+    runs: Vec<Arc<str>>,
+    plane: Arc<MetricsPlane>,
+}
+
+/// Read, parse and replay `path`. Exits 2 if the file cannot be read
+/// and 1 if it is malformed. `ICKPT_METRICS=window=<secs>` picks the
+/// plane's window (default 1 s).
+fn replay(path: &str) -> Replay {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    ickpt::obs::parse_jsonl(&text).unwrap_or_else(|e| {
+    let lines = ickpt::obs::parse_jsonl(&text).unwrap_or_else(|e| {
         eprintln!("{path}: malformed trace: {e}");
         std::process::exit(1);
-    })
+    });
+    let plane = MetricsPlane::new(MetricsConfig::from_env().window);
+    let mut runs: Vec<Arc<str>> = Vec::new();
+    let mut typed = Vec::with_capacity(lines.len());
+    for ev in &lines {
+        let Some((lane, timed)) = ev.to_timed() else { continue };
+        let group = match runs.iter().position(|r| *r == ev.run) {
+            Some(g) => g as u32,
+            None => {
+                runs.push(ev.run.clone());
+                plane.name_group(runs.len() as u32 - 1, &ev.run);
+                runs.len() as u32 - 1
+            }
+        };
+        plane.ingest(group, lane, &timed);
+        typed.push((group, lane, timed));
+    }
+    Replay { lines, typed, runs, plane }
+}
+
+impl Replay {
+    /// Every run's metrics view, group order.
+    fn views(&self) -> impl Iterator<Item = MetricsView> + '_ {
+        self.plane.groups().into_iter().filter_map(|g| self.plane.view(g))
+    }
 }
 
 /// `inspect --trace`: summarize a JSONL flight-recorder export.
 fn trace_report(path: &str) -> i32 {
-    let events = load_trace(path);
+    let r = replay(path);
     println!("trace: {path}");
     // Per (run, track): count, busy (sum of span durations), extent.
     type RunTrack = (Arc<str>, Arc<str>);
-    let mut tracks: std::collections::BTreeMap<RunTrack, (u64, u64, u64)> =
-        std::collections::BTreeMap::new();
-    let mut kinds: std::collections::BTreeMap<Arc<str>, u64> = std::collections::BTreeMap::new();
-    for ev in &events {
+    let mut tracks: BTreeMap<RunTrack, (u64, u64, u64)> = BTreeMap::new();
+    let mut kinds: BTreeMap<Arc<str>, u64> = BTreeMap::new();
+    for ev in &r.lines {
         let e = tracks.entry((ev.run.clone(), ev.track.clone())).or_default();
         e.0 += 1;
         e.1 += ev.dur;
@@ -90,37 +132,13 @@ fn trace_report(path: &str) -> i32 {
         k.row(vec![name.to_string(), count.to_string()]);
     }
     println!("{}", k.render());
-    // Drain overview per run: batches, bytes, deepest queue and —
-    // when failures rolled drained generations back below the durable
-    // horizon — the torn totals.
-    #[derive(Default)]
-    struct DrainAcc {
-        batches: u64,
-        generations: u64,
-        bytes: u64,
-        depth_max: u64,
-        torn_generations: u64,
-        torn_bytes: u64,
-    }
-    let arg = |ev: &ParsedEvent, key: &str| ev.arg_u64(key).unwrap_or(0);
-    let mut drains: std::collections::BTreeMap<Arc<str>, DrainAcc> =
-        std::collections::BTreeMap::new();
-    for ev in events.iter().filter(|ev| &*ev.track == "drain") {
-        let a = drains.entry(ev.run.clone()).or_default();
-        match &*ev.name {
-            "drain_batch" => {
-                a.batches += 1;
-                a.generations += arg(ev, "generations");
-                a.bytes += arg(ev, "bytes");
-            }
-            "drain_depth" => a.depth_max = a.depth_max.max(arg(ev, "depth")),
-            "drain_torn" => {
-                a.torn_generations += arg(ev, "generations");
-                a.torn_bytes += arg(ev, "bytes");
-            }
-            _ => {}
-        }
-    }
+    // Drain overview per run, from the run's counters: batches, bytes,
+    // deepest queue and — when failures rolled drained generations
+    // back below the durable horizon — the torn totals. Every drain
+    // reports a queue depth of at least 1 before its first batch.
+    let mut drains: Vec<MetricsView> =
+        r.views().filter(|v| v.gauge("drain_depth_max") > 0).collect();
+    drains.sort_by(|a, b| a.name().cmp(b.name()));
     if !drains.is_empty() {
         let mut d = TextTable::new("drain overview").header(&[
             "run",
@@ -131,60 +149,38 @@ fn trace_report(path: &str) -> i32 {
             "torn gens",
             "MB torn",
         ]);
-        for (run, a) in &drains {
+        for v in &drains {
             d.row(vec![
-                run.to_string(),
-                a.batches.to_string(),
-                a.generations.to_string(),
-                fnum(a.bytes as f64 / 1e6, 2),
-                a.depth_max.to_string(),
-                a.torn_generations.to_string(),
-                fnum(a.torn_bytes as f64 / 1e6, 2),
+                v.name().to_string(),
+                v.counter("drain_batches").to_string(),
+                v.counter("drain_generations").to_string(),
+                fnum(v.counter("drain_bytes") as f64 / 1e6, 2),
+                v.gauge("drain_depth_max").to_string(),
+                v.counter("drain_torn_generations").to_string(),
+                fnum(v.counter("drain_torn_bytes") as f64 / 1e6, 2),
             ]);
         }
         println!("{}", d.render());
     }
     println!(
         "total: {} events across {} tracks in {} runs",
-        events.len(),
+        r.lines.len(),
         tracks.len(),
-        tracks.keys().map(|(r, _)| r.clone()).collect::<std::collections::BTreeSet<_>>().len()
+        tracks.keys().map(|(run, _)| run).collect::<BTreeSet<_>>().len()
     );
     0
 }
 
-/// `inspect --metrics`: replay a JSONL trace into a fresh metrics
-/// plane and print each run's end-of-run totals, latency quantiles
-/// and SLO health verdicts; `--windows` adds the per-window rate
-/// series. Groups are assigned by first appearance in line order, so
-/// the output is deterministic for a given file.
+/// `inspect --metrics`: each run's end-of-run totals, latency
+/// quantiles and SLO health verdicts from the replayed plane;
+/// `--windows` adds the per-window rate series.
 fn metrics_report(path: &str, show_windows: bool) -> i32 {
-    use ickpt::obs::{HealthMonitor, MetricLabel, MetricsConfig, MetricsPlane};
-
-    let events = load_trace(path);
-    let plane = MetricsPlane::new(MetricsConfig::from_env().window);
-    let mut group_of: Vec<Arc<str>> = Vec::new(); // index = group id
-    let mut skipped = 0usize;
-    for ev in &events {
-        let Some((lane, timed)) = ev.to_timed() else {
-            skipped += 1;
-            continue;
-        };
-        let group = match group_of.iter().position(|r| *r == ev.run) {
-            Some(g) => g as u32,
-            None => {
-                let g = group_of.len() as u32;
-                group_of.push(ev.run.clone());
-                plane.name_group(g, &ev.run);
-                g
-            }
-        };
-        plane.ingest(group, lane, &timed);
-    }
+    let r = replay(path);
+    let skipped = r.lines.len() - r.typed.len();
     println!(
         "metrics view: {path}  (window {} s, {} events replayed{})",
-        plane.window_ns() / 1_000_000_000,
-        events.len() - skipped,
+        r.plane.window_ns() / 1_000_000_000,
+        r.typed.len(),
         if skipped > 0 { format!(", {skipped} derived lines skipped") } else { String::new() }
     );
 
@@ -194,8 +190,7 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
         MetricLabel::Tier(tier) => format!(" [{}]", tier.token()),
     };
     let monitor = HealthMonitor::standard();
-    for group in plane.groups() {
-        let Some(view) = plane.view(group) else { continue };
+    for view in r.views() {
         let mut t =
             TextTable::new(format!("run {}: totals", view.name())).header(&["metric", "value"]);
         let mut row = |name: &str, value: String| {
@@ -327,42 +322,37 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
             println!("{}", w.render());
         }
     }
-    println!("{} runs", group_of.len());
+    println!("{} runs", r.runs.len());
     0
 }
-
 /// `inspect --tenants`: the per-tenant service view of a JSONL trace
 /// written by `repro --trace-out` — checkpoints, effective IB,
 /// admission rejections, stall percentiles and each tenant's share of
-/// the drained bytes, per run group.
+/// the drained bytes, per run group. Folds the typed events itself:
+/// exact nearest-rank percentiles need every stall sample.
 fn tenants_report(path: &str) -> i32 {
-    let events = load_trace(path);
+    let r = replay(path);
     println!("tenant service view: {path}");
     #[derive(Default)]
     struct Acc {
         checkpoints: u64,
         rejections: u64,
-        admitted_bytes: u64,
         drained_bytes: u64,
         stalls_ns: Vec<u64>,
         extent_ns: u64,
     }
     // (run, tenant id) → accumulator, from the tenant-lane events.
-    let mut tenants: std::collections::BTreeMap<(Arc<str>, u32), Acc> =
-        std::collections::BTreeMap::new();
-    for ev in &events {
-        let Some(id) = ev.track.strip_prefix("tenant").and_then(|t| t.parse().ok()) else {
-            continue;
-        };
-        let a = tenants.entry((ev.run.clone(), id)).or_default();
-        a.extent_ns = a.extent_ns.max(ev.ts + ev.dur);
-        match &*ev.name {
-            "admit" => a.admitted_bytes += ev.arg_u64("bytes").unwrap_or(0),
-            "reject" => a.rejections += 1,
-            "tenant_stall" => {
+    let mut tenants: BTreeMap<(&str, u32), Acc> = BTreeMap::new();
+    for (group, lane, ev) in &r.typed {
+        let Lane::Tenant(id) = *lane else { continue };
+        let a = tenants.entry((&r.runs[*group as usize], id)).or_default();
+        a.extent_ns = a.extent_ns.max(ev.ts.0 + ev.dur.0);
+        match ev.event {
+            Event::AdmissionReject { .. } => a.rejections += 1,
+            Event::TenantStall { bytes, .. } => {
                 a.checkpoints += 1;
-                a.drained_bytes += ev.arg_u64("bytes").unwrap_or(0);
-                a.stalls_ns.push(ev.dur);
+                a.drained_bytes += bytes;
+                a.stalls_ns.push(ev.dur.0);
             }
             _ => {}
         }
@@ -371,11 +361,10 @@ fn tenants_report(path: &str) -> i32 {
         println!("no tenant tracks in this trace (was the run multi-tenant?)");
         return 1;
     }
-    let runs: std::collections::BTreeSet<Arc<str>> =
-        tenants.keys().map(|(r, _)| r.clone()).collect();
-    for run in &runs {
+    let runs: BTreeSet<&str> = tenants.keys().map(|(run, _)| *run).collect();
+    for run in runs {
         let in_run: Vec<(&u32, &Acc)> =
-            tenants.iter().filter(|((r, _), _)| r == run).map(|((_, id), a)| (id, a)).collect();
+            tenants.iter().filter(|((r, _), _)| *r == run).map(|((_, id), a)| (id, a)).collect();
         let fleet_drained: u64 = in_run.iter().map(|(_, a)| a.drained_bytes).sum();
         let mut t = TextTable::new(format!("run {run}: {} tenants", in_run.len())).header(&[
             "tenant",
@@ -390,15 +379,9 @@ fn tenants_report(path: &str) -> i32 {
         // totals line still covers every tenant.
         for (i, (id, a)) in in_run.iter().enumerate() {
             if i >= MAX_LISTED_RANKS {
-                t.row(vec![
-                    format!("… {} more tenants elided", in_run.len() - MAX_LISTED_RANKS),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                    "".into(),
-                ]);
+                let mut row = vec![String::new(); 7];
+                row[0] = format!("… {} more tenants elided", in_run.len() - MAX_LISTED_RANKS);
+                t.row(row);
                 break;
             }
             t.row(vec![
@@ -442,12 +425,22 @@ fn main() {
         );
         std::process::exit(2);
     };
-    let only_rank: Option<u32> = args
-        .iter()
-        .position(|a| a == "--rank")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok());
-
+    let only_rank: Option<u32> = match args.iter().position(|a| a == "--rank") {
+        None => None,
+        Some(i) => match args.get(i + 1).map(|v| v.parse()) {
+            Some(Ok(rank)) => Some(rank),
+            _ => {
+                eprintln!("--rank takes a rank number");
+                std::process::exit(2);
+            }
+        },
+    };
+    // `FileStore::open` creates a missing directory; an inspection
+    // must not.
+    if let Err(e) = std::fs::read_dir(dir) {
+        eprintln!("cannot open {dir}: {e}");
+        std::process::exit(2);
+    }
     let store = match FileStore::open(dir) {
         Ok(s) => s,
         Err(e) => {
@@ -455,11 +448,24 @@ fn main() {
             std::process::exit(2);
         }
     };
+    if store_report(&store, dir, only_rank) > 0 {
+        std::process::exit(1);
+    }
+}
+
+/// Print the checkpoint store at `dir`: committed generations, each
+/// rank's chunk chain and restore plan, every chunk's CRC checked.
+/// Returns the integrity problems found — a listing error among them.
+fn store_report(store: &dyn StableStorage, dir: &str, only_rank: Option<u32>) -> usize {
     let mut problems = 0usize;
 
     // ---- Manifests ----
     println!("checkpoint store: {dir}");
-    let manifest_gens = store.list_manifests().unwrap_or_default();
+    let manifest_gens = store.list_manifests().unwrap_or_else(|e| {
+        problems += 1;
+        println!("  !! cannot list manifests: {e}");
+        Vec::new()
+    });
     if manifest_gens.is_empty() {
         println!("no committed manifests found");
     }
@@ -513,7 +519,11 @@ fn main() {
         if !listed {
             elided += 1;
         }
-        let gens = store.list_generations(rank).unwrap_or_default();
+        let gens = store.list_generations(rank).unwrap_or_else(|e| {
+            problems += 1;
+            println!("  !! rank {rank}: cannot list chunks: {e}");
+            Vec::new()
+        });
         if gens.is_empty() {
             if listed {
                 println!("rank {rank}: no chunks");
@@ -565,34 +575,12 @@ fn main() {
                     }
                     Err(e) => {
                         problems += 1;
-                        t.row(vec![
-                            g.to_string(),
-                            "?".into(),
-                            "?".into(),
-                            "?".into(),
-                            "-".into(),
-                            "-".into(),
-                            "-".into(),
-                            "-".into(),
-                            data.len().to_string(),
-                            format!("CORRUPT: {e}"),
-                        ]);
+                        t.row(broken_chunk_row(g, data.len().to_string(), format!("CORRUPT: {e}")));
                     }
                 },
                 Err(e) => {
                     problems += 1;
-                    t.row(vec![
-                        g.to_string(),
-                        "?".into(),
-                        "?".into(),
-                        "?".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        "-".into(),
-                        format!("UNREADABLE: {e}"),
-                    ]);
+                    t.row(broken_chunk_row(g, "-".into(), format!("UNREADABLE: {e}")));
                 }
             }
         }
@@ -685,7 +673,6 @@ fn main() {
     // ---- Summary ----
     let total_bytes: u64 = (0..nranks.max(1))
         .flat_map(|r| {
-            let store = &store;
             store.list_generations(r).unwrap_or_default().into_iter().map(move |g| {
                 store.get_chunk(ChunkKey::new(r, g)).map(|d| d.len() as u64).unwrap_or(0)
             })
@@ -697,7 +684,62 @@ fn main() {
         fnum(total_bytes as f64 / 1e6, 2),
         problems
     );
-    if problems > 0 {
-        std::process::exit(1);
+    problems
+}
+
+/// A chunk-table row for a chunk that did not decode: its size and
+/// what went wrong, after placeholders for what only decoding yields.
+fn broken_chunk_row(generation: u64, size: String, error: String) -> Vec<String> {
+    let mut row = vec![generation.to_string()];
+    row.extend(["?", "?", "?", "-", "-", "-", "-"].map(String::from));
+    row.extend([size, error]);
+    row
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ickpt::storage::{ChunkBuf, StorageError};
+
+    /// An empty store whose listings fail.
+    struct Unlistable;
+
+    fn listing_failed() -> StorageError {
+        StorageError::Io(std::io::Error::other("listing failed"))
+    }
+
+    impl StableStorage for Unlistable {
+        fn store_chunk(&self, _: ChunkKey, _: ChunkBuf) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
+            Err(StorageError::NotFound(key))
+        }
+        fn delete_chunk(&self, _: ChunkKey) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn list_generations(&self, _: u32) -> Result<Vec<u64>, StorageError> {
+            Err(listing_failed())
+        }
+        fn put_manifest(&self, _: u64, _: &[u8]) -> Result<(), StorageError> {
+            Ok(())
+        }
+        fn get_manifest(&self, generation: u64) -> Result<Vec<u8>, StorageError> {
+            Err(StorageError::ManifestNotFound(generation))
+        }
+        fn list_manifests(&self) -> Result<Vec<u64>, StorageError> {
+            Err(listing_failed())
+        }
+        fn delete_manifest(&self, _: u64) -> Result<(), StorageError> {
+            Ok(())
+        }
+    }
+
+    /// A store that cannot list its manifests or a rank's chunks is not
+    /// an empty one: each failed listing is a problem.
+    #[test]
+    fn a_listing_error_is_a_problem() {
+        assert_eq!(store_report(&Unlistable, "unlistable", None), 2);
+        assert_eq!(store_report(&Unlistable, "unlistable", Some(5)), 2);
     }
 }

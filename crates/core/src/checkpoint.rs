@@ -47,15 +47,18 @@ fn is_zero_page(content: &[u8]) -> bool {
     kernels::is_zero(content)
 }
 
+/// Below this many pages, capture and planned restore stay serial
+/// whatever their worker count: thread spawn would cost more than the
+/// copy.
+pub(crate) const PARALLEL_THRESHOLD_PAGES: u64 = 2048;
+
 /// Tuning for the capture fast path.
 #[derive(Debug, Clone)]
 pub struct CaptureConfig {
     /// Page-copy worker threads. 1 = serial. The captured chunk is
-    /// byte-identical for every worker count.
+    /// byte-identical for every worker count. Below
+    /// `PARALLEL_THRESHOLD_PAGES` (2048) total pages capture stays serial.
     pub workers: usize,
-    /// Below this many total pages, capture stays serial regardless of
-    /// `workers` (thread spawn would cost more than the copy).
-    pub parallel_threshold_pages: u64,
     /// Flight recorder; each capture emits one `Event::Capture` on the
     /// rank lane. Disabled by default — a test-and-return on the hot
     /// path (perf/'s `obs.disabled_ns` measures it).
@@ -81,13 +84,7 @@ pub(crate) const DEFAULT_DELTA_MAX_BLOCKS: u32 = 12;
 
 impl Default for CaptureConfig {
     fn default() -> Self {
-        Self {
-            workers: 1,
-            parallel_threshold_pages: 2048,
-            obs: Recorder::disabled(),
-            obs_rank: 0,
-            dedup: false,
-        }
+        Self { workers: 1, obs: Recorder::disabled(), obs_rank: 0, dedup: false }
     }
 }
 
@@ -544,7 +541,7 @@ fn capture_records<S: PageSource + Sync>(
             scratch.dedup_index.ensure_capacity(last.start + last.len);
         }
     }
-    if cfg.workers <= 1 || total < cfg.parallel_threshold_pages {
+    if cfg.workers <= 1 || total < PARALLEL_THRESHOLD_PAGES {
         let mut out = std::mem::take(&mut scratch.workers[0]);
         let window = if cfg.dedup {
             let spans = vec![ranges.to_vec()];
@@ -885,16 +882,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_capture_is_byte_identical() {
+    /// A space above `PARALLEL_THRESHOLD_PAGES` (2048), so capture fans out.
+    fn parallel_space() -> BackedSpace {
         let layout = LayoutBuilder::new()
             .static_bytes(16 * PAGE_SIZE)
-            .heap_capacity_bytes(512 * PAGE_SIZE)
+            .heap_capacity_bytes(PARALLEL_THRESHOLD_PAGES * PAGE_SIZE)
             .mmap_capacity_bytes(128 * PAGE_SIZE)
             .build();
         let mut s = BackedSpace::new(layout);
-        s.heap_grow(500).unwrap();
+        s.heap_grow(PARALLEL_THRESHOLD_PAGES - 12).unwrap();
         s.mmap(100).unwrap();
+        assert!(s.mapped_pages() > PARALLEL_THRESHOLD_PAGES);
+        s
+    }
+
+    #[test]
+    fn parallel_capture_is_byte_identical() {
+        let mut s = parallel_space();
         // A mix of content, zero pages and runs crossing span seams.
         for r in s.mapped_ranges() {
             for p in r.iter() {
@@ -905,7 +909,7 @@ mod tests {
         }
         let serial = capture_full(&s, 0, 9, SimTime::from_secs(1)).encode();
         for workers in [2usize, 3, 4, 8] {
-            let cfg = CaptureConfig { workers, parallel_threshold_pages: 0, ..Default::default() };
+            let cfg = CaptureConfig { workers, ..Default::default() };
             let mut scratch = CaptureScratch::new();
             let par = capture_full_with(&s, 0, 9, SimTime::from_secs(1), &cfg, &mut scratch);
             assert_eq!(par.encode(), serial, "workers={workers}");
@@ -1063,14 +1067,7 @@ mod tests {
 
     #[test]
     fn parallel_dedup_capture_is_byte_identical() {
-        let layout = LayoutBuilder::new()
-            .static_bytes(16 * PAGE_SIZE)
-            .heap_capacity_bytes(512 * PAGE_SIZE)
-            .mmap_capacity_bytes(128 * PAGE_SIZE)
-            .build();
-        let mut s = BackedSpace::new(layout);
-        s.heap_grow(500).unwrap();
-        s.mmap(100).unwrap();
+        let mut s = parallel_space();
         for r in s.mapped_ranges() {
             for p in r.iter() {
                 if p % 7 != 0 {
@@ -1098,12 +1095,7 @@ mod tests {
 
         let mut serial_enc = None;
         for workers in [1usize, 2, 3, 8] {
-            let cfg = CaptureConfig {
-                workers,
-                parallel_threshold_pages: 0,
-                dedup: true,
-                ..Default::default()
-            };
+            let cfg = CaptureConfig { workers, dedup: true, ..Default::default() };
             let mut scratch = CaptureScratch::new();
             let mut sc = s.clone();
             let full = capture_full_with(&sc, 0, 0, SimTime::ZERO, &cfg, &mut scratch);

@@ -40,30 +40,29 @@ use ickpt_storage::{
     CHUNK_PAGE_SIZE,
 };
 
+use crate::checkpoint::PARALLEL_THRESHOLD_PAGES;
 use crate::error::CoreError;
 
 /// How a planned restore executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RestoreConfig {
     /// Verify/apply worker threads. 1 = serial. The restored image is
-    /// byte-identical for every worker count.
+    /// byte-identical for every worker count. Below
+    /// `PARALLEL_THRESHOLD_PAGES` (2048) planned pages, plan application
+    /// stays serial; chunk CRC verification still parallelizes.
     pub workers: usize,
-    /// Below this many planned pages, plan application stays serial
-    /// regardless of `workers` (thread spawn would cost more than the
-    /// copy). Chunk CRC verification still parallelizes.
-    pub parallel_threshold_pages: u64,
 }
 
 impl Default for RestoreConfig {
     fn default() -> Self {
-        Self { workers: 1, parallel_threshold_pages: 2048 }
+        Self { workers: 1 }
     }
 }
 
 impl RestoreConfig {
     /// Restore with `workers` threads.
     pub fn with_workers(workers: usize) -> Self {
-        Self { workers: workers.max(1), ..Self::default() }
+        Self { workers: workers.max(1) }
     }
 }
 
@@ -306,7 +305,7 @@ pub fn restore_rank_with(
     // sorted, disjoint segments, so the spans ascend without overlap
     // and each shard writes only its own view. Every planned page is
     // mapped (the keep predicate), so the spans lie inside the arena.
-    let workers = if plan.applied_pages() < cfg.parallel_threshold_pages { 1 } else { cfg.workers };
+    let workers = if plan.applied_pages() < PARALLEL_THRESHOLD_PAGES { 1 } else { cfg.workers };
     let (shards, spans): (Vec<Vec<PlanSegment>>, Vec<PageRange>) =
         shard_segments(&plan.segments, workers)
             .into_iter()
@@ -606,8 +605,14 @@ mod tests {
 
     #[test]
     fn parallel_restore_matches_serial() {
-        let mut s = BackedSpace::new(layout());
-        s.heap_grow(6).unwrap();
+        // Above the threshold, so plan application fans out.
+        let layout = LayoutBuilder::new()
+            .static_bytes(4 * PAGE_SIZE)
+            .heap_capacity_bytes(PARALLEL_THRESHOLD_PAGES * PAGE_SIZE)
+            .mmap_capacity_bytes(8 * PAGE_SIZE)
+            .build();
+        let mut s = BackedSpace::new(layout);
+        s.heap_grow(PARALLEL_THRESHOLD_PAGES).unwrap();
         s.mmap(3).unwrap();
         for r in s.mapped_ranges() {
             for p in r.iter() {
@@ -621,8 +626,8 @@ mod tests {
         let digest = s.content_digest();
 
         for workers in [1, 2, 8] {
-            let cfg = RestoreConfig { workers, parallel_threshold_pages: 0 };
-            let mut fresh = BackedSpace::new(layout());
+            let cfg = RestoreConfig { workers };
+            let mut fresh = BackedSpace::new(layout);
             let report = restore_rank_with(&store, 0, 1, &mut fresh, &cfg).unwrap();
             assert_eq!(fresh.content_digest(), digest, "workers={workers}");
             assert_eq!(report.pages_applied, s.mapped_pages(), "workers={workers}");

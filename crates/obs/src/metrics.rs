@@ -378,6 +378,92 @@ pub(crate) struct GroupMetrics {
     /// Where the last event's window is: the next one's, mostly.
     window_hint: usize,
     horizon_ns: u64,
+    /// Per-lane and per-tenant rows, drain-depth sample counts and
+    /// per-tier recovery read time: what [`ObsSummary`](crate::ObsSummary)
+    /// reports. Read only inside the crate; neither rendered by
+    /// `render_text` nor counted in `meta()`.
+    pub(crate) ranks: Rows<RankStats>,
+    pub(crate) tenants: Rows<TenantStats>,
+    /// Drain queue depth → samples at that depth.
+    pub(crate) drain_depths: BTreeMap<u64, u64>,
+    /// Virtual ns of recovery reads, by tier.
+    pub(crate) recovery_read_ns: [u64; RecoveryTier::ALL.len()],
+}
+
+/// One rank lane's totals.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct RankStats {
+    /// Rank id.
+    pub rank: u32,
+    /// Virtual ns the rank was blocked on in-flight checkpoints.
+    pub stall_ns: u64,
+    /// Checkpoint captures taken.
+    pub captures: u64,
+    /// Pages stored across captures.
+    pub capture_pages: u64,
+    /// Encoded bytes across captures.
+    pub capture_bytes: u64,
+    /// Iteration boundaries crossed.
+    pub iterations: u64,
+    /// Silent same-value pages the content layer dropped.
+    pub dedup_pages: u64,
+    /// Bytes those drops kept off the storage path.
+    pub dedup_bytes_saved: u64,
+    /// Pages shipped as sub-page delta records.
+    pub delta_pages: u64,
+    /// Bytes delta encoding saved net of stored blocks and headers.
+    pub delta_bytes_saved: u64,
+}
+
+/// One service tenant's totals, keyed by the events' `tenant` field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct TenantStats {
+    /// Tenant id within the service.
+    pub tenant: u32,
+    /// Checkpoint requests that completed (stall spans observed).
+    pub checkpoints: u64,
+    /// Admission grants.
+    pub admitted: u64,
+    /// Admission rejections (deferred requests).
+    pub rejections: u64,
+    /// Payload bytes admitted into the service.
+    pub admitted_bytes: u64,
+    /// Total virtual ns the tenant was blocked on its requests.
+    pub stall_ns: u64,
+    /// Largest single blocked interval, virtual ns.
+    pub stall_max_ns: u64,
+}
+
+/// Rows keyed by a rank or tenant id: a vector below [`DENSE_LANE_IDS`],
+/// an ordered map at or above it, so no id sizes an allocation.
+#[derive(Debug, Clone)]
+pub(crate) struct Rows<T> {
+    dense: Vec<Option<T>>,
+    sparse: BTreeMap<u32, T>,
+}
+
+impl<T> Default for Rows<T> {
+    fn default() -> Self {
+        Self { dense: Vec::new(), sparse: BTreeMap::new() }
+    }
+}
+
+impl<T> Rows<T> {
+    fn row(&mut self, id: u32, init: impl FnOnce() -> T) -> &mut T {
+        if id >= DENSE_LANE_IDS {
+            return self.sparse.entry(id).or_insert_with(init);
+        }
+        let at = id as usize;
+        if at >= self.dense.len() {
+            self.dense.resize_with(at + 1, || None);
+        }
+        self.dense[at].get_or_insert_with(init)
+    }
+
+    /// Every row, id order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.dense.iter().flatten().chain(self.sparse.values())
+    }
 }
 
 impl GroupMetrics {
@@ -406,6 +492,15 @@ impl GroupMetrics {
     fn hist(&mut self, id: Hist, v: u64) -> u64 {
         self.hists[id as usize].record(v);
         1
+    }
+
+    fn rank(&mut self, lane: Lane) -> Option<&mut RankStats> {
+        let Lane::Rank(rank) = lane else { return None };
+        Some(self.ranks.row(rank, || RankStats { rank, ..RankStats::default() }))
+    }
+
+    fn tenant(&mut self, tenant: u32) -> &mut TenantStats {
+        self.tenants.row(tenant, || TenantStats { tenant, ..TenantStats::default() })
     }
 
     fn window(&mut self, ts: SimTime, window_ns: u64) -> &mut WindowAccum {
@@ -458,6 +553,9 @@ impl GroupMetrics {
             }
             Event::IterationBoundary { .. } => {
                 updates += self.add(Ctr::Iterations, MetricLabel::None, 1);
+                if let Some(r) = self.rank(lane) {
+                    r.iterations += 1;
+                }
             }
             Event::TrackerWindow { faults, .. } => {
                 updates += self.add(Ctr::TrackerWindows, MetricLabel::None, 1);
@@ -473,6 +571,11 @@ impl GroupMetrics {
                 w.effective_ib_bytes += payload_bytes;
                 w.dirty_ib_bytes += payload_bytes;
                 updates += 3;
+                if let Some(r) = self.rank(lane) {
+                    r.captures += 1;
+                    r.capture_pages += pages;
+                    r.capture_bytes += payload_bytes;
+                }
             }
             Event::DedupSkip { pages, bytes_saved, .. } => {
                 updates += self.add(Ctr::DedupPages, MetricLabel::None, pages);
@@ -480,6 +583,10 @@ impl GroupMetrics {
                 updates += self.add(Ctr::DirtyBytes, MetricLabel::None, bytes_saved);
                 self.window(ev.ts, window_ns).dirty_ib_bytes += bytes_saved;
                 updates += 1;
+                if let Some(r) = self.rank(lane) {
+                    r.dedup_pages += pages;
+                    r.dedup_bytes_saved += bytes_saved;
+                }
             }
             Event::DeltaEncode { pages, bytes_saved, .. } => {
                 updates += self.add(Ctr::DeltaPages, MetricLabel::None, pages);
@@ -487,6 +594,10 @@ impl GroupMetrics {
                 updates += self.add(Ctr::DirtyBytes, MetricLabel::None, bytes_saved);
                 self.window(ev.ts, window_ns).dirty_ib_bytes += bytes_saved;
                 updates += 1;
+                if let Some(r) = self.rank(lane) {
+                    r.delta_pages += pages;
+                    r.delta_bytes_saved += bytes_saved;
+                }
             }
             Event::CheckpointStall { .. } => {
                 updates += self.add(Ctr::StallNs, MetricLabel::None, dur);
@@ -496,6 +607,9 @@ impl GroupMetrics {
                 w.stall.record(dur);
                 updates += 1;
                 hists += 1;
+                if let Some(r) = self.rank(lane) {
+                    r.stall_ns += dur;
+                }
             }
             Event::CommitBarrier { .. } => {
                 updates += self.add(Ctr::Commits, MetricLabel::None, 1);
@@ -545,33 +659,43 @@ impl GroupMetrics {
                 let w = self.window(ev.ts, window_ns);
                 w.drain_depth_max = w.drain_depth_max.max(depth);
                 updates += 1;
+                *self.drain_depths.entry(depth).or_insert(0) += 1;
             }
             Event::DrainTorn { generations, bytes } => {
                 updates += self.add(Ctr::DrainTornGenerations, MetricLabel::None, generations);
                 updates += self.add(Ctr::DrainTornBytes, MetricLabel::None, bytes);
             }
-            Event::AdmissionGrant { bytes, .. } => {
+            Event::AdmissionGrant { tenant, bytes, .. } => {
                 updates += self.add(Ctr::Admits, MetricLabel::None, 1);
                 updates += self.add(Ctr::AdmitBytes, MetricLabel::None, bytes);
                 self.window(ev.ts, window_ns).admits += 1;
                 updates += 1;
+                let t = self.tenant(tenant);
+                t.admitted += 1;
+                t.admitted_bytes += bytes;
             }
-            Event::AdmissionReject { retry_ns, .. } => {
+            Event::AdmissionReject { tenant, retry_ns, .. } => {
                 updates += self.add(Ctr::Rejects, MetricLabel::None, 1);
                 hists += self.hist(Hist::AdmissionWait, retry_ns);
                 self.window(ev.ts, window_ns).rejects += 1;
                 updates += 1;
+                self.tenant(tenant).rejections += 1;
             }
-            Event::TenantStall { .. } => {
+            Event::TenantStall { tenant, .. } => {
                 updates += self.add(Ctr::TenantCheckpoints, MetricLabel::None, 1);
                 updates += self.add(Ctr::TenantStallNs, MetricLabel::None, dur);
                 hists += self.hist(Hist::TenantStall, dur);
                 self.window(ev.ts, window_ns).tenant_stall.record(dur);
                 hists += 1;
+                let t = self.tenant(tenant);
+                t.checkpoints += 1;
+                t.stall_ns += dur;
+                t.stall_max_ns = t.stall_max_ns.max(dur);
             }
             Event::RecoveryRead { tier, bytes } => {
                 updates += self.add(Ctr::RecoveryReads, MetricLabel::Tier(tier), 1);
                 updates += self.add(Ctr::RecoveryReadBytes, MetricLabel::Tier(tier), bytes);
+                self.recovery_read_ns[tier as usize] += dur;
             }
             Event::RecoveryPlan { tier, .. } => {
                 updates += self.add(Ctr::RecoveryPlans, MetricLabel::Tier(tier), 1);
@@ -757,7 +881,7 @@ pub struct MetricsView {
     group: u32,
     name: String,
     window_ns: u64,
-    metrics: Box<GroupMetrics>,
+    pub(crate) metrics: Box<GroupMetrics>,
 }
 
 impl MetricsView {
@@ -838,6 +962,15 @@ impl MetricsView {
             acc.merge(w);
         }
         acc
+    }
+
+    /// `events` folded into one fresh group, in a single window.
+    pub(crate) fn fold<'a>(events: impl IntoIterator<Item = (Lane, &'a TimedEvent)>) -> Self {
+        let mut metrics = Box::<GroupMetrics>::default();
+        for (lane, ev) in events {
+            metrics.apply(lane, ev, u64::MAX);
+        }
+        MetricsView { group: 0, name: String::new(), window_ns: u64::MAX, metrics }
     }
 }
 

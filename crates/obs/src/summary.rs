@@ -1,282 +1,101 @@
 //! Derived aggregates over a trace snapshot: the numbers a human
 //! wants before opening the full timeline — device utilization,
 //! per-rank stall, drain-queue depth distribution, and where recovery
-//! latency went. All integer arithmetic; rendering is deterministic.
+//! latency went. The summary folds nothing itself: the snapshot's
+//! events are ingested into one fresh metrics-plane group and rendered
+//! from that group's state, so the summary and the plane are one
+//! accounting. All integer arithmetic; rendering is deterministic.
 
-use std::collections::BTreeMap;
 use std::fmt::Write;
 
-use crate::event::{Event, Lane, RecoveryTier};
+use crate::event::{Lane, RecoveryTier};
 use crate::log::TraceSnapshot;
+use crate::metrics::{LogHistogram, MetricLabel, MetricsView, RankStats, TenantStats};
 
-/// One device lane's aggregate activity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceStats {
-    /// Track label (`dev:local:3`).
-    pub label: String,
-    /// Transfers serviced.
-    pub transfers: u64,
-    /// Payload bytes moved.
-    pub bytes: u64,
-    /// Total service (busy) time, virtual ns.
-    pub busy_ns: u64,
-    /// Total time transfers waited in queue, virtual ns.
-    pub queue_wait_ns: u64,
-}
-
-/// One rank lane's aggregate activity.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RankStats {
-    /// Rank id.
-    pub rank: u32,
-    /// Virtual ns the rank was blocked on in-flight checkpoints.
-    pub stall_ns: u64,
-    /// Checkpoint captures taken.
-    pub captures: u64,
-    /// Pages stored across captures.
-    pub capture_pages: u64,
-    /// Encoded bytes across captures.
-    pub capture_bytes: u64,
-    /// Iteration boundaries crossed.
-    pub iterations: u64,
-    /// Silent same-value pages the content layer dropped.
-    pub dedup_pages: u64,
-    /// Bytes those drops kept off the storage path.
-    pub dedup_bytes_saved: u64,
-    /// Pages shipped as sub-page delta records.
-    pub delta_pages: u64,
-    /// Bytes delta encoding saved net of stored blocks and headers.
-    pub delta_bytes_saved: u64,
-}
-
-/// One service tenant's aggregate activity (multi-tenant runs).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TenantStats {
-    /// Tenant id within the service.
-    pub tenant: u32,
-    /// Checkpoint requests that completed (stall spans observed).
-    pub checkpoints: u64,
-    /// Admission grants.
-    pub admitted: u64,
-    /// Admission rejections (deferred requests).
-    pub rejections: u64,
-    /// Payload bytes admitted into the service.
-    pub admitted_bytes: u64,
-    /// Total virtual ns the tenant was blocked on its requests.
-    pub stall_ns: u64,
-    /// Largest single blocked interval, virtual ns.
-    pub stall_max_ns: u64,
-}
-
-/// Aggregate recovery activity for one tier.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct TierRecoveryStats {
-    /// Recovery plans that chose this tier.
-    pub plans: u64,
-    /// Read operations charged to this tier.
-    pub reads: u64,
-    /// Bytes read from this tier.
-    pub bytes: u64,
-    /// Virtual ns of read service charged to this tier.
-    pub read_ns: u64,
-}
-
-/// The digest merged into `RunReport` and rendered by `inspect`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// The flight-recorder digest the bench binaries print beside each
+/// traced experiment (`repro --trace-out`, `redundancy_smoke
+/// --trace-out`).
+#[derive(Debug, Clone)]
 pub struct ObsSummary {
-    /// Latest instant covered by any event (ts + dur), virtual ns.
-    pub horizon_ns: u64,
     /// Events retained across all tracks.
     pub events: u64,
     /// Events evicted by full rings.
     pub dropped: u64,
-    /// Per-device aggregates, label order.
-    pub devices: Vec<DeviceStats>,
     /// Per-rank aggregates, rank order.
     pub ranks: Vec<RankStats>,
     /// Per-tenant aggregates, tenant order (multi-tenant service runs).
     pub tenants: Vec<TenantStats>,
-    /// Drain batches flushed.
-    pub drain_batches: u64,
-    /// Bytes drained to the durable array.
-    pub drain_bytes: u64,
-    /// Virtual ns from commit to drain completion, summed over batches.
-    pub drain_latency_ns: u64,
-    /// Generations whose in-flight drain a failure tore (rolled back
-    /// and re-drained after recovery).
-    pub torn_generations: u64,
-    /// Bytes of partially-written drain batches discarded by rollback.
-    pub torn_bytes: u64,
-    /// `(queue depth, samples observed at that depth)`, depth order.
-    pub drain_depth_histogram: Vec<(u64, u64)>,
-    /// Health-monitor SLO breaches recorded on the run lane.
-    pub slo_breaches: u64,
-    /// Recovery activity per tier: (tier, stats), tier order.
-    pub recovery: Vec<(RecoveryTier, TierRecoveryStats)>,
-    /// Restore spans observed: (count, total ns, pages, bytes).
-    pub restores: u64,
-    /// Total virtual ns spent inside restore spans.
-    pub restore_ns: u64,
+    /// Every retained event, in one plane group.
+    view: MetricsView,
 }
 
 impl ObsSummary {
-    /// Aggregate `snap` (all groups combined; per-run recorders hold
-    /// one group, multi-run recorders merge by lane label) in one pass
-    /// over every track's events.
+    /// Aggregate `snap`, all groups combined (per-run recorders hold
+    /// one group, multi-run recorders merge by lane).
     pub fn from_snapshot(snap: &TraceSnapshot) -> Self {
-        // Devices are keyed by lane while folding (the label is
-        // formatted once per device, not per transfer) and sorted by
-        // label at the end; `Lane::label` is injective.
-        let mut devices: BTreeMap<Lane, DeviceStats> = BTreeMap::new();
-        let mut ranks: BTreeMap<u32, RankStats> = BTreeMap::new();
-        let mut tenants: BTreeMap<u32, TenantStats> = BTreeMap::new();
-        let mut depth_hist: BTreeMap<u64, u64> = BTreeMap::new();
-        let mut recovery: BTreeMap<RecoveryTier, TierRecoveryStats> = BTreeMap::new();
-        let mut s = ObsSummary::default();
-
-        for (key, events, dropped) in &snap.tracks {
-            s.dropped += dropped;
-            for ev in events {
-                s.events += 1;
-                s.horizon_ns = s.horizon_ns.max(ev.ts.0 + ev.dur.0);
-                match ev.event {
-                    Event::DeviceTransfer { bytes, queue_wait_ns, service_ns } => {
-                        let d = entry(&mut devices, key.lane, || DeviceStats {
-                            label: key.lane.label(),
-                            transfers: 0,
-                            bytes: 0,
-                            busy_ns: 0,
-                            queue_wait_ns: 0,
-                        });
-                        d.transfers += 1;
-                        d.bytes += bytes;
-                        d.busy_ns += service_ns;
-                        d.queue_wait_ns += queue_wait_ns;
-                    }
-                    Event::CheckpointStall { .. } => {
-                        if let Lane::Rank(r) = key.lane {
-                            rank_entry(&mut ranks, r).stall_ns += ev.dur.0;
-                        }
-                    }
-                    Event::Capture { pages, payload_bytes, .. } => {
-                        if let Lane::Rank(r) = key.lane {
-                            let e = rank_entry(&mut ranks, r);
-                            e.captures += 1;
-                            e.capture_pages += pages;
-                            e.capture_bytes += payload_bytes;
-                        }
-                    }
-                    Event::IterationBoundary { .. } => {
-                        if let Lane::Rank(r) = key.lane {
-                            rank_entry(&mut ranks, r).iterations += 1;
-                        }
-                    }
-                    Event::DedupSkip { pages, bytes_saved, .. } => {
-                        if let Lane::Rank(r) = key.lane {
-                            let e = rank_entry(&mut ranks, r);
-                            e.dedup_pages += pages;
-                            e.dedup_bytes_saved += bytes_saved;
-                        }
-                    }
-                    Event::DeltaEncode { pages, bytes_saved, .. } => {
-                        if let Lane::Rank(r) = key.lane {
-                            let e = rank_entry(&mut ranks, r);
-                            e.delta_pages += pages;
-                            e.delta_bytes_saved += bytes_saved;
-                        }
-                    }
-                    Event::DrainBatch { bytes, .. } => {
-                        s.drain_batches += 1;
-                        s.drain_bytes += bytes;
-                        s.drain_latency_ns += ev.dur.0;
-                    }
-                    Event::DrainQueueDepth { depth } => {
-                        *depth_hist.entry(depth).or_insert(0) += 1;
-                    }
-                    Event::DrainTorn { generations, bytes } => {
-                        s.torn_generations += generations;
-                        s.torn_bytes += bytes;
-                    }
-                    Event::SloBreach { .. } => {
-                        s.slo_breaches += 1;
-                    }
-                    Event::AdmissionGrant { tenant, bytes, .. } => {
-                        let e = tenant_entry(&mut tenants, tenant);
-                        e.admitted += 1;
-                        e.admitted_bytes += bytes;
-                    }
-                    Event::AdmissionReject { tenant, .. } => {
-                        tenant_entry(&mut tenants, tenant).rejections += 1;
-                    }
-                    Event::TenantStall { tenant, .. } => {
-                        let e = tenant_entry(&mut tenants, tenant);
-                        e.checkpoints += 1;
-                        e.stall_ns += ev.dur.0;
-                        e.stall_max_ns = e.stall_max_ns.max(ev.dur.0);
-                    }
-                    Event::RecoveryRead { tier, bytes } => {
-                        let e = recovery.entry(tier).or_default();
-                        e.reads += 1;
-                        e.bytes += bytes;
-                        e.read_ns += ev.dur.0;
-                    }
-                    Event::RecoveryPlan { tier, .. } => {
-                        recovery.entry(tier).or_default().plans += 1;
-                    }
-                    Event::Restore { .. } => {
-                        s.restores += 1;
-                        s.restore_ns += ev.dur.0;
-                    }
-                    _ => {}
-                }
-            }
+        let view = MetricsView::fold(
+            snap.tracks.iter().flat_map(|(key, evs, _)| evs.iter().map(move |ev| (key.lane, ev))),
+        );
+        ObsSummary {
+            events: snap.event_count() as u64,
+            dropped: snap.dropped(),
+            ranks: view.metrics.ranks.iter().cloned().collect(),
+            tenants: view.metrics.tenants.iter().copied().collect(),
+            view,
         }
-
-        s.devices = devices.into_values().collect();
-        s.devices.sort_unstable_by(|a, b| a.label.cmp(&b.label));
-        s.ranks = ranks.into_values().collect();
-        s.tenants = tenants.into_values().collect();
-        s.drain_depth_histogram = depth_hist.into_iter().collect();
-        s.recovery = recovery.into_iter().collect();
-        s
     }
 
-    /// Utilization of `dev` over the observed horizon, in basis
-    /// points (0..=10000); `None` with an empty horizon.
-    pub(crate) fn utilization_bp(&self, dev: &DeviceStats) -> Option<u64> {
-        if self.horizon_ns == 0 {
-            return None;
-        }
-        Some((dev.busy_ns as u128 * 10_000 / self.horizon_ns as u128).min(10_000) as u64)
+    /// Device lanes with transfers, by track label (`dev:local:3`):
+    /// `Lane::label` is injective, so label order is a total order.
+    fn devices(&self) -> Vec<(String, MetricLabel)> {
+        let mut devices: Vec<(String, MetricLabel)> = (self
+            .view
+            .counters_labeled("device_transfers"))
+        .into_iter()
+        .filter_map(|(label, _)| match label {
+            MetricLabel::Device(kind, idx) => Some((Lane::Device(kind, idx).label(), label)),
+            _ => None,
+        })
+        .collect();
+        devices.sort_unstable();
+        devices
     }
 
     /// Human-readable digest (deterministic; integer math only).
     pub fn render(&self) -> String {
+        let (v, g) = (&self.view, &self.view.metrics);
+        let horizon_ns = v.horizon_ns();
         let mut out = String::new();
         let _ = writeln!(
             out,
             "flight recorder: {} events over {} virtual s{}",
             self.events,
-            self.horizon_ns / 1_000_000_000,
+            horizon_ns / 1_000_000_000,
             if self.dropped > 0 {
                 format!(" ({} dropped by full rings)", self.dropped)
             } else {
                 String::new()
             }
         );
-        if !self.devices.is_empty() {
+        let devices = self.devices();
+        if !devices.is_empty() {
             let _ = writeln!(out, "  device utilization:");
-            for d in &self.devices {
-                let bp = self.utilization_bp(d).unwrap_or(0);
+            for (name, label) in devices {
+                // Basis points of the observed horizon, at most 100 %.
+                let busy = v.counter_labeled("device_busy_ns", label) as u128;
+                let bp = match horizon_ns {
+                    0 => 0,
+                    h => (busy * 10_000 / h as u128).min(10_000) as u64,
+                };
                 let _ = writeln!(
                     out,
                     "    {:<16} {:>4}.{:02}%  {} transfers, {} bytes, queue-wait {} ms",
-                    d.label,
+                    name,
                     bp / 100,
                     bp % 100,
-                    d.transfers,
-                    d.bytes,
-                    d.queue_wait_ns / 1_000_000
+                    v.counter_labeled("device_transfers", label),
+                    v.counter_labeled("device_bytes", label),
+                    v.counter_labeled("device_queue_wait_ns", label) / 1_000_000
                 );
             }
         }
@@ -321,51 +140,59 @@ impl ObsSummary {
                 );
             }
         }
-        if self.drain_batches > 0
-            || self.torn_generations > 0
-            || !self.drain_depth_histogram.is_empty()
-        {
+        let (batches, torn) = (v.counter("drain_batches"), v.counter("drain_torn_generations"));
+        if batches > 0 || torn > 0 || !g.drain_depths.is_empty() {
             let _ = writeln!(
                 out,
                 "  drain: {} batches, {} bytes, commit→durable latency {} ms total",
-                self.drain_batches,
-                self.drain_bytes,
-                self.drain_latency_ns / 1_000_000
+                batches,
+                v.counter("drain_bytes"),
+                v.histogram("drain_batch_ns").map_or(0, LogHistogram::sum) / 1_000_000
             );
-            if self.torn_generations > 0 {
+            if torn > 0 {
                 let _ = writeln!(
                     out,
                     "    torn by failures: {} generations, {} bytes rolled back",
-                    self.torn_generations, self.torn_bytes
+                    torn,
+                    v.counter("drain_torn_bytes")
                 );
             }
-            if !self.drain_depth_histogram.is_empty() {
+            if !g.drain_depths.is_empty() {
                 let _ = write!(out, "    depth histogram:");
-                for (depth, count) in &self.drain_depth_histogram {
+                for (depth, count) in &g.drain_depths {
                     let _ = write!(out, " {depth}:{count}");
                 }
                 out.push('\n');
             }
         }
-        if self.slo_breaches > 0 {
-            let _ = writeln!(out, "  health: {} SLO breach windows", self.slo_breaches);
+        if v.counter("slo_breaches") > 0 {
+            let _ = writeln!(out, "  health: {} SLO breach windows", v.counter("slo_breaches"));
         }
-        if !self.recovery.is_empty() || self.restores > 0 {
+        let tiers: Vec<(RecoveryTier, u64, u64)> = RecoveryTier::ALL
+            .into_iter()
+            .map(|tier| {
+                let label = MetricLabel::Tier(tier);
+                let plans = v.counter_labeled("recovery_plans", label);
+                (tier, plans, v.counter_labeled("recovery_reads", label))
+            })
+            .filter(|(_, plans, reads)| plans + reads > 0)
+            .collect();
+        if !tiers.is_empty() || v.counter("restores") > 0 {
             let _ = writeln!(
                 out,
                 "  recovery: {} restores, {} ms in restore spans",
-                self.restores,
-                self.restore_ns / 1_000_000
+                v.counter("restores"),
+                v.counter("restore_ns") / 1_000_000
             );
-            for (tier, t) in &self.recovery {
+            for (tier, plans, reads) in tiers {
                 let _ = writeln!(
                     out,
                     "    {:<13} {} plans, {} reads, {} bytes, {} ms read time",
                     tier.token(),
-                    t.plans,
-                    t.reads,
-                    t.bytes,
-                    t.read_ns / 1_000_000
+                    plans,
+                    reads,
+                    v.counter_labeled("recovery_read_bytes", MetricLabel::Tier(tier)),
+                    g.recovery_read_ns[tier as usize] / 1_000_000
                 );
             }
         }
@@ -373,47 +200,10 @@ impl ObsSummary {
     }
 }
 
-/// `map[key]`, inserted by `init` when absent. Tracks arrive in lane
-/// order, so the key a track's events fold into is almost always the
-/// largest one yet: the last entry is checked before searching.
-fn entry<K: Ord, V>(map: &mut BTreeMap<K, V>, key: K, init: impl FnOnce() -> V) -> &mut V {
-    if map.last_key_value().is_some_and(|(last, _)| *last == key) {
-        return map.last_entry().expect("checked non-empty").into_mut();
-    }
-    map.entry(key).or_insert_with(init)
-}
-
-fn tenant_entry(map: &mut BTreeMap<u32, TenantStats>, tenant: u32) -> &mut TenantStats {
-    entry(map, tenant, || TenantStats {
-        tenant,
-        checkpoints: 0,
-        admitted: 0,
-        rejections: 0,
-        admitted_bytes: 0,
-        stall_ns: 0,
-        stall_max_ns: 0,
-    })
-}
-
-fn rank_entry(map: &mut BTreeMap<u32, RankStats>, rank: u32) -> &mut RankStats {
-    entry(map, rank, || RankStats {
-        rank,
-        stall_ns: 0,
-        captures: 0,
-        capture_pages: 0,
-        capture_bytes: 0,
-        iterations: 0,
-        dedup_pages: 0,
-        dedup_bytes_saved: 0,
-        delta_pages: 0,
-        delta_bytes_saved: 0,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{CaptureKind, DeviceKind, TimedEvent};
+    use crate::event::{CaptureKind, DeviceKind, Event, TimedEvent};
     use crate::log::{FlightRecorder, Recorder};
     use ickpt_sim::{SimDuration, SimTime};
 
@@ -469,23 +259,24 @@ mod tests {
         );
 
         let s = ObsSummary::from_snapshot(&fr.snapshot());
-        assert_eq!(s.devices.len(), 1);
-        assert_eq!(s.devices[0].bytes, 300);
-        assert_eq!(s.devices[0].busy_ns, 90);
-        assert_eq!(s.devices[0].queue_wait_ns, 5);
+        let v = &s.view;
+        let label = MetricLabel::Device(DeviceKind::Array, 0);
+        assert_eq!(s.devices().len(), 1);
+        assert_eq!(v.counter_labeled("device_bytes", label), 300);
+        assert_eq!(v.counter_labeled("device_busy_ns", label), 90);
+        assert_eq!(v.counter_labeled("device_queue_wait_ns", label), 5);
         assert_eq!(s.ranks[0].stall_ns, 30);
         assert_eq!(s.ranks[0].captures, 1);
-        assert_eq!(s.drain_depth_histogram, vec![(2, 2)]);
-        assert_eq!(s.drain_batches, 1);
-        assert_eq!(s.drain_bytes, 888);
-        let (tier, t) = s.recovery[0];
-        assert_eq!(tier, RecoveryTier::Reconstructed);
-        assert_eq!(t.plans, 1);
-        assert_eq!(t.reads, 1);
-        assert_eq!(t.bytes, 777);
+        assert_eq!(v.metrics.drain_depths.iter().collect::<Vec<_>>(), vec![(&2, &2)]);
+        assert_eq!(v.counter("drain_batches"), 1);
+        assert_eq!(v.counter("drain_bytes"), 888);
+        let tier = MetricLabel::Tier(RecoveryTier::Reconstructed);
+        assert_eq!(v.counters_labeled("recovery_plans"), vec![(tier, 1)]);
+        assert_eq!(v.counters_labeled("recovery_reads"), vec![(tier, 1)]);
+        assert_eq!(v.counter_labeled("recovery_read_bytes", tier), 777);
         // horizon covers ts+dur = 100 from the first transfer? No:
         // transfers are instants; the largest extent is 50+25 = 75.
-        assert_eq!(s.horizon_ns, 75);
+        assert_eq!(v.horizon_ns(), 75);
         let _ = TimedEvent {
             ts: SimTime(0),
             dur: SimDuration::ZERO,
@@ -570,7 +361,8 @@ mod tests {
     fn whole_snapshot_folds_every_track() {
         let s = ObsSummary::from_snapshot(&busy_recorder(97).snapshot());
         assert_eq!(s.ranks.len(), 97);
-        assert_eq!(s.devices.len(), 97);
+        let devices = s.devices();
+        assert_eq!(devices.len(), 97);
         assert_eq!(s.events, 97 * 3);
         for (r, rank) in s.ranks.iter().enumerate() {
             assert_eq!(rank.rank, r as u32);
@@ -578,8 +370,8 @@ mod tests {
             assert_eq!(rank.stall_ns, 5);
         }
         // Label order, not lane order: dev:local:10 sorts before dev:local:2.
-        assert!(s.devices.windows(2).all(|w| w[0].label < w[1].label));
-        assert_eq!(s.devices[2].label, "dev:local:10");
+        assert!(devices.windows(2).all(|w| w[0].0 < w[1].0));
+        assert_eq!(devices[2].0, "dev:local:10");
     }
 
     #[test]

@@ -261,6 +261,16 @@ fn read_file(path: &Path, missing: StorageError) -> Result<Vec<u8>, StorageError
     })
 }
 
+/// Remove the file at `path`. A missing file is already deleted; any
+/// other failure is [`StorageError::Io`], so a rollback never reports
+/// success over a file it could not remove.
+fn remove_file(path: &Path) -> Result<(), StorageError> {
+    match fs::remove_file(path) {
+        Err(e) if e.kind() != ErrorKind::NotFound => Err(StorageError::Io(e)),
+        _ => Ok(()),
+    }
+}
+
 impl StableStorage for FileStore {
     fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
         self.put_chunk(key, &data)
@@ -276,8 +286,7 @@ impl StableStorage for FileStore {
     }
 
     fn delete_chunk(&self, key: ChunkKey) -> Result<(), StorageError> {
-        let _ = fs::remove_file(self.chunk_path(key));
-        Ok(())
+        remove_file(&self.chunk_path(key))
     }
 
     fn list_generations(&self, rank: u32) -> Result<Vec<u64>, StorageError> {
@@ -322,8 +331,7 @@ impl StableStorage for FileStore {
     }
 
     fn delete_manifest(&self, generation: u64) -> Result<(), StorageError> {
-        let _ = fs::remove_file(self.manifest_path(generation));
-        Ok(())
+        remove_file(&self.manifest_path(generation))
     }
 }
 
@@ -444,6 +452,26 @@ mod tests {
         // Absence is still reported as such.
         assert!(matches!(s.get_chunk(ChunkKey::new(0, 4)), Err(StorageError::NotFound(_))));
         assert!(matches!(s.get_manifest(4), Err(StorageError::ManifestNotFound(4))));
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn filestore_delete_failures_other_than_absence_are_io_errors() {
+        // A directory where the file should be cannot be unlinked as
+        // one (without relying on permission bits, which root ignores).
+        let dir = std::env::temp_dir().join(format!("ickpt_store_rm_{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let s = FileStore::open(&dir).unwrap();
+        let key = ChunkKey::new(0, 3);
+        for path in [s.chunk_path(key), s.manifest_path(3)] {
+            fs::create_dir(&path).unwrap();
+        }
+        assert!(matches!(s.delete_chunk(key), Err(StorageError::Io(_))));
+        assert!(matches!(s.delete_manifest(3), Err(StorageError::Io(_))));
+        assert!(s.chunk_path(key).is_dir() && s.manifest_path(3).is_dir());
+        // Deleting what is absent still succeeds.
+        s.delete_chunk(ChunkKey::new(0, 4)).unwrap();
+        s.delete_manifest(4).unwrap();
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -28,9 +28,8 @@
 //! admission decisions, scheduler picks and device charges happen in
 //! virtual-time order with FIFO tie-break, so reports are
 //! byte-identical at any `ICKPT_BENCH_THREADS` / `ICKPT_SIM_WORKERS`
-//! setting. Per-tenant report aggregation goes through
-//! [`ickpt_sim::tree_reduce`] with an associative merge, pinned
-//! tree≡flat by the property suite.
+//! setting. Per-tenant reports roll up into the fleet aggregate by a
+//! flat fold over an exact integer merge.
 
 #![deny(unreachable_pub)]
 #![forbid(unsafe_code)]

@@ -16,7 +16,7 @@
 //! of the config — byte-identical at any host thread count.
 
 use ickpt_obs::{DeviceKind, Event, Lane, Recorder};
-use ickpt_sim::{tree_reduce, EventWheel, SimDuration, SimTime, SplitMix64, StripedArray};
+use ickpt_sim::{EventWheel, SimDuration, SimTime, SplitMix64, StripedArray};
 
 use crate::admission::{AdmissionConfig, AdmissionVerdict, TokenBucket};
 use crate::sched::{ChunkJob, SchedPolicy, Scheduler};
@@ -171,12 +171,15 @@ impl ServiceAggregate {
     }
 }
 
-/// Reduce per-tenant reports through a fan-in tree of `arity`.
-pub fn reduce_tenants(tenants: &[TenantReport], arity: usize) -> ServiceAggregate {
-    tree_reduce(tenants.iter().map(ServiceAggregate::from_tenant).collect(), arity, |a, b| {
-        a.merge(&b)
-    })
-    .unwrap_or_default()
+/// Roll per-tenant reports up into the fleet aggregate. A flat fold:
+/// [`ServiceAggregate::merge`] is exact integer arithmetic, so any
+/// reduction shape would give the same result.
+pub fn reduce_tenants(tenants: &[TenantReport]) -> ServiceAggregate {
+    let mut aggregate = ServiceAggregate::default();
+    for t in tenants {
+        aggregate.merge(&ServiceAggregate::from_tenant(t));
+    }
+    aggregate
 }
 
 /// The finished service run.
@@ -184,7 +187,7 @@ pub fn reduce_tenants(tenants: &[TenantReport], arity: usize) -> ServiceAggregat
 pub struct ServiceReport {
     /// Per-tenant reports, tenant order.
     pub tenants: Vec<TenantReport>,
-    /// Cluster-wide roll-up (tree-reduced).
+    /// Cluster-wide roll-up ([`reduce_tenants`]).
     pub aggregate: ServiceAggregate,
     /// Latest event instant in the run.
     pub horizon: SimTime,
@@ -348,7 +351,7 @@ pub fn run_service(cfg: &ServiceConfig, obs: &Recorder) -> ServiceReport {
     }
 
     let tenants: Vec<TenantReport> = runs.into_iter().map(|r| r.report).collect();
-    let aggregate = reduce_tenants(&tenants, 32);
+    let aggregate = reduce_tenants(&tenants);
     ServiceReport {
         tenants,
         aggregate,
@@ -476,15 +479,14 @@ mod tests {
     }
 
     #[test]
-    fn tree_reduce_matches_flat_fold_at_any_arity() {
+    fn aggregate_is_the_flat_fold_of_the_tenants() {
         let r = run_service(&small_cfg(9), &Recorder::disabled());
         let mut flat = ServiceAggregate::default();
         for t in &r.tenants {
             flat.merge(&ServiceAggregate::from_tenant(t));
         }
-        for arity in [2, 3, 8, 32, 1000] {
-            assert_eq!(reduce_tenants(&r.tenants, arity), flat, "arity {arity}");
-        }
+        assert_eq!(r.aggregate, flat);
+        assert_eq!(flat.tenants, 9);
     }
 
     #[test]

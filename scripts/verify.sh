@@ -119,7 +119,19 @@ DIFFS
     done
 
     local ablations_jsonl=/tmp/ickpt_diff/ablations/0/trace/ablations-checkpoint-system.jsonl
-    run target/release/inspect --trace "$ablations_jsonl" >/dev/null
+    # The trace view reads the redundancy ablation's drain back: a
+    # drain overview with at least one batch.
+    echo "==> inspect --trace must show drained batches in $ablations_jsonl"
+    local batches
+    batches=$(target/release/inspect --trace "$ablations_jsonl" | awk '
+        /^drain overview$/ { d = 1; next }
+        d && NF == 0 { d = 0 }
+        d && NF == 7 && $2 ~ /^[0-9]+$/ { b += $2 }
+        END { print b + 0 }')
+    if ((batches < 1)); then
+        echo "expected a drain overview with at least one batch, got $batches" >&2
+        exit 1
+    fi
 
     # A malformed trace is refused, not read as events with blanks: one
     # line missing its keys must exit 1 and name that line on stderr.
@@ -143,7 +155,21 @@ DIFFS
         echo "expected tenant tracks in $svc_jsonl" >&2
         exit 1
     fi
-    run target/release/inspect --tenants "$svc_jsonl" >/dev/null
+    # Every (run, tenant track) pair is a listed row or counted in an
+    # elision line.
+    echo "==> inspect --tenants must cover every tenant track in $svc_jsonl"
+    local want got
+    want=$(grep -o '"run":"[^"]*","track":"tenant[0-9]*"' "$svc_jsonl" | sort -u | wc -l)
+    got=$(target/release/inspect --tenants "$svc_jsonl" | awk '
+        /^run .*: [0-9]+ tenants$/ { t = 1; next }
+        /^  totals:/ { t = 0 }
+        t && /^[0-9]+ / { n++ }
+        t && /more tenants elided/ { n += $2 }
+        END { print n + 0 }')
+    if ((want < 1 || got != want)); then
+        echo "expected $want tenant rows (listed or elided), got $got" >&2
+        exit 1
+    fi
 
     # Table 4 is characterization-only (no checkpoint captures), so the
     # live counters it feeds are the tracker's; the capture-path counters
@@ -157,7 +183,13 @@ DIFFS
     # Post-hoc metrics view: replay the ablation's JSONL trace into a
     # fresh plane; per-run totals, window series and SLO verdicts must
     # render without erroring.
-    run target/release/inspect --metrics "$ablations_jsonl" --windows >/dev/null
+    echo "==> inspect --metrics must total every run in $ablations_jsonl"
+    want=$(grep -o '^{"run":"[^"]*"' "$ablations_jsonl" | sort -u | wc -l)
+    got=$(target/release/inspect --metrics "$ablations_jsonl" --windows | grep -c '^run .*: totals$')
+    if ((want < 1 || got != want)); then
+        echo "expected a totals table for each of $want runs, got $got" >&2
+        exit 1
+    fi
 
     # Multilevel redundancy: inject a node loss mid-run, recover the
     # wiped rank by partner reconstruction, and diff the final

@@ -50,6 +50,10 @@ impl Rng {
 
 const BASE_SEED: u64 = 0x1DC4_2004;
 
+/// Pages below which `ickpt-core` captures and restores serially
+/// whatever the worker count.
+const PARALLEL_THRESHOLD_PAGES: u64 = 2048;
+
 #[derive(Debug, Clone)]
 enum Op {
     /// Touch `len` pages starting at a fraction of the mapped space.
@@ -210,15 +214,18 @@ fn restore_reproduces_every_committed_generation() {
 /// Parallel capture is byte-identical to serial capture: for arbitrary
 /// mapping states and dirty sets, `capture_full_with` /
 /// `capture_incremental_with` at 1, 2 and 8 workers encode to exactly
-/// the bytes the serial path produces — with the parallel threshold
-/// forced to zero so the fan-out path actually runs, and with scratch
-/// buffers reused across generations to cover the recycling path.
+/// the bytes the serial path produces, and with scratch buffers reused
+/// across generations to cover the recycling path. Two cases map a
+/// static region big enough that both its full and its
+/// incremental capture cross the 2048-page threshold below which
+/// capture stays serial, so the fan-out path runs too.
 #[test]
 fn parallel_capture_byte_identical_to_serial() {
     for case in 0..24u64 {
         let mut rng = Rng::new(BASE_SEED.wrapping_mul(13) ^ case);
+        let static_pages = if case % 12 == 11 { 4 * PARALLEL_THRESHOLD_PAGES } else { 8 };
         let layout = LayoutBuilder::new()
-            .static_bytes(8 * PAGE_SIZE)
+            .static_bytes(static_pages * PAGE_SIZE)
             .heap_capacity_bytes(256 * PAGE_SIZE)
             .mmap_capacity_bytes(128 * PAGE_SIZE)
             .build();
@@ -254,12 +261,17 @@ fn parallel_capture_byte_identical_to_serial() {
             }
         }
 
+        if static_pages > PARALLEL_THRESHOLD_PAGES {
+            let dirty_pages: u64 = dirty.iter().map(|r| r.len).sum();
+            assert!(dirty_pages >= PARALLEL_THRESHOLD_PAGES, "seed {case}: {dirty_pages} dirty");
+        }
+
         let now = SimTime::from_secs(7);
         let serial_full = capture_full(&space, 3, 11, now).encode();
         let serial_inc = capture_incremental(&space, 3, 12, 11, now, &dirty).encode();
 
         for workers in [1usize, 2, 8] {
-            let cfg = CaptureConfig { workers, parallel_threshold_pages: 0, ..Default::default() };
+            let cfg = CaptureConfig { workers, ..Default::default() };
             let mut scratch = CaptureScratch::new();
             // Two rounds: the second exercises recycled buffers.
             for round in 0..2 {

@@ -285,8 +285,12 @@ fn build_chain(
 }
 
 fn layout() -> ickpt::mem::DataLayout {
+    layout_with_static(4)
+}
+
+fn layout_with_static(static_pages: u64) -> ickpt::mem::DataLayout {
     LayoutBuilder::new()
-        .static_bytes(4 * PAGE_SIZE)
+        .static_bytes(static_pages * PAGE_SIZE)
         .heap_capacity_bytes(64 * PAGE_SIZE)
         .mmap_capacity_bytes(64 * PAGE_SIZE)
         .build()
@@ -303,13 +307,17 @@ fn dedup_chain_restores_byte_identical() {
     for case in 0..24u64 {
         let full_every = [1u64, 3, 5, 0][(case % 4) as usize];
         let cfg = CaptureConfig { dedup: true, ..CaptureConfig::default() };
-        let mut space = BackedSpace::new(layout());
+        // Two cases (re-base every 3 and every 5) restore more pages
+        // than the 2048-page threshold below which plan application
+        // stays serial, so the fan-out runs.
+        let layout = layout_with_static(if matches!(case, 13 | 22) { 2048 } else { 4 });
+        let mut space = BackedSpace::new(layout);
         let store = MemStore::new();
         let mut rng = Rng::new(BASE_SEED ^ case);
         let gens = build_chain(&mut rng, full_every, &cfg, &mut space, &store, &mut totals);
 
         for g in &gens {
-            let mut reference = BackedSpace::new(layout());
+            let mut reference = BackedSpace::new(layout);
             restore_rank_sequential(&store, 0, g.generation, &mut reference).unwrap();
             assert_eq!(
                 reference.content_digest(),
@@ -318,8 +326,8 @@ fn dedup_chain_restores_byte_identical() {
                 g.generation
             );
             for workers in [1usize, 2, 8] {
-                let rcfg = RestoreConfig { workers, parallel_threshold_pages: 0 };
-                let mut planned = BackedSpace::new(layout());
+                let rcfg = RestoreConfig { workers };
+                let mut planned = BackedSpace::new(layout);
                 restore_rank_with(&store, 0, g.generation, &mut planned, &rcfg).unwrap();
                 assert_eq!(
                     planned.arena(),

@@ -27,7 +27,7 @@ use std::cell::Cell;
 use ickpt::cluster::tenant::{fleet_profiles, mixed_fleet};
 use ickpt::obs::{
     chrome_trace, jsonl, parse_jsonl, CaptureKind, DeviceKind, Event, FlightRecorder, Lane,
-    MetricLabel, MetricsPlane, Recorder, RecoveryTier, TimedEvent, TrackKey,
+    MetricLabel, MetricsPlane, ObsSummary, Recorder, RecoveryTier, TimedEvent, TrackKey,
 };
 use ickpt::sim::{SimDuration, SimTime, SplitMix64};
 use ickpt::svc::{run_service, ServiceConfig};
@@ -1247,6 +1247,29 @@ fn a_lane_id_never_sizes_an_allocation() {
     );
     assert_eq!(view.counter("device_bytes"), 100, "five non-device lanes, two transfers each");
     assert_eq!(view.counters_labeled("device_transfers").len(), 4);
+
+    // The plane's per-rank and per-tenant rows, and the summary that
+    // reads them, are keyed the same way: a huge rank lane or tenant
+    // id is a row, not the length of one.
+    let ring = FlightRecorder::new(16);
+    let plane = MetricsPlane::new(SimDuration::from_secs(1));
+    let rec = Recorder::new(ring.clone()).with_metrics(plane.clone());
+    let before = LIVE_BYTES.with(Cell::get);
+    for (i, id) in [u32::MAX, (1 << 20) + 1, 1].into_iter().enumerate() {
+        let at = SimTime(i as u64);
+        rec.emit_span(Lane::Rank(id), at, SimDuration(5), Event::CheckpointStall { generation: 1 });
+        let stall = Event::TenantStall { tenant: id, bytes: 7 };
+        rec.emit_span(Lane::Tenant(id), at, SimDuration(3), stall);
+    }
+    let summary = ObsSummary::from_snapshot(&ring.snapshot());
+    let grown = LIVE_BYTES.with(Cell::get) - before;
+    assert!(grown < 64 * 1024, "three ranks, three tenants grew the heap by {grown} bytes");
+    let ranks: Vec<(u32, u64)> = summary.ranks.iter().map(|r| (r.rank, r.stall_ns)).collect();
+    assert_eq!(ranks, [(1, 5), ((1 << 20) + 1, 5), (u32::MAX, 5)]);
+    let tenants: Vec<(u32, u64)> =
+        summary.tenants.iter().map(|t| (t.tenant, t.stall_max_ns)).collect();
+    assert_eq!(tenants, [(1, 3), ((1 << 20) + 1, 3), (u32::MAX, 3)]);
+    assert_eq!(plane.view(0).unwrap().counter("tenant_checkpoints"), 3);
 }
 
 // ---------------------------------------------------------------------
@@ -1551,4 +1574,95 @@ fn parse_jsonl_allocates_per_distinct_string_not_per_line() {
     // 3 run names, 38 track labels and 26 event names with their
     // interning tables: nothing for a line that repeats them.
     assert!(allocations <= 128, "{} lines took {allocations} allocations", written.len());
+}
+
+// ---------------------------------------------------------------------
+// ObsSummary render pinned
+// ---------------------------------------------------------------------
+
+/// One seeded 8-rank fault-tolerant run on tiered storage — XOR parity
+/// over groups of four, a tree drain every second checkpoint, dedup on
+/// and one node loss while the first drain is still in flight (so it
+/// tears) — captured whole by a flight recorder.
+fn ft_snapshot() -> ickpt::obs::TraceSnapshot {
+    use std::sync::Arc;
+
+    use ickpt::apps::synthetic::{SyntheticApp, SyntheticConfig};
+    use ickpt::cluster::{
+        run_fault_tolerant, CheckpointMode, FailureSpec, FaultTolerantConfig, RedundancyConfig,
+        StoragePath,
+    };
+    use ickpt::core::coordinator::CheckpointPolicy;
+    use ickpt::mem::{LayoutBuilder, PAGE_SIZE};
+    use ickpt::net::NetConfig;
+    use ickpt::sim::DevicePreset;
+    use ickpt::storage::{DrainTopology, MemStore, SchemeSpec};
+
+    const RANKS: usize = 8;
+    let ring = FlightRecorder::for_ranks(RANKS);
+    ring.name_group(0, "pinned-ft");
+    let cfg = FaultTolerantConfig {
+        nranks: RANKS,
+        max_iterations: 120,
+        timeslice: SimDuration::from_secs(1),
+        policy: CheckpointPolicy::incremental(SimDuration::from_secs(3), 0),
+        store: Arc::new(MemStore::new()),
+        device: DevicePreset::ScsiDisk,
+        mode: CheckpointMode::StopAndCopy,
+        storage_path: StoragePath::Shared,
+        failures: vec![FailureSpec::node_loss(1, SimTime(6_050_000_000))],
+        net: NetConfig::qsnet(),
+        redundancy: Some(RedundancyConfig {
+            scheme: SchemeSpec::XorParity { group_size: 4 },
+            local_device: DevicePreset::NodeLocal,
+            drain_every: 2,
+            drain_topology: DrainTopology::Tree { arity: 4 },
+        }),
+        max_attempts: 4,
+        obs: Recorder::new(ring.clone()),
+        dedup: Some(true),
+        write_profile: Default::default(),
+    };
+    let layout = LayoutBuilder::new()
+        .static_bytes(PAGE_SIZE)
+        .heap_capacity_bytes(2048 * PAGE_SIZE)
+        .mmap_capacity_bytes(PAGE_SIZE)
+        .build();
+    run_fault_tolerant(&cfg, layout, |rank| {
+        Box::new(SyntheticApp::new(SyntheticConfig {
+            exchange_bytes: 8192,
+            period: SimDuration::from_millis(100),
+            rank,
+            nranks: RANKS,
+            ..Default::default()
+        }))
+    })
+    .expect("simulated run completes");
+    ring.snapshot()
+}
+
+/// `ObsSummary::render` byte for byte, on a fault-tolerant run (device,
+/// rank, drain, torn and recovery sections) and on the service run of
+/// `export_formats_are_pinned` (the tenant section). The digests were
+/// recorded while the summary still kept its own fold over the events.
+#[test]
+fn summary_render_is_pinned() {
+    let ft = ObsSummary::from_snapshot(&ft_snapshot()).render();
+    for section in
+        ["device utilization:", "rank stalls:", "drain:", "torn by failures", "recovery:"]
+    {
+        assert!(ft.contains(section), "{section:?} missing from\n{ft}");
+    }
+    let fleet = fleet_profiles(&mixed_fleet(64, 0.1, 0x0B5E_2004));
+    let mut cfg = ServiceConfig::new(fleet, SimDuration::from_secs(1500));
+    cfg.devices = 4;
+    cfg.seed = 0x0B5E_2004;
+    let cfg = cfg.with_fair_admission(2);
+    let ring = FlightRecorder::for_ranks(64);
+    run_service(&cfg, &Recorder::new(ring.clone()));
+    let svc = ObsSummary::from_snapshot(&ring.snapshot()).render();
+    assert!(svc.contains("tenant service:"), "no tenant section in\n{svc}");
+    let got = [("ft", fnv1a(&ft)), ("svc", fnv1a(&svc))];
+    let want = [("ft", 0xd94f_3d81_d6b0_8dc7), ("svc", 0x72c2_f36d_ece9_72f9)];
+    assert_eq!(got, want, "got {got:#x?}");
 }

@@ -54,6 +54,10 @@ impl Rng {
 
 const BASE_SEED: u64 = 0x1DC4_2004 ^ 0xBEEF;
 
+/// Planned pages below which `ickpt-core` applies a restore plan
+/// serially whatever the worker count.
+const PARALLEL_THRESHOLD_PAGES: u64 = 2048;
+
 #[derive(Debug, Clone)]
 enum Op {
     Write { start_frac: f64, len: u64 },
@@ -211,8 +215,12 @@ fn planned_restore_equals_sequential_replay() {
         // Cycle the re-base interval so chains of length 1 up to tens
         // of increments all occur.
         let full_every = [1u64, 3, 5, 0][(case % 4) as usize];
+        // Two cases (re-base every 3 and every 5) plan more pages than
+        // the threshold below which plan application stays serial, so
+        // the fan-out runs.
+        let static_pages = if matches!(case, 13 | 22) { PARALLEL_THRESHOLD_PAGES } else { 4 };
         let layout = LayoutBuilder::new()
-            .static_bytes(4 * PAGE_SIZE)
+            .static_bytes(static_pages * PAGE_SIZE)
             .heap_capacity_bytes(64 * PAGE_SIZE)
             .mmap_capacity_bytes(64 * PAGE_SIZE)
             .build();
@@ -228,7 +236,7 @@ fn planned_restore_equals_sequential_replay() {
             let seq = restore_rank_sequential(&store, 0, gen, &mut reference).unwrap();
             assert_eq!(reference.content_digest(), digest, "seed {case} gen {gen}: reference");
             for workers in [1usize, 2, 8] {
-                let cfg = RestoreConfig { workers, parallel_threshold_pages: 0 };
+                let cfg = RestoreConfig { workers };
                 let mut planned = BackedSpace::new(layout);
                 let rep = restore_rank_with(&store, 0, gen, &mut planned, &cfg).unwrap();
                 assert_eq!(
@@ -281,7 +289,7 @@ fn planned_restore_equals_sequential_replay() {
         let mut reference = BackedSpace::new(layout);
         let seq_err = restore_rank_sequential(&store, 0, newest, &mut reference).unwrap_err();
         for workers in [1usize, 2, 8] {
-            let cfg = RestoreConfig { workers, parallel_threshold_pages: 0 };
+            let cfg = RestoreConfig { workers };
             let mut planned = BackedSpace::new(layout);
             let err = restore_rank_with(&store, 0, newest, &mut planned, &cfg).unwrap_err();
             assert_eq!(
@@ -458,7 +466,7 @@ fn reused_destination_restores_like_a_fresh_one_over_uncaptured_pages() {
     // generation's image (or the scribble) before every restore.
     let order = [4usize, 1, 3, 0, 2, 4, 2];
     for workers in [1usize, 2, 8] {
-        let cfg = RestoreConfig { workers, parallel_threshold_pages: 0 };
+        let cfg = RestoreConfig { workers };
         for &i in &order {
             let (gen, digest, mapped) = chain.commits[i];
             let ctx = format!("gen {gen} workers {workers}");
@@ -559,7 +567,7 @@ fn corrupt_base_or_newest_fails_like_sequential_at_any_split() {
         let seq_err = restore_rank_sequential(&store, 0, newest, &mut reference).unwrap_err();
         assert!(seq_err.to_string().contains(expect), "{name}: reference said {seq_err}");
         for workers in [1usize, 2, 8] {
-            let cfg = RestoreConfig { workers, parallel_threshold_pages: 0 };
+            let cfg = RestoreConfig { workers };
             let mut dst = scribbled(layout);
             let before = dst.content_digest();
             let err = restore_rank_with(&store, 0, newest, &mut dst, &cfg).unwrap_err();

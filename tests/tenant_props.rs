@@ -8,8 +8,8 @@
 //!   runs alone or alongside neighbours that never issue a request:
 //!   jitter, stagger and admission state are keyed per tenant, never
 //!   by fleet composition.
-//! * **Tree ≡ flat** — `reduce_tenants` at any fan-in arity equals the
-//!   flat left fold over `ServiceAggregate::merge`.
+//! * **Roll-up** — `reduce_tenants`, and the report's own aggregate,
+//!   equal the flat left fold over `ServiceAggregate::merge`.
 //! * **Percentiles** — `percentile_ns` is the nearest-rank statistic
 //!   of the sorted samples, for any sample set.
 
@@ -134,11 +134,11 @@ fn tenant_report_is_unchanged_by_idle_neighbours() {
 }
 
 // ---------------------------------------------------------------------
-// Tree-reduce vs flat fold
+// Roll-up vs flat fold
 // ---------------------------------------------------------------------
 
 #[test]
-fn reduce_tenants_is_arity_invariant_and_matches_flat_fold() {
+fn reduce_tenants_matches_flat_fold() {
     let report = run_service(&small_cfg(33, SchedPolicy::FairShare), &Recorder::disabled());
 
     let mut flat = ServiceAggregate::default();
@@ -146,12 +146,9 @@ fn reduce_tenants_is_arity_invariant_and_matches_flat_fold() {
         flat.merge(&ServiceAggregate::from_tenant(t));
     }
 
-    for arity in [2usize, 3, 8, 32, 1000] {
-        assert_eq!(reduce_tenants(&report.tenants, arity), flat, "arity {arity}");
-    }
-    // The run's own aggregate came down the same tree.
+    assert_eq!(reduce_tenants(&report.tenants), flat);
     assert_eq!(report.aggregate, flat);
-    assert_eq!(reduce_tenants(&[], 2), ServiceAggregate::default());
+    assert_eq!(reduce_tenants(&[]), ServiceAggregate::default());
 }
 
 // ---------------------------------------------------------------------
