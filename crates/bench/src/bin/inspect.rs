@@ -9,8 +9,9 @@
 //! ```
 //!
 //! The three trace views read a JSONL export of `repro --trace-out` /
-//! `redundancy_smoke --trace-out` back once, replayed into a fresh
-//! metrics plane ([`ickpt::obs::MetricsPlane`]). `--trace` prints
+//! `redundancy_smoke --trace-out` back once; `--trace` and `--metrics`
+//! replay it into a fresh metrics plane ([`ickpt::obs::MetricsPlane`]),
+//! `--tenants` folds its tenant-lane events. `--trace` prints
 //! per-run, per-track event statistics (event counts, busy span time,
 //! virtual extent), an event-type histogram and a drain overview
 //! (batches, bytes, queue depth, torn rollbacks); `--tenants` the
@@ -35,7 +36,6 @@ use std::sync::Arc;
 
 use ickpt::obs::{
     Event, HealthMonitor, Lane, MetricLabel, MetricsConfig, MetricsPlane, MetricsView, ParsedEvent,
-    TimedEvent,
 };
 use ickpt::storage::{Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage};
 use ickpt::svc::percentile_ns;
@@ -47,58 +47,53 @@ use ickpt_bench::analysis::TextTable;
 /// tables, never silent truncation). `--rank N` always lists rank N.
 const MAX_LISTED_RANKS: usize = 8;
 
-/// A JSONL flight-recorder export (`repro --trace-out`,
-/// `redundancy_smoke --trace-out`) read back once for every trace
-/// view: its lines, and the typed events among them replayed into a
-/// fresh metrics plane, one group per run in order of first
-/// appearance, so the output is deterministic for a given file.
-struct Replay {
-    /// Every line, file order.
-    lines: Vec<ParsedEvent>,
-    /// `(group, lane, event)` of each line that maps to a typed event;
-    /// the rest (`counter`, `slo_breach`) are derived and skipped.
-    typed: Vec<(u32, Lane, TimedEvent)>,
-    /// Run names, index = group id.
-    runs: Vec<Arc<str>>,
-    plane: Arc<MetricsPlane>,
-}
-
-/// Read, parse and replay `path`. Exits 2 if the file cannot be read
-/// and 1 if it is malformed. `ICKPT_METRICS=window=<secs>` picks the
-/// plane's window (default 1 s).
-fn replay(path: &str) -> Replay {
+/// Read and parse a JSONL flight-recorder export (`repro
+/// --trace-out`, `redundancy_smoke --trace-out`): every line, file
+/// order. Exits 2 if the file cannot be read and 1 if it is malformed.
+fn read_trace(path: &str) -> Vec<ParsedEvent> {
     let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
         eprintln!("cannot read {path}: {e}");
         std::process::exit(2);
     });
-    let lines = ickpt::obs::parse_jsonl(&text).unwrap_or_else(|e| {
+    ickpt::obs::parse_jsonl(&text).unwrap_or_else(|e| {
         eprintln!("{path}: malformed trace: {e}");
         std::process::exit(1);
-    });
-    let plane = MetricsPlane::new(MetricsConfig::from_env().window);
-    let mut runs: Vec<Arc<str>> = Vec::new();
-    let mut typed = Vec::with_capacity(lines.len());
-    for ev in &lines {
-        let Some((lane, timed)) = ev.to_timed() else { continue };
-        let group = match runs.iter().position(|r| *r == ev.run) {
-            Some(g) => g as u32,
-            None => {
-                runs.push(ev.run.clone());
-                plane.name_group(runs.len() as u32 - 1, &ev.run);
-                runs.len() as u32 - 1
-            }
-        };
-        plane.ingest(group, lane, &timed);
-        typed.push((group, lane, timed));
-    }
-    Replay { lines, typed, runs, plane }
+    })
 }
 
-impl Replay {
-    /// Every run's metrics view, group order.
-    fn views(&self) -> impl Iterator<Item = MetricsView> + '_ {
-        self.plane.groups().into_iter().filter_map(|g| self.plane.view(g))
+/// A trace's lines replayed into a fresh metrics plane, one group per
+/// run in order of first appearance, so the output is deterministic
+/// for a given file.
+struct Replay {
+    /// Every line, file order.
+    lines: Vec<ParsedEvent>,
+    /// Lines that map to a typed event and were ingested; the rest
+    /// (`counter`, `slo_breach`) are derived and skipped.
+    replayed: usize,
+    window_ns: u64,
+    /// Every run's metrics, group order.
+    views: Vec<MetricsView>,
+}
+
+/// Read `path` ([`read_trace`]) and replay it.
+/// `ICKPT_METRICS=window=<secs>` picks the plane's window (default 1 s).
+fn replay(path: &str) -> Replay {
+    let lines = read_trace(path);
+    let plane = MetricsPlane::new(MetricsConfig::from_env().window);
+    let mut runs: Vec<&str> = Vec::new();
+    let mut replayed = 0;
+    for ev in &lines {
+        let Some((lane, timed)) = ev.to_timed() else { continue };
+        let group = runs.iter().position(|r| *r == &*ev.run).unwrap_or_else(|| {
+            runs.push(&ev.run);
+            plane.name_group(runs.len() as u32 - 1, &ev.run);
+            runs.len() - 1
+        });
+        plane.ingest(group as u32, lane, &timed);
+        replayed += 1;
     }
+    let views = plane.groups().into_iter().filter_map(|g| plane.view(g)).collect();
+    Replay { lines, replayed, window_ns: plane.window_ns(), views }
 }
 
 /// `inspect --trace`: summarize a JSONL flight-recorder export.
@@ -134,10 +129,17 @@ fn trace_report(path: &str) -> i32 {
     println!("{}", k.render());
     // Drain overview per run, from the run's counters: batches, bytes,
     // deepest queue and — when failures rolled drained generations
-    // back below the durable horizon — the torn totals. Every drain
-    // reports a queue depth of at least 1 before its first batch.
-    let mut drains: Vec<MetricsView> =
-        r.views().filter(|v| v.gauge("drain_depth_max") > 0).collect();
+    // back below the durable horizon — the torn totals. A run is listed
+    // if any of them survived its ring.
+    let mut drains: Vec<&MetricsView> = r
+        .views
+        .iter()
+        .filter(|v| {
+            v.counter("drain_batches") > 0
+                || v.counter("drain_torn_generations") > 0
+                || v.gauge("drain_depth_max") > 0
+        })
+        .collect();
     drains.sort_by(|a, b| a.name().cmp(b.name()));
     if !drains.is_empty() {
         let mut d = TextTable::new("drain overview").header(&[
@@ -176,11 +178,11 @@ fn trace_report(path: &str) -> i32 {
 /// `--windows` adds the per-window rate series.
 fn metrics_report(path: &str, show_windows: bool) -> i32 {
     let r = replay(path);
-    let skipped = r.lines.len() - r.typed.len();
+    let skipped = r.lines.len() - r.replayed;
     println!(
         "metrics view: {path}  (window {} s, {} events replayed{})",
-        r.plane.window_ns() / 1_000_000_000,
-        r.typed.len(),
+        r.window_ns / 1_000_000_000,
+        r.replayed,
         if skipped > 0 { format!(", {skipped} derived lines skipped") } else { String::new() }
     );
 
@@ -190,14 +192,13 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
         MetricLabel::Tier(tier) => format!(" [{}]", tier.token()),
     };
     let monitor = HealthMonitor::standard();
-    for view in r.views() {
+    for view in &r.views {
         let mut t =
             TextTable::new(format!("run {}: totals", view.name())).header(&["metric", "value"]);
         let mut row = |name: &str, value: String| {
             t.row(vec![name.to_string(), value]);
         };
-        let counter_mb =
-            |view: &ickpt::obs::MetricsView, n: &str| fnum(view.counter(n) as f64 / 1e6, 2);
+        let counter_mb = |view: &MetricsView, n: &str| fnum(view.counter(n) as f64 / 1e6, 2);
         if view.gauge("ranks") > 0 {
             row("ranks", view.gauge("ranks").to_string());
         }
@@ -208,18 +209,18 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
         }
         let (eff, dirty) = (view.counter("capture_bytes"), view.counter("dirty_bytes"));
         if dirty > 0 {
-            row("effective IB (MB)", counter_mb(&view, "capture_bytes"));
-            row("dirty-bit IB (MB)", counter_mb(&view, "dirty_bytes"));
+            row("effective IB (MB)", counter_mb(view, "capture_bytes"));
+            row("dirty-bit IB (MB)", counter_mb(view, "dirty_bytes"));
             row("content ratio", fnum(eff as f64 / dirty as f64, 3));
         }
         if view.counter("drain_batches") > 0 {
             row("drain batches", view.counter("drain_batches").to_string());
-            row("drained (MB)", counter_mb(&view, "drain_bytes"));
+            row("drained (MB)", counter_mb(view, "drain_bytes"));
             row("drain depth max", view.gauge("drain_depth_max").to_string());
         }
         if view.counter("drain_torn_generations") > 0 {
             row("torn generations", view.counter("drain_torn_generations").to_string());
-            row("torn (MB)", counter_mb(&view, "drain_torn_bytes"));
+            row("torn (MB)", counter_mb(view, "drain_torn_bytes"));
         }
         if view.counter("stall_ns") > 0 {
             row("stall total (s)", fnum(view.counter("stall_ns") as f64 / 1e9, 3));
@@ -269,7 +270,7 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
             println!("{}", q.render());
         }
 
-        let breaches = monitor.evaluate(&view);
+        let breaches = monitor.evaluate(view);
         if breaches.is_empty() {
             println!(
                 "  health: all {} SLO rules pass over {} windows",
@@ -322,35 +323,36 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
             println!("{}", w.render());
         }
     }
-    println!("{} runs", r.runs.len());
+    println!("{} runs", r.views.len());
     0
 }
+
 /// `inspect --tenants`: the per-tenant service view of a JSONL trace
 /// written by `repro --trace-out` — checkpoints, effective IB,
 /// admission rejections, stall percentiles and each tenant's share of
-/// the drained bytes, per run group. Folds the typed events itself:
-/// exact nearest-rank percentiles need every stall sample.
+/// the drained bytes, per run group. Folds the typed events itself,
+/// not through a plane: exact nearest-rank percentiles need every
+/// stall sample.
 fn tenants_report(path: &str) -> i32 {
-    let r = replay(path);
+    let lines = read_trace(path);
     println!("tenant service view: {path}");
     #[derive(Default)]
     struct Acc {
-        checkpoints: u64,
         rejections: u64,
         drained_bytes: u64,
+        /// One per completed checkpoint.
         stalls_ns: Vec<u64>,
         extent_ns: u64,
     }
     // (run, tenant id) → accumulator, from the tenant-lane events.
     let mut tenants: BTreeMap<(&str, u32), Acc> = BTreeMap::new();
-    for (group, lane, ev) in &r.typed {
-        let Lane::Tenant(id) = *lane else { continue };
-        let a = tenants.entry((&r.runs[*group as usize], id)).or_default();
+    for line in &lines {
+        let Some((Lane::Tenant(id), ev)) = line.to_timed() else { continue };
+        let a = tenants.entry((&line.run, id)).or_default();
         a.extent_ns = a.extent_ns.max(ev.ts.0 + ev.dur.0);
         match ev.event {
             Event::AdmissionReject { .. } => a.rejections += 1,
             Event::TenantStall { bytes, .. } => {
-                a.checkpoints += 1;
                 a.drained_bytes += bytes;
                 a.stalls_ns.push(ev.dur.0);
             }
@@ -386,7 +388,7 @@ fn tenants_report(path: &str) -> i32 {
             }
             t.row(vec![
                 id.to_string(),
-                a.checkpoints.to_string(),
+                a.stalls_ns.len().to_string(),
                 fnum(a.drained_bytes as f64 / 1e6 / (a.extent_ns.max(1) as f64 / 1e9), 2),
                 a.rejections.to_string(),
                 fnum(percentile_ns(&a.stalls_ns, 50) as f64 / 1e6, 1),
@@ -397,7 +399,7 @@ fn tenants_report(path: &str) -> i32 {
         println!("{}", t.render());
         println!(
             "  totals: {} checkpoints, {} rejections, {} MB drained across {} tenants",
-            in_run.iter().map(|(_, a)| a.checkpoints).sum::<u64>(),
+            in_run.iter().map(|(_, a)| a.stalls_ns.len()).sum::<usize>(),
             in_run.iter().map(|(_, a)| a.rejections).sum::<u64>(),
             fnum(fleet_drained as f64 / 1e6, 1),
             in_run.len(),
@@ -514,6 +516,7 @@ fn store_report(store: &dyn StableStorage, dir: &str, only_rank: Option<u32>) ->
     // Every rank is verified (CRC, lineage, chain shape); listings are
     // elided above the threshold so 5-digit rank counts stay readable.
     let mut elided = 0usize;
+    let mut total_bytes = 0u64;
     for (idx, rank) in ranks.iter().copied().enumerate() {
         let listed = only_rank.is_some() || idx < MAX_LISTED_RANKS;
         if !listed {
@@ -545,7 +548,9 @@ fn store_report(store: &dyn StableStorage, dir: &str, only_rank: Option<u32>) ->
         let mut known: std::collections::BTreeSet<u64> = gens.iter().copied().collect();
         let mut decoded: std::collections::BTreeMap<u64, Chunk> = std::collections::BTreeMap::new();
         for &g in &gens {
-            match store.get_chunk(ChunkKey::new(rank, g)) {
+            let read = store.get_chunk(ChunkKey::new(rank, g));
+            total_bytes += read.as_ref().map_or(0, |data| data.len() as u64);
+            match read {
                 Ok(data) => match Chunk::decode(&data) {
                     Ok(c) => {
                         // Lineage check: parents must exist.
@@ -671,15 +676,8 @@ fn store_report(store: &dyn StableStorage, dir: &str, only_rank: Option<u32>) ->
     }
 
     // ---- Summary ----
-    let total_bytes: u64 = (0..nranks.max(1))
-        .flat_map(|r| {
-            store.list_generations(r).unwrap_or_default().into_iter().map(move |g| {
-                store.get_chunk(ChunkKey::new(r, g)).map(|d| d.len() as u64).unwrap_or(0)
-            })
-        })
-        .sum();
     println!(
-        "total: {} generations committed, {} MB on-disk checkpoint data, {} problem(s)",
+        "total: {} generations committed, {} MB of checkpoint chunks read, {} problem(s)",
         manifest_gens.len(),
         fnum(total_bytes as f64 / 1e6, 2),
         problems

@@ -48,15 +48,14 @@ impl ObsSummary {
     /// Device lanes with transfers, by track label (`dev:local:3`):
     /// `Lane::label` is injective, so label order is a total order.
     fn devices(&self) -> Vec<(String, MetricLabel)> {
-        let mut devices: Vec<(String, MetricLabel)> = (self
-            .view
-            .counters_labeled("device_transfers"))
-        .into_iter()
-        .filter_map(|(label, _)| match label {
-            MetricLabel::Device(kind, idx) => Some((Lane::Device(kind, idx).label(), label)),
-            _ => None,
-        })
-        .collect();
+        let transfers = self.view.counters_labeled("device_transfers");
+        let mut devices: Vec<(String, MetricLabel)> = transfers
+            .into_iter()
+            .filter_map(|(label, _)| match label {
+                MetricLabel::Device(kind, idx) => Some((Lane::Device(kind, idx).label(), label)),
+                _ => None,
+            })
+            .collect();
         devices.sort_unstable();
         devices
     }

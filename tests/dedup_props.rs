@@ -284,6 +284,10 @@ fn build_chain(
     gens
 }
 
+/// Planned pages below which `ickpt-core` applies a restore plan
+/// serially whatever the worker count.
+const PARALLEL_THRESHOLD_PAGES: u64 = 2048;
+
 fn layout() -> ickpt::mem::DataLayout {
     layout_with_static(4)
 }
@@ -310,7 +314,8 @@ fn dedup_chain_restores_byte_identical() {
         // Two cases (re-base every 3 and every 5) restore more pages
         // than the 2048-page threshold below which plan application
         // stays serial, so the fan-out runs.
-        let layout = layout_with_static(if matches!(case, 13 | 22) { 2048 } else { 4 });
+        let static_pages = if matches!(case, 13 | 22) { PARALLEL_THRESHOLD_PAGES } else { 4 };
+        let layout = layout_with_static(static_pages);
         let mut space = BackedSpace::new(layout);
         let store = MemStore::new();
         let mut rng = Rng::new(BASE_SEED ^ case);
@@ -328,7 +333,15 @@ fn dedup_chain_restores_byte_identical() {
             for workers in [1usize, 2, 8] {
                 let rcfg = RestoreConfig { workers };
                 let mut planned = BackedSpace::new(layout);
-                restore_rank_with(&store, 0, g.generation, &mut planned, &rcfg).unwrap();
+                let rep = restore_rank_with(&store, 0, g.generation, &mut planned, &rcfg).unwrap();
+                if static_pages >= PARALLEL_THRESHOLD_PAGES {
+                    assert!(
+                        rep.pages_applied >= PARALLEL_THRESHOLD_PAGES,
+                        "seed {case} gen {}: {} pages applied, the fan-out never runs",
+                        g.generation,
+                        rep.pages_applied
+                    );
+                }
                 assert_eq!(
                     planned.arena(),
                     reference.arena(),

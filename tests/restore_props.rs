@@ -239,6 +239,13 @@ fn planned_restore_equals_sequential_replay() {
                 let cfg = RestoreConfig { workers };
                 let mut planned = BackedSpace::new(layout);
                 let rep = restore_rank_with(&store, 0, gen, &mut planned, &cfg).unwrap();
+                if static_pages >= PARALLEL_THRESHOLD_PAGES {
+                    assert!(
+                        rep.pages_applied >= PARALLEL_THRESHOLD_PAGES,
+                        "seed {case} gen {gen}: {} pages applied, the fan-out never runs",
+                        rep.pages_applied
+                    );
+                }
                 assert_eq!(
                     planned.arena(),
                     reference.arena(),
@@ -403,9 +410,12 @@ impl GapChain {
     }
 }
 
+/// The static region alone is as large as the threshold and is written
+/// in the base, so every generation's plan crosses it and 2 and 8
+/// workers shard the application.
 fn gap_layout() -> ickpt::mem::DataLayout {
     LayoutBuilder::new()
-        .static_bytes(4 * PAGE_SIZE)
+        .static_bytes(PARALLEL_THRESHOLD_PAGES * PAGE_SIZE)
         .heap_capacity_bytes(32 * PAGE_SIZE)
         .mmap_capacity_bytes(32 * PAGE_SIZE)
         .build()
@@ -476,6 +486,7 @@ fn reused_destination_restores_like_a_fresh_one_over_uncaptured_pages() {
 
             let mut fresh = BackedSpace::new(layout);
             let rep = restore_rank_with(&chain.store, 0, gen, &mut fresh, &cfg).unwrap();
+            assert!(rep.pages_applied >= PARALLEL_THRESHOLD_PAGES, "{ctx}: below the threshold");
             assert_same_image(&fresh, &reference, &format!("{ctx}: fresh destination"));
             if rep.pages_applied < mapped {
                 gaps_seen += 1;
