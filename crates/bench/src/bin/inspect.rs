@@ -35,7 +35,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use ickpt::obs::{
-    Event, HealthMonitor, Lane, MetricLabel, MetricsConfig, MetricsPlane, MetricsView, ParsedEvent,
+    health, Event, Lane, MetricLabel, MetricsConfig, MetricsPlane, MetricsView, ParsedEvent,
 };
 use ickpt::storage::{Chunk, ChunkKey, ChunkKind, FileStore, Manifest, RestorePlan, StableStorage};
 use ickpt::svc::percentile_ns;
@@ -191,7 +191,6 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
         MetricLabel::Device(kind, idx) => format!(" [{}:{idx}]", kind.token()),
         MetricLabel::Tier(tier) => format!(" [{}]", tier.token()),
     };
-    let monitor = HealthMonitor::standard();
     for view in &r.views {
         let mut t =
             TextTable::new(format!("run {}: totals", view.name())).header(&["metric", "value"]);
@@ -270,11 +269,11 @@ fn metrics_report(path: &str, show_windows: bool) -> i32 {
             println!("{}", q.render());
         }
 
-        let breaches = monitor.evaluate(view);
+        let breaches = health::evaluate(view);
         if breaches.is_empty() {
             println!(
                 "  health: all {} SLO rules pass over {} windows",
-                monitor.rules().len(),
+                health::RULES.len(),
                 view.window_count()
             );
         } else {

@@ -29,8 +29,9 @@ use ickpt::core::coordinator::CheckpointPolicy;
 use ickpt::core::metrics::TierSummary;
 use ickpt::mem::{LayoutBuilder, PAGE_SIZE};
 use ickpt::net::NetConfig;
+use ickpt::obs::RecoveryTier;
 use ickpt::sim::{DevicePreset, SimDuration, SimTime};
-use ickpt::storage::{DrainTopology, MemStore, RecoverySource, SchemeSpec};
+use ickpt::storage::{DrainTopology, MemStore, SchemeSpec};
 
 const NRANKS: usize = 4;
 
@@ -96,7 +97,7 @@ fn main() -> ExitCode {
     let source = recovered.recoveries.first().map(|r| r.source);
     check(
         "wiped rank recovered by partner reconstruction",
-        source == Some(RecoverySource::Reconstructed),
+        source == Some(RecoveryTier::Reconstructed),
     );
     for (a, b) in reference.ranks.iter().zip(&recovered.ranks) {
         check(

@@ -42,9 +42,9 @@ use ickpt::core::restore::{restore_rank, restore_rank_sequential};
 use ickpt::mem::{BackedSpace, DataLayout, LayoutBuilder, PAGE_SIZE};
 use ickpt::net::NetConfig;
 use ickpt::sim::{DevicePreset, SimDuration, SimTime};
-use ickpt::storage::{gc, Chunk, ChunkKey, DrainTopology, MemStore, RecoverySource, SchemeSpec};
+use ickpt::storage::{gc, Chunk, ChunkKey, DrainTopology, MemStore, SchemeSpec};
 
-use ickpt::obs::Recorder;
+use ickpt::obs::{Recorder, RecoveryTier};
 
 use crate::banner_string;
 use crate::engine::parallel_map;
@@ -488,7 +488,7 @@ fn redundancy_ablation(obs: Recorder) -> Section {
         let drain = report.drain.expect("tiered run reports drain stats");
         t.row(vec![
             scheme.name().to_string(),
-            rec.source.name().to_string(),
+            rec.source.token().to_string(),
             rec.generation.map_or("-".into(), |g| g.to_string()),
             fnum(report.wasted.as_secs_f64(), 2),
             fnum(tier.local_bytes as f64 / 1e6, 2),
@@ -500,8 +500,8 @@ fn redundancy_ablation(obs: Recorder) -> Section {
         // last committed generation; the single-tier baseline is forced
         // back to the durable tier.
         let expect = match scheme {
-            SchemeSpec::LocalOnly => RecoverySource::Durable,
-            _ => RecoverySource::Reconstructed,
+            SchemeSpec::LocalOnly => RecoveryTier::Durable,
+            _ => RecoveryTier::Reconstructed,
         };
         assert_eq!(rec.source, expect, "{scheme:?} recovery source");
     }

@@ -25,7 +25,7 @@ use std::time::Instant;
 
 use crate::analysis::table::fnum;
 use crate::analysis::{Comparison, ExperimentReport, TextTable};
-use ickpt::cluster::tenant::{fleet_profiles, mixed_fleet, TenantStallAccount};
+use ickpt::cluster::tenant::{fleet_profiles, mixed_fleet};
 use ickpt::sim::{env, SimDuration};
 use ickpt::svc::{run_service, SchedPolicy, ServiceConfig, ServiceReport};
 use ickpt_obs::Recorder;
@@ -72,7 +72,6 @@ fn ms(d: ickpt::sim::SimDuration) -> String {
 }
 
 fn throughput_row(n: usize, r: &ServiceReport) -> Vec<String> {
-    let account = TenantStallAccount::from_report(r);
     vec![
         n.to_string(),
         fnum(r.aggregate_throughput_mbps(), 1),
@@ -80,8 +79,8 @@ fn throughput_row(n: usize, r: &ServiceReport) -> Vec<String> {
         r.aggregate.rejections.to_string(),
         ms(r.stall_percentile_all(50)),
         ms(r.stall_percentile_all(99)),
-        ms(account.worst_p99()),
-        fnum(account.worst_efficiency_bp() as f64 / 100.0, 1),
+        ms(r.worst_tenant_p99()),
+        fnum(r.worst_efficiency_bp() as f64 / 100.0, 1),
     ]
 }
 
@@ -163,14 +162,13 @@ pub(crate) fn report() -> ExperimentReport {
         "max stall (ms)",
     ]);
     for (p, r) in policies.iter().zip(&ablation) {
-        let account = TenantStallAccount::from_report(r);
         t.row(vec![
             p.token().to_string(),
             fnum(r.aggregate_throughput_mbps(), 1),
             r.aggregate.checkpoints.to_string(),
             r.aggregate.rejections.to_string(),
             ms(r.stall_percentile_all(99)),
-            ms(account.worst_p99()),
+            ms(r.worst_tenant_p99()),
             ms(SimDuration(r.aggregate.stall_ns_max)),
         ]);
     }

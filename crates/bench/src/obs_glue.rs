@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::analysis::TraceArtifacts;
 use ickpt::sim::SimTime;
 use ickpt_obs::{
-    chrome_trace, jsonl, Event, FlightRecorder, HealthMonitor, Lane, MetricsConfig, MetricsPlane,
+    chrome_trace, health, jsonl, Event, FlightRecorder, Lane, MetricsConfig, MetricsPlane,
     ObsSummary, Recorder,
 };
 
@@ -105,8 +105,8 @@ impl TraceBuilder {
     }
 
     /// Snapshot, export and summarize everything recorded. With a
-    /// metrics plane attached this first runs the standard
-    /// [`HealthMonitor`] over every group (breach events land on each
+    /// metrics plane attached this first checks the standard SLO
+    /// envelope ([`health::evaluate_into`]) over every group (breach events land on each
     /// run lane, in the trace and the `slo_breaches` counter) and
     /// replays the plane's deterministic self-profile as a
     /// `metrics_*` counter track, *then* snapshots — so the exports
@@ -116,7 +116,6 @@ impl TraceBuilder {
             return None;
         }
         let metrics = self.plane.map(|plane| {
-            let monitor = HealthMonitor::standard();
             let recorder_for = |group: u32| {
                 let rec = match &self.fr {
                     Some(fr) => Recorder::new(fr.clone()),
@@ -127,7 +126,7 @@ impl TraceBuilder {
             let groups = plane.groups();
             for &group in &groups {
                 let Some(view) = plane.view(group) else { continue };
-                monitor.evaluate_into(&view, &recorder_for(group));
+                health::evaluate_into(&view, &recorder_for(group));
             }
             // Self-profile: account the plane's own work (health
             // evaluation included) as a monotone counter track on the

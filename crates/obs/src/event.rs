@@ -128,9 +128,9 @@ pub struct TrackKey {
     pub lane: Lane,
 }
 
-/// Which storage level ultimately served a recovery, mirroring
-/// `ickpt::cluster::RecoverySource` without depending on it (the
-/// storage crate depends on this crate, not the other way around).
+/// Which storage level ultimately served a recovery: the one recovery
+/// vocabulary, shared by the storage crate's `RecoveryPlan`, the
+/// cluster's `RecoveryRecord` and the recorder's events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecoveryTier {
     /// The rank's own node-local tier survived.

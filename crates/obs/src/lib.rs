@@ -21,14 +21,13 @@
 
 mod event;
 mod export;
-mod health;
+pub mod health;
 mod log;
 mod metrics;
 mod summary;
 
 pub use event::{CaptureKind, DeviceKind, Event, Lane, RecoveryTier, TimedEvent, TrackKey};
 pub use export::{chrome_trace, jsonl, parse_jsonl, validate_json, ParsedEvent};
-pub use health::HealthMonitor;
 pub use log::{EventLog, FlightRecorder, Recorder, TraceSnapshot};
 pub use metrics::{
     bucket_of, LogHistogram, MetaStats, MetricLabel, MetricsConfig, MetricsPlane, MetricsView,

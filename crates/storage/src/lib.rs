@@ -58,11 +58,14 @@ pub use chunk::{
     peek_lineage, Chunk, ChunkKind, ChunkView, DeltaRecord, PageRecord, CHUNK_PAGE_SIZE,
 };
 pub use hash::{BLOCKS_PER_PAGE, BLOCK_SIZE};
+/// The recovery tier under its older name, which perf/'s `ft_cluster`
+/// workload still imports (`perf/src/workloads/ft.rs`).
+pub use ickpt_obs::RecoveryTier as RecoverySource;
 pub use manifest::{Manifest, RankEntry};
 pub use plan::{shard_segments, DeltaBase, PlanSegment, RestorePlan, SegmentSource};
 pub use redundancy::{
-    xor_encode, xor_reconstruct, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
-    TierTopology, TierUsage, TieredStore,
+    xor_encode, xor_reconstruct, DrainStats, DrainTopology, RecoveryPlan, SchemeSpec, TierTopology,
+    TierUsage, TieredStore,
 };
 pub use store::{ChunkBuf, ChunkKey, FileStore, MemStore, StableStorage, StorageError};
 pub use throttle::{shared_device, ThrottledStore};

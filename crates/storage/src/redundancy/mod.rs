@@ -53,7 +53,7 @@ use std::sync::Arc;
 pub(crate) use drain::DrainQueue;
 pub use drain::{DrainStats, DrainTopology};
 pub(crate) use partner::Partner;
-pub use tiered::{RecoverySource, TierTopology, TierUsage, TieredStore};
+pub use tiered::{RecoveryPlan, TierTopology, TierUsage, TieredStore};
 pub(crate) use xor::XorParity;
 pub use xor::{xor_encode, xor_reconstruct};
 

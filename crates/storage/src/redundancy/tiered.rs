@@ -38,50 +38,23 @@ use crate::throttle::{charge_device, shared_device, SharedBandwidthDevice};
 
 use super::{DrainQueue, DrainStats, DrainTopology, RedundancyScheme, SchemeSpec};
 
-/// Where a recovery got its data from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoverySource {
-    /// Node-local tier intact (process failure): restore in place.
-    Local,
-    /// Node-local tier lost; the chain was rebuilt from partner/parity
-    /// peers over the network.
-    Reconstructed,
-    /// Reconstruction impossible; fall back to the last generation
-    /// fully drained to the shared array.
-    Durable,
-    /// Nothing usable anywhere: restart from scratch.
-    ColdRestart,
-}
-
-impl RecoverySource {
-    /// Short name for reports.
-    pub fn name(&self) -> &'static str {
-        match self {
-            RecoverySource::Local => "local",
-            RecoverySource::Reconstructed => "reconstructed",
-            RecoverySource::Durable => "durable",
-            RecoverySource::ColdRestart => "cold-restart",
-        }
-    }
-
-    /// The flight recorder's view of this source.
-    pub fn obs_tier(&self) -> RecoveryTier {
-        match self {
-            RecoverySource::Local => RecoveryTier::Local,
-            RecoverySource::Reconstructed => RecoveryTier::Reconstructed,
-            RecoverySource::Durable => RecoveryTier::Durable,
-            RecoverySource::ColdRestart => RecoveryTier::ColdRestart,
-        }
-    }
-}
-
 /// The cluster-wide recovery decision after a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RecoveryPlan {
     /// Generation every rank restores (`None` = cold restart).
     pub generation: Option<u64>,
     /// Tier serving the failed rank.
-    pub source: RecoverySource,
+    pub source: RecoveryTier,
+}
+
+impl RecoveryPlan {
+    /// Resume from `generation` on the durable tier, or restart cold
+    /// when there is none.
+    pub fn durable(generation: Option<u64>) -> Self {
+        let source =
+            if generation.is_some() { RecoveryTier::Durable } else { RecoveryTier::ColdRestart };
+        RecoveryPlan { generation, source }
+    }
 }
 
 /// Per-rank, per-tier byte/time accounting.
@@ -255,20 +228,15 @@ impl TierTopology {
         fail_time: SimTime,
     ) -> RecoveryPlan {
         let Some(gen) = last_committed else {
-            return RecoveryPlan { generation: None, source: RecoverySource::ColdRestart };
+            return RecoveryPlan::durable(None);
         };
         if !wiped {
-            return RecoveryPlan { generation: Some(gen), source: RecoverySource::Local };
+            return RecoveryPlan { generation: Some(gen), source: RecoveryTier::Local };
         }
         if self.chain_reconstructible(failed_rank, gen) {
-            return RecoveryPlan { generation: Some(gen), source: RecoverySource::Reconstructed };
+            return RecoveryPlan { generation: Some(gen), source: RecoveryTier::Reconstructed };
         }
-        match self.drain.fully_drained_before(fail_time) {
-            Some(drained) => {
-                RecoveryPlan { generation: Some(drained), source: RecoverySource::Durable }
-            }
-            None => RecoveryPlan { generation: None, source: RecoverySource::ColdRestart },
-        }
+        RecoveryPlan::durable(self.drain.fully_drained_before(fail_time))
     }
 
     /// Roll the drain back after a failure (see
@@ -427,34 +395,25 @@ pub struct TierReader {
     array_dev: Mutex<BandwidthDevice>,
 }
 
-enum ServedBy {
-    Local,
-    Net,
-    Durable,
-}
-
 impl TierReader {
     /// Virtual instant the last charged read completed.
     pub fn now(&self) -> SimTime {
         *self.clock.lock()
     }
 
-    fn charge(&self, tier: ServedBy, bytes: u64) {
+    /// Charge `bytes` served by `tier` (`Reconstructed` = over the
+    /// NIC rail). A cold restart reads nothing, so it never charges.
+    fn charge(&self, tier: RecoveryTier, bytes: u64) {
         let mut clock = self.clock.lock();
         let now = *clock;
         let dev = match tier {
-            ServedBy::Local => &self.local_dev,
-            ServedBy::Net => &self.nic_dev,
-            ServedBy::Durable => &self.array_dev,
+            RecoveryTier::Local => &self.local_dev,
+            RecoveryTier::Reconstructed => &self.nic_dev,
+            RecoveryTier::Durable | RecoveryTier::ColdRestart => &self.array_dev,
         };
         let t = dev.lock().transfer_detailed(now, bytes);
         *clock = t.done;
         drop(clock);
-        let obs_tier = match tier {
-            ServedBy::Local => RecoveryTier::Local,
-            ServedBy::Net => RecoveryTier::Reconstructed,
-            ServedBy::Durable => RecoveryTier::Durable,
-        };
         // Spans land on the rank lane with the reader's own clock —
         // the fresh per-reader devices keep them deterministic even
         // when the live run devices were mid-transfer at the failure.
@@ -462,13 +421,13 @@ impl TierReader {
             Lane::Rank(self.rank as u32),
             now,
             t.done.saturating_sub(now),
-            Event::RecoveryRead { tier: obs_tier, bytes },
+            Event::RecoveryRead { tier, bytes },
         );
         let mut c = self.topo.counters[self.rank].lock();
         match tier {
-            ServedBy::Local => c.recovery_local_bytes += bytes,
-            ServedBy::Net => c.recovery_net_bytes += bytes,
-            ServedBy::Durable => c.recovery_durable_bytes += bytes,
+            RecoveryTier::Local => c.recovery_local_bytes += bytes,
+            RecoveryTier::Reconstructed => c.recovery_net_bytes += bytes,
+            RecoveryTier::Durable | RecoveryTier::ColdRestart => c.recovery_durable_bytes += bytes,
         }
     }
 }
@@ -477,18 +436,18 @@ impl StableStorage for TierReader {
     fn store_chunk(&self, key: ChunkKey, data: ChunkBuf) -> Result<(), StorageError> {
         let bytes = data.len() as u64;
         self.topo.locals[self.rank].store_chunk(key, data)?;
-        self.charge(ServedBy::Local, bytes);
+        self.charge(RecoveryTier::Local, bytes);
         Ok(())
     }
 
     fn read_chunk(&self, key: ChunkKey) -> Result<ChunkBuf, StorageError> {
         let t = &*self.topo;
         if let Ok(data) = t.locals[self.rank].read_chunk(key) {
-            self.charge(ServedBy::Local, data.len() as u64);
+            self.charge(RecoveryTier::Local, data.len() as u64);
             return Ok(data);
         }
         if let Ok((data, pulled)) = t.scheme.reconstruct(&t.locals, key) {
-            self.charge(ServedBy::Net, pulled);
+            self.charge(RecoveryTier::Reconstructed, pulled);
             t.obs.emit(
                 Lane::Rank(self.rank as u32),
                 self.now(),
@@ -504,7 +463,7 @@ impl StableStorage for TierReader {
             return Ok(data);
         }
         let data = t.shared.read_chunk(key)?;
-        self.charge(ServedBy::Durable, data.len() as u64);
+        self.charge(RecoveryTier::Durable, data.len() as u64);
         Ok(data)
     }
 
@@ -518,14 +477,14 @@ impl StableStorage for TierReader {
 
     fn put_manifest(&self, generation: u64, data: &[u8]) -> Result<(), StorageError> {
         self.topo.locals[self.rank].put_manifest(generation, data)?;
-        self.charge(ServedBy::Local, data.len() as u64);
+        self.charge(RecoveryTier::Local, data.len() as u64);
         Ok(())
     }
 
     fn get_manifest(&self, generation: u64) -> Result<Vec<u8>, StorageError> {
         let t = &*self.topo;
         if let Ok(data) = t.locals[self.rank].get_manifest(generation) {
-            self.charge(ServedBy::Local, data.len() as u64);
+            self.charge(RecoveryTier::Local, data.len() as u64);
             return Ok(data);
         }
         // The manifest is replicated on every node: pull it from the
@@ -535,12 +494,12 @@ impl StableStorage for TierReader {
                 continue;
             }
             if let Ok(data) = local.get_manifest(generation) {
-                self.charge(ServedBy::Net, data.len() as u64);
+                self.charge(RecoveryTier::Reconstructed, data.len() as u64);
                 return Ok(data);
             }
         }
         let data = t.shared.get_manifest(generation)?;
-        self.charge(ServedBy::Durable, data.len() as u64);
+        self.charge(RecoveryTier::Durable, data.len() as u64);
         Ok(data)
     }
 
@@ -641,7 +600,7 @@ mod tests {
             topo.wipe_local(1).unwrap();
             assert!(topo.local(1).get_chunk(ChunkKey::new(1, 1)).is_err());
             let plan = topo.plan_recovery(1, true, Some(1), SimTime::from_secs(3));
-            assert_eq!(plan.source, RecoverySource::Reconstructed, "{spec:?}");
+            assert_eq!(plan.source, RecoveryTier::Reconstructed, "{spec:?}");
             assert_eq!(plan.generation, Some(1));
             let reader = topo.reader(1, SimTime::ZERO);
             let rebuilt = reader.read_chunk(ChunkKey::new(1, 1)).unwrap();
@@ -689,7 +648,7 @@ mod tests {
         topo.wipe_local(1).unwrap();
         let fail = SimTime::from_secs_f64(4.1);
         let plan = topo.plan_recovery(1, true, Some(3), fail);
-        assert_eq!(plan.source, RecoverySource::Durable);
+        assert_eq!(plan.source, RecoveryTier::Durable);
         assert_eq!(plan.generation, Some(1), "forced back to the last fully drained target");
         // The wiped rank restores that generation from the array.
         let reader = topo.reader(1, SimTime::ZERO);
@@ -706,7 +665,7 @@ mod tests {
         let topo = topo(SchemeSpec::Partner { offset: 1 }, 4);
         commit_generation(&topo, 0, None, SimTime::from_secs(1));
         let plan = topo.plan_recovery(2, false, Some(0), SimTime::from_secs(2));
-        assert_eq!(plan.source, RecoverySource::Local);
+        assert_eq!(plan.source, RecoveryTier::Local);
         assert_eq!(plan.generation, Some(0));
     }
 
@@ -714,12 +673,12 @@ mod tests {
     fn cold_restart_when_nothing_anywhere() {
         let topo = topo(SchemeSpec::LocalOnly, 4);
         let plan = topo.plan_recovery(0, true, None, SimTime::from_secs(1));
-        assert_eq!(plan.source, RecoverySource::ColdRestart);
+        assert_eq!(plan.source, RecoveryTier::ColdRestart);
         // Committed but neither reconstructible nor drained.
         commit_generation(&topo, 0, None, SimTime::from_secs(1));
         topo.wipe_local(0).unwrap();
         let plan = topo.plan_recovery(0, true, Some(0), SimTime::from_secs(2));
-        assert_eq!(plan.source, RecoverySource::ColdRestart);
+        assert_eq!(plan.source, RecoveryTier::ColdRestart);
         assert_eq!(plan.generation, None);
     }
 

@@ -102,11 +102,6 @@ pub struct TenantReport {
 }
 
 impl TenantReport {
-    /// Total blocked time.
-    pub fn stall_total(&self) -> SimDuration {
-        SimDuration(self.stalls_ns.iter().sum())
-    }
-
     /// Blocked-interval percentile (nearest-rank).
     pub fn stall_percentile(&self, pct: u64) -> SimDuration {
         SimDuration(percentile_ns(&self.stalls_ns, pct))
@@ -212,6 +207,18 @@ impl ServiceReport {
             self.tenants.iter().flat_map(|t| t.stalls_ns.iter().copied()).collect();
         all.sort_unstable();
         SimDuration(percentile_sorted(&all, pct))
+    }
+
+    /// The worst tenant's p99 stall (nearest-rank): the contention
+    /// headline.
+    pub fn worst_tenant_p99(&self) -> SimDuration {
+        self.tenants.iter().map(|t| t.stall_percentile(99)).max().unwrap_or(SimDuration::ZERO)
+    }
+
+    /// The lowest tenant compute fraction, basis points (10000 for an
+    /// empty fleet).
+    pub fn worst_efficiency_bp(&self) -> u64 {
+        self.tenants.iter().map(TenantReport::efficiency_bp).min().unwrap_or(10_000)
     }
 }
 
@@ -487,6 +494,23 @@ mod tests {
         }
         assert_eq!(r.aggregate, flat);
         assert_eq!(flat.tenants, 9);
+    }
+
+    #[test]
+    fn worst_tenant_figures_are_the_fleet_extremes() {
+        let r = run_service(&small_cfg(6), &Recorder::disabled());
+        let p99s: Vec<SimDuration> = r.tenants.iter().map(|t| t.stall_percentile(99)).collect();
+        assert!(p99s.iter().all(|&p| p <= r.worst_tenant_p99()));
+        assert!(p99s.contains(&r.worst_tenant_p99()));
+        assert!(r.worst_tenant_p99() <= SimDuration(r.aggregate.stall_ns_max));
+        let effs: Vec<u64> = r.tenants.iter().map(TenantReport::efficiency_bp).collect();
+        assert_eq!(Some(r.worst_efficiency_bp()), effs.iter().copied().min());
+        assert!(r.worst_efficiency_bp() < 10_000, "a shared array stalls someone: {effs:?}");
+        let empty = ServiceReport { tenants: Vec::new(), ..r };
+        assert_eq!(
+            (empty.worst_tenant_p99(), empty.worst_efficiency_bp()),
+            (SimDuration::ZERO, 10_000)
+        );
     }
 
     #[test]

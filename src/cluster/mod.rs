@@ -60,7 +60,7 @@ use ickpt_obs::{DeviceKind, Event, Lane, Recorder, RecoveryTier};
 use ickpt_sim::net::NetConfig;
 use ickpt_sim::{DevicePreset, SimDuration, SimTime};
 use ickpt_storage::{
-    shared_device, ChunkKey, ChunkView, DrainStats, DrainTopology, RecoverySource, SchemeSpec,
+    shared_device, ChunkKey, ChunkView, DrainStats, DrainTopology, RecoveryPlan, SchemeSpec,
     StableStorage, ThrottledStore, TierTopology, TierUsage,
 };
 
@@ -195,7 +195,7 @@ pub struct RecoveryRecord {
     /// What kind of failure was injected.
     pub kind: FailureKind,
     /// Which tier served the failed rank's recovery.
-    pub source: RecoverySource,
+    pub source: RecoveryTier,
     /// The generation the cluster rolled back to (`None` = cold
     /// restart).
     pub generation: Option<u64>,
@@ -568,23 +568,33 @@ where
                         },
                     );
                 }
-                // Tiered recovery: wipe the lost node's local tier,
-                // plan where the failed rank's data comes from, and
-                // roll in-flight drains back out of the shared array.
-                let resume = match (&topo, failure) {
-                    (Some(topo), Some(f)) => {
-                        let wiped = f.kind == FailureKind::NodeLoss;
-                        if wiped {
-                            topo.wipe_local(f.rank)?;
-                        }
-                        let plan = topo.plan_recovery(f.rank, wiped, recover_from, fail_time);
-                        topo.rollback_drain(plan.generation, fail_time)?;
+                let resume = match failure {
+                    Some(f) => {
+                        let plan = match &topo {
+                            // Tiered: wipe the lost node's local tier,
+                            // plan where the failed rank's data comes
+                            // from, and roll in-flight drains back out
+                            // of the shared array.
+                            Some(topo) => {
+                                let wiped = f.kind == FailureKind::NodeLoss;
+                                if wiped {
+                                    topo.wipe_local(f.rank)?;
+                                }
+                                let plan =
+                                    topo.plan_recovery(f.rank, wiped, recover_from, fail_time);
+                                topo.rollback_drain(plan.generation, fail_time)?;
+                                plan
+                            }
+                            // Single-tier: every restore is served by
+                            // the (durable) shared store.
+                            None => RecoveryPlan::durable(recover_from),
+                        };
                         cfg.obs.emit(
                             Lane::Run,
                             fail_time,
                             Event::RecoveryPlan {
                                 rank: f.rank as u32,
-                                tier: plan.source.obs_tier(),
+                                tier: plan.source,
                                 generation: plan.generation.unwrap_or(0),
                             },
                         );
@@ -597,34 +607,7 @@ where
                         });
                         plan.generation
                     }
-                    _ => {
-                        if let Some(f) = failure {
-                            // Single-tier: every restore is served by
-                            // the (durable) shared store.
-                            let tier = if recover_from.is_some() {
-                                RecoveryTier::Durable
-                            } else {
-                                RecoveryTier::ColdRestart
-                            };
-                            cfg.obs.emit(
-                                Lane::Run,
-                                fail_time,
-                                Event::RecoveryPlan {
-                                    rank: f.rank as u32,
-                                    tier,
-                                    generation: recover_from.unwrap_or(0),
-                                },
-                            );
-                            recoveries.push(RecoveryRecord {
-                                attempt: attempt - 1,
-                                rank: f.rank,
-                                kind: f.kind,
-                                source: RecoverySource::Durable,
-                                generation: recover_from,
-                            });
-                        }
-                        recover_from
-                    }
+                    None => recover_from,
                 };
                 // The rollback throws away everything computed after
                 // the restored checkpoint's capture instant (the next

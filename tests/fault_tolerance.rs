@@ -13,8 +13,9 @@ use ickpt::cluster::{
 use ickpt::core::coordinator::CheckpointPolicy;
 use ickpt::mem::{DataLayout, LayoutBuilder, WriteProfile, PAGE_SIZE};
 use ickpt::net::NetConfig;
+use ickpt::obs::RecoveryTier;
 use ickpt::sim::{DevicePreset, SimDuration, SimTime};
-use ickpt::storage::{DrainTopology, MemStore, RecoverySource, SchemeSpec};
+use ickpt::storage::{DrainTopology, MemStore, SchemeSpec};
 
 fn synthetic_layout() -> DataLayout {
     LayoutBuilder::new()
@@ -143,6 +144,26 @@ fn failure_before_any_checkpoint_restarts_from_scratch() {
     for (a, b) in clean.ranks.iter().zip(&report.ranks) {
         assert_eq!(a.content_digest, b.content_digest);
     }
+}
+
+#[test]
+fn single_tier_failure_before_the_first_commit_records_a_cold_restart() {
+    // Per-rank storage, no redundancy: rank 1 dies at 1 s, before the
+    // first 3 s checkpoint interval ends, so nothing was ever committed.
+    let fr = ickpt::obs::FlightRecorder::new(4096);
+    let mut cfg = synthetic_cfg(2, 6, vec![FailureSpec::process(1, SimTime::from_secs(1))]);
+    cfg.obs = ickpt::obs::Recorder::new(fr.clone());
+    assert!(cfg.redundancy.is_none() && cfg.storage_path == StoragePath::PerRank);
+    let report = run_fault_tolerant(&cfg, synthetic_layout(), build_synthetic(2)).unwrap();
+    assert_eq!(report.outcome, RunOutcome::Completed);
+    let [rec] = report.recoveries[..] else { panic!("one recovery: {:?}", report.recoveries) };
+    assert_eq!((rec.rank, rec.source, rec.generation), (1, RecoveryTier::ColdRestart, None));
+    // The trace's recovery decision names the same tier.
+    let trace = ickpt::obs::parse_jsonl(&ickpt::obs::jsonl(&fr.snapshot())).unwrap();
+    let plans: Vec<_> = trace.iter().filter(|e| &*e.name == "recovery_plan").collect();
+    assert_eq!(plans.len(), 1);
+    assert_eq!(plans[0].arg("tier").as_deref(), Some("cold_restart"));
+    assert_eq!(plans[0].arg_u64("rank"), Some(1));
 }
 
 #[test]
@@ -376,7 +397,7 @@ fn node_loss_recovers_via_redundancy_byte_identical() {
         assert_eq!(rec.kind, FailureKind::NodeLoss);
         assert_eq!(
             rec.source,
-            RecoverySource::Reconstructed,
+            RecoveryTier::Reconstructed,
             "{}: node loss with nothing drained must recover over the network",
             scheme.name()
         );
@@ -417,7 +438,7 @@ fn node_loss_without_redundancy_falls_back_to_drained_generation() {
     assert_eq!(rec.kind, FailureKind::NodeLoss);
     assert_eq!(
         rec.source,
-        RecoverySource::Durable,
+        RecoveryTier::Durable,
         "local-only tier must fall back to the drained shared array"
     );
     let rec_digests: Vec<_> = recovered.ranks.iter().map(|r| r.content_digest.unwrap()).collect();
@@ -440,7 +461,7 @@ fn process_failure_on_tiered_storage_restores_from_local() {
     assert_eq!(recovered.outcome, RunOutcome::Completed);
     let rec = recovered.recoveries[0];
     assert_eq!(rec.kind, FailureKind::Process);
-    assert_eq!(rec.source, RecoverySource::Local);
+    assert_eq!(rec.source, RecoveryTier::Local);
     let tier = recovered.ranks[2].tier.unwrap();
     assert!(tier.recovery_local_bytes > 0);
 }
@@ -466,7 +487,7 @@ fn scientific_profile_node_loss_recovers_byte_identical() {
         run_fault_tolerant(&cfg(failures), synthetic_layout(), build_synthetic(4)).unwrap();
     assert_eq!(recovered.outcome, RunOutcome::Completed);
     assert_eq!(recovered.attempts, 2);
-    assert_eq!(recovered.recoveries[0].source, RecoverySource::Reconstructed);
+    assert_eq!(recovered.recoveries[0].source, RecoveryTier::Reconstructed);
     for (a, b) in reference.ranks.iter().zip(&recovered.ranks) {
         assert!(a.content_digest.is_some());
         assert_eq!(a.content_digest, b.content_digest, "rank {}", a.rank);
